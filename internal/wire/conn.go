@@ -57,7 +57,7 @@ func NewConn(c net.Conn) *Conn { return NewConnOpts(c, ConnOptions{}) }
 // NewConnOpts wraps a transport connection with the given liveness
 // options.
 func NewConnOpts(c net.Conn, opt ConnOptions) *Conn {
-	cn := &Conn{raw: c, br: bufio.NewReader(c), opt: opt}
+	cn := &Conn{raw: c, br: bufio.NewReader(c), opt: opt, hbStop: make(chan struct{})}
 	cn.lastWrite.Store(time.Now().UnixNano())
 	return cn
 }
@@ -66,6 +66,20 @@ func NewConnOpts(c net.Conn, opt ConnOptions) *Conn {
 // connection.
 func (c *Conn) Close() error {
 	c.stopHeartbeat()
+	return c.raw.Close()
+}
+
+// closeWrite stops the heartbeat loop and half-closes the connection
+// behind any frame write in progress, so the peer reads every frame
+// written so far and then EOF while this side can still read.
+// Transports without half-close are closed outright.
+func (c *Conn) closeWrite() error {
+	c.stopHeartbeat()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if hc, ok := c.raw.(interface{ CloseWrite() error }); ok {
+		return hc.CloseWrite()
+	}
 	return c.raw.Close()
 }
 
@@ -143,7 +157,6 @@ func (c *Conn) StartHeartbeat(every time.Duration) (stop func()) {
 	if every <= 0 {
 		return func() {}
 	}
-	c.hbStop = make(chan struct{})
 	done := c.hbStop
 	go func() {
 		t := time.NewTicker(every / 2)
@@ -166,12 +179,7 @@ func (c *Conn) StartHeartbeat(every time.Duration) (stop func()) {
 	return c.stopHeartbeat
 }
 
-func (c *Conn) stopHeartbeat() {
-	if c.hbStop == nil {
-		return
-	}
-	c.hbOnce.Do(func() { close(c.hbStop) })
-}
+func (c *Conn) stopHeartbeat() { c.hbOnce.Do(func() { close(c.hbStop) }) }
 
 // ClientHandshake sends the sensor's Hello — carrying its session token
 // (0 = none) and last committed interval (-1 = none) — and validates the

@@ -118,6 +118,29 @@ type inbound struct {
 	msg    Msg
 }
 
+// errClosed ends a tour whose sink was closed under it.
+var errClosed = fmt.Errorf("sink closed: %w", net.ErrClosed)
+
+// lingerTimeout bounds how long Close waits, after half-closing every
+// connection, for the peers to hang up before closing outright.
+const lingerTimeout = time.Second
+
+// Registration-phase state of one sensor (Sink.ans). The phase marks its
+// probe set, settles each sensor at most once, and resets the set to
+// ansNone when it ends.
+const (
+	ansNone      uint8 = iota // not probed, or settled without a claim
+	ansUnreached              // probed and silent, outside the current round's countdown
+	ansWaiting                // probed and silent, counted in the countdown
+	ansClaimed                // settled with a registration
+)
+
+// answer is one sensor's registration-phase state and claim.
+type answer struct {
+	state uint8
+	reg   online.Registration
+}
+
 // Sink is the mobile sink as a TCP server: it accepts long-lived sensor
 // connections and drives the tour's interval loop over them — probe
 // broadcast, registration window, scheduler, schedule/finish broadcast —
@@ -150,8 +173,17 @@ type Sink struct {
 	tourDone     bool
 	recoverStart time.Time
 
+	// ans is the registration phase's per-sensor state, indexed by
+	// sensor; it belongs to RunTour's goroutine and is reused across
+	// intervals.
+	ans []answer
+
+	// handlers counts the running connection handlers; Close waits on it.
+	handlers sync.WaitGroup
+
 	mu        sync.Mutex
 	conns     map[int]*Conn
+	open      map[*Conn]struct{} // every accepted conn, until its handler returns
 	sessions  map[int]*session
 	nextToken uint64
 	joinedIDs map[int]bool
@@ -198,7 +230,9 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		ttl:         cfg.SessionTTL,
 		inbox:       make(chan inbound, max(256, 16*cfg.Sensors)),
 		done:        make(chan struct{}),
+		ans:         make([]answer, len(cfg.Inst.Sensors)),
 		conns:       make(map[int]*Conn),
+		open:        make(map[*Conn]struct{}),
 		sessions:    make(map[int]*session),
 		joinedIDs:   make(map[int]bool),
 		res:         online.NewResult(cfg.Inst),
@@ -388,7 +422,14 @@ func instanceFingerprint(inst *core.Instance) uint64 {
 func (s *Sink) Addr() string { return s.ln.Addr().String() }
 
 // Close tears down the listener, all sensor connections, and the
-// journal.
+// journal; a RunTour in progress returns an error wrapping
+// net.ErrClosed. Connections linger: each is half-closed, so its peer
+// reads every frame already written and then EOF, and its handler reads
+// and discards until the peer hangs up. Close then closes every
+// connection outright once all handlers have returned, or after
+// lingerTimeout. Closing a socket that still holds unread input (the
+// last interval's Confirm Acks, typically) would instead reset the
+// peer's connection, which can lose it the final frames.
 func (s *Sink) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -396,13 +437,27 @@ func (s *Sink) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*Conn, 0, len(s.conns))
-	for _, c := range s.conns {
+	conns := make([]*Conn, 0, len(s.open))
+	for c := range s.open {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	close(s.done)
 	err := s.ln.Close()
+	lingered := make(chan struct{})
+	go func() {
+		for _, c := range conns {
+			c.closeWrite()
+		}
+		s.handlers.Wait()
+		close(lingered)
+	}()
+	timer := time.NewTimer(lingerTimeout)
+	select {
+	case <-lingered:
+	case <-timer.C:
+	}
+	timer.Stop()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -418,7 +473,23 @@ func (s *Sink) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go s.handle(NewConnOpts(raw, s.cfg.Conn))
+		c := NewConnOpts(raw, s.cfg.Conn)
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			c.Close()
+			return
+		}
+		s.open[c] = struct{}{}
+		s.handlers.Add(1)
+		s.mu.Unlock()
+		go func() {
+			defer s.handlers.Done()
+			s.handle(c)
+			s.mu.Lock()
+			delete(s.open, c)
+			s.mu.Unlock()
+		}()
 	}
 }
 
@@ -426,6 +497,9 @@ func (s *Sink) acceptLoop() {
 // handshake, then the protocol read loop feeding the inbox. The conn
 // only joins the broadcast set after its Sync is on the wire, so a
 // resuming sensor never sees interval traffic before its session state.
+// When the read loop ends, handle sends the connection's closed marker
+// behind every message it forwarded — unless the sink is closing, when
+// it instead drains the conn until the peer hangs up (see Close).
 func (s *Sink) handle(c *Conn) {
 	hello, err := c.ServerHandshake()
 	if err != nil {
@@ -518,8 +592,7 @@ func (s *Sink) handle(c *Conn) {
 		}
 		select {
 		case s.inbox <- inbound{sensor: id, msg: m}:
-		case <-s.done:
-			return
+		case <-s.done: // closing: discard
 		}
 	}
 }
@@ -626,57 +699,52 @@ func (s *Sink) liveIDs() []int {
 	return ids
 }
 
-// sessionAlive reports whether the sensor holds a resumable session: it
-// is connected, or disconnected for less than the TTL and so may
-// reconnect mid-interval.
-func (s *Sink) sessionAlive(id int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessions[id]
-	if sess == nil {
-		return false
+// reachableLocked reports whether the sensor is connected or holds a
+// resumable session — disconnected for less than the TTL, so it may
+// reconnect mid-interval. The caller holds s.mu.
+func (s *Sink) reachableLocked(id int, now time.Time) bool {
+	if s.conns[id] != nil {
+		return true
 	}
-	return sess.owner != nil || time.Since(sess.lastGone) <= s.ttl
+	sess := s.sessions[id]
+	return sess != nil && (sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
 }
 
 // reachableIDs returns the sensors the recovery-mode registration phase
-// should solicit: everyone connected plus everyone whose session is
-// still within its TTL — a sensor whose connection just died may resume
-// before the registration window closes, and writing it off immediately
-// would let a fast tour outrun every reconnect.
+// should solicit, ascending: everyone connected plus everyone whose
+// session is still within its TTL — a sensor whose connection just died
+// may resume before the registration window closes, and writing it off
+// immediately would let a fast tour outrun every reconnect.
 func (s *Sink) reachableIDs() []int {
 	now := time.Now()
+	var ids []int
 	s.mu.Lock()
-	set := make(map[int]bool, len(s.conns))
-	for id := range s.conns {
-		set[id] = true
-	}
-	for id, sess := range s.sessions {
-		if sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl {
-			set[id] = true
+	for id := range s.cfg.Inst.Sensors {
+		if s.reachableLocked(id, now) {
+			ids = append(ids, id)
 		}
 	}
 	s.mu.Unlock()
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	return ids
 }
 
 // dropConn discards a connection whose write failed; its sensor may
-// still resume its session from a fresh connection.
+// still resume its session from a fresh connection. Once the sink is
+// closing, Close owns the conn's teardown (the lingering close), so
+// dropConn leaves it open.
 func (s *Sink) dropConn(id int, c *Conn) {
 	s.mu.Lock()
 	if s.conns[id] == c {
 		delete(s.conns, id)
 	}
+	closing := s.closed
 	s.mu.Unlock()
 	if s.bc != nil {
 		s.bc.removeConn(id, c)
 	}
-	c.Close()
+	if !closing {
+		c.Close()
+	}
 }
 
 // RunTour drives one tour of the online protocol over the connected
@@ -752,24 +820,21 @@ func (s *Sink) runInterval(ctx context.Context, iv online.Interval, res *online.
 	probe := &Probe{Interval: iv.Index, Start: iv.Start, End: iv.End, SinkX: sinkPos.X, SinkY: sinkPos.Y}
 
 	probeAt := time.Now()
-	registered, err := s.registration(ctx, iv, probe, res, st)
+	regs, err := s.registration(ctx, iv, probe, res, st)
 	if err != nil {
 		return err
 	}
 	regRoundtrip.Observe(time.Since(probeAt).Seconds())
 
-	// Canonical registration order (ascending sensor index, matching the
-	// in-process runner regardless of Ack arrival order), with the
-	// recovery path's feasibility guard: a stale claim — the sensor missed
-	// a Finish and never debited — is clamped against the sink's ledger.
-	ids := make([]int, 0, len(registered))
-	for id := range registered {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	regs := make([]online.Registration, 0, len(ids))
-	for _, id := range ids {
-		r := registered[id]
+	// regs come in canonical order (ascending sensor index, matching the
+	// in-process runner regardless of Ack arrival order). The recovery
+	// path adds a feasibility guard: a stale claim — the sensor missed a
+	// Finish and never debited — is clamped against the sink's ledger.
+	ids := make([]int, len(regs))
+	for k := range regs {
+		r := &regs[k]
+		id := r.Sensor
+		ids[k] = id
 		res.RegisteredIn[id] = append(res.RegisteredIn[id], iv.Index)
 		if s.rec != nil {
 			if r.Budget > res.Residual[id] {
@@ -780,7 +845,6 @@ func (s *Sink) runInterval(ctx context.Context, iv online.Interval, res *online.
 				r.DataLeft = res.ResidualData[id]
 			}
 		}
-		regs = append(regs, r)
 	}
 	if len(regs) == 0 {
 		// Nobody answered; the sink idles this interval. The empty commit
@@ -828,7 +892,10 @@ func (s *Sink) runInterval(ctx context.Context, iv online.Interval, res *online.
 			committed = append(committed, wal.Assign{Slot: p.Slot, Sensor: p.Sensor})
 		}
 	} else {
-		confirmed := s.collectConfirms(ctx, iv, assign)
+		confirmed, err := s.collectConfirms(ctx, iv, assign)
+		if err != nil {
+			return err
+		}
 		s.lmu.Lock()
 		committed, err = s.commitRecover(iv, regs, assign, confirmed, res, st, spend, dataSpend)
 		s.lmu.Unlock()
@@ -900,76 +967,58 @@ func (s *Sink) broadcast(m Msg, ids []int) {
 }
 
 // registration runs the interval's registration phase and returns the
-// heard claims by sensor. With Recovery nil it is the idealized
-// exchange: every connected sensor answers every probe (register or
-// decline), so the window closes exactly when all answers are in — no
-// timers, no drops, and Ack counts that match the in-process run. With
-// Recovery set it runs timed windows with up to MaxRetries retransmit
-// rounds unicast to the sensors still silent; a sensor that loses its
-// connection mid-window and resumes its session before the next round is
-// re-probed like any other straggler.
-func (s *Sink) registration(ctx context.Context, iv online.Interval, probe *Probe, res *online.Result, st *fault.Stats) (map[int]online.Registration, error) {
-	all := s.liveIDs()
-	if s.rec != nil {
+// heard claims in ascending sensor order. With Recovery nil it is the
+// idealized exchange: every connected sensor answers every probe
+// (register or decline), so the window closes exactly when all answers
+// are in — no timers, no drops, and Ack counts that match the in-process
+// run. With Recovery set it runs timed windows with up to MaxRetries
+// retransmit rounds unicast to the sensors still silent; a sensor that
+// loses its connection mid-window and resumes its session before the
+// next round is re-probed like any other straggler.
+func (s *Sink) registration(ctx context.Context, iv online.Interval, probe *Probe, res *online.Result, st *fault.Stats) ([]online.Registration, error) {
+	var all []int
+	mark := ansWaiting
+	if s.rec == nil {
+		all = s.liveIDs()
+	} else {
 		// Recovery mode also waits (bounded by the windows) for sensors
 		// whose connection died but whose session is inside its TTL: they
 		// may resume before the window closes and answer a retransmit.
+		// Each round counts down the ones reachable at its start.
 		all = s.reachableIDs()
+		mark = ansUnreached
 	}
 	s.broadcast(probe, all)
 	res.Messages.Probes++
-
-	registered := make(map[int]online.Registration)
-	answered := make(map[int]bool)
-	handle := func(in inbound) {
-		if in.msg == nil { // connection closed
-			if s.rec == nil {
-				// Idealized mode has no retransmissions to catch a late
-				// rejoin; the sensor is gone for this interval.
-				answered[in.sensor] = true
-			}
-			return
-		}
-		ack, ok := in.msg.(*Ack)
-		if !ok || ack.Interval != iv.Index || ack.Kind == AckConfirm || ack.Sensor != in.sensor {
-			return // stale or out-of-phase traffic
-		}
-		if answered[in.sensor] {
-			return
-		}
-		answered[in.sensor] = true
-		if ack.Kind == AckRegister {
-			registered[in.sensor] = ack.Registration()
-			res.Messages.Acks++
-		}
+	for _, id := range all {
+		s.ans[id].state = mark
 	}
-	outstanding := func() []int {
-		var out []int
-		for _, id := range all {
-			if answered[id] {
-				continue
-			}
-			if s.connOf(id) != nil || (s.rec != nil && s.sessionAlive(id)) {
-				out = append(out, id)
-			}
+	err := s.awaitAnswers(ctx, iv, probe, all, res, st)
+	var regs []online.Registration
+	for _, id := range all {
+		a := &s.ans[id]
+		if a.state == ansClaimed {
+			regs = append(regs, a.reg)
 		}
-		return out
+		a.state = ansNone
 	}
+	if err != nil {
+		return nil, err
+	}
+	return regs, nil
+}
 
+// awaitAnswers runs the registration windows over the marked probe set.
+// Idealized mode counts every probed sensor down once, with no timer.
+// Recovery mode recomputes the countdown at each round boundary from the
+// sensors still silent and reachable then, so a session TTL that expires
+// mid-round is noticed at the next boundary.
+func (s *Sink) awaitAnswers(ctx context.Context, iv online.Interval, probe *Probe, all []int, res *online.Result, st *fault.Stats) error {
 	if s.rec == nil {
-		for len(outstanding()) > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case in := <-s.inbox:
-				handle(in)
-			}
-		}
-		return registered, nil
+		return s.countDown(ctx, len(all), nil, iv.Index, res)
 	}
-
 	for attempt := 0; attempt <= s.rec.MaxRetries; attempt++ {
-		pending := outstanding()
+		pending := s.countReachable(all)
 		if len(pending) == 0 {
 			break
 		}
@@ -983,21 +1032,89 @@ func (s *Sink) registration(ctx context.Context, iv online.Interval, probe *Prob
 			st.ProbeRetransmissions++
 		}
 		timer := time.NewTimer(s.rec.RegWindow)
-	window:
-		for len(outstanding()) > 0 {
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-timer.C:
-				break window
-			case in := <-s.inbox:
-				handle(in)
+		err := s.countDown(ctx, len(pending), timer.C, iv.Index, res)
+		timer.Stop()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countDown is one registration window: it settles inbox messages until
+// the left counted sensors have all settled or expire fires (never, when
+// nil), so each message costs O(1).
+func (s *Sink) countDown(ctx context.Context, left int, expire <-chan time.Time, interval int, res *online.Result) error {
+	for left > 0 {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.done:
+			return errClosed
+		case <-expire:
+			return nil
+		case in := <-s.inbox:
+			if s.settle(in, interval, res) {
+				left--
 			}
 		}
-		timer.Stop()
 	}
-	return registered, nil
+	return nil
+}
+
+// countReachable starts a recovery round: every probed sensor still
+// silent is counted down this round if it is connected or holds a
+// session within its TTL, and otherwise left unreached. It returns the
+// counted ids, ascending.
+func (s *Sink) countReachable(all []int) []int {
+	now := time.Now()
+	var pending []int
+	s.mu.Lock()
+	for _, id := range all {
+		a := &s.ans[id]
+		if a.state != ansWaiting && a.state != ansUnreached {
+			continue
+		}
+		a.state = ansUnreached
+		if s.reachableLocked(id, now) {
+			a.state = ansWaiting
+			pending = append(pending, id)
+		}
+	}
+	s.mu.Unlock()
+	return pending
+}
+
+// settle applies one inbox message to the registration phase and
+// reports whether it settled a sensor counted in the current countdown.
+// Only a probed, still-silent sensor's first valid answer settles it;
+// in idealized mode so does its connection's closed marker, which
+// handle sends behind every message it forwarded from that connection.
+// Recovery mode ignores closed markers: the sensor may resume and
+// answer a retransmit.
+func (s *Sink) settle(in inbound, interval int, res *online.Result) bool {
+	a := &s.ans[in.sensor]
+	if a.state != ansWaiting && a.state != ansUnreached {
+		return false // not probed, or already settled
+	}
+	if in.msg == nil {
+		if s.rec != nil {
+			return false
+		}
+		a.state = ansNone
+		return true
+	}
+	ack, ok := in.msg.(*Ack)
+	if !ok || ack.Interval != interval || ack.Kind == AckConfirm || ack.Sensor != in.sensor {
+		return false // stale or out-of-phase traffic
+	}
+	counted := a.state == ansWaiting
+	a.state = ansNone
+	if ack.Kind == AckRegister {
+		a.state, a.reg = ansClaimed, ack.Registration()
+		res.Messages.Acks++
+	}
+	return counted
 }
 
 // schedule runs the interval's scheduler under the recovery stall model,
@@ -1029,7 +1146,7 @@ func (s *Sink) schedule(ctx context.Context, iv online.Interval, regs []online.R
 // sensors that acknowledged the Schedule broadcast. A sensor with slots
 // but no confirm is crashed, deaf, or unreachable — commitRecover
 // repairs its slots.
-func (s *Sink) collectConfirms(ctx context.Context, iv online.Interval, assign map[int]int) map[int]bool {
+func (s *Sink) collectConfirms(ctx context.Context, iv online.Interval, assign map[int]int) (map[int]bool, error) {
 	want := make(map[int]bool)
 	for _, sensor := range assign {
 		want[sensor] = true
@@ -1040,9 +1157,11 @@ func (s *Sink) collectConfirms(ctx context.Context, iv online.Interval, assign m
 	for len(confirmed) < len(want) {
 		select {
 		case <-ctx.Done():
-			return confirmed
+			return confirmed, nil
+		case <-s.done:
+			return nil, errClosed
 		case <-timer.C:
-			return confirmed
+			return confirmed, nil
 		case in := <-s.inbox:
 			if in.msg == nil {
 				continue
@@ -1053,7 +1172,7 @@ func (s *Sink) collectConfirms(ctx context.Context, iv online.Interval, assign m
 			}
 		}
 	}
-	return confirmed
+	return confirmed, nil
 }
 
 // commitRecover is the wire counterpart of the in-process faulty commit:
