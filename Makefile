@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-gap fuzz-fleet fuzz-wal
+.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal
 
 all: build vet test
 
@@ -13,8 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Hygiene gate: formatting, vet, and the solver engine under the race
-# detector (the parallel component decomposition is the main concurrent
-# hot path). Part of the default `test` target.
+# detector (concurrent solves share pooled scratch, the registry's compile
+# cache, and each instance's lazily derived knapsack-oracle quanta). Part
+# of the default `test` target.
 check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -66,12 +67,6 @@ fuzz-wire:
 # clean re-append of whatever Scan salvaged must round-trip.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/wal
-
-# Short fuzz pass over the incremental delta re-solve: random patch
-# programs applied to seeded instances; every step must stay bit-identical
-# to a cold compile of the patched instance.
-fuzz-gap:
-	$(GO) test -run '^$$' -fuzz FuzzCompiledApply -fuzztime 30s ./internal/gap
 
 # Short fuzz pass over the fleet instance builder: random (n, K, speed, τ)
 # deployments must build joint instances whose sink offsets, windows, and

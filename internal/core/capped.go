@@ -39,16 +39,16 @@ func (inst *Instance) DataCapOf(i int) float64 {
 	return inst.DataCaps[i]
 }
 
-// RateQuantumBits exposes the per-slot data quantum for external capped
-// solvers (e.g. the online Sequential scheduler).
-func (inst *Instance) RateQuantumBits() float64 { return inst.rateQuantumBits() }
-
-// rateQuantumBits finds a common divisor of all per-slot data volumes
+// RateQuantumBits returns a common divisor of all per-slot data volumes
 // (r·τ), in bits, for the exact capped DP. The discrete rate table makes
 // this a coarse quantum (400·τ bits for the paper's tiers); continuous
 // models fall back to a 1-bit quantum, which stays exact because data
-// volumes are integral in practice.
-func (inst *Instance) rateQuantumBits() float64 {
+// volumes are integral in practice. Like WeightQuantum it is derived once
+// per instance; safe for concurrent use.
+func (inst *Instance) RateQuantumBits() float64 { return inst.oracle().rate }
+
+// scanRateQuantum derives RateQuantumBits from the link tables.
+func (inst *Instance) scanRateQuantum() float64 {
 	g := int64(0)
 	fine := false
 	accum := func(rates []float64) {
@@ -97,7 +97,7 @@ func OfflineSequentialCtx(ctx context.Context, inst *Instance, opts Options) (*A
 	}
 	order := sensorOrder(inst)
 	alloc := inst.NewAllocation()
-	quantum := inst.rateQuantumBits()
+	quantum := inst.RateQuantumBits()
 	solve := opts.SolverCtx(inst)
 	fleet := inst.NumSinks() > 1
 	var items []knapsack.Item

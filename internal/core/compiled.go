@@ -39,7 +39,7 @@ func CompileAppro(inst *Instance, opts Options) (*Compiled, error) {
 	}
 	quantum := 0.0
 	if !opts.ForceFPTAS {
-		if q, ok := inst.weightQuantum(); ok {
+		if q, ok := inst.WeightQuantum(); ok {
 			quantum = q
 		}
 	}
@@ -51,30 +51,21 @@ func CompileAppro(inst *Instance, opts Options) (*Compiled, error) {
 	return &Compiled{inst: inst, order: order, g: g}, nil
 }
 
-// NumComponents reports how many window components the GAP reduction
-// decomposes into (1 means Parallel cannot help).
-func (c *Compiled) NumComponents() int { return c.g.NumComponents() }
-
 // itemBinPool recycles the per-solve slot→bin arrays.
 var itemBinPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Solve runs the local-ratio sweep on the compiled form. The allocation is
-// bit-identical to OfflineApproCtx on the original instance; Parallel,
-// Workers, and MinParallelEntries are honored (Knapsack, Eps, and
-// ForceFPTAS were fixed at compile time and are ignored here).
-func (c *Compiled) Solve(ctx context.Context, opts Options) (*Allocation, error) {
+// bit-identical to OfflineApproCtx on the original instance. The Options
+// argument is ignored: Knapsack, Eps, and ForceFPTAS were fixed at compile
+// time.
+func (c *Compiled) Solve(ctx context.Context, _ Options) (*Allocation, error) {
 	bp := itemBinPool.Get().(*[]int32)
 	defer itemBinPool.Put(bp)
 	if cap(*bp) < c.inst.T {
 		*bp = make([]int32, c.inst.T)
 	}
 	itemBin := (*bp)[:c.inst.T]
-	_, err := c.g.SolveInto(ctx, nil, itemBin, gap.SolveOptions{
-		Parallel:           opts.Parallel,
-		Workers:            opts.Workers,
-		MinParallelEntries: opts.MinParallelEntries,
-	})
-	if err != nil {
+	if _, err := c.g.SolveInto(ctx, nil, itemBin); err != nil {
 		return nil, err
 	}
 	alloc := c.inst.NewAllocation()

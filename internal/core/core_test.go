@@ -374,7 +374,7 @@ func TestThroughputMb(t *testing.T) {
 func TestWeightQuantumDetection(t *testing.T) {
 	d := tinyDeployment(t, 3, 66, 1)
 	inst, _ := BuildInstance(d, radio.Paper2013(), 10, 1)
-	q, ok := inst.weightQuantum()
+	q, ok := inst.WeightQuantum()
 	if !ok {
 		t.Fatal("paper power table must yield a quantum")
 	}
@@ -385,7 +385,7 @@ func TestWeightQuantumDetection(t *testing.T) {
 	// Continuous power model: no usable quantum.
 	plm, _ := radio.NewPathLoss(250e3, 20, 2.5, 0.17, 0.33, 200)
 	cont, _ := BuildInstance(d, plm, 10, 1)
-	if _, ok := cont.weightQuantum(); ok {
+	if _, ok := cont.WeightQuantum(); ok {
 		t.Error("continuous powers must not yield a small quantum")
 	}
 }

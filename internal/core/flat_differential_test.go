@@ -73,8 +73,8 @@ func TestFlatMatchesLegacy(t *testing.T) {
 }
 
 // TestCompiledSolveReuse solves one compiled instance repeatedly (the
-// serving/benchmark pattern) and with parallel options, checking results
-// never drift from the first solve.
+// serving/benchmark pattern), checking results never drift from the first
+// solve.
 func TestCompiledSolveReuse(t *testing.T) {
 	d := tinyDeployment(t, 5, 3, 0.8)
 	inst, err := BuildInstance(d, radio.Paper2013(), 30, 1)
@@ -90,19 +90,12 @@ func TestCompiledSolveReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		opts := Options{}
-		if i%2 == 1 {
-			opts = Options{Parallel: true, Workers: 3, MinParallelEntries: -1}
-		}
-		again, err := c.Solve(context.Background(), opts)
+		again, err := c.Solve(context.Background(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Data != first.Data || !reflect.DeepEqual(again.SlotOwner, first.SlotOwner) {
 			t.Fatalf("solve %d drifted: Data %v vs %v", i, again.Data, first.Data)
 		}
-	}
-	if c.NumComponents() < 1 {
-		t.Fatalf("NumComponents = %d, want ≥ 1", c.NumComponents())
 	}
 }

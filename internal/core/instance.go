@@ -142,6 +142,8 @@ type Instance struct {
 	// (finite data queues); nil means the paper's unbounded-data model.
 	// Set via SetDataCaps.
 	DataCaps []float64
+
+	quanta oracleQuanta // knapsack-oracle quanta, derived on first use
 }
 
 // NumSinks returns the fleet size (1 for legacy instances).

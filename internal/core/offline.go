@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"mobisink/internal/gap"
 	"mobisink/internal/knapsack"
@@ -25,44 +26,11 @@ type Options struct {
 	// ForceFPTAS always uses the FPTAS inner solver, matching the paper's
 	// stated construction (β = 1+ε ⇒ ratio 1/(2+ε)).
 	ForceFPTAS bool
-	// Parallel decomposes the GAP bin sequence into connected components
-	// of overlapping visibility windows and solves the components
-	// concurrently. The merged allocation is identical to the sequential
-	// one (components share no slots; see gap.LocalRatioParallelCtx).
-	Parallel bool
-	// Workers bounds component parallelism when Parallel is set;
-	// ≤ 0 means GOMAXPROCS.
-	Workers int
-	// MinParallelEntries is the window-component size (in GAP entries)
-	// below which Parallel falls back to the sequential sweep — fanning
-	// goroutines out over tiny components costs more than it saves. Zero
-	// selects gap.DefaultMinParallelEntries; negative disables the
-	// fallback. Only the compiled fast path honors it.
-	MinParallelEntries int
 }
 
-func (o Options) Solver(inst *Instance) knapsack.Solver {
-	if o.Knapsack != nil {
-		return o.Knapsack
-	}
-	eps := o.Eps
-	if eps <= 0 {
-		eps = 0.1
-	}
-	if o.ForceFPTAS {
-		return knapsack.FPTAS(eps)
-	}
-	if q, ok := inst.weightQuantum(); ok {
-		return func(items []knapsack.Item, c float64) knapsack.Solution {
-			return knapsack.DP(items, c, q)
-		}
-	}
-	return knapsack.FPTAS(eps)
-}
-
-// SolverCtx is Solver with cancellation support: the automatic DP/FPTAS
-// choices poll the context inside their inner loops, while an explicit
-// Knapsack override is checked once per bin.
+// SolverCtx returns the knapsack oracle for inst under o: the automatic
+// DP/FPTAS choices poll the context inside their inner loops, while an
+// explicit Knapsack override is checked once per bin.
 func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
 	if o.Knapsack != nil {
 		return o.Knapsack.Ctx()
@@ -74,7 +42,7 @@ func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
 	if o.ForceFPTAS {
 		return knapsack.FPTASCtx(eps)
 	}
-	if q, ok := inst.weightQuantum(); ok {
+	if q, ok := inst.WeightQuantum(); ok {
 		return func(ctx context.Context, items []knapsack.Item, c float64) (knapsack.Solution, error) {
 			return knapsack.DPCtx(ctx, items, c, q)
 		}
@@ -82,10 +50,38 @@ func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
 	return knapsack.FPTASCtx(eps)
 }
 
-// weightQuantum finds a common quantum dividing every per-slot energy cost
-// P_{i,j}·τ, if the costs are discrete enough for an exact DP of reasonable
-// size. It returns ok=false for effectively continuous power models.
-func (inst *Instance) weightQuantum() (float64, bool) {
+// oracleQuanta holds an instance's two knapsack-oracle quanta. Both depend
+// only on τ and the link tables, which never change once an instance is
+// built, so they are derived on first use and shared by every solver that
+// runs on the instance — the online schedulers ask once per interval.
+type oracleQuanta struct {
+	once   sync.Once
+	weight float64 // exact-DP energy quantum; 0 means none (the FPTAS)
+	rate   float64 // capped-DP data quantum, bits
+}
+
+func (inst *Instance) oracle() *oracleQuanta {
+	q := &inst.quanta
+	q.once.Do(func() {
+		q.weight, _ = inst.scanWeightQuantum()
+		q.rate = inst.scanRateQuantum()
+	})
+	return q
+}
+
+// WeightQuantum returns the common quantum dividing every per-slot energy
+// cost P_{i,j}·τ, across every window, when the costs are discrete enough
+// for an exact DP of reasonable size; ok=false for effectively continuous
+// power models, which take the FPTAS. The quantum divides every cost at
+// micro-Joule resolution, so on a discrete power table the DP's round-up
+// changes no weight and the DP is exact. Safe for concurrent use.
+func (inst *Instance) WeightQuantum() (float64, bool) {
+	q := inst.oracle().weight
+	return q, q > 0
+}
+
+// scanWeightQuantum derives WeightQuantum from the link tables.
+func (inst *Instance) scanWeightQuantum() (float64, bool) {
 	const unit = 1e-6 // resolve weights in micro-Joules
 	g := int64(0)
 	maxQ := int64(0)
@@ -146,11 +142,7 @@ func OfflineAppro(inst *Instance, opts Options) (*Allocation, error) {
 }
 
 // OfflineApproCtx is OfflineAppro with cancellation: the context is
-// threaded into the local-ratio sweep and the inner knapsack DPs. With
-// opts.Parallel set, the GAP instance is decomposed into connected
-// components of overlapping visibility windows and the components are
-// solved concurrently — the merged allocation is guaranteed identical to
-// the sequential one.
+// threaded into the local-ratio sweep and the inner knapsack DPs.
 func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
 	if inst == nil {
 		return nil, errors.New("core: nil instance")
@@ -175,14 +167,7 @@ func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Alloca
 // against.
 func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
 	order := sensorOrder(inst)
-	g := buildGAP(inst, order)
-	var asg *gap.Assignment
-	var err error
-	if opts.Parallel {
-		asg, err = gap.LocalRatioParallelCtx(ctx, g, opts.SolverCtx(inst), opts.Workers)
-	} else {
-		asg, err = gap.LocalRatioCtx(ctx, g, opts.SolverCtx(inst))
-	}
+	asg, err := gap.LocalRatioCtx(ctx, buildGAP(inst, order), opts.SolverCtx(inst))
 	if err != nil {
 		return nil, err
 	}

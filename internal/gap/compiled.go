@@ -5,20 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"mobisink/internal/knapsack"
-	"mobisink/internal/parallel"
 )
 
 // Compiled is the structure-of-arrays form of an Instance: entries live in
-// contiguous bin-major CSR arrays, weights are pre-quantized for the exact
-// DP oracle, and the bin–item connected components are precomputed. It is
-// built once (validating the instance exactly once) and reused across
-// solver calls; Solve/SolveInto are safe for concurrent use as long as no
-// Apply runs concurrently (Apply patches the instance in place — see
-// delta.go).
+// contiguous bin-major CSR arrays and weights are pre-quantized for the
+// exact DP oracle. It is built once (validating the instance exactly once)
+// and reused across solver calls; Solve/SolveInto are safe for concurrent
+// use.
 //
 // Entries that can never be assigned — non-positive profit, or weight
 // exceeding the bin capacity — are dropped at compile time; the local-ratio
@@ -42,41 +38,10 @@ type Compiled struct {
 	Quantum float64 // weight quantum; > 0 selects the exact DP oracle
 	Eps     float64 // FPTAS accuracy, used when Quantum == 0
 
-	// MaxDirtyFraction tunes Apply's incremental/full trade-off: when the
-	// compiled entries inside dirty components exceed this fraction of all
-	// entries, Apply re-solves everything in one sweep instead of
-	// re-solving component by component. 0 selects 0.5; negative disables
-	// the fallback (always per-component).
-	MaxDirtyFraction float64
-
-	allBins     []int32   // [0, 1, …, len(Cap)-1]
-	comps       [][]int32 // connected components, ascending bins, ordered by smallest bin
-	compEntries []int32   // compiled entry count per component
-	compItems   [][]int32 // items appearing in each component's entries
-	binComp     []int32   // bin → component index
-	maxBin      int       // max compiled entries in one bin
-
-	cap0      []float64 // compile-time capacities (delta representability)
-	shedW     []bool    // bin had positive-profit entries dropped for weight > cap
-	itemGroup []int     // copy of the source ItemGroup, carried through Remake
-	// shedG marks bins whose entries were thinned by the same-group
-	// dominance reduction (fleet conflict groups): a patch on such a bin
-	// could change which group member a cold compile keeps, which the CSR
-	// cannot express, so Apply refuses with ErrDeltaNotRepresentable.
-	shedG []bool
+	maxBin int // max compiled entries in one bin
 	// groupsExact is false when some group reduction dropped an entry not
 	// weakly dominated by its winner (see reduceGroups).
 	groupsExact bool
-
-	// Patch state, nil/zero until the first Apply (delta.go). Once patched,
-	// every solve — incremental or cold — honors the current caps and the
-	// per-entry off flags.
-	patched bool
-	off     []bool    // per-entry disabled flag
-	enCount []int32   // per-bin count of entries with off[k] == false
-	dataCap []float64 // per-bin data caps; recorded only, the sweep does not read them
-	gen     uint64    // bumped by every successful Apply
-	warm    warmState
 }
 
 // Typed validation errors of Compile (and, via wrapping, CompileAppro).
@@ -88,27 +53,6 @@ var (
 	// 0.1 default).
 	ErrBadEps = errors.New("gap: eps must be below 1 and not NaN")
 )
-
-// DefaultMinParallelEntries is the component size (in compiled entries)
-// below which SolveOptions.Parallel falls back to the sequential sweep:
-// goroutine fan-out on tiny components costs more than it saves (the PR-3
-// parallel path lost to sequential for exactly this reason).
-const DefaultMinParallelEntries = 1024
-
-// SolveOptions tunes a Compiled solve.
-type SolveOptions struct {
-	// Parallel solves large connected components concurrently. The result
-	// is bit-identical to the sequential sweep (components share no items).
-	Parallel bool
-	// Workers bounds component parallelism when Parallel is set; ≤ 0 means
-	// GOMAXPROCS.
-	Workers int
-	// MinParallelEntries overrides the component size heuristic: components
-	// with fewer compiled entries are solved inline by the caller even when
-	// Parallel is set. 0 selects DefaultMinParallelEntries; negative
-	// disables the fallback (every component is fanned out).
-	MinParallelEntries int
-}
 
 // Compile builds the flat form of inst. quantum > 0 selects the exact
 // quantized-weight DP oracle; otherwise the (1−eps)-FPTAS oracle is used
@@ -137,8 +81,6 @@ func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
 		Cap:         make([]float64, b),
 		Quantum:     quantum,
 		Eps:         eps,
-		shedW:       make([]bool, b),
-		shedG:       make([]bool, b),
 		groupsExact: true,
 	}
 	// Same-group dominance reduction (fleet conflict groups): within each
@@ -147,40 +89,31 @@ func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
 	// constraint without any per-candidate group bookkeeping.
 	var drops [][]bool
 	if inst.ItemGroup != nil {
-		c.itemGroup = append([]int(nil), inst.ItemGroup...)
 		drops = make([][]bool, b)
 		for i, bin := range inst.Bins {
 			drop, exact := reduceGroups(bin.Entries, bin.Capacity, inst.ItemGroup)
 			drops[i] = drop
-			if drop != nil {
-				c.shedG[i] = true
-			}
 			if !exact {
 				c.groupsExact = false
 			}
 		}
 	}
-	dropped := func(bin, k int) bool {
-		return drops != nil && drops[bin] != nil && drops[bin][k]
+	kept := func(bin, k int, e Entry, capacity float64) bool {
+		if drops != nil && drops[bin] != nil && drops[bin][k] {
+			return false
+		}
+		return e.Profit > 0 && e.Weight <= capacity
 	}
 	total := 0
 	for i, bin := range inst.Bins {
 		c.Cap[i] = bin.Capacity
 		for k, e := range bin.Entries {
-			if dropped(i, k) {
-				continue
-			}
-			if keepEntry(e, bin.Capacity) {
+			if kept(i, k, e, bin.Capacity) {
 				total++
-			} else if e.Profit > 0 {
-				// Dropped for weight alone: a later cap raise could make it
-				// assignable again, which a patch cannot represent.
-				c.shedW[i] = true
 			}
 		}
 		c.Off[i+1] = int32(total)
 	}
-	c.cap0 = append([]float64(nil), c.Cap...)
 	c.Item = make([]int32, total)
 	c.Profit = make([]float64, total)
 	c.Weight = make([]float64, total)
@@ -191,10 +124,7 @@ func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
 	k := 0
 	for i, bin := range inst.Bins {
 		for ke, e := range bin.Entries {
-			if dropped(i, ke) {
-				continue
-			}
-			if !keepEntry(e, bin.Capacity) {
+			if !kept(i, ke, e, bin.Capacity) {
 				continue
 			}
 			c.Item[k] = int32(e.Item)
@@ -212,16 +142,7 @@ func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
 			c.maxBin = n
 		}
 	}
-	c.allBins = make([]int32, b)
-	for i := range c.allBins {
-		c.allBins[i] = int32(i)
-	}
-	c.buildComponents()
 	return c, nil
-}
-
-func keepEntry(e Entry, capacity float64) bool {
-	return e.Profit > 0 && e.Weight <= capacity
 }
 
 // quantize rounds a weight up to whole quanta, exactly as the per-call DP
@@ -230,93 +151,6 @@ func keepEntry(e Entry, capacity float64) bool {
 func quantize(w, quantum float64) int32 {
 	return int32(min(math.Ceil(w/quantum-1e-9), math.MaxInt32))
 }
-
-// buildComponents unions bins sharing a compiled entry for the same item
-// (see Instance.Components; dropped dead entries can only split components
-// further, which preserves the disjointness the parallel solve needs).
-func (c *Compiled) buildComponents() {
-	b := len(c.Cap)
-	par := make([]int32, b)
-	for i := range par {
-		par[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for par[x] != x {
-			par[x] = par[par[x]]
-			x = par[x]
-		}
-		return x
-	}
-	itemBin := make([]int32, c.NumItems)
-	for j := range itemBin {
-		itemBin[j] = -1
-	}
-	for bin := 0; bin < b; bin++ {
-		for k := c.Off[bin]; k < c.Off[bin+1]; k++ {
-			j := c.Item[k]
-			if prev := itemBin[j]; prev >= 0 {
-				ra, rb := find(prev), find(int32(bin))
-				if ra != rb {
-					if ra > rb {
-						ra, rb = rb, ra
-					}
-					par[rb] = ra // root at the smallest bin
-				}
-			} else {
-				itemBin[j] = int32(bin)
-			}
-		}
-	}
-	sizes := make(map[int32]int32)
-	var roots []int32
-	for bin := 0; bin < b; bin++ {
-		r := find(int32(bin))
-		if _, ok := sizes[r]; !ok {
-			roots = append(roots, r)
-		}
-		sizes[r]++
-	}
-	groups := make(map[int32][]int32, len(roots))
-	for _, r := range roots {
-		groups[r] = make([]int32, 0, sizes[r])
-	}
-	for bin := 0; bin < b; bin++ {
-		r := find(int32(bin))
-		groups[r] = append(groups[r], int32(bin))
-	}
-	c.comps = make([][]int32, 0, len(roots))
-	c.compEntries = make([]int32, 0, len(roots))
-	for _, r := range roots { // roots appear in ascending bin order
-		bins := groups[r]
-		entries := int32(0)
-		for _, bin := range bins {
-			entries += c.Off[bin+1] - c.Off[bin]
-		}
-		c.comps = append(c.comps, bins)
-		c.compEntries = append(c.compEntries, entries)
-	}
-	// Reverse maps for the delta machinery: which component a bin belongs
-	// to, and which items each component's entries mention (so a dirty
-	// component's claims can be reset without scanning the whole instance).
-	c.binComp = make([]int32, b)
-	for ci, bins := range c.comps {
-		for _, bin := range bins {
-			c.binComp[bin] = int32(ci)
-		}
-	}
-	c.compItems = make([][]int32, len(c.comps))
-	for j, bin := range itemBin {
-		if bin >= 0 {
-			ci := c.binComp[bin]
-			c.compItems[ci] = append(c.compItems[ci], int32(j))
-		}
-	}
-}
-
-// NumComponents reports how many connected components the compiled
-// instance decomposes into.
-func (c *Compiled) NumComponents() int { return len(c.comps) }
 
 // GroupReductionExact reports whether the compile-time conflict-group
 // reduction was dominance-exact: every dropped entry was weakly dominated
@@ -328,65 +162,56 @@ func (c *Compiled) NumComponents() int { return len(c.comps) }
 func (c *Compiled) GroupReductionExact() bool { return c.groupsExact }
 
 // Scratch is the reusable per-solve state of a Compiled sweep: the
-// residual-claim array plus one worker's candidate buffers and knapsack
-// arena. The zero value is ready to use; buffers grow on demand and are
-// retained, so a reused Scratch makes the sequential sweep allocation-free
-// in steady state. A Scratch must not be used concurrently.
+// residual-claim array plus the candidate buffers and knapsack arena. The
+// zero value is ready to use; buffers grow on demand and are retained, so
+// a reused Scratch makes the sweep allocation-free in steady state. A
+// Scratch must not be used concurrently.
 type Scratch struct {
 	claim []float64
-	bs    binScratch
+	prof  []float64
+	w     []float64
+	wq    []int32
+	pos   []int32
+	ar    knapsack.Arena
 }
 
-// binScratch is one worker's candidate staging area.
-type binScratch struct {
-	prof []float64
-	w    []float64
-	wq   []int32
-	pos  []int32
-	ar   knapsack.Arena
-}
-
-func (bs *binScratch) prepare(maxBin int, dpMode bool) {
-	if cap(bs.prof) < maxBin {
-		bs.prof = make([]float64, maxBin)
-		bs.pos = make([]int32, maxBin)
+func (s *Scratch) prepare(numItems, maxBin int, dpMode bool) {
+	if cap(s.claim) < numItems {
+		s.claim = make([]float64, numItems)
+	}
+	s.claim = s.claim[:numItems]
+	for i := range s.claim {
+		s.claim[i] = 0
+	}
+	if cap(s.prof) < maxBin {
+		s.prof = make([]float64, maxBin)
+		s.pos = make([]int32, maxBin)
 	}
 	if dpMode {
-		if cap(bs.wq) < maxBin {
-			bs.wq = make([]int32, maxBin)
+		if cap(s.wq) < maxBin {
+			s.wq = make([]int32, maxBin)
 		}
-	} else if cap(bs.w) < maxBin {
-		bs.w = make([]float64, maxBin)
+	} else if cap(s.w) < maxBin {
+		s.w = make([]float64, maxBin)
 	}
 }
 
 var flatPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-var bsPool = sync.Pool{New: func() any { return new(binScratch) }}
-
 func putFlatScratch(s *Scratch) {
 	if cap(s.claim) > lrScratchMax {
 		s.claim = nil
 	}
-	s.bs.ar.Trim()
+	s.ar.Trim()
 	flatPool.Put(s)
 }
 
-// sweep runs the residual-profit local-ratio pass over the given bins,
-// claiming items into claim/itemBin. Bins outside the slice must not share
-// items with bins inside it (the component property). On a patched
-// instance the candidate filter additionally skips disabled entries and
-// entries whose weight exceeds the *current* capacity — exactly the
-// entries a cold Compile of the patched instance would have dropped, so
-// patched sweeps stay bit-identical to cold ones.
-func (c *Compiled) sweep(ctx context.Context, bs *binScratch, claim []float64, itemBin []int32, bins []int32) error {
+// sweep runs the residual-profit local-ratio pass over every bin in
+// order, claiming items into s.claim/itemBin.
+func (c *Compiled) sweep(ctx context.Context, s *Scratch, itemBin []int32) error {
 	dpMode := c.Quantum > 0
-	patched := c.patched
-	bs.prepare(c.maxBin, dpMode)
-	for _, b := range bins {
-		if patched && c.enCount[b] == 0 {
-			continue // every entry disabled: nothing this bin could claim
-		}
+	claim := s.claim
+	for b := range c.Cap {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -395,11 +220,8 @@ func (c *Compiled) sweep(ctx context.Context, bs *binScratch, claim []float64, i
 		var picks []int32
 		var err error
 		if dpMode {
-			prof, wq, pos := bs.prof, bs.wq, bs.pos
+			prof, wq, pos := s.prof, s.wq, s.pos
 			for k := lo; k < hi; k++ {
-				if patched && (c.off[k] || c.Weight[k] > c.Cap[b]) {
-					continue // disabled or no longer fits the patched cap
-				}
 				j := c.Item[k]
 				res := c.Profit[k] - claim[j]
 				if res <= 0 {
@@ -408,13 +230,10 @@ func (c *Compiled) sweep(ctx context.Context, bs *binScratch, claim []float64, i
 				prof[nc], wq[nc], pos[nc] = res, c.WQ[k], k
 				nc++
 			}
-			picks, _, err = bs.ar.DPFlat(ctx, prof[:nc], wq[:nc], int(c.CapU[b]))
+			picks, _, err = s.ar.DPFlat(ctx, prof[:nc], wq[:nc], int(c.CapU[b]))
 		} else {
-			prof, w, pos := bs.prof, bs.w, bs.pos
+			prof, w, pos := s.prof, s.w, s.pos
 			for k := lo; k < hi; k++ {
-				if patched && (c.off[k] || c.Weight[k] > c.Cap[b]) {
-					continue
-				}
 				j := c.Item[k]
 				res := c.Profit[k] - claim[j]
 				if res <= 0 {
@@ -423,16 +242,16 @@ func (c *Compiled) sweep(ctx context.Context, bs *binScratch, claim []float64, i
 				prof[nc], w[nc], pos[nc] = res, c.Weight[k], k
 				nc++
 			}
-			picks, _, err = bs.ar.FPTASFlat(ctx, c.Eps, prof[:nc], w[:nc], c.Cap[b])
+			picks, _, err = s.ar.FPTASFlat(ctx, c.Eps, prof[:nc], w[:nc], c.Cap[b])
 		}
 		if err != nil {
 			return err
 		}
 		for _, p := range picks {
-			k := bs.pos[p]
+			k := s.pos[p]
 			j := c.Item[k]
 			claim[j] = c.Profit[k]
-			itemBin[j] = b
+			itemBin[j] = int32(b)
 		}
 	}
 	return nil
@@ -441,7 +260,7 @@ func (c *Compiled) sweep(ctx context.Context, bs *binScratch, claim []float64, i
 // finalProfit is the paper's final decomposition pass: each item belongs
 // to the last bin that claimed it, and the total is accumulated in
 // bin-major entry order — the same float-summation order as the
-// per-instance sweep, so sequential and parallel solves agree bitwise.
+// per-instance sweep, so both engines agree bitwise.
 func (c *Compiled) finalProfit(itemBin []int32) float64 {
 	total := 0.0
 	for b := range c.Cap {
@@ -457,9 +276,9 @@ func (c *Compiled) finalProfit(itemBin []int32) float64 {
 // SolveInto runs the local-ratio sweep over the compiled instance, writing
 // each item's owning bin into itemBin (-1 for unassigned; len must be
 // NumItems) and returning the assignment profit. s may be nil to draw
-// scratch from an internal pool; passing a reused Scratch makes the
-// sequential path allocation-free in steady state.
-func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32, opts SolveOptions) (float64, error) {
+// scratch from an internal pool; passing a reused Scratch makes the solve
+// allocation-free in steady state.
+func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32) (float64, error) {
 	if len(itemBin) != c.NumItems {
 		return 0, fmt.Errorf("gap: itemBin covers %d items, instance has %d", len(itemBin), c.NumItems)
 	}
@@ -467,87 +286,21 @@ func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32, o
 		s = flatPool.Get().(*Scratch)
 		defer putFlatScratch(s)
 	}
-	if cap(s.claim) < c.NumItems {
-		s.claim = make([]float64, c.NumItems)
-	}
-	s.claim = s.claim[:c.NumItems]
-	for i := range s.claim {
-		s.claim[i] = 0
-	}
+	s.prepare(c.NumItems, c.maxBin, c.Quantum > 0)
 	for i := range itemBin {
 		itemBin[i] = -1
 	}
-	if err := c.runSweeps(ctx, s, itemBin, opts); err != nil {
+	if err := c.sweep(ctx, s, itemBin); err != nil {
 		return 0, err
 	}
 	return c.finalProfit(itemBin), nil
 }
 
-// runSweeps dispatches the sweep sequentially or across components.
-func (c *Compiled) runSweeps(ctx context.Context, s *Scratch, itemBin []int32, opts SolveOptions) error {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !opts.Parallel || workers <= 1 || len(c.comps) <= 1 {
-		return c.sweep(ctx, &s.bs, s.claim, itemBin, c.allBins)
-	}
-	threshold := int32(opts.MinParallelEntries)
-	if threshold == 0 {
-		threshold = DefaultMinParallelEntries
-	}
-	// Partition components: small ones are swept inline as a single task
-	// (goroutine fan-out on them costs more than it saves), large ones go
-	// to the pool. Claims are written race-free because components share
-	// no items.
-	var small, large []int
-	for i, e := range c.compEntries {
-		if threshold > 0 && e < threshold {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	if len(large) == 0 || len(large)+minInt(len(small), 1) <= 1 {
-		return c.sweep(ctx, &s.bs, s.claim, itemBin, c.allBins)
-	}
-	tasks := make([][]int32, 0, len(large)+1)
-	if len(small) > 0 {
-		merged := make([]int32, 0, len(small)*2)
-		for _, i := range small {
-			merged = append(merged, c.comps[i]...)
-		}
-		tasks = append(tasks, merged)
-	}
-	for _, i := range large {
-		tasks = append(tasks, c.comps[i])
-	}
-	_, err := parallel.ForEachStealing(len(tasks), opts.Workers, func(t int) error {
-		bs := bsPool.Get().(*binScratch)
-		defer func() {
-			bs.ar.Trim()
-			bsPool.Put(bs)
-		}()
-		return c.sweep(ctx, bs, s.claim, itemBin, tasks[t])
-	})
-	if err != nil {
-		return firstError(err)
-	}
-	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Solve runs SolveInto with pooled scratch and materializes the result as
 // an Assignment.
-func (c *Compiled) Solve(ctx context.Context, opts SolveOptions) (*Assignment, error) {
+func (c *Compiled) Solve(ctx context.Context) (*Assignment, error) {
 	itemBin := make([]int32, c.NumItems)
-	profit, err := c.SolveInto(ctx, nil, itemBin, opts)
+	profit, err := c.SolveInto(ctx, nil, itemBin)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package gap
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,11 +61,6 @@ func TestCompileDropsDeadEntries(t *testing.T) {
 	if c.NumItems != 4 {
 		t.Fatalf("NumItems %d, want 4 (dropping entries must not renumber items)", c.NumItems)
 	}
-	// Bins 0 and 1 only share the dead item-2 entry in bin 0… which was
-	// dropped, so they form two components.
-	if c.NumComponents() != 2 {
-		t.Fatalf("NumComponents %d, want 2", c.NumComponents())
-	}
 }
 
 func TestCompileRejectsInvalid(t *testing.T) {
@@ -104,7 +101,7 @@ func TestCompiledMatchesLocalRatio(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Solve(context.Background(), SolveOptions{})
+			got, err := c.Solve(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,44 +116,12 @@ func TestCompiledMatchesLocalRatio(t *testing.T) {
 	}
 }
 
-// TestCompiledParallelMatchesSequential forces the component fan-out
-// (negative MinParallelEntries disables the small-component fallback,
-// Workers > 1 defeats the single-CPU fallback) and requires bitwise
-// equality with the sequential sweep.
-func TestCompiledParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		inst := windowedInstance(100+seed, 8, 40) // wide: many components likely
-		c, err := Compile(inst, 0.05, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqBin := make([]int32, c.NumItems)
-		parBin := make([]int32, c.NumItems)
-		seqP, err := c.SolveInto(context.Background(), nil, seqBin, SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parP, err := c.SolveInto(context.Background(), nil, parBin, SolveOptions{
-			Parallel: true, Workers: 4, MinParallelEntries: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqBin, parBin) {
-			t.Fatalf("seed %d: parallel itemBin %v != sequential %v", seed, parBin, seqBin)
-		}
-		if seqP != parP {
-			t.Fatalf("seed %d: parallel profit %v != sequential %v", seed, parP, seqP)
-		}
-	}
-}
-
 func TestSolveIntoSizeMismatch(t *testing.T) {
 	c, err := Compile(windowedInstance(1, 3, 10), 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SolveInto(context.Background(), nil, make([]int32, 3), SolveOptions{}); err == nil {
+	if _, err := c.SolveInto(context.Background(), nil, make([]int32, 3)); err == nil {
 		t.Fatal("SolveInto accepted a short itemBin")
 	}
 }
@@ -178,7 +143,7 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 			var s Scratch
 			itemBin := make([]int32, c.NumItems)
 			run := func() {
-				if _, err := c.SolveInto(context.Background(), &s, itemBin, SolveOptions{}); err != nil {
+				if _, err := c.SolveInto(context.Background(), &s, itemBin); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -197,10 +162,47 @@ func TestCompiledSolveCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Solve(ctx, SolveOptions{}); err == nil {
+	if _, err := c.Solve(ctx); err == nil {
 		t.Fatal("Solve ignored canceled context")
 	}
-	if _, err := c.Solve(ctx, SolveOptions{Parallel: true, Workers: 4, MinParallelEntries: -1}); err == nil {
-		t.Fatal("parallel Solve ignored canceled context")
+}
+
+// TestCompileValidatesQuantumEps: Compile rejects a NaN, infinite or
+// negative quantum and a NaN or ≥1 eps with typed errors.
+func TestCompileValidatesQuantumEps(t *testing.T) {
+	inst := windowedInstance(1, 4, 8)
+	cases := []struct {
+		name         string
+		quantum, eps float64
+		wantErr      error
+	}{
+		{"negative quantum", -1, 0.1, ErrBadQuantum},
+		{"NaN quantum", math.NaN(), 0.1, ErrBadQuantum},
+		{"+Inf quantum", math.Inf(1), 0.1, ErrBadQuantum},
+		{"-Inf quantum", math.Inf(-1), 0.1, ErrBadQuantum},
+		{"NaN eps", 0.05, math.NaN(), ErrBadEps},
+		{"eps of one", 0.05, 1, ErrBadEps},
+		{"eps above one", 0, 1.5, ErrBadEps},
+		{"+Inf eps", 0, math.Inf(1), ErrBadEps},
+		{"zero quantum selects FPTAS", 0, 0.25, nil},
+		{"zero eps keeps default", 0.05, 0, nil},
+		{"negative eps keeps default", 0, -3, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Compile(inst, tc.quantum, tc.eps)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Compile(%v, %v) = %v, want %v", tc.quantum, tc.eps, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Compile(%v, %v): %v", tc.quantum, tc.eps, err)
+			}
+			if tc.eps <= 0 && c.Eps != 0.1 {
+				t.Fatalf("eps %v did not resolve to the 0.1 default (got %v)", tc.eps, c.Eps)
+			}
+		})
 	}
 }

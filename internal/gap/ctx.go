@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"mobisink/internal/knapsack"
-	"mobisink/internal/parallel"
 )
 
 // BinSolverCtx is a context-aware BinSolver; it returns the context's
@@ -77,21 +76,15 @@ func LocalRatioBinsCtx(ctx context.Context, inst *Instance, solve BinSolverCtx) 
 		lastBin[i] = -1
 	}
 	a := &Assignment{ItemBin: lastBin}
-	if err := localRatioSweep(ctx, inst, solve, binRange{0, len(inst.Bins)}, a); err != nil {
+	if err := localRatioSweep(ctx, inst, solve, a); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// binRange selects the contiguous bin slice [lo, hi) of an instance.
-type binRange struct{ lo, hi int }
-
-// localRatioSweep runs the residual-profit sweep over the bins in r,
-// writing claims into out.ItemBin and accumulating out.Profit. Bins
-// outside r must not share items with bins inside r for the result to be
-// meaningful in isolation — that is exactly the component property
-// LocalRatioParallelCtx relies on.
-func localRatioSweep(ctx context.Context, inst *Instance, solve BinSolverCtx, r binRange, out *Assignment) error {
+// localRatioSweep runs the residual-profit sweep over every bin in order,
+// writing claims into out.ItemBin and accumulating out.Profit.
+func localRatioSweep(ctx context.Context, inst *Instance, solve BinSolverCtx, out *Assignment) error {
 	// lastClaim[j] is the original profit of (l, j) for the most recent bin
 	// l whose knapsack selected item j; the residual profit of (i, j) is
 	// orig(i, j) − lastClaim[j]. This implements the paper's decomposition
@@ -99,7 +92,7 @@ func localRatioSweep(ctx context.Context, inst *Instance, solve BinSolverCtx, r 
 	sc := getLRScratch(inst.NumItems)
 	defer putLRScratch(sc)
 	lastClaim := sc.claim
-	for b := r.lo; b < r.hi; b++ {
+	for b := range inst.Bins {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -136,7 +129,7 @@ func localRatioSweep(ctx context.Context, inst *Instance, solve BinSolverCtx, r 
 	// Final pass (paper Algorithm 1 lines 9-12): S_l = S̄_l \ ∪_{j>l} S̄_j,
 	// i.e. each item belongs to the last bin that selected it — which is
 	// exactly what ItemBin now records.
-	for b := r.lo; b < r.hi; b++ {
+	for b := range inst.Bins {
 		for _, e := range inst.Bins[b].Entries {
 			if out.ItemBin[e.Item] == b {
 				out.Profit += e.Profit
@@ -144,163 +137,4 @@ func localRatioSweep(ctx context.Context, inst *Instance, solve BinSolverCtx, r 
 		}
 	}
 	return nil
-}
-
-// Components partitions the bins into connected components of the
-// bin–item incidence graph: two bins are connected when they share an
-// eligible item. For the data-collection reduction (bins = sensors,
-// items = slots, entries = visibility windows) this is exactly the
-// grouping of sensors whose windows A(v) transitively overlap — sensors
-// in different components never compete for a slot. Each component is
-// returned as an ascending slice of bin indices; components are ordered
-// by their smallest bin.
-//
-// Because bins are sorted by window start in the paper's reduction, each
-// component is a contiguous bin range there; Components does not assume
-// that and works for arbitrary sparse instances via union–find.
-func (inst *Instance) Components() [][]int {
-	par := make([]int, len(inst.Bins))
-	for i := range par {
-		par[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for par[x] != x {
-			par[x] = par[par[x]]
-			x = par[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			par[rb] = ra // root at the smallest bin for deterministic order
-		}
-	}
-	itemBin := make([]int, inst.NumItems)
-	for j := range itemBin {
-		itemBin[j] = -1
-	}
-	for b, bin := range inst.Bins {
-		for _, e := range bin.Entries {
-			if prev := itemBin[e.Item]; prev >= 0 {
-				union(prev, b)
-			} else {
-				itemBin[e.Item] = b
-			}
-		}
-	}
-	groups := make(map[int][]int)
-	var roots []int
-	for b := range inst.Bins {
-		r := find(b)
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
-		}
-		groups[r] = append(groups[r], b)
-	}
-	comps := make([][]int, 0, len(roots))
-	for _, r := range roots { // roots appear in ascending bin order
-		comps = append(comps, groups[r])
-	}
-	return comps
-}
-
-// LocalRatioParallelCtx runs LocalRatio per connected component of the
-// bin–item graph, components solved concurrently under a worker bound
-// (GOMAXPROCS when workers ≤ 0).
-//
-// Determinism / equivalence: the residual-profit state of the local-ratio
-// sweep (lastClaim, lastBin) is indexed by item, and a bin only ever reads
-// or writes the entries of its own eligible items. Bins in different
-// components share no items, so the sequential sweep's state updates
-// commute across components: solving each component independently (with
-// bins kept in their original relative order) and merging the disjoint
-// item claims yields exactly the sequential assignment, bit for bit.
-// Single-component instances skip the goroutine machinery entirely.
-func LocalRatioParallelCtx(ctx context.Context, inst *Instance, solve knapsack.SolverCtx, workers int) (*Assignment, error) {
-	if solve == nil {
-		return nil, errors.New("gap: nil knapsack solver")
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	comps := inst.Components()
-	binSolve := func(ctx context.Context, _ int, items []knapsack.Item, capacity float64) (knapsack.Solution, error) {
-		return solve(ctx, items, capacity)
-	}
-	lastBin := make([]int, inst.NumItems)
-	for i := range lastBin {
-		lastBin[i] = -1
-	}
-	merged := &Assignment{ItemBin: lastBin}
-	if len(comps) <= 1 {
-		if err := localRatioSweep(ctx, inst, binSolve, binRange{0, len(inst.Bins)}, merged); err != nil {
-			return nil, err
-		}
-		return merged, nil
-	}
-	parts := make([]*Assignment, len(comps))
-	err := parallel.ForEach(len(comps), workers, func(c int) error {
-		bins := comps[c]
-		// Contiguous components (the sorted-window case) sweep the shared
-		// instance in place; scattered ones get a compacted sub-instance.
-		if bins[len(bins)-1]-bins[0] == len(bins)-1 {
-			part := &Assignment{ItemBin: make([]int, inst.NumItems)}
-			for i := range part.ItemBin {
-				part.ItemBin[i] = -1
-			}
-			parts[c] = part
-			return localRatioSweep(ctx, inst, binSolve, binRange{bins[0], bins[len(bins)-1] + 1}, part)
-		}
-		sub := &Instance{NumItems: inst.NumItems, Bins: make([]Bin, len(bins))}
-		for i, b := range bins {
-			sub.Bins[i] = inst.Bins[b]
-		}
-		part := &Assignment{ItemBin: make([]int, inst.NumItems)}
-		for i := range part.ItemBin {
-			part.ItemBin[i] = -1
-		}
-		if err := localRatioSweep(ctx, sub, func(ctx context.Context, sb int, items []knapsack.Item, capacity float64) (knapsack.Solution, error) {
-			return binSolve(ctx, bins[sb], items, capacity)
-		}, binRange{0, len(bins)}, part); err != nil {
-			return err
-		}
-		// Map sub-instance bin indices back to the original numbering.
-		for j, sb := range part.ItemBin {
-			if sb >= 0 {
-				part.ItemBin[j] = bins[sb]
-			}
-		}
-		parts[c] = part
-		return nil
-	})
-	if err != nil {
-		return nil, firstError(err)
-	}
-	for _, part := range parts {
-		for j, b := range part.ItemBin {
-			if b >= 0 {
-				merged.ItemBin[j] = b
-			}
-		}
-		merged.Profit += part.Profit
-	}
-	return merged, nil
-}
-
-// firstError unwraps a parallel.ForEach joined error to a context error
-// when one is present (the common cancellation case), else returns the
-// join as-is.
-func firstError(err error) error {
-	if errors.Is(err, context.Canceled) {
-		return context.Canceled
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return context.DeadlineExceeded
-	}
-	return err
 }

@@ -3,38 +3,15 @@ package gap
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"mobisink/internal/knapsack"
 )
 
-// solverForTests is the exact DP oracle both sweeps share, so any output
-// difference is attributable to the decomposition, not the oracle.
+// solverForTests is an exact DP oracle over unit-quantum weights.
 func solverForTests() knapsack.SolverCtx {
 	return func(ctx context.Context, items []knapsack.Item, c float64) (knapsack.Solution, error) {
 		return knapsack.DPCtx(ctx, items, c, 1)
-	}
-}
-
-func assertParallelEqualsSequential(t *testing.T, inst *Instance) {
-	t.Helper()
-	seq, err := LocalRatioCtx(context.Background(), inst, solverForTests())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		par, err := LocalRatioParallelCtx(context.Background(), inst, solverForTests(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.ItemBin, par.ItemBin) {
-			t.Fatalf("workers=%d: ItemBin differs\nseq: %v\npar: %v", workers, seq.ItemBin, par.ItemBin)
-		}
-		if seq.Profit != par.Profit {
-			t.Fatalf("workers=%d: Profit %v != %v", workers, par.Profit, seq.Profit)
-		}
 	}
 }
 
@@ -48,104 +25,6 @@ func windowBin(lo, hi int, capacity float64, profits ...float64) Bin {
 	return b
 }
 
-// TestParallelDisjointWindows: every bin is its own component.
-func TestParallelDisjointWindows(t *testing.T) {
-	inst := &Instance{NumItems: 12, Bins: []Bin{
-		windowBin(0, 2, 2, 5, 3, 4),
-		windowBin(3, 5, 1, 2, 9, 1),
-		windowBin(6, 8, 3, 7, 7, 2),
-		windowBin(9, 11, 2, 1, 6, 8),
-	}}
-	if got := len(inst.Components()); got != 4 {
-		t.Fatalf("expected 4 components, got %d", got)
-	}
-	assertParallelEqualsSequential(t, inst)
-}
-
-// TestParallelChainedWindows: consecutive bins overlap pairwise, chaining
-// everything into one component (the adversarial case for decomposition —
-// it must fall back to a single sequential sweep).
-func TestParallelChainedWindows(t *testing.T) {
-	inst := &Instance{NumItems: 10, Bins: []Bin{
-		windowBin(0, 3, 2, 4, 2, 6, 1),
-		windowBin(2, 5, 2, 3, 8, 2, 5),
-		windowBin(4, 7, 2, 9, 1, 3, 7),
-		windowBin(6, 9, 2, 2, 5, 4, 6),
-	}}
-	if got := len(inst.Components()); got != 1 {
-		t.Fatalf("expected 1 component, got %d", got)
-	}
-	assertParallelEqualsSequential(t, inst)
-}
-
-// TestParallelFullyOverlappingWindows: all bins compete for all items.
-func TestParallelFullyOverlappingWindows(t *testing.T) {
-	inst := &Instance{NumItems: 6, Bins: []Bin{
-		windowBin(0, 5, 3, 4, 7, 2, 9, 1, 5),
-		windowBin(0, 5, 2, 8, 3, 6, 1, 7, 2),
-		windowBin(0, 5, 4, 1, 9, 4, 3, 8, 6),
-	}}
-	if got := len(inst.Components()); got != 1 {
-		t.Fatalf("expected 1 component, got %d", got)
-	}
-	assertParallelEqualsSequential(t, inst)
-}
-
-// TestParallelScatteredComponents: components whose bins are not
-// contiguous in the bin order exercise the sub-instance compaction and
-// the bin-index mapping back to the original numbering.
-func TestParallelScatteredComponents(t *testing.T) {
-	inst := &Instance{NumItems: 8, Bins: []Bin{
-		windowBin(0, 3, 2, 5, 2, 7, 3), // component A
-		windowBin(4, 7, 2, 1, 8, 4, 6), // component B
-		windowBin(0, 3, 3, 6, 4, 2, 9), // component A again
-		windowBin(4, 7, 1, 7, 3, 5, 2), // component B again
-	}}
-	comps := inst.Components()
-	if len(comps) != 2 {
-		t.Fatalf("expected 2 components, got %d", len(comps))
-	}
-	if !reflect.DeepEqual(comps[0], []int{0, 2}) || !reflect.DeepEqual(comps[1], []int{1, 3}) {
-		t.Fatalf("unexpected components %v", comps)
-	}
-	assertParallelEqualsSequential(t, inst)
-}
-
-// TestParallelRandomSweep fuzzes the equivalence over seeded random
-// window instances with mixed gap sizes (some disjoint stretches, some
-// overlapping clusters).
-func TestParallelRandomSweep(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		numItems := 40 + rng.Intn(40)
-		inst := &Instance{NumItems: numItems}
-		pos := 0
-		for pos < numItems-4 {
-			width := 2 + rng.Intn(6)
-			if pos+width > numItems {
-				width = numItems - pos
-			}
-			b := Bin{Capacity: float64(1 + rng.Intn(4))}
-			for j := pos; j < pos+width; j++ {
-				b.Entries = append(b.Entries, Entry{
-					Item:   j,
-					Profit: float64(1 + rng.Intn(9)),
-					Weight: float64(1 + rng.Intn(3)),
-				})
-			}
-			inst.Bins = append(inst.Bins, b)
-			// Sometimes jump past the window (new component), sometimes
-			// start the next bin inside it (overlap).
-			if rng.Intn(2) == 0 {
-				pos += width + 1 + rng.Intn(3)
-			} else {
-				pos += 1 + rng.Intn(width)
-			}
-		}
-		assertParallelEqualsSequential(t, inst)
-	}
-}
-
 // TestLocalRatioCtxCanceled: a canceled context aborts the sweep.
 func TestLocalRatioCtxCanceled(t *testing.T) {
 	inst := &Instance{NumItems: 6, Bins: []Bin{
@@ -156,8 +35,5 @@ func TestLocalRatioCtxCanceled(t *testing.T) {
 	cancel()
 	if _, err := LocalRatioCtx(ctx, inst, solverForTests()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if _, err := LocalRatioParallelCtx(ctx, inst, solverForTests(), 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel: got %v, want context.Canceled", err)
 	}
 }

@@ -2,7 +2,6 @@ package gap
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,7 +115,7 @@ func TestGroupedSolversHonorGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := c.Solve(ctx, SolveOptions{})
+		flat, err := c.Solve(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,40 +149,6 @@ func TestGroupedSolversHonorGroups(t *testing.T) {
 			t.Fatalf("trial %d: exhaustive %v below a heuristic (lr %v, greedy %v)",
 				trial, ex.Profit, legacy.Profit, greedy.Profit)
 		}
-	}
-}
-
-// TestDeltaRefusesGroupReducedBins: a bin thinned by the compile-time
-// group reduction cannot be patched — its CSR no longer holds the
-// runner-up entries a cold compile of the patched state might keep.
-func TestDeltaRefusesGroupReducedBins(t *testing.T) {
-	inst := &Instance{
-		NumItems:  3,
-		ItemGroup: []int{0, 0, 1},
-		Bins: []Bin{
-			{Capacity: 10, Entries: []Entry{
-				{Item: 0, Profit: 2, Weight: 1}, // loses group 0 to item 1
-				{Item: 1, Profit: 3, Weight: 1},
-			}},
-			{Capacity: 10, Entries: []Entry{
-				{Item: 2, Profit: 1, Weight: 1}, // singleton: not reduced
-			}},
-		},
-	}
-	c, err := Compile(inst, 0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int32, inst.NumItems)
-	var d Delta
-	d.SetCap(0, 5)
-	if _, _, err := c.Apply(context.Background(), &d, out); !errors.Is(err, ErrDeltaNotRepresentable) {
-		t.Fatalf("patching a group-reduced bin: got %v, want ErrDeltaNotRepresentable", err)
-	}
-	d.Reset()
-	d.SetCap(1, 5)
-	if _, _, err := c.Apply(context.Background(), &d, out); err != nil {
-		t.Fatalf("patching an unreduced bin failed: %v", err)
 	}
 }
 

@@ -56,7 +56,10 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 		solve = defaultSolver(inst)
 	}
 
-	// Flatten per-sensor entries once.
+	// Flatten per-sensor entries once, from every window. On fleet
+	// instances this drops the cross-sink constraint (≤ 1 sink per
+	// absolute slot per sensor), which only relaxes the problem further,
+	// so the dual stays an upper bound.
 	type entry struct {
 		slot   int
 		profit float64
@@ -67,14 +70,23 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 	nProfit := 0
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
-			r, p := s.RateAt(j), s.PowerAt(j)
-			if r <= 0 || p <= 0 {
-				continue
+		collect := func(start int, rates, powers []float64) {
+			for k, r := range rates {
+				p := powers[k]
+				if r <= 0 || p <= 0 {
+					continue
+				}
+				sensors[i] = append(sensors[i], entry{start + k, r * inst.Tau, p * inst.Tau})
+				meanProfit += r * inst.Tau
+				nProfit++
 			}
-			sensors[i] = append(sensors[i], entry{j, r * inst.Tau, p * inst.Tau})
-			meanProfit += r * inst.Tau
-			nProfit++
+		}
+		if s.Start >= 0 {
+			collect(s.Start, s.Rates, s.Powers)
+		}
+		for wi := range s.More {
+			w := &s.More[wi]
+			collect(w.Start, w.Rates, w.Powers)
 		}
 	}
 	if nProfit == 0 {
@@ -136,53 +148,16 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 	return &Result{Bound: best, Initial: initial, Iterations: iters}, nil
 }
 
-// defaultSolver mirrors core's automatic choice but insists on exactness.
+// defaultSolver mirrors core's automatic choice but insists on exactness:
+// the quantized DP rounds weights up, so it is exact only because
+// core.Instance.WeightQuantum accepts nothing but exact-divisor quanta
+// (micro-Joule resolution of a discrete power table); anything else takes
+// branch-and-bound.
 func defaultSolver(inst *core.Instance) knapsack.Solver {
-	if q, ok := quantum(inst); ok {
+	if q, ok := inst.WeightQuantum(); ok {
 		return func(items []knapsack.Item, c float64) knapsack.Solution {
 			return knapsack.DP(items, c, q)
 		}
 	}
 	return knapsack.BranchAndBound
 }
-
-// quantum detects a weight quantum exactly as core does; duplicated here to
-// avoid exporting a core internal. Weights are P·τ from a discrete table.
-func quantum(inst *core.Instance) (float64, bool) {
-	const unit = 1e-6
-	g := int64(0)
-	maxW := int64(0)
-	for i := range inst.Sensors {
-		for _, p := range inst.Sensors[i].Powers {
-			if p <= 0 {
-				continue
-			}
-			w := int64(math.Round(p * inst.Tau / unit))
-			if w == 0 {
-				return 0, false
-			}
-			g = gcd(g, w)
-			if w > maxW {
-				maxW = w
-			}
-		}
-	}
-	if g == 0 || maxW/g > 4096 {
-		return 0, false
-	}
-	return float64(g) * unit, true
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// Caveat on exactness: the quantized DP rounds weights *up*, so the per-
-// sensor knapsack value it returns can only be ≤ the true knapsack value
-// when the quantum does not divide the weights exactly — which would break
-// the upper-bound property. quantum() therefore only accepts exact-divisor
-// quanta (micro-Joule resolution of a discrete power table), matching the
-// guarantee required here.

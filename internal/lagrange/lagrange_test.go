@@ -136,3 +136,48 @@ func TestEmptyInstanceBound(t *testing.T) {
 		t.Errorf("negative bound %v", res.Bound)
 	}
 }
+
+// TestBoundHoldsOnFleets: on K-sink instances every sensor has one window
+// per audible sink, and a bound that reads only the first falls below the
+// data Offline_Appro collects on most K ≥ 2 instances here. The Lagrangian
+// also drops the cross-sink constraint, which only relaxes it, so
+// Offline_Appro ≤ bound must hold; at these one-tour budgets sixty
+// subgradient steps also beat core.UpperBound.
+func TestBoundHoldsOnFleets(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 8} {
+		for seed := int64(1); seed <= 5; seed++ {
+			dep, err := network.Generate(network.PaperParams(200, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			sun := energy.PaperSolar(energy.Sunny)
+			if err := dep.AssignSteadyStateBudgets(sun, 2000, 0.2, rng); err != nil {
+				t.Fatal(err)
+			}
+			if err := dep.SplitSinks(k, nil); err != nil {
+				t.Fatal(err)
+			}
+			inst, err := core.BuildFleetInstance(dep, radio.Paper2013(), 5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := UpperBound(inst, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ap, err := core.OfflineAppro(inst, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Bound < ap.Data-1e-6 {
+				t.Errorf("K=%d seed %d: bound %.2f Mb below the %.2f Mb Offline_Appro collects",
+					k, seed, core.ThroughputMb(res.Bound), core.ThroughputMb(ap.Data))
+			}
+			if ub := inst.UpperBound(); res.Bound > ub+1e-6 {
+				t.Errorf("K=%d seed %d: bound %.2f Mb above core.UpperBound %.2f Mb",
+					k, seed, core.ThroughputMb(res.Bound), core.ThroughputMb(ub))
+			}
+		}
+	}
+}

@@ -25,9 +25,7 @@ type BatchItem struct {
 //
 // Whole instances are the scheduling granularity on purpose: they are
 // large enough to amortize a task dispatch, and the stealing pool keeps
-// workers busy when instance sizes are skewed. Intra-instance component
-// parallelism (opts.Core.Parallel) composes with this but is usually
-// redundant under a full batch.
+// workers busy when instance sizes are skewed.
 func Batch(ctx context.Context, algorithm string, insts []*core.Instance, opts Options, workers int) ([]BatchItem, error) {
 	s, err := New(algorithm, opts)
 	if err != nil {

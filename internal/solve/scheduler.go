@@ -20,7 +20,6 @@ import (
 // scheduler constructors. Keys mirror the Online_* solver registrations.
 var schedulerFactories = map[string]func(Options) online.Scheduler{
 	"online_appro":      func(o Options) online.Scheduler { return &online.Appro{Opts: o.Core} },
-	"online_appro_warm": func(o Options) online.Scheduler { return &online.WarmAppro{Opts: o.Core} },
 	"online_maxmatch":   func(o Options) online.Scheduler { return &online.MaxMatch{} },
 	"online_greedy":     func(o Options) online.Scheduler { return &online.Greedy{} },
 	"online_sequential": func(o Options) online.Scheduler { return &online.Sequential{Opts: o.Core} },

@@ -39,8 +39,7 @@ type Solver interface {
 // defaults used throughout the paper reproduction.
 type Options struct {
 	// Core tunes the inner knapsack solver (Eps, ForceFPTAS, Knapsack
-	// override) and the parallel window-component decomposition
-	// (Parallel, Workers).
+	// override).
 	Core core.Options
 	// Online tunes protocol realism for the Online_* solvers (Ack
 	// contention window, seed).
@@ -148,13 +147,6 @@ func init() {
 	Register("Online_Appro", func(o Options) Solver {
 		return &funcSolver{"Online_Appro", func(ctx context.Context, inst *core.Instance) (*core.Allocation, error) {
 			return runOnline(ctx, inst, &online.Appro{Opts: o.Core}, o.Online)
-		}}
-	})
-	Register("Online_Appro_Warm", func(o Options) Solver {
-		return &funcSolver{"Online_Appro_Warm", func(ctx context.Context, inst *core.Instance) (*core.Allocation, error) {
-			// The warm scheduler carries per-tour state, so each Solve gets
-			// its own — Batch shares one Solver across pool goroutines.
-			return runOnline(ctx, inst, &online.WarmAppro{Opts: o.Core}, o.Online)
 		}}
 	})
 	Register("Online_MaxMatch", func(o Options) Solver {

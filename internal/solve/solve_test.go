@@ -61,7 +61,7 @@ func fixedPowerInstance(tb testing.TB, n int, seed int64, speed, tau float64) *c
 func TestRegistryNames(t *testing.T) {
 	want := []string{
 		"Offline_Appro", "Offline_Greedy", "Offline_MaxMatch", "Offline_Sequential", "Offline_WaterFill",
-		"Online_Appro", "Online_Appro_Warm", "Online_Greedy", "Online_MaxMatch", "Online_Sequential",
+		"Online_Appro", "Online_Greedy", "Online_MaxMatch", "Online_Sequential",
 	}
 	got := Names()
 	if !reflect.DeepEqual(got, want) {
@@ -170,37 +170,6 @@ func TestSolveCancelsMidSweep(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the determinism guarantee of the
-// window-component decomposition: with Parallel set, Offline_Appro must
-// produce a byte-identical SlotOwner on seeded paper topologies.
-func TestParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		inst := paperInstance(t, 80, seed, 5, 1)
-		seqS, err := New("Offline_Appro", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parS, err := New("Offline_Appro", Options{Core: core.Options{Parallel: true, Workers: 4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := seqS.Solve(context.Background(), inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := parS.Solve(context.Background(), inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.SlotOwner, par.SlotOwner) {
-			t.Fatalf("seed %d: parallel SlotOwner differs from sequential", seed)
-		}
-		if seq.Data != par.Data {
-			t.Fatalf("seed %d: parallel Data %v != sequential %v", seed, par.Data, seq.Data)
-		}
-	}
-}
-
 // fleetInstance builds a K-sink joint instance: the paper topology with
 // the straight highway split into k contiguous sink segments.
 func fleetInstance(tb testing.TB, n int, seed int64, k int, speed, tau float64) *core.Instance {
@@ -296,12 +265,10 @@ func benchFleetSolver(b *testing.B, name string, k int, opts Options) {
 // BenchmarkSolvers drives `make bench`: each sub-benchmark is one
 // (solver, network size) point of BENCH_solvers.json.
 func BenchmarkSolvers(b *testing.B) {
-	parallel := Options{Core: core.Options{Parallel: true}}
 	// Every interval stalled: the degraded row isolates the fallback
 	// scheduler plus the fault-path bookkeeping overhead.
 	degraded := Options{Online: online.Options{Faults: &fault.Plan{StallProb: 1}}}
 	b.Run("Offline_Appro", func(b *testing.B) { benchSolver(b, "Offline_Appro", Options{}) })
-	b.Run("Offline_Appro_Parallel", func(b *testing.B) { benchSolver(b, "Offline_Appro", parallel) })
 	b.Run("Offline_Appro_Fleet", func(b *testing.B) {
 		benchFleetSolver(b, "Offline_Appro", 2, Options{})
 		benchFleetSolver(b, "Offline_Appro", 4, Options{})
@@ -310,6 +277,5 @@ func BenchmarkSolvers(b *testing.B) {
 	b.Run("Offline_Sequential", func(b *testing.B) { benchSolver(b, "Offline_Sequential", Options{}) })
 	b.Run("Offline_WaterFill", func(b *testing.B) { benchSolver(b, "Offline_WaterFill", Options{}) })
 	b.Run("Online_Appro", func(b *testing.B) { benchSolver(b, "Online_Appro", Options{}) })
-	b.Run("Online_Appro_Warm", func(b *testing.B) { benchSolver(b, "Online_Appro_Warm", Options{}) })
 	b.Run("Online_Appro_Degraded", func(b *testing.B) { benchSolver(b, "Online_Appro", degraded) })
 }

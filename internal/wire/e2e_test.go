@@ -132,11 +132,8 @@ func wireTour(t *testing.T, inst *core.Instance, sched online.Scheduler, rec *Re
 func TestLoopbackParity(t *testing.T) {
 	inst := shortInstance(t, 60, 2000, 7)
 	schedulers := map[string]func() online.Scheduler{
-		"appro": func() online.Scheduler { return &online.Appro{} },
-		// The warm scheduler is stateful per tour: each run gets a fresh
-		// one, and the wire tour must still match the in-process tour.
-		"appro_warm": func() online.Scheduler { return &online.WarmAppro{SelfCheck: true} },
-		"greedy":     func() online.Scheduler { return &online.Greedy{} },
+		"appro":  func() online.Scheduler { return &online.Appro{} },
+		"greedy": func() online.Scheduler { return &online.Greedy{} },
 	}
 	for name, mk := range schedulers {
 		t.Run(name, func(t *testing.T) {
