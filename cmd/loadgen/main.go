@@ -7,7 +7,6 @@
 // broadcast fan-out stall, interval commit) at p50/p95/p99/p99.9.
 //
 //	loadgen -n 1000                         uniform ramp, sharded sink
-//	loadgen -n 1000 -serial                 legacy serial write loop
 //	loadgen -n 5000 -arrival burst -shards 16
 //	loadgen -n 1000 -json fleet.json        benchjson-shaped artifact
 //
@@ -41,7 +40,6 @@ type config struct {
 	n       int
 	shards  int
 	queue   int
-	serial  bool
 	algo    string
 	seed    int64
 	pathLen float64
@@ -62,7 +60,6 @@ func main() {
 	flag.IntVar(&cfg.n, "n", 1000, "fleet size (sensor clients)")
 	flag.IntVar(&cfg.shards, "shards", 0, "broadcast writer shards (0 = sink default)")
 	flag.IntVar(&cfg.queue, "queue", 0, "per-connection outbound queue depth (0 = sink default)")
-	flag.BoolVar(&cfg.serial, "serial", false, "use the legacy serial write loop instead of the sharded plane")
 	flag.StringVar(&cfg.algo, "algo", "greedy", "per-interval scheduler: appro, maxmatch, greedy, or sequential")
 	flag.Int64Var(&cfg.seed, "seed", 1, "topology, budget, and arrival seed")
 	flag.Float64Var(&cfg.pathLen, "path", 2000, "sink path length, m")
@@ -139,9 +136,9 @@ func buildInstance(cfg config) (*core.Instance, error) {
 	return core.BuildInstance(dep, radio.Paper2013(), cfg.speed, cfg.tau)
 }
 
-// run drives one campaign: build the instance, start the sink (sharded
-// or serial), ramp the fleet in on the arrival schedule, run the tour,
-// and report the tails. It is the testable core of the command.
+// run drives one campaign: build the instance, start the sink, ramp the
+// fleet in on the arrival schedule, run the tour, and report the tails.
+// It is the testable core of the command.
 func run(cfg config, out io.Writer) (*report, error) {
 	if cfg.arrival != "uniform" && cfg.arrival != "poisson" && cfg.arrival != "burst" {
 		return nil, fmt.Errorf("unknown arrival process %q (want uniform, poisson, or burst)", cfg.arrival)
@@ -154,17 +151,13 @@ func run(cfg config, out io.Writer) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.shards
-	if cfg.serial {
-		shards = -1
-	}
 	var rec *wire.Recovery
 	if cfg.chaos > 0 {
 		rec = &wire.Recovery{MaxRetries: cfg.retries, RegWindow: cfg.window, ConfirmWindow: cfg.window}
 	}
 	sink, err := wire.NewSink(wire.SinkConfig{
 		Inst: inst, Scheduler: sched, Recovery: rec,
-		Shards: shards, Queue: cfg.queue,
+		Shards: cfg.shards, Queue: cfg.queue,
 	})
 	if err != nil {
 		return nil, err
@@ -190,12 +183,8 @@ func run(cfg config, out io.Writer) (*report, error) {
 		}
 	}
 
-	mode := fmt.Sprintf("sharded (W=%d)", effectiveShards(shards))
-	if cfg.serial {
-		mode = "serial"
-	}
-	fmt.Fprintf(out, "loadgen: %d sensors, %s arrival over %v, %s sink, %s scheduler\n",
-		cfg.n, cfg.arrival, cfg.ramp, mode, sched.Name())
+	fmt.Fprintf(out, "loadgen: %d sensors, %s arrival over %v, sharded (W=%d) sink, %s scheduler\n",
+		cfg.n, cfg.arrival, cfg.ramp, effectiveShards(cfg.shards), sched.Name())
 
 	// Ramp the fleet in. Every client records its join latency (dial
 	// through completed Resume/Sync) and then runs its protocol loop.
@@ -295,7 +284,7 @@ func run(cfg config, out io.Writer) (*report, error) {
 // effectiveShards mirrors the sink's normalization, for the banner.
 func effectiveShards(shards int) int {
 	switch {
-	case shards == 0:
+	case shards <= 0:
 		return 8
 	case shards > 64:
 		return 64

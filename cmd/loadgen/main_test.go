@@ -42,9 +42,8 @@ func TestRunSmallFleet(t *testing.T) {
 	}
 }
 
-func TestRunSerialModeAndJSON(t *testing.T) {
+func TestRunJSON(t *testing.T) {
 	cfg := smallConfig(12)
-	cfg.serial = true
 	cfg.stats = true
 	cfg.jsonOut = filepath.Join(t.TempDir(), "fleet.json")
 	var out bytes.Buffer
@@ -53,7 +52,7 @@ func TestRunSerialModeAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.DataMb <= 0 {
-		t.Error("serial campaign collected no data")
+		t.Error("campaign collected no data")
 	}
 	raw, err := os.ReadFile(cfg.jsonOut)
 	if err != nil {

@@ -2,13 +2,10 @@ package online
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
-	"mobisink/internal/core"
 	"mobisink/internal/fault"
 	"mobisink/internal/mac"
 	"mobisink/internal/sim"
@@ -23,18 +20,18 @@ import (
 //      whose Ack was lost get up to Plan.MaxRetries extra registration
 //      rounds (each costs one Probe broadcast plus the stragglers' Acks);
 //   2. budget feasibility guard — a sensor that missed a Finish broadcast
-//      re-registers with a stale (undebited) budget; the sink clamps the
-//      claim against its own ledger so a stale registration can never
-//      overdraw the physical budget;
+//      re-registers with a stale (undebited) budget; Ledger.Admit clamps
+//      the claim against the sink's ledger so a stale registration can
+//      never overdraw the physical budget;
 //   3. degraded mode — an interval whose scheduler blows its compute
 //      deadline (injected via Plan.StallProb/StallIntervals, or measured
-//      against Options.ComputeDeadline) falls back to the density-greedy
-//      scheduler instead of idling the interval;
+//      against Options.ComputeDeadline) is planned by Ledger.Plan's
+//      fallback scheduler instead of idling;
 //   4. schedule repair — when a scheduled sensor goes silent (crashed or
-//      deaf to the Schedule broadcast), the sink loses one slot detecting
-//      it, then reassigns the sensor's remaining slots to the next-best
-//      registered sensor, re-checking energy and data budgets per slot so
-//      repairs never overdraw anyone.
+//      deaf to the Schedule broadcast), Ledger.Commit loses one slot
+//      detecting it, then reassigns the sensor's remaining slots to the
+//      next-best registered sensor (see ledger.go). This file supplies the
+//      fault plan's answers to the commit's questions (faultLoss).
 
 // faultState carries the per-tour recovery bookkeeping.
 type faultState struct {
@@ -47,27 +44,34 @@ type faultState struct {
 	// deficitApplied[i] is the cumulative harvest shortfall already
 	// written off sensor i's budgets.
 	deficitApplied []float64
-	degraded       Scheduler
 }
 
 // newFaultState builds the recovery bookkeeping for one tour.
-func newFaultState(inj *fault.Injector, inst *core.Instance, opts Options, res *Result) *faultState {
-	fs := &faultState{
+func newFaultState(inj *fault.Injector, res *Result) *faultState {
+	return &faultState{
 		inj:            inj,
 		stats:          &fault.Stats{},
-		reported:       make([]float64, len(inst.Sensors)),
-		deficitApplied: make([]float64, len(inst.Sensors)),
-		degraded:       opts.Degraded,
+		reported:       append([]float64(nil), res.Residual...),
+		deficitApplied: make([]float64, len(res.Residual)),
 	}
-	copy(fs.reported, res.Residual)
-	if fs.degraded == nil {
-		if inst.DataCaps != nil {
-			fs.degraded = &Sequential{}
-		} else {
-			fs.degraded = &Greedy{}
-		}
-	}
-	return fs
+}
+
+// faultLoss answers the commit's questions about one interval from the
+// fault plan's pure rolls.
+type faultLoss struct {
+	inj *fault.Injector
+	eng *sim.Engine
+	iv  int
+}
+
+func (f *faultLoss) Deaf(sensor int) bool        { return !f.inj.ScheduleHeard(f.iv, sensor) }
+func (f *faultLoss) Alive(sensor, slot int) bool { return f.inj.Alive(sensor, slot) }
+
+// Repair rides the Schedule channel, so it is subject to the same drop
+// rate; the unicast is sent whether or not it lands.
+func (f *faultLoss) Repair(slot, sensor int) bool {
+	f.eng.Count("repair", 1)
+	return !f.inj.RepairLost(f.iv, sensor, slot)
 }
 
 // finishFilter is the discrete-event hook dropping jammed Finish
@@ -84,7 +88,8 @@ func (fs *faultState) finishFilter(name string, _ float64) bool {
 // runIntervalFaulty is runInterval under the fault plan: the same
 // probe → ack → schedule → transmit → finish cycle, with drops injected
 // and the recovery protocol active.
-func runIntervalFaulty(ctx context.Context, eng *sim.Engine, inst *core.Instance, sched Scheduler, iv Interval, res *Result, opts Options, contention *rand.Rand, fs *faultState) error {
+func runIntervalFaulty(ctx context.Context, eng *sim.Engine, led *Ledger, iv Interval, opts Options, contention *rand.Rand, fs *faultState) error {
+	inst, res := led.inst, led.res
 	inj, st := fs.inj, fs.stats
 
 	// Harvest shortfalls discovered by this interval's start are written
@@ -186,47 +191,18 @@ func runIntervalFaulty(ctx context.Context, eng *sim.Engine, inst *core.Instance
 	}
 
 	// Canonical registration order (sensor index) regardless of which
-	// round an Ack landed in, with the sink-side feasibility guard: the
-	// sensor's claimed budget is clamped against the physical residual so
-	// a stale (Finish-jammed) registration can never overdraw.
+	// round an Ack landed in. Each sensor claims its own bookkeeping's
+	// budget, which a jammed Finish left stale; the ledger clamps it.
 	var regs []Registration
 	for _, i := range inRange {
-		if !registered[i] {
-			continue
+		if registered[i] {
+			regs = append(regs, claim(inst, iv, i, fs.reported[i], res.ResidualData[i]))
 		}
-		s := &inst.Sensors[i]
-		res.RegisteredIn[i] = append(res.RegisteredIn[i], iv.Index)
-		cs, ce := s.Start, s.End
-		if cs < iv.Start {
-			cs = iv.Start
-		}
-		if ce > iv.End {
-			ce = iv.End
-		}
-		budget := fs.reported[i]
-		if budget > res.Residual[i] {
-			st.BudgetClamps++
-			budget = res.Residual[i]
-		}
-		regs = append(regs, Registration{
-			Sensor: i, Budget: budget, DataLeft: res.ResidualData[i],
-			ClipStart: cs, ClipEnd: ce,
-		})
 	}
-	if len(regs) == 0 {
-		return nil
+	err := closeInterval(ctx, eng, led, iv, regs, &faultLoss{inj: inj, eng: eng, iv: iv.Index})
+	if err != nil || len(regs) == 0 {
+		return err
 	}
-
-	// Scheduler, with degraded-mode fallback on compute-deadline stalls.
-	assign, err := fs.schedule(ctx, inst, sched, iv, regs, opts)
-	if err != nil {
-		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
-	}
-	eng.Count("schedule", 1)
-	if err := commitFaulty(eng, inst, iv, regs, assign, res, fs); err != nil {
-		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
-	}
-
 	// Finish broadcast: the discrete-event filter drops it when jammed;
 	// the sensors that heard it sync their bookkeeping to the physical
 	// residual (their debit), the rest stay stale for the guard to catch.
@@ -235,173 +211,6 @@ func runIntervalFaulty(ctx context.Context, eng *sim.Engine, inst *core.Instance
 	} else {
 		for _, r := range regs {
 			fs.reported[r.Sensor] = res.Residual[r.Sensor]
-		}
-	}
-	finishAt := (float64(iv.End) + 1) * inst.Tau
-	return eng.Schedule(finishAt, fmt.Sprintf("finish-%d", iv.Index), func(float64) {
-		eng.Count("finish", 1)
-	})
-}
-
-// schedule runs the interval's scheduler under the stall model: an
-// injected stall skips the primary scheduler outright; a measured
-// compute-deadline overrun (Options.ComputeDeadline) aborts it mid-search
-// via context. Either way the interval is rescheduled by the degraded
-// fallback instead of idling.
-func (fs *faultState) schedule(ctx context.Context, inst *core.Instance, sched Scheduler, iv Interval, regs []Registration, opts Options) (map[int]int, error) {
-	if fs.inj.Stalled(iv.Index) {
-		fs.stats.DegradedIntervals++
-		return fs.degraded.Schedule(ctx, inst, iv, regs)
-	}
-	if opts.ComputeDeadline > 0 {
-		cctx, cancel := context.WithTimeout(ctx, opts.ComputeDeadline)
-		assign, err := sched.Schedule(cctx, inst, iv, regs)
-		cancel()
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			fs.stats.DegradedIntervals++
-			return fs.degraded.Schedule(ctx, inst, iv, regs)
-		}
-		return assign, err
-	}
-	return sched.Schedule(ctx, inst, iv, regs)
-}
-
-// commitFaulty validates the scheduler's output against the protocol
-// rules, then commits it slot by slot under the failure model: silent
-// sensors cost the sink one detection slot, their remaining slots are
-// repaired to the next-best registered sensor, and every commitment —
-// planned or repaired — re-checks the energy and data budgets so nothing
-// overdraws. On a quiet interval (nothing fired) it commits exactly what
-// applyAssignment would.
-func commitFaulty(eng *sim.Engine, inst *core.Instance, iv Interval, regs []Registration, assign map[int]int, res *Result, fs *faultState) error {
-	inj, st := fs.inj, fs.stats
-	regOf := make(map[int]*Registration, len(regs))
-	for k := range regs {
-		regOf[regs[k].Sensor] = &regs[k]
-	}
-	// Protocol-rule validation of the raw scheduler output, identical to
-	// the fault-free path: misbehavior is an error, not a fault to heal.
-	slots := make([]int, 0, len(assign))
-	for slot, sensor := range assign {
-		r, ok := regOf[sensor]
-		if !ok {
-			return fmt.Errorf("scheduler assigned slot %d to unregistered sensor %d", slot, sensor)
-		}
-		if slot < r.ClipStart || slot > r.ClipEnd {
-			return fmt.Errorf("slot %d outside clipped window [%d,%d] of sensor %d", slot, r.ClipStart, r.ClipEnd, sensor)
-		}
-		if res.Alloc.SlotOwner[slot] != -1 {
-			return fmt.Errorf("slot %d double-booked", slot)
-		}
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-
-	// deaf: registered sensors that missed the Schedule broadcast. They
-	// neither transmit nor accept repair assignments this interval.
-	deaf := make(map[int]bool)
-	for _, r := range regs {
-		if !inj.ScheduleHeard(iv.Index, r.Sensor) {
-			deaf[r.Sensor] = true
-		}
-	}
-	countedDeaf := make(map[int]bool)
-	detected := make(map[int]bool) // sensors the sink has caught silent
-	spend := make(map[int]float64)
-	dataSpend := make(map[int]float64)
-
-	// fits reports whether the sensor can afford one more transmission at
-	// the slot on top of what this interval already committed to it.
-	fits := func(sensor, slot int) bool {
-		r := regOf[sensor]
-		e := inst.Sensors[sensor].PowerAt(slot) * inst.Tau
-		d := inst.Sensors[sensor].RateAt(slot) * inst.Tau
-		if spend[sensor]+e > r.Budget+1e-9 {
-			return false
-		}
-		return dataSpend[sensor]+d <= r.DataLeft+1e-6
-	}
-	commit := func(sensor, slot int) {
-		spend[sensor] += inst.Sensors[sensor].PowerAt(slot) * inst.Tau
-		dataSpend[sensor] += inst.Sensors[sensor].RateAt(slot) * inst.Tau
-		res.Alloc.SlotOwner[slot] = sensor
-	}
-	// repair finds the next-best replacement for a slot: the eligible
-	// registered sensor with the highest rate there. The repair is a
-	// unicast schedule update, itself subject to the Schedule drop rate.
-	repair := func(slot, exclude int) {
-		best, bestRate := -1, 0.0
-		for _, r := range regs {
-			i := r.Sensor
-			if i == exclude || deaf[i] || detected[i] || !inj.Alive(i, slot) {
-				continue
-			}
-			if slot < r.ClipStart || slot > r.ClipEnd {
-				continue
-			}
-			rate, pw := inst.Sensors[i].RateAt(slot), inst.Sensors[i].PowerAt(slot)
-			if rate <= 0 || pw <= 0 || !fits(i, slot) {
-				continue
-			}
-			if rate > bestRate {
-				best, bestRate = i, rate
-			}
-		}
-		if best < 0 {
-			st.LostSlots++
-			return
-		}
-		eng.Count("repair", 1) // the unicast is sent whether or not it lands
-		if inj.RepairLost(iv.Index, best, slot) {
-			st.LostSlots++
-			return
-		}
-		st.RepairedSlots++
-		commit(best, slot)
-	}
-
-	for _, slot := range slots {
-		sensor := assign[slot]
-		switch {
-		case deaf[sensor]:
-			if !countedDeaf[sensor] {
-				countedDeaf[sensor] = true
-				st.SchedulesMissed++
-			}
-			if !detected[sensor] {
-				// The sink spends this slot discovering the silence.
-				detected[sensor] = true
-				st.LostSlots++
-				continue
-			}
-			repair(slot, sensor)
-		case !inj.Alive(sensor, slot):
-			if !detected[sensor] {
-				detected[sensor] = true
-				st.LostSlots++
-				continue
-			}
-			repair(slot, sensor)
-		case detected[sensor]:
-			// Once caught silent, the sink stops trusting the sensor for
-			// the rest of the interval even if it comes back.
-			repair(slot, sensor)
-		case !fits(sensor, slot):
-			// Only possible after a repair consumed this sensor's budget;
-			// the sink made that repair, so it reassigns proactively
-			// without losing a detection slot.
-			repair(slot, sensor)
-		default:
-			commit(sensor, slot)
-		}
-	}
-
-	// Debit physical residuals exactly like the fault-free path (one
-	// subtraction per sensor, in slot-accumulation order).
-	for sensor, e := range spend {
-		res.Residual[sensor] = math.Max(0, res.Residual[sensor]-e)
-		if !math.IsInf(res.ResidualData[sensor], 1) {
-			res.ResidualData[sensor] = math.Max(0, res.ResidualData[sensor]-dataSpend[sensor])
 		}
 	}
 	return nil

@@ -209,12 +209,6 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 	if inst.NumSinks() > 1 {
 		return nil, fmt.Errorf("online: the online protocol drives a single sink, instance has a fleet of %d", inst.NumSinks())
 	}
-	if inst.DataCaps != nil {
-		aware, ok := sched.(interface{ CapAware() bool })
-		if !ok || !aware.CapAware() {
-			return nil, fmt.Errorf("online: scheduler %s does not handle data-capped instances (use Sequential)", sched.Name())
-		}
-	}
 	eng := sim.NewEngine()
 	res := NewResult(inst)
 
@@ -229,13 +223,8 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 	// The fault path is taken only when something can actually fire, so
 	// the common fault-free run never diverges from the paper's protocol.
 	var fs *faultState
+	var fb Fallback
 	if (opts.Faults != nil && !opts.Faults.Zero()) || opts.ComputeDeadline > 0 {
-		if inst.DataCaps != nil && opts.Degraded != nil {
-			aware, ok := opts.Degraded.(interface{ CapAware() bool })
-			if !ok || !aware.CapAware() {
-				return nil, fmt.Errorf("online: degraded scheduler %s does not handle data-capped instances", opts.Degraded.Name())
-			}
-		}
 		plan := fault.Plan{}
 		if opts.Faults != nil {
 			plan = *opts.Faults
@@ -247,9 +236,14 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 		if err != nil {
 			return nil, err
 		}
-		fs = newFaultState(inj, inst, opts, res)
+		fs = newFaultState(inj, res)
 		res.Fault = fs.stats
+		fb = Fallback{Stalls: inj, Deadline: opts.ComputeDeadline, Degraded: opts.Degraded}
 		eng.SetFilter(fs.finishFilter)
+	}
+	led, err := NewLedger(inst, res, sched, res.Fault, fb)
+	if err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
 	var schedErr error
 	for j := 0; j < intervals; j++ {
@@ -269,9 +263,9 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 				return
 			}
 			if fs != nil {
-				schedErr = runIntervalFaulty(ctx, eng, inst, sched, iv, res, opts, contention, fs)
+				schedErr = runIntervalFaulty(ctx, eng, led, iv, opts, contention, fs)
 			} else {
-				schedErr = runInterval(ctx, eng, inst, sched, iv, res, opts, contention)
+				schedErr = runInterval(ctx, eng, led, iv, opts, contention)
 			}
 		})
 		if err != nil {
@@ -300,7 +294,8 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 
 // runInterval executes the probe → ack → schedule → transmit → finish cycle
 // of one interval.
-func runInterval(ctx context.Context, eng *sim.Engine, inst *core.Instance, sched Scheduler, iv Interval, res *Result, opts Options, contention *rand.Rand) error {
+func runInterval(ctx context.Context, eng *sim.Engine, led *Ledger, iv Interval, opts Options, contention *rand.Rand) error {
+	inst, res := led.inst, led.res
 	eng.Count("probe", 1)
 	sinkPos := inst.Traj.PosAtSlotStart(iv.Start)
 
@@ -333,101 +328,43 @@ func runInterval(ctx context.Context, eng *sim.Engine, inst *core.Instance, sche
 			eng.Count("ack-lost", 1)
 			continue
 		}
-		s := &inst.Sensors[i]
-		res.RegisteredIn[i] = append(res.RegisteredIn[i], iv.Index)
-		cs, ce := s.Start, s.End
-		if cs < iv.Start {
-			cs = iv.Start
-		}
-		if ce > iv.End {
-			ce = iv.End
-		}
-		regs = append(regs, Registration{
-			Sensor: i, Budget: res.Residual[i], DataLeft: res.ResidualData[i],
-			ClipStart: cs, ClipEnd: ce,
-		})
+		regs = append(regs, claim(inst, iv, i, res.Residual[i], res.ResidualData[i]))
 	}
+	return closeInterval(ctx, eng, led, iv, regs, nil)
+}
+
+// claim is sensor i's registration for the interval: the given budgets
+// and its window A(v) clipped to the interval.
+func claim(inst *core.Instance, iv Interval, i int, budget, dataLeft float64) Registration {
+	s := &inst.Sensors[i]
+	return Registration{
+		Sensor: i, Budget: budget, DataLeft: dataLeft,
+		ClipStart: max(s.Start, iv.Start), ClipEnd: min(s.End, iv.End),
+	}
+}
+
+// closeInterval ends every in-process interval, lossless or not: the
+// ledger admits the heard claims, plans the interval and commits it, and
+// the Finish broadcast goes out at the interval's end. The sensors debit
+// their budgets on Finish receipt; the ledger has already debited its
+// copy in the commit.
+func closeInterval(ctx context.Context, eng *sim.Engine, led *Ledger, iv Interval, regs []Registration, loss Loss) error {
+	led.Admit(iv, regs)
 	if len(regs) == 0 {
 		return nil // nobody answered; the sink idles this interval
 	}
-
-	// Registration timer expiry: run the scheduler, broadcast the result.
-	assign, err := sched.Schedule(ctx, inst, iv, regs)
+	plan, err := led.Plan(ctx, iv, regs)
 	if err != nil {
 		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
 	}
 	eng.Count("schedule", 1)
-	if err := applyAssignment(inst, iv, regs, assign, res); err != nil {
+	if _, _, err := led.Commit(iv, regs, plan, loss); err != nil {
 		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
 	}
-
-	// Finish broadcast at the end of the interval; budgets were already
-	// debited in applyAssignment (the sensors' update on Finish receipt).
-	finishAt := (float64(iv.End) + 1) * inst.Tau
+	finishAt := (float64(iv.End) + 1) * led.inst.Tau
 	return eng.Schedule(finishAt, fmt.Sprintf("finish-%d", iv.Index), func(float64) {
 		eng.Count("finish", 1)
 	})
-}
-
-// ApplyAssignment validates a scheduler's output against the protocol
-// rules and commits it to the tour allocation and residual budgets. It is
-// the single commit path shared by the in-process runner and the wire
-// transport (internal/wire), so a sink server debits budgets — including
-// the floating-point accumulation order — exactly as RunCtx does.
-func ApplyAssignment(inst *core.Instance, iv Interval, regs []Registration, assign map[int]int, res *Result) error {
-	return applyAssignment(inst, iv, regs, assign, res)
-}
-
-// applyAssignment validates a scheduler's output against the protocol rules
-// and commits it to the tour allocation and residual budgets.
-func applyAssignment(inst *core.Instance, iv Interval, regs []Registration, assign map[int]int, res *Result) error {
-	regOf := make(map[int]*Registration, len(regs))
-	for k := range regs {
-		regOf[regs[k].Sensor] = &regs[k]
-	}
-	slots := make([]int, 0, len(assign))
-	for slot, sensor := range assign {
-		r, ok := regOf[sensor]
-		if !ok {
-			return fmt.Errorf("scheduler assigned slot %d to unregistered sensor %d", slot, sensor)
-		}
-		if slot < r.ClipStart || slot > r.ClipEnd {
-			return fmt.Errorf("slot %d outside clipped window [%d,%d] of sensor %d", slot, r.ClipStart, r.ClipEnd, sensor)
-		}
-		if res.Alloc.SlotOwner[slot] != -1 {
-			return fmt.Errorf("slot %d double-booked", slot)
-		}
-		slots = append(slots, slot)
-	}
-	// Accumulate spends in ascending slot order: summation order pins the
-	// floating-point result, keeping residual budgets — and every decision
-	// downstream of them — independent of map iteration order.
-	sort.Ints(slots)
-	spend := make(map[int]float64)
-	dataSpend := make(map[int]float64)
-	for _, slot := range slots {
-		sensor := assign[slot]
-		spend[sensor] += inst.Sensors[sensor].PowerAt(slot) * inst.Tau
-		dataSpend[sensor] += inst.Sensors[sensor].RateAt(slot) * inst.Tau
-	}
-	for sensor, e := range spend {
-		if e > res.Residual[sensor]+1e-9 {
-			return fmt.Errorf("sensor %d scheduled to spend %v J with only %v J left", sensor, e, res.Residual[sensor])
-		}
-		if d := dataSpend[sensor]; d > res.ResidualData[sensor]+1e-6 {
-			return fmt.Errorf("sensor %d scheduled to upload %v bits with only %v queued", sensor, d, res.ResidualData[sensor])
-		}
-	}
-	for slot, sensor := range assign {
-		res.Alloc.SlotOwner[slot] = sensor
-	}
-	for sensor, e := range spend {
-		res.Residual[sensor] = math.Max(0, res.Residual[sensor]-e)
-		if !math.IsInf(res.ResidualData[sensor], 1) {
-			res.ResidualData[sensor] = math.Max(0, res.ResidualData[sensor]-dataSpend[sensor])
-		}
-	}
-	return nil
 }
 
 // Appro is the GAP-based scheduler (Online_Appro): within the interval it

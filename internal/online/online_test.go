@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
@@ -204,30 +206,96 @@ func TestCheckLemma1Failures(t *testing.T) {
 	}
 }
 
-// applyAssignment protocol-rule enforcement.
-func TestApplyAssignmentRejectsViolations(t *testing.T) {
+// TestCommitRejectsViolations checks the commit's protocol rules: a plan
+// that breaks one is an error, never a fault to heal — on the lossless
+// path and on the fault path alike (forced by a compute deadline with
+// nothing injected).
+func TestCommitRejectsViolations(t *testing.T) {
 	inst := paperInstance(t, 50, 7, radio.Paper2013(), 5, 1)
-	bad := &misbehavingScheduler{}
-	if _, err := Run(inst, bad); err == nil {
-		t.Error("expected double-booking rejection")
+	capped := paperInstance(t, 50, 7, radio.Paper2013(), 5, 1)
+	caps := make([]float64, len(capped.Sensors))
+	for i := range caps {
+		caps[i] = 1e3
+	}
+	if err := capped.SetDataCaps(caps); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		violation, want string
+		inst            *core.Instance
+	}{
+		{"unregistered", "to unregistered sensor", inst},
+		{"outside-clip", "outside clipped window", inst},
+		{"energy", "J with only", inst},
+		{"data", "bits with only", capped},
+	} {
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{
+			{"idealized", Options{}},
+			{"fault-path", Options{ComputeDeadline: time.Minute}},
+		} {
+			t.Run(tc.violation+"/"+mode.name, func(t *testing.T) {
+				_, err := RunOpts(tc.inst, &misbehavingScheduler{violation: tc.violation}, mode.opts)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("err %v, want one containing %q", err, tc.want)
+				}
+			})
+		}
 	}
 }
 
-// misbehavingScheduler assigns the same slot twice... actually assigns a
-// slot to an unregistered sensor to exercise the guard.
-type misbehavingScheduler struct{}
+// misbehavingScheduler breaks one protocol rule in the first interval
+// that lets it, and plans nothing before that.
+type misbehavingScheduler struct{ violation string }
 
-func (m *misbehavingScheduler) Name() string { return "bad" }
+func (m *misbehavingScheduler) Name() string   { return "bad-" + m.violation }
+func (m *misbehavingScheduler) CapAware() bool { return true }
 
 func (m *misbehavingScheduler) Schedule(_ context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	// Pick a sensor index guaranteed not registered in this interval.
-	reg := make(map[int]bool)
-	for _, r := range regs {
-		reg[r.Sensor] = true
-	}
-	for i := range inst.Sensors {
-		if !reg[i] {
-			return map[int]int{iv.Start: i}, nil
+	switch m.violation {
+	case "unregistered":
+		reg := make(map[int]bool)
+		for _, r := range regs {
+			reg[r.Sensor] = true
+		}
+		for i := range inst.Sensors {
+			if !reg[i] {
+				return map[int]int{iv.Start: i}, nil
+			}
+		}
+	case "outside-clip":
+		for _, r := range regs {
+			if r.ClipEnd < iv.End {
+				return map[int]int{r.ClipEnd + 1: r.Sensor}, nil
+			}
+			if r.ClipStart > iv.Start {
+				return map[int]int{r.ClipStart - 1: r.Sensor}, nil
+			}
+		}
+	case "energy":
+		// One sensor gets its whole clipped window.
+		for _, r := range regs {
+			plan, spend := map[int]int{}, 0.0
+			for j := r.ClipStart; j <= r.ClipEnd; j++ {
+				plan[j] = r.Sensor
+				spend += inst.Sensors[r.Sensor].PowerAt(j) * inst.Tau
+			}
+			if spend > r.Budget+1e-6 {
+				return plan, nil
+			}
+		}
+	case "data":
+		// One slot whose energy the sensor affords but whose data
+		// overflows its queue.
+		for _, r := range regs {
+			s := &inst.Sensors[r.Sensor]
+			for j := r.ClipStart; j <= r.ClipEnd; j++ {
+				if s.PowerAt(j)*inst.Tau <= r.Budget && s.RateAt(j)*inst.Tau > r.DataLeft+1e-3 {
+					return map[int]int{j: r.Sensor}, nil
+				}
+			}
 		}
 	}
 	return map[int]int{}, nil

@@ -129,19 +129,36 @@ func wireTour(t *testing.T, inst *core.Instance, sched online.Scheduler, rec *Re
 // tour over real TCP must be byte-identical to the in-process run —
 // same allocation, same collected data, same message counts, same
 // residual budgets on both the sink's ledger and the sensors' own.
+//
+// The recovery subcase runs the timed protocol on the same lossless
+// link: every window closes as soon as every answer is in, so generous
+// windows cost nothing, and the tour must be byte-identical too, with
+// nothing recovered. It pins that the loss-aware commit on a quiet
+// interval is the lossless commit.
 func TestLoopbackParity(t *testing.T) {
 	inst := shortInstance(t, 60, 2000, 7)
-	schedulers := map[string]func() online.Scheduler{
-		"appro":  func() online.Scheduler { return &online.Appro{} },
-		"greedy": func() online.Scheduler { return &online.Greedy{} },
-	}
-	for name, mk := range schedulers {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() online.Scheduler
+		rec  *Recovery
+	}{
+		{"appro", func() online.Scheduler { return &online.Appro{} }, nil},
+		{"greedy", func() online.Scheduler { return &online.Greedy{} }, nil},
+		{"appro-recovery", func() online.Scheduler { return &online.Appro{} },
+			&Recovery{MaxRetries: 2, RegWindow: 5 * time.Second, ConfirmWindow: 5 * time.Second}},
+	} {
+		mk := tc.mk
+		t.Run(tc.name, func(t *testing.T) {
 			want, err := online.Run(inst, mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, fl, _ := wireTour(t, inst, mk(), nil, nil)
+			got, fl, _ := wireTour(t, inst, mk(), tc.rec, nil)
+			if tc.rec != nil {
+				if got.Fault == nil || *got.Fault != (fault.Stats{}) {
+					t.Errorf("lossless recovery tour recovered something: %+v", got.Fault)
+				}
+			}
 
 			if got.Data != want.Data {
 				t.Errorf("data: wire %v, in-process %v", got.Data, want.Data)

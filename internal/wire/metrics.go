@@ -40,10 +40,8 @@ var (
 		"wire_recovery_seconds",
 		"Journal replay to first-probe latency on sink restart.", nil)
 	// broadcastFanout measures the interval loop's stall per broadcast:
-	// one encode plus the shard hand-off on the sharded plane, or the
-	// full write loop in legacy serial mode. It is the quantity the
-	// sharded rebuild optimizes — delivery itself proceeds on the
-	// per-shard writers and never blocks the tour.
+	// one encode plus the shard hand-offs. Delivery itself proceeds on
+	// the per-shard writers and never blocks the tour.
 	broadcastFanout = metrics.Default().Histogram(
 		"wire_broadcast_fanout_ns",
 		"Interval-loop stall per broadcast frame fan-out, nanoseconds.",

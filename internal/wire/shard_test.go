@@ -308,45 +308,6 @@ func TestNoAllocsBroadcast(t *testing.T) {
 	}
 }
 
-// TestSerialModeParity keeps the legacy serial write loop (Shards < 0)
-// alive and byte-identical too: it is the benchmark baseline and the
-// fallback, so it must keep producing the exact in-process tour.
-func TestSerialModeParity(t *testing.T) {
-	inst := shortInstance(t, 24, 1200, 3)
-	want, err := online.Run(inst, &online.Greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Shards: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	fl := launchFleet(t, sink.Addr(), inst, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := sink.WaitSensors(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sink.RunTour(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Close()
-	fl.join(t)
-	if got.Data != want.Data {
-		t.Errorf("data: serial wire %v, in-process %v", got.Data, want.Data)
-	}
-	if got.Messages != want.Messages {
-		t.Errorf("messages: serial wire %+v, in-process %+v", got.Messages, want.Messages)
-	}
-	for i := range want.Residual {
-		if got.Residual[i] != want.Residual[i] {
-			t.Fatalf("sensor %d residual: serial wire %v, in-process %v", i, got.Residual[i], want.Residual[i])
-		}
-	}
-}
-
 // TestSlowSensorTourCompletes is the end-to-end half of the head-of-
 // line fix: a sensor that stays connected but serves its socket an
 // order of magnitude slower than the recovery windows must not stop
