@@ -145,3 +145,62 @@ func TestFaultPathDigests(t *testing.T) {
 		t.Errorf("grid left a recovery branch unexercised: %+v", seen)
 	}
 }
+
+// TestLosslessPathDigests pins the lossless in-process tour's complete
+// output, with and without Ack contention, for every scheduler: Appro,
+// Greedy and MaxMatch on a fixed-power instance and Sequential on a
+// data-capped one. The digests were recorded before the interval
+// protocol moved into one driver over a Transport.
+func TestLosslessPathDigests(t *testing.T) {
+	fp, err := radio.NewFixedPower(radio.Paper2013(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := paperInstance(t, 100, 37, fp, 5, 1)
+	capped := paperInstance(t, 100, 37, radio.Paper2013(), 5, 1)
+	caps := make([]float64, len(capped.Sensors))
+	for i := range caps {
+		caps[i] = 150e3
+	}
+	if err := capped.SetDataCaps(caps); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{
+		"appro/window=0":             0x509bf50be23d2a2e,
+		"appro/window=8":             0xa9469f2e4ffcbf78,
+		"greedy/window=0":            0x4825ac4a9e304e34,
+		"greedy/window=8":            0x1d5dbd99fa7486de,
+		"maxmatch/window=0":          0x3df7b173ed185e81,
+		"maxmatch/window=8":          0xfe52129e23adec5a,
+		"sequential-capped/window=0": 0xc38c03f70b6eff4d,
+		"sequential-capped/window=8": 0xdabe0199ec703d92,
+	}
+	for _, tc := range []struct {
+		name  string
+		sched Scheduler
+	}{
+		{"appro", &Appro{}},
+		{"greedy", &Greedy{}},
+		{"maxmatch", &MaxMatch{}},
+		{"sequential-capped", &Sequential{}},
+	} {
+		for _, window := range []int{0, 8} {
+			label := fmt.Sprintf("%s/window=%d", tc.name, window)
+			target := fixed
+			if tc.name == "sequential-capped" {
+				target = capped
+			}
+			res, err := RunOpts(target, tc.sched, Options{AckWindow: window, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Fault != nil {
+				t.Fatalf("%s: lossless run took the fault path", label)
+			}
+			got := tourDigest(res)
+			if w, ok := want[label]; !ok || got != w {
+				t.Errorf("%s: digest %#016x, want %#016x", label, got, w)
+			}
+		}
+	}
+}
