@@ -458,9 +458,9 @@ func (in *Injector) RepairLost(interval, sensor, slot int) bool {
 }
 
 // FinishJammed reports whether the interval's Finish broadcast is
-// dropped. Both the discrete-event filter (which skips the broadcast
-// event) and the budget bookkeeping (which keeps the sensors' reported
-// budgets stale) consult this; purity keeps them agreeing.
+// dropped. The in-process transport (which then neither counts the
+// Finish nor syncs the sensors' reported budgets) and the chaos proxy
+// (which drops the frame) both consult this; purity keeps them agreeing.
 func (in *Injector) FinishJammed(interval int) bool {
 	return in.roll(in.plan.DropFinish, KindFinish, interval, 0, 0)
 }

@@ -288,7 +288,8 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry, used by package-level
-// instrumentation (internal/exp, internal/sim) and by cmd binaries.
+// instrumentation (internal/exp, internal/solve, internal/wal,
+// internal/wire) and by cmd binaries.
 func Default() *Registry { return defaultRegistry }
 
 // family returns the family for name, creating it on first use and

@@ -6,18 +6,19 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
 )
 
-// This file is the sink's side of every interval, whatever carries the
-// frames: the discrete-event engine here or TCP in internal/wire, with or
-// without loss. A transport probes, collects the claims and delivers the
-// broadcasts; a Ledger makes every decision that touches the tour's books
-// (Admit, Plan, Commit), and loss reaches it only through the Loss hook a
-// transport passes to Commit.
+// This file is the sink's books for every interval, whatever carries the
+// frames: function calls here or TCP in internal/wire, with or without
+// loss. The Driver (driver.go) runs the protocol over a Transport; a
+// Ledger makes every decision that touches the tour's books (Admit, Plan,
+// Commit), and loss reaches it only through the Loss hook the transport's
+// Schedule phase returns.
 
 // Pair is one committed transmission: a slot and the sensor that owns it.
 type Pair struct {
@@ -92,6 +93,8 @@ type Ledger struct {
 	// protocol: no fallback, and Commit takes no Loss.
 	st *fault.Stats
 	fb Fallback
+	// mu guards the residuals Commit debits against Residual.
+	mu sync.Mutex
 
 	// Scratch reused across intervals. regOf maps a sensor to 1 + its
 	// index among the interval's claims (0: not registered); owner holds
@@ -221,6 +224,7 @@ func (l *Ledger) Commit(iv Interval, regs []Registration, plan map[int]int, loss
 			l.commitSlot(regs, iv.Start+j, sensor, loss)
 		}
 	}
+	l.mu.Lock()
 	for k, r := range regs {
 		if l.flags[k]&claimCommitted != 0 {
 			d := Debit{Sensor: r.Sensor, Energy: l.spend[k], Data: l.drain[k]}
@@ -228,8 +232,18 @@ func (l *Ledger) Commit(iv Interval, regs []Registration, plan map[int]int, loss
 			l.debits = append(l.debits, d)
 		}
 	}
+	l.mu.Unlock()
 	slices.SortFunc(l.debits, func(a, b Debit) int { return a.Sensor - b.Sensor })
 	return l.pairs, l.debits, nil
+}
+
+// Residual returns the sensor's residual energy and data. It may run
+// while another goroutine commits: a wire session handshake reads it
+// mid-tour.
+func (l *Ledger) Residual(sensor int) (energy, data float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.res.Residual[sensor], l.res.ResidualData[sensor]
 }
 
 // validate checks the plan against the protocol rules, lays it out by

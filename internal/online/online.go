@@ -32,9 +32,7 @@ import (
 	"mobisink/internal/fault"
 	"mobisink/internal/gap"
 	"mobisink/internal/knapsack"
-	"mobisink/internal/mac"
 	"mobisink/internal/matching"
-	"mobisink/internal/sim"
 )
 
 // Registration is the sensor profile carried by an Ack message, as visible
@@ -185,8 +183,8 @@ func (o Options) contentionRand() *rand.Rand {
 }
 
 // Run simulates one tour of the online protocol over the instance using the
-// given scheduler, driving all message exchanges through a discrete-event
-// engine, under the paper's idealized registration (no Ack contention).
+// given scheduler, under the paper's idealized registration (no Ack
+// contention).
 func Run(inst *core.Instance, sched Scheduler) (*Result, error) {
 	return RunCtx(context.Background(), inst, sched, Options{})
 }
@@ -209,80 +207,40 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 	if inst.NumSinks() > 1 {
 		return nil, fmt.Errorf("online: the online protocol drives a single sink, instance has a fleet of %d", inst.NumSinks())
 	}
-	eng := sim.NewEngine()
 	res := NewResult(inst)
-
-	gamma := inst.Gamma
-	intervals := (inst.T + gamma - 1) / gamma
-	res.Intervals = intervals
-
-	var contention *rand.Rand
-	if opts.AckWindow > 0 {
-		contention = opts.contentionRand()
-	}
-	// The fault path is taken only when something can actually fire, so
-	// the common fault-free run never diverges from the paper's protocol.
-	var fs *faultState
+	// The recovering ledger is used only when something can actually
+	// fire, so a fault-free run commits exactly the paper's protocol.
+	var plan fault.Plan
 	var fb Fallback
-	if (opts.Faults != nil && !opts.Faults.Zero()) || opts.ComputeDeadline > 0 {
-		plan := fault.Plan{}
+	recovering := (opts.Faults != nil && !opts.Faults.Zero()) || opts.ComputeDeadline > 0
+	if recovering {
 		if opts.Faults != nil {
 			plan = *opts.Faults
 		}
 		if plan.Seed == 0 {
 			plan.Seed = opts.Seed // one seed reproduces the whole run
 		}
-		inj, err := fault.NewInjector(plan, len(inst.Sensors), inst.T)
-		if err != nil {
-			return nil, err
-		}
-		fs = newFaultState(inj, res)
-		res.Fault = fs.stats
+		res.Fault = &fault.Stats{}
+	}
+	inj, err := fault.NewInjector(plan, len(inst.Sensors), inst.T)
+	if err != nil {
+		return nil, err
+	}
+	if recovering {
 		fb = Fallback{Stalls: inj, Deadline: opts.ComputeDeadline, Degraded: opts.Degraded}
-		eng.SetFilter(fs.finishFilter)
 	}
 	led, err := NewLedger(inst, res, sched, res.Fault, fb)
 	if err != nil {
 		return nil, fmt.Errorf("online: %w", err)
 	}
-	var schedErr error
-	for j := 0; j < intervals; j++ {
-		j := j
-		start := j * gamma
-		end := start + gamma - 1
-		if end >= inst.T {
-			end = inst.T - 1
-		}
-		iv := Interval{Index: j, Start: start, End: end}
-		probeAt := float64(start) * inst.Tau
-		err := eng.Schedule(probeAt, fmt.Sprintf("probe-%d", j), func(now float64) {
-			if schedErr != nil {
-				return
-			}
-			if schedErr = ctx.Err(); schedErr != nil {
-				return
-			}
-			if fs != nil {
-				schedErr = runIntervalFaulty(ctx, eng, led, iv, opts, contention, fs)
-			} else {
-				schedErr = runInterval(ctx, eng, led, iv, opts, contention)
-			}
-		})
-		if err != nil {
+	d := NewDriver(led, newMemory(inst, res, inj, opts), inj.MaxRetries())
+	for j := 0; j < res.Intervals; j++ {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	eng.Run()
-	if schedErr != nil {
-		return nil, schedErr
-	}
-	res.Messages = MessageStats{
-		Probes:         eng.Counter("probe"),
-		Acks:           eng.Counter("ack"),
-		Schedules:      eng.Counter("schedule"),
-		Finishes:       eng.Counter("finish"),
-		Retransmits:    eng.Counter("probe-retransmit"),
-		RepairUnicasts: eng.Counter("repair"),
+		if err := d.Interval(ctx, j); err != nil {
+			return nil, fmt.Errorf("online: interval %d: %w", j, err)
+		}
 	}
 	inst.RecomputeData(res.Alloc)
 	res.Data = res.Alloc.Data
@@ -290,81 +248,6 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 		return nil, fmt.Errorf("online: produced infeasible allocation: %w", err)
 	}
 	return res, nil
-}
-
-// runInterval executes the probe → ack → schedule → transmit → finish cycle
-// of one interval.
-func runInterval(ctx context.Context, eng *sim.Engine, led *Ledger, iv Interval, opts Options, contention *rand.Rand) error {
-	inst, res := led.inst, led.res
-	eng.Count("probe", 1)
-	sinkPos := inst.Traj.PosAtSlotStart(iv.Start)
-
-	// Sensors in range of the probe ack with their profiles.
-	var inRange []int
-	for i := range inst.Sensors {
-		s := &inst.Sensors[i]
-		if s.Start < 0 || sinkPos.Dist(s.Pos) > inst.Range {
-			continue
-		}
-		inRange = append(inRange, i)
-	}
-	// Registration contention: every in-range sensor transmits an Ack, but
-	// only the contention winners are heard by the sink.
-	heard := make([]bool, len(inRange))
-	for k := range heard {
-		heard[k] = true
-	}
-	if contention != nil {
-		ok, err := mac.CSMAWindow(len(inRange), opts.AckWindow, contention)
-		if err != nil {
-			return err
-		}
-		heard = ok
-	}
-	var regs []Registration
-	for k, i := range inRange {
-		eng.Count("ack", 1) // the Ack is sent regardless of collisions
-		if !heard[k] {
-			eng.Count("ack-lost", 1)
-			continue
-		}
-		regs = append(regs, claim(inst, iv, i, res.Residual[i], res.ResidualData[i]))
-	}
-	return closeInterval(ctx, eng, led, iv, regs, nil)
-}
-
-// claim is sensor i's registration for the interval: the given budgets
-// and its window A(v) clipped to the interval.
-func claim(inst *core.Instance, iv Interval, i int, budget, dataLeft float64) Registration {
-	s := &inst.Sensors[i]
-	return Registration{
-		Sensor: i, Budget: budget, DataLeft: dataLeft,
-		ClipStart: max(s.Start, iv.Start), ClipEnd: min(s.End, iv.End),
-	}
-}
-
-// closeInterval ends every in-process interval, lossless or not: the
-// ledger admits the heard claims, plans the interval and commits it, and
-// the Finish broadcast goes out at the interval's end. The sensors debit
-// their budgets on Finish receipt; the ledger has already debited its
-// copy in the commit.
-func closeInterval(ctx context.Context, eng *sim.Engine, led *Ledger, iv Interval, regs []Registration, loss Loss) error {
-	led.Admit(iv, regs)
-	if len(regs) == 0 {
-		return nil // nobody answered; the sink idles this interval
-	}
-	plan, err := led.Plan(ctx, iv, regs)
-	if err != nil {
-		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
-	}
-	eng.Count("schedule", 1)
-	if _, _, err := led.Commit(iv, regs, plan, loss); err != nil {
-		return fmt.Errorf("online: interval %d: %w", iv.Index, err)
-	}
-	finishAt := (float64(iv.End) + 1) * led.inst.Tau
-	return eng.Schedule(finishAt, fmt.Sprintf("finish-%d", iv.Index), func(float64) {
-		eng.Count("finish", 1)
-	})
 }
 
 // Appro is the GAP-based scheduler (Online_Appro): within the interval it

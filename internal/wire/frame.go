@@ -6,9 +6,10 @@
 // framing:
 //
 //   - Sink, a TCP server that accepts long-lived sensor connections and
-//     drives the interval loop (probe broadcast → registration window →
-//     scheduler → schedule/finish broadcast), debiting budgets exactly as
-//     online.RunCtx does;
+//     runs the interval loop (probe broadcast → registration window →
+//     scheduler → schedule/finish broadcast) with online.RunCtx's own
+//     driver, so it probes the same sensors and debits budgets exactly
+//     as the in-process run;
 //   - SensorClient, a sensor endpoint that answers probes according to
 //     its visibility window, residual budget, and data queue;
 //   - ChaosProxy, which translates internal/fault plans into real
@@ -206,8 +207,10 @@ type AckKind uint8
 const (
 	// AckDecline answers a Probe from a sensor that is out of range (or
 	// has no visibility window); it carries no registration payload. The
-	// explicit negative answer is what lets the sink close a registration
-	// window without waiting out a timer on the fault-free path.
+	// sink probes only the sensors its radio reaches, so a client built
+	// from the sink's instance never declines; a client built from a
+	// different one does, and the explicit negative answer is how it
+	// settles an idealized registration window, which has no timer.
 	AckDecline AckKind = iota
 	// AckRegister answers a Probe from an in-range sensor and carries its
 	// online.Registration profile.

@@ -13,6 +13,7 @@ import (
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
 	"mobisink/internal/online"
+	"mobisink/internal/wal"
 )
 
 // pipeConns wraps both ends of a net.Pipe (fully synchronous: a write
@@ -25,7 +26,7 @@ func pipeConns(opt ConnOptions) (*Conn, *Conn) {
 // TestWriteDeadlineBoundsStalledPeer is the regression test for the
 // unbounded-blocking defect: before ConnOptions, a peer that stopped
 // draining its socket wedged WriteMsg — and with it the sink's broadcast
-// path inside runInterval — forever. With a write deadline the stall
+// path inside the interval loop — forever. With a write deadline the stall
 // surfaces as a net.Error timeout in bounded time.
 func TestWriteDeadlineBoundsStalledPeer(t *testing.T) {
 	a, _ := pipeConns(ConnOptions{WriteTimeout: 50 * time.Millisecond})
@@ -278,8 +279,10 @@ func launchRedialFleet(t *testing.T, addr string, inst *core.Instance, rd Redial
 }
 
 // TestConnKillChurnTour is the churn end-to-end: a seeded plan kills
-// every sensor's connection exactly once mid-tour. Every session must
-// resume, the tour must complete, and the protocol invariants must hold.
+// every sensor's connection exactly once during the tour, at the last
+// interval whose Probe reaches it (a kill fires on Probe delivery). Every
+// session must resume, the tour must complete, and the protocol
+// invariants must hold.
 func TestConnKillChurnTour(t *testing.T) {
 	inst := shortInstance(t, 16, 1200, 13)
 	n := len(inst.Sensors)
@@ -287,11 +290,19 @@ func TestConnKillChurnTour(t *testing.T) {
 	if intervals < 4 {
 		t.Fatalf("instance too short for mid-tour churn: %d intervals", intervals)
 	}
+	last := make(map[int]int, n)
+	for j, ids := range reachOf(inst) {
+		for _, i := range ids {
+			last[i] = j
+		}
+	}
 	plan := fault.Plan{Seed: 99, MaxRetries: 2}
 	for i := 0; i < n; i++ {
-		plan.ConnKills = append(plan.ConnKills, fault.ConnKill{
-			Sensor: i, Interval: 1 + i%(intervals-2),
-		})
+		j, ok := last[i]
+		if !ok {
+			t.Fatalf("sensor %d is in no interval's probe set", i)
+		}
+		plan.ConnKills = append(plan.ConnKills, fault.ConnKill{Sensor: i, Interval: j})
 	}
 	rec := &Recovery{
 		MaxRetries:    2,
@@ -477,5 +488,68 @@ func TestJournalRejectsForeignInstance(t *testing.T) {
 	sinkA.Close() // leaves just the Begin record
 	if _, err := NewSink(SinkConfig{Inst: instB, Scheduler: &online.Greedy{}, WALPath: walPath}); err == nil {
 		t.Fatal("sink accepted a journal written for a different instance")
+	}
+}
+
+// TestCancelInConfirmWindowCommitsNothing: a context canceled while a
+// Recovery sink waits for Confirms ends the interval before its commit.
+// Reading the cancellation as the assignees' silence would commit and
+// journal a slot loss the sensor never caused, which a restarted sink
+// would replay.
+func TestCancelInConfirmWindowCommitsNothing(t *testing.T) {
+	inst := shortInstance(t, 4, 900, 17)
+	id := -1
+	for _, ids := range reachOf(inst) {
+		if len(ids) > 0 {
+			id = ids[0]
+			break
+		}
+	}
+	walPath := filepath.Join(t.TempDir(), "tour.wal")
+	rec := &Recovery{RegWindow: 30 * time.Second, ConfirmWindow: 30 * time.Second}
+	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Recovery: rec, Sensors: 1, WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	c, _ := rawHandshake(t, sink.Addr(), id, 0, -1)
+	canceled := make(chan int, 1)
+	peer := servePeer(c, func(m Msg) bool {
+		switch m := m.(type) {
+		case *Probe:
+			_ = c.WriteMsg(liveClaim(inst, m, id))
+		case *Schedule:
+			if len(m.Pairs) > 0 { // cancel instead of confirming
+				select {
+				case canceled <- m.Interval:
+					cancel()
+				default:
+				}
+			}
+		}
+		return true
+	})
+	if err := sink.WaitSensors(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.RunTour(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunTour: %v, want context.Canceled", err)
+	}
+	sink.Close()
+	waitPeers(t, peer)
+
+	j := <-canceled
+	log, recs, err := wal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	for _, r := range recs {
+		if c, ok := r.(wal.Commit); ok && c.Interval >= j {
+			t.Errorf("journal commits interval %d, canceled in its confirm window: %+v", c.Interval, c)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,6 +73,32 @@ func emptyClaim(p *Probe, id int) *Ack {
 	return RegisterAck(p.Interval, p.Attempt, online.Registration{Sensor: id, ClipStart: p.Start, ClipEnd: p.End})
 }
 
+// reachOf returns each interval's probe set: the sensors the sink's
+// radio reaches at the interval's first slot.
+func reachOf(inst *core.Instance) [][]int {
+	reach := make([][]int, (inst.T+inst.Gamma-1)/inst.Gamma)
+	for j := range reach {
+		start := j * inst.Gamma
+		iv := online.Interval{Index: j, Start: start, End: min(start+inst.Gamma, inst.T) - 1}
+		reach[j] = online.InRange(inst, iv, nil)
+	}
+	return reach
+}
+
+// sharedReach returns the first interval from j on whose probe set holds
+// at least two sensors, and the first two of them.
+func sharedReach(t *testing.T, inst *core.Instance, j int) (iv, a, b int) {
+	t.Helper()
+	reach := reachOf(inst)
+	for ; j < len(reach); j++ {
+		if len(reach[j]) >= 2 {
+			return j, reach[j][0], reach[j][1]
+		}
+	}
+	t.Fatal("no interval's probe set holds two sensors")
+	return
+}
+
 // waitPeers waits for hand-rolled peers to exit after the sink closed.
 func waitPeers(t *testing.T, peers ...<-chan struct{}) {
 	t.Helper()
@@ -88,7 +115,8 @@ func waitPeers(t *testing.T, peers ...<-chan struct{}) {
 // termination rule for peers that hang up mid-window: a peer that closes
 // without answering ends its own wait (the tour completes, the sensor
 // unregistered), and an Ack forwarded before its peer closed still
-// counts.
+// counts. Both peers are in the first probe set that holds two sensors,
+// so they are first probed in the same window.
 func TestClosedPeerSettlesIdealizedWait(t *testing.T) {
 	inst := shortInstance(t, 8, 900, 17)
 	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}})
@@ -97,7 +125,7 @@ func TestClosedPeerSettlesIdealizedWait(t *testing.T) {
 	}
 	defer sink.Close()
 
-	const silent, claimer = 0, 1
+	iv, silent, claimer := sharedReach(t, inst, 0)
 	c0, _ := rawHandshake(t, sink.Addr(), silent, 0, -1)
 	p0 := servePeer(c0, func(Msg) bool { return false }) // hang up at the first Probe
 	c1, _ := rawHandshake(t, sink.Addr(), claimer, 0, -1)
@@ -126,8 +154,8 @@ func TestClosedPeerSettlesIdealizedWait(t *testing.T) {
 	if got := res.RegisteredIn[silent]; len(got) != 0 {
 		t.Errorf("silent peer registered in intervals %v", got)
 	}
-	if got := res.RegisteredIn[claimer]; !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("claim sent before hanging up: registered in %v, want [0]", got)
+	if got := res.RegisteredIn[claimer]; !reflect.DeepEqual(got, []int{iv}) {
+		t.Errorf("claim sent before hanging up: registered in %v, want [%d]", got, iv)
 	}
 	if err := res.CheckLemma1(); err != nil {
 		t.Error(err)
@@ -135,35 +163,36 @@ func TestClosedPeerSettlesIdealizedWait(t *testing.T) {
 }
 
 // TestStaleTrafficNeverShortensWait: out-of-phase and foreign answers
-// must not settle anyone. During interval 1 one peer sends the previous
-// interval's Confirm, Acks for other intervals, a decline claiming the
-// other peer's id, and its own answer twice; the other peer answers
-// late. Any of them miscounted would close the window before the late
-// answer, leaving the late peer unregistered.
+// must not settle anyone. During interval iv (the first after 0 whose
+// probe set holds two sensors) one peer sends the previous interval's
+// Confirm, Acks for other intervals, a decline claiming the other peer's
+// id, and its own answer twice; the other peer answers late. Any of them
+// miscounted would close the window before the late answer, leaving the
+// late peer unregistered.
 func TestStaleTrafficNeverShortensWait(t *testing.T) {
 	inst := shortInstance(t, 4, 900, 17)
-	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Sensors: 2, HaltAfter: 2})
+	iv, noisy, late := sharedReach(t, inst, 1)
+	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Sensors: 2, HaltAfter: iv + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
 
-	const noisy, late = 0, 1
 	cn, _ := rawHandshake(t, sink.Addr(), noisy, 0, -1)
 	pn := servePeer(cn, func(m Msg) bool {
 		p, ok := m.(*Probe)
 		if !ok {
 			return true
 		}
-		if p.Interval != 1 {
+		if p.Interval != iv {
 			_ = cn.WriteMsg(decline(p, noisy))
 			return true
 		}
 		for _, a := range []*Ack{
-			{Kind: AckConfirm, Interval: 0, Sensor: noisy},
-			{Kind: AckDecline, Interval: 0, Sensor: noisy},
-			{Kind: AckDecline, Interval: 2, Sensor: noisy},
-			{Kind: AckConfirm, Interval: 1, Sensor: noisy},
+			{Kind: AckConfirm, Interval: iv - 1, Sensor: noisy},
+			{Kind: AckDecline, Interval: iv - 1, Sensor: noisy},
+			{Kind: AckDecline, Interval: iv + 1, Sensor: noisy},
+			{Kind: AckConfirm, Interval: iv, Sensor: noisy},
 			decline(p, late),
 			emptyClaim(p, noisy),
 			emptyClaim(p, noisy),
@@ -179,7 +208,7 @@ func TestStaleTrafficNeverShortensWait(t *testing.T) {
 		if !ok {
 			return true
 		}
-		if p.Interval == 1 {
+		if p.Interval == iv {
 			time.Sleep(100 * time.Millisecond)
 			_ = cl.WriteMsg(emptyClaim(p, late))
 		} else {
@@ -195,14 +224,14 @@ func TestStaleTrafficNeverShortensWait(t *testing.T) {
 	}
 	res, err := sink.RunTour(ctx)
 	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("RunTour: %v, want ErrHalted after 2 intervals", err)
+		t.Fatalf("RunTour: %v, want ErrHalted after %d intervals", err, iv+1)
 	}
 	sink.Close()
 	waitPeers(t, pn, pl)
 
 	for _, id := range []int{noisy, late} {
-		if got := res.RegisteredIn[id]; !reflect.DeepEqual(got, []int{1}) {
-			t.Errorf("sensor %d registered in %v, want [1]", id, got)
+		if got := res.RegisteredIn[id]; !reflect.DeepEqual(got, []int{iv}) {
+			t.Errorf("sensor %d registered in %v, want [%d]", id, got, iv)
 		}
 	}
 	if res.Messages.Acks != 2 {
@@ -213,22 +242,27 @@ func TestStaleTrafficNeverShortensWait(t *testing.T) {
 // TestRetransmitAnswerCountsOnce: in recovery mode a sensor whose first
 // answer is late answers both the original probe and the retransmit.
 // Counting it twice would close the retransmit round before the other
-// straggler's answer.
+// straggler's answer. Both peers are in the probe set of interval iv, the
+// first that holds two sensors, and decline any earlier Probe.
 func TestRetransmitAnswerCountsOnce(t *testing.T) {
 	inst := shortInstance(t, 4, 900, 17)
+	iv, twice, straggler := sharedReach(t, inst, 0)
 	rec := &Recovery{MaxRetries: 1, RegWindow: 300 * time.Millisecond, ConfirmWindow: 50 * time.Millisecond}
-	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Recovery: rec, Sensors: 2, HaltAfter: 1})
+	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Recovery: rec, Sensors: 2, HaltAfter: iv + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
 
-	const twice, straggler = 0, 1
 	ct, _ := rawHandshake(t, sink.Addr(), twice, 0, -1)
 	var first *Probe
 	pt := servePeer(ct, func(m Msg) bool {
 		p, ok := m.(*Probe)
 		if !ok {
+			return true
+		}
+		if p.Interval != iv {
+			_ = ct.WriteMsg(decline(p, twice))
 			return true
 		}
 		if p.Attempt == 0 {
@@ -241,7 +275,12 @@ func TestRetransmitAnswerCountsOnce(t *testing.T) {
 	})
 	cs, _ := rawHandshake(t, sink.Addr(), straggler, 0, -1)
 	ps := servePeer(cs, func(m Msg) bool {
-		if p, ok := m.(*Probe); ok && p.Attempt == 1 {
+		p, ok := m.(*Probe)
+		switch {
+		case !ok:
+		case p.Interval != iv:
+			_ = cs.WriteMsg(decline(p, straggler))
+		case p.Attempt == 1:
 			time.Sleep(50 * time.Millisecond)
 			_ = cs.WriteMsg(emptyClaim(p, straggler))
 		}
@@ -255,14 +294,14 @@ func TestRetransmitAnswerCountsOnce(t *testing.T) {
 	}
 	res, err := sink.RunTour(ctx)
 	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("RunTour: %v, want ErrHalted after 1 interval", err)
+		t.Fatalf("RunTour: %v, want ErrHalted after %d intervals", err, iv+1)
 	}
 	sink.Close()
 	waitPeers(t, pt, ps)
 
 	for _, id := range []int{twice, straggler} {
-		if got := res.RegisteredIn[id]; !reflect.DeepEqual(got, []int{0}) {
-			t.Errorf("sensor %d registered in %v, want [0]", id, got)
+		if got := res.RegisteredIn[id]; !reflect.DeepEqual(got, []int{iv}) {
+			t.Errorf("sensor %d registered in %v, want [%d]", id, got, iv)
 		}
 	}
 	if res.Messages.Acks != 2 {
@@ -348,4 +387,82 @@ func liveClaim(inst *core.Instance, p *Probe, id int) *Ack {
 		Sensor: id, Budget: s.Budget, DataLeft: inst.DataCapOf(id),
 		ClipStart: max(s.Start, p.Start), ClipEnd: min(s.End, p.End),
 	})
+}
+
+// TestProbeSetIsRadioReach: the sink probes exactly the connected
+// sensors its radio reaches, in both modes. Hand-rolled peers for every
+// other sensor record each Probe and answer it as a live client would; a
+// peer must be probed in exactly the intervals whose probe set holds it,
+// and the tour's Probe frames must number Σ_j |reach(j) ∩ connected|.
+func TestProbeSetIsRadioReach(t *testing.T) {
+	inst := shortInstance(t, 16, 1200, 13)
+	reach := reachOf(inst)
+	for _, tc := range []struct {
+		name string
+		rec  *Recovery
+	}{
+		{"idealized", nil},
+		{"recovery", &Recovery{MaxRetries: 2, RegWindow: 5 * time.Second, ConfirmWindow: 5 * time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var connected []int
+			for i := 0; i < len(inst.Sensors); i += 2 {
+				connected = append(connected, i)
+			}
+			sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Greedy{}, Recovery: tc.rec, Sensors: len(connected)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sink.Close()
+			var mu sync.Mutex
+			probed := make(map[int][]int)
+			var peers []<-chan struct{}
+			for _, id := range connected {
+				c, _ := rawHandshake(t, sink.Addr(), id, 0, -1)
+				peers = append(peers, servePeer(c, func(m Msg) bool {
+					switch m := m.(type) {
+					case *Probe:
+						mu.Lock()
+						probed[id] = append(probed[id], m.Interval)
+						mu.Unlock()
+						_ = c.WriteMsg(liveClaim(inst, m, id))
+					case *Schedule:
+						if slices.ContainsFunc(m.Pairs, func(a Assign) bool { return a.Sensor == id }) {
+							_ = c.WriteMsg(&Ack{Kind: AckConfirm, Interval: m.Interval, Sensor: id})
+						}
+					}
+					return true
+				}))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := sink.WaitSensors(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := sentByType[TypeProbe].Value()
+			if _, err := sink.RunTour(ctx); err != nil {
+				t.Fatal(err)
+			}
+			sent := sentByType[TypeProbe].Value() - before
+			sink.Close()
+			waitPeers(t, peers...)
+
+			frames := 0
+			for _, id := range connected {
+				var want []int
+				for j, ids := range reach {
+					if slices.Contains(ids, id) {
+						want = append(want, j)
+					}
+				}
+				frames += len(want)
+				if got := probed[id]; !slices.Equal(got, want) {
+					t.Errorf("sensor %d probed in intervals %v, its reach is %v", id, got, want)
+				}
+			}
+			if sent != float64(frames) {
+				t.Errorf("sink sent %v Probe frames, want Σ|reach ∩ connected| = %d", sent, frames)
+			}
+		})
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,9 +27,9 @@ var ErrHalted = errors.New("wire: tour halted by HaltAfter")
 // counterpart of online.Options.Faults: bounded probe retransmission,
 // stale-budget clamps, confirm-based silence detection with schedule
 // repair, and degraded-mode fallback. Nil Recovery runs the paper's
-// idealized protocol: the sink waits for every connected sensor's answer
-// (register or decline) with no timers, which is what makes the
-// fault-free tour byte-identical to online.Run.
+// idealized protocol: the sink probes the connected sensors its radio
+// reaches and waits for every one's answer with no timers, which is what
+// makes the fault-free tour byte-identical to online.Run.
 type Recovery struct {
 	// MaxRetries bounds the extra registration rounds per interval (the
 	// in-process Plan.MaxRetries).
@@ -124,30 +123,13 @@ var errClosed = fmt.Errorf("sink closed: %w", net.ErrClosed)
 // connection, for the peers to hang up before closing outright.
 const lingerTimeout = time.Second
 
-// Registration-phase state of one sensor (Sink.ans). The phase marks its
-// probe set, settles each sensor at most once, and resets the set to
-// ansNone when it ends.
-const (
-	ansNone      uint8 = iota // not probed, or settled without a claim
-	ansUnreached              // probed and silent, outside the current round's countdown
-	ansWaiting                // probed and silent, counted in the countdown
-	ansClaimed                // settled with a registration
-)
-
-// answer is one sensor's registration-phase state and claim.
-type answer struct {
-	state uint8
-	reg   online.Registration
-}
-
 // Sink is the mobile sink as a TCP server: it accepts long-lived sensor
-// connections and drives the tour's interval loop over them — probe
-// broadcast, registration window, scheduler, schedule/finish broadcast —
-// with every ledger decision made by an online.Ledger, as in the
-// in-process runner. Sensors that disconnect mid-tour may resume their
-// session (Resume/Sync handshake) within the session TTL; with a WAL
-// configured the sink itself may die and a successor resume the tour
-// from the journal.
+// connections and runs the tour's intervals over them with the same
+// online.Driver and online.Ledger as the in-process runner; its
+// sinkTransport only moves the frames. Sensors that disconnect mid-tour
+// may resume their session (Resume/Sync handshake) within the session
+// TTL; with a WAL configured the sink itself may die and a successor
+// resume the tour from the journal.
 type Sink struct {
 	cfg   SinkConfig
 	rec   *Recovery
@@ -158,12 +140,13 @@ type Sink struct {
 	// bc is the sharded write plane.
 	bc *broadcaster
 
-	// res is the tour ledger, created (or WAL-replayed) by NewSink, and
-	// led makes its interval decisions. RunTour's goroutine owns all
-	// writes; the session handshake reads Residual/ResidualData/
-	// committedIv under lmu.
+	// res is the tour ledger, created (or WAL-replayed) by NewSink; led
+	// makes its interval decisions and drv runs the intervals. RunTour's
+	// goroutine owns all writes; the session handshake reads residuals
+	// through led.Residual and committedIv under lmu.
 	res *online.Result
 	led *online.Ledger
+	drv *online.Driver
 	lmu sync.Mutex
 	// committedIv is the last interval whose commit is final (-1 none).
 	committedIv int
@@ -172,11 +155,6 @@ type Sink struct {
 	resumeFrom   int
 	tourDone     bool
 	recoverStart time.Time
-
-	// ans is the registration phase's per-sensor state, indexed by
-	// sensor; it belongs to RunTour's goroutine and is reused across
-	// intervals.
-	ans []answer
 
 	// handlers counts the running connection handlers; Close waits on it.
 	handlers sync.WaitGroup
@@ -224,7 +202,6 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		ttl:         cfg.SessionTTL,
 		inbox:       make(chan inbound, max(256, 16*cfg.Sensors)),
 		done:        make(chan struct{}),
-		ans:         make([]answer, len(cfg.Inst.Sensors)),
 		conns:       make(map[int]*Conn),
 		open:        make(map[*Conn]struct{}),
 		sessions:    make(map[int]*session),
@@ -233,7 +210,9 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		committedIv: -1,
 	}
 	var fb online.Fallback
+	retries := 0
 	if s.rec != nil {
+		retries = s.rec.MaxRetries
 		if s.rec.RegWindow <= 0 {
 			s.rec.RegWindow = 100 * time.Millisecond
 		}
@@ -248,6 +227,7 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	s.led = led
+	s.drv = online.NewDriver(led, &sinkTransport{s: s, ans: make([]uint8, len(cfg.Inst.Sensors))}, retries)
 	if cfg.WALPath != "" {
 		if err := s.openJournal(cfg.WALPath); err != nil {
 			return nil, err
@@ -605,9 +585,8 @@ func (s *Sink) attach(id int, c *Conn, rs *Resume) (*Sync, *Conn) {
 
 	s.lmu.Lock()
 	committed := s.committedIv
-	budget := s.res.Residual[id]
-	dataLeft := s.res.ResidualData[id]
 	s.lmu.Unlock()
+	budget, dataLeft := s.led.Residual(id)
 
 	missed := 0
 	if resumed && committed > rs.LastInterval {
@@ -653,45 +632,17 @@ func (s *Sink) WaitSensors(ctx context.Context) error {
 	}
 }
 
-// liveIDs returns the connected sensor indices, ascending.
-func (s *Sink) liveIDs() []int {
-	s.mu.Lock()
-	ids := make([]int, 0, len(s.conns))
-	for id := range s.conns {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Ints(ids)
-	return ids
-}
-
-// reachableLocked reports whether the sensor is connected or holds a
-// resumable session — disconnected for less than the TTL, so it may
-// reconnect mid-interval. The caller holds s.mu.
+// reachableLocked reports whether a Probe can reach the sensor: it is
+// connected or, in Recovery mode, holds a resumable session —
+// disconnected for less than the TTL, so it may reconnect before the
+// round closes, and writing it off at once would let a fast tour outrun
+// every reconnect. The caller holds s.mu.
 func (s *Sink) reachableLocked(id int, now time.Time) bool {
 	if s.conns[id] != nil {
 		return true
 	}
 	sess := s.sessions[id]
-	return sess != nil && (sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
-}
-
-// reachableIDs returns the sensors the recovery-mode registration phase
-// should solicit, ascending: everyone connected plus everyone whose
-// session is still within its TTL — a sensor whose connection just died
-// may resume before the registration window closes, and writing it off
-// immediately would let a fast tour outrun every reconnect.
-func (s *Sink) reachableIDs() []int {
-	now := time.Now()
-	var ids []int
-	s.mu.Lock()
-	for id := range s.cfg.Inst.Sensors {
-		if s.reachableLocked(id, now) {
-			ids = append(ids, id)
-		}
-	}
-	s.mu.Unlock()
-	return ids
+	return s.rec != nil && sess != nil && (sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
 }
 
 // dropConn discards a connection whose write failed; its sensor may
@@ -724,26 +675,17 @@ func (s *Sink) dropConn(id int, c *Conn) {
 func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 	inst := s.cfg.Inst
 	res := s.res
-	gamma := inst.Gamma
-	intervals := (inst.T + gamma - 1) / gamma
-	res.Intervals = intervals
 	if !s.recoverStart.IsZero() {
 		recoverySeconds.Observe(time.Since(s.recoverStart).Seconds())
 		s.recoverStart = time.Time{}
 	}
 	ran := 0
-	for j := s.resumeFrom; j < intervals && !s.tourDone; j++ {
-		start := j * gamma
-		end := start + gamma - 1
-		if end >= inst.T {
-			end = inst.T - 1
-		}
-		iv := online.Interval{Index: j, Start: start, End: end}
-		if err := s.runInterval(ctx, iv); err != nil {
+	for j := s.resumeFrom; j < res.Intervals && !s.tourDone; j++ {
+		if err := s.drv.Interval(ctx, j); err != nil {
 			return nil, fmt.Errorf("wire: interval %d: %w", j, err)
 		}
 		ran++
-		if s.cfg.HaltAfter > 0 && ran >= s.cfg.HaltAfter && j+1 < intervals {
+		if s.cfg.HaltAfter > 0 && ran >= s.cfg.HaltAfter && j+1 < res.Intervals {
 			return res, ErrHalted
 		}
 	}
@@ -766,84 +708,6 @@ func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 		return nil, fmt.Errorf("wire: produced infeasible allocation: %w", err)
 	}
 	return res, nil
-}
-
-// runInterval executes one probe → ack → schedule → finish cycle over
-// the wire, journaling the commit before the Finish broadcast so a
-// crash between the two cannot lose a debit the sensors performed.
-func (s *Sink) runInterval(ctx context.Context, iv online.Interval) error {
-	inst, res := s.cfg.Inst, s.res
-	sinkPos := inst.Traj.PosAtSlotStart(iv.Start)
-	probe := &Probe{Interval: iv.Index, Start: iv.Start, End: iv.End, SinkX: sinkPos.X, SinkY: sinkPos.Y}
-
-	probeAt := time.Now()
-	regs, err := s.registration(ctx, iv, probe)
-	if err != nil {
-		return err
-	}
-	regRoundtrip.Observe(time.Since(probeAt).Seconds())
-
-	// regs come in canonical order (ascending sensor index, matching the
-	// in-process runner regardless of Ack arrival order).
-	s.led.Admit(iv, regs)
-	ids := make([]int, len(regs))
-	for k := range regs {
-		ids[k] = regs[k].Sensor
-	}
-	if len(regs) == 0 {
-		// Nobody answered; the sink idles this interval. The empty commit
-		// still journals so a restarted sink resumes past it.
-		if err := s.commitInterval(iv.Index, nil, nil, nil); err != nil {
-			return err
-		}
-		intervalCommitNs.Observe(float64(time.Since(probeAt).Nanoseconds()))
-		return nil
-	}
-
-	computeAt := time.Now()
-	plan, err := s.led.Plan(ctx, iv, regs)
-	if err != nil {
-		return err
-	}
-	intervalCompute.Observe(time.Since(computeAt).Seconds())
-
-	// Schedule broadcast to the registered sensors (slot → sensor pairs
-	// sorted by slot; one logical broadcast regardless of fan-out).
-	pairs := make([]Assign, 0, len(plan))
-	for slot, sensor := range plan {
-		pairs = append(pairs, Assign{Slot: slot, Sensor: sensor})
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].Slot < pairs[b].Slot })
-	s.broadcast(&Schedule{Interval: iv.Index, Pairs: pairs}, ids)
-	res.Messages.Schedules++
-
-	// Recovery mode learns what the network lost from the Confirms: an
-	// assignee that never confirmed is crashed, deaf, or unreachable.
-	var loss online.Loss
-	if s.rec != nil {
-		silent, err := s.collectConfirms(ctx, iv, plan)
-		if err != nil {
-			return err
-		}
-		loss = &confirmLoss{s: s, iv: iv.Index, silent: silent}
-	}
-	s.lmu.Lock()
-	committed, debits, err := s.led.Commit(iv, regs, plan, loss)
-	s.lmu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := s.commitInterval(iv.Index, ids, committed, debits); err != nil {
-		return err
-	}
-	intervalCommitNs.Observe(float64(time.Since(probeAt).Nanoseconds()))
-
-	// Finish broadcast: the registered sensors debit their budgets on
-	// receipt; TCP ordering delivers it before the next interval's Probe,
-	// so every later registration claim reflects the debit.
-	s.broadcast(&Finish{Interval: iv.Index}, ids)
-	res.Messages.Finishes++
-	return nil
 }
 
 // confirmLoss is the commit's view of a recovery-mode interval: the
@@ -903,185 +767,4 @@ func (s *Sink) broadcast(m Msg, ids []int) {
 	start := time.Now()
 	_ = s.bc.Broadcast(m, ids)
 	broadcastFanout.Observe(float64(time.Since(start).Nanoseconds()))
-}
-
-// registration runs the interval's registration phase and returns the
-// heard claims in ascending sensor order. With Recovery nil it is the
-// idealized exchange: every connected sensor answers every probe
-// (register or decline), so the window closes exactly when all answers
-// are in — no timers, no drops, and Ack counts that match the in-process
-// run. With Recovery set it runs timed windows with up to MaxRetries
-// retransmit rounds unicast to the sensors still silent; a sensor that
-// loses its connection mid-window and resumes its session before the
-// next round is re-probed like any other straggler.
-func (s *Sink) registration(ctx context.Context, iv online.Interval, probe *Probe) ([]online.Registration, error) {
-	var all []int
-	mark := ansWaiting
-	if s.rec == nil {
-		all = s.liveIDs()
-	} else {
-		// Recovery mode also waits (bounded by the windows) for sensors
-		// whose connection died but whose session is inside its TTL: they
-		// may resume before the window closes and answer a retransmit.
-		// Each round counts down the ones reachable at its start.
-		all = s.reachableIDs()
-		mark = ansUnreached
-	}
-	s.broadcast(probe, all)
-	s.res.Messages.Probes++
-	for _, id := range all {
-		s.ans[id].state = mark
-	}
-	err := s.awaitAnswers(ctx, iv, probe, all)
-	var regs []online.Registration
-	for _, id := range all {
-		a := &s.ans[id]
-		if a.state == ansClaimed {
-			regs = append(regs, a.reg)
-		}
-		a.state = ansNone
-	}
-	if err != nil {
-		return nil, err
-	}
-	return regs, nil
-}
-
-// awaitAnswers runs the registration windows over the marked probe set.
-// Idealized mode counts every probed sensor down once, with no timer.
-// Recovery mode recomputes the countdown at each round boundary from the
-// sensors still silent and reachable then, so a session TTL that expires
-// mid-round is noticed at the next boundary.
-func (s *Sink) awaitAnswers(ctx context.Context, iv online.Interval, probe *Probe, all []int) error {
-	if s.rec == nil {
-		return s.countDown(ctx, len(all), nil, iv.Index)
-	}
-	for attempt := 0; attempt <= s.rec.MaxRetries; attempt++ {
-		pending := s.countReachable(all)
-		if len(pending) == 0 {
-			break
-		}
-		if attempt > 0 {
-			// One retransmission round: re-probe the stragglers (unicast,
-			// but tallied as one round like the in-process recovery).
-			rp := *probe
-			rp.Attempt = attempt
-			s.broadcast(&rp, pending)
-			s.res.Messages.Retransmits++
-			s.res.Fault.ProbeRetransmissions++
-		}
-		timer := time.NewTimer(s.rec.RegWindow)
-		err := s.countDown(ctx, len(pending), timer.C, iv.Index)
-		timer.Stop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// countDown is one registration window: it settles inbox messages until
-// the left counted sensors have all settled or expire fires (never, when
-// nil), so each message costs O(1).
-func (s *Sink) countDown(ctx context.Context, left int, expire <-chan time.Time, interval int) error {
-	for left > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.done:
-			return errClosed
-		case <-expire:
-			return nil
-		case in := <-s.inbox:
-			if s.settle(in, interval) {
-				left--
-			}
-		}
-	}
-	return nil
-}
-
-// countReachable starts a recovery round: every probed sensor still
-// silent is counted down this round if it is connected or holds a
-// session within its TTL, and otherwise left unreached. It returns the
-// counted ids, ascending.
-func (s *Sink) countReachable(all []int) []int {
-	now := time.Now()
-	var pending []int
-	s.mu.Lock()
-	for _, id := range all {
-		a := &s.ans[id]
-		if a.state != ansWaiting && a.state != ansUnreached {
-			continue
-		}
-		a.state = ansUnreached
-		if s.reachableLocked(id, now) {
-			a.state = ansWaiting
-			pending = append(pending, id)
-		}
-	}
-	s.mu.Unlock()
-	return pending
-}
-
-// settle applies one inbox message to the registration phase and
-// reports whether it settled a sensor counted in the current countdown.
-// Only a probed, still-silent sensor's first valid answer settles it;
-// in idealized mode so does its connection's closed marker, which
-// handle sends behind every message it forwarded from that connection.
-// Recovery mode ignores closed markers: the sensor may resume and
-// answer a retransmit.
-func (s *Sink) settle(in inbound, interval int) bool {
-	a := &s.ans[in.sensor]
-	if a.state != ansWaiting && a.state != ansUnreached {
-		return false // not probed, or already settled
-	}
-	if in.msg == nil {
-		if s.rec != nil {
-			return false
-		}
-		a.state = ansNone
-		return true
-	}
-	ack, ok := in.msg.(*Ack)
-	if !ok || ack.Interval != interval || ack.Kind == AckConfirm || ack.Sensor != in.sensor {
-		return false // stale or out-of-phase traffic
-	}
-	counted := a.state == ansWaiting
-	a.state = ansNone
-	if ack.Kind == AckRegister {
-		a.state, a.reg = ansClaimed, ack.Registration()
-		s.res.Messages.Acks++
-	}
-	return counted
-}
-
-// collectConfirms waits out the confirm window and returns the
-// assignees of the plan that never confirmed the Schedule broadcast.
-func (s *Sink) collectConfirms(ctx context.Context, iv online.Interval, plan map[int]int) (map[int]bool, error) {
-	silent := make(map[int]bool)
-	for _, sensor := range plan {
-		silent[sensor] = true
-	}
-	timer := time.NewTimer(s.rec.ConfirmWindow)
-	defer timer.Stop()
-	for len(silent) > 0 {
-		select {
-		case <-ctx.Done():
-			return silent, nil
-		case <-s.done:
-			return nil, errClosed
-		case <-timer.C:
-			return silent, nil
-		case in := <-s.inbox:
-			if in.msg == nil {
-				continue
-			}
-			ack, ok := in.msg.(*Ack)
-			if ok && ack.Kind == AckConfirm && ack.Interval == iv.Index {
-				delete(silent, in.sensor)
-			}
-		}
-	}
-	return silent, nil
 }
