@@ -10,6 +10,7 @@ import (
 
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
+	"mobisink/internal/fault"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -457,6 +458,59 @@ func TestMaxMatchBackendsAgree(t *testing.T) {
 		}
 		if math.Abs(flow.Data-hung.Data) > 1e-6 {
 			t.Fatalf("seed %d: flow %v != hungarian %v", seed, flow.Data, hung.Data)
+		}
+	}
+}
+
+// TestLedgerResidualDuringCommit reads residuals from another goroutine
+// while a driver commits a tour, as a wire session handshake does: the
+// ledger's lock must order the reads against the debits (run it with
+// -race), and the tour must end with Run's residuals.
+func TestLedgerResidualDuringCommit(t *testing.T) {
+	inst := paperInstance(t, 60, 41, radio.Paper2013(), 5, 1)
+	want, err := Run(inst, &Greedy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := NewResult(inst)
+	led, err := NewLedger(inst, res, &Greedy{}, nil, Fallback{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(fault.Plan{}, len(inst.Sensors), inst.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDriver(led, newMemory(inst, res, inj, Options{}), 0)
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range inst.Sensors {
+				if e, _ := led.Residual(i); e < 0 || e > inst.Sensors[i].Budget {
+					t.Errorf("sensor %d residual %v outside [0, %v] mid-tour", i, e, inst.Sensors[i].Budget)
+					return
+				}
+			}
+		}
+	}()
+	for j := 0; j < res.Intervals; j++ {
+		if err := d.Interval(context.Background(), j); err != nil {
+			close(stop)
+			<-read
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-read
+	for i := range want.Residual {
+		if e, data := led.Residual(i); e != want.Residual[i] || data != want.ResidualData[i] {
+			t.Fatalf("sensor %d residuals (%v, %v), Run ends at (%v, %v)", i, e, data, want.Residual[i], want.ResidualData[i])
 		}
 	}
 }
