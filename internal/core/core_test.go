@@ -7,7 +7,6 @@ import (
 
 	"mobisink/internal/energy"
 	"mobisink/internal/gap"
-	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -25,28 +24,9 @@ func tinyDeployment(t *testing.T, n int, seed int64, budget float64) *network.De
 	return d
 }
 
-// gapOf mirrors OfflineAppro's reduction so tests can compute the exhaustive
-// optimum of the same combinatorial problem.
-func gapOf(inst *Instance) *gap.Instance {
-	g := &gap.Instance{NumItems: inst.T}
-	for i := range inst.Sensors {
-		s := &inst.Sensors[i]
-		bin := gap.Bin{Capacity: s.Budget}
-		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
-			if s.RateAt(j) > 0 && s.PowerAt(j) > 0 {
-				bin.Entries = append(bin.Entries, gap.Entry{
-					Item: j, Profit: s.RateAt(j) * inst.Tau, Weight: s.PowerAt(j) * inst.Tau,
-				})
-			}
-		}
-		g.Bins = append(g.Bins, bin)
-	}
-	return g
-}
-
 func optimum(t *testing.T, inst *Instance) float64 {
 	t.Helper()
-	opt, err := gap.Exhaustive(gapOf(inst), 1<<28)
+	opt, err := gap.Exhaustive(buildGAP(inst, sensorOrder(inst)), 1<<28)
 	if err != nil {
 		t.Skipf("instance too large for exhaustive: %v", err)
 	}
@@ -203,6 +183,9 @@ func TestOfflineApproFeasibleAndHalfOptimal(t *testing.T) {
 			t.Fatalf("seed %d: appro %v exceeds upper bound %v", seed, a.Data, ub)
 		}
 	}
+	if _, err := OfflineAppro(nil, Options{}); err == nil {
+		t.Error("expected nil-instance error")
+	}
 }
 
 func TestOfflineApproForceFPTAS(t *testing.T) {
@@ -218,21 +201,6 @@ func TestOfflineApproForceFPTAS(t *testing.T) {
 	opt := optimum(t, inst)
 	if a.Data < opt/(2+0.2)-1e-9 {
 		t.Fatalf("fptas appro %v < OPT/(2+eps) = %v", a.Data, opt/2.2)
-	}
-}
-
-func TestOfflineApproCustomSolver(t *testing.T) {
-	d := tinyDeployment(t, 2, 13, 0.7)
-	inst, _ := BuildInstance(d, radio.Paper2013(), 30, 1)
-	a, err := OfflineAppro(inst, Options{Knapsack: knapsack.Greedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Validate(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OfflineAppro(nil, Options{}); err == nil {
-		t.Error("expected nil-instance error")
 	}
 }
 

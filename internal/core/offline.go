@@ -13,13 +13,8 @@ import (
 	"mobisink/internal/matching"
 )
 
-// Options tunes the offline approximation algorithm.
+// Options tunes the offline approximation algorithm's knapsack oracle.
 type Options struct {
-	// Knapsack overrides the inner single-bin solver. Nil selects
-	// automatically: an exact quantized DP when the instance's power levels
-	// share a coarse quantum (the paper's discrete power table does), and
-	// the (1−ε)-FPTAS otherwise.
-	Knapsack knapsack.Solver
 	// Eps is the FPTAS accuracy when the automatic choice falls back to it
 	// (or when ForceFPTAS is set). Zero means 0.1.
 	Eps float64
@@ -28,21 +23,26 @@ type Options struct {
 	ForceFPTAS bool
 }
 
-// SolverCtx returns the knapsack oracle for inst under o: the automatic
-// DP/FPTAS choices poll the context inside their inner loops, while an
-// explicit Knapsack override is checked once per bin.
-func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
-	if o.Knapsack != nil {
-		return o.Knapsack.Ctx()
-	}
-	eps := o.Eps
+// Oracle returns the knapsack oracle o selects for inst, as gap.Builder
+// takes it: an exact quantized DP at the weight quantum q > 0 when the
+// instance's power levels share a coarse quantum (the paper's discrete
+// power table does), else the (1−ε)-FPTAS at eps (q = 0).
+func (o Options) Oracle(inst *Instance) (quantum, eps float64) {
+	eps = o.Eps
 	if eps <= 0 {
 		eps = 0.1
 	}
-	if o.ForceFPTAS {
-		return knapsack.FPTASCtx(eps)
+	if !o.ForceFPTAS {
+		quantum, _ = inst.WeightQuantum()
 	}
-	if q, ok := inst.WeightQuantum(); ok {
+	return quantum, eps
+}
+
+// SolverCtx returns Oracle's choice as a per-call knapsack solver, for the
+// sequential packers; both poll the context inside their inner loops.
+func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
+	q, eps := o.Oracle(inst)
+	if q > 0 {
 		return func(ctx context.Context, items []knapsack.Item, c float64) (knapsack.Solution, error) {
 			return knapsack.DPCtx(ctx, items, c, q)
 		}
@@ -144,96 +144,50 @@ func OfflineAppro(inst *Instance, opts Options) (*Allocation, error) {
 // OfflineApproCtx is OfflineAppro with cancellation: the context is
 // threaded into the local-ratio sweep and the inner knapsack DPs.
 func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
-	if inst == nil {
-		return nil, errors.New("core: nil instance")
-	}
-	if opts.Knapsack == nil {
-		// Flat fast path: compile the GAP reduction once and sweep it with
-		// the structure-of-arrays kernels. Bit-identical to the legacy
-		// sweep below (see TestFlatMatchesLegacy).
-		c, err := CompileAppro(inst, opts)
-		if err != nil {
-			return nil, err
-		}
-		return c.Solve(ctx, opts)
-	}
-	return offlineApproLegacyCtx(ctx, inst, opts)
-}
-
-// offlineApproLegacyCtx is the pointer-y sweep over a freshly built
-// gap.Instance: the only remaining production caller is the custom-oracle
-// case (an opaque knapsack.Solver cannot be compiled), but it is also the
-// reference implementation the flat engine is differentially tested
-// against.
-func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
-	order := sensorOrder(inst)
-	asg, err := gap.LocalRatioCtx(ctx, buildGAP(inst, order), opts.SolverCtx(inst))
+	c, err := CompileAppro(inst, opts)
 	if err != nil {
 		return nil, err
 	}
-	alloc := inst.NewAllocation()
-	for j, b := range asg.ItemBin {
-		if b >= 0 {
-			alloc.SlotOwner[j] = order[b]
-		}
-	}
-	inst.RecomputeData(alloc)
-	return alloc, nil
+	return c.Solve(ctx)
 }
 
-// buildGAP constructs the paper's GAP reduction (Thm 1) for the given
-// sensor order: one bin per sensor (capacity = per-tour energy budget),
-// one entry per usable window slot (profit = r·τ bits, weight = P·τ
-// Joules). Shared by OfflineAppro and OfflineGreedy, which differ only in
-// bin order and the assignment algorithm run on the result.
+// compileGAP writes the paper's GAP reduction (Thm 1) into b, one bin per
+// sensor of order (capacity = per-tour energy budget), one entry per
+// usable window slot (profit = r·τ bits, weight = P·τ Joules). Shared by
+// OfflineAppro and OfflineGreedy, which differ only in bin order and the
+// pass they run on the result.
 //
 // Fleet instances contribute entries from every window (one per audible
-// sink) and carry the cross-sink constraint as the conflict-group map
-// ItemGroup[global slot] = absolute slot: within a bin (sensor) at most
-// one item per absolute slot may be assigned. Single-sink instances set
-// no groups and build the exact legacy reduction.
-func buildGAP(inst *Instance, order []int) *gap.Instance {
-	g := &gap.Instance{NumItems: inst.T}
-	g.Bins = make([]gap.Bin, len(order))
-	for b, si := range order {
-		s := &inst.Sensors[si]
-		bin := gap.Bin{Capacity: s.Budget}
-		if s.Start >= 0 {
-			for j := s.Start; j <= s.End; j++ {
-				r, p := s.Rates[j-s.Start], s.Powers[j-s.Start]
-				if r <= 0 || p <= 0 {
-					continue
-				}
-				bin.Entries = append(bin.Entries, gap.Entry{
-					Item:   j,
-					Profit: r * inst.Tau,
-					Weight: p * inst.Tau,
-				})
+// sink) and carry the cross-sink constraint as the conflict groups
+// group[global slot] = absolute slot: within a bin (sensor) at most one
+// item per absolute slot may be assigned.
+func (inst *Instance) compileGAP(b *gap.Builder, order []int, quantum, eps float64) (*gap.Compiled, error) {
+	var group []int
+	if inst.NumSinks() > 1 {
+		group = make([]int, inst.T)
+		for j := range group {
+			group[j] = inst.AbsSlot(j)
+		}
+	}
+	b.Reset(inst.T, group, quantum, eps)
+	add := func(start int, rates, powers []float64) {
+		for k, r := range rates {
+			if p := powers[k]; r > 0 && p > 0 {
+				b.Add(start+k, r*inst.Tau, p*inst.Tau)
 			}
+		}
+	}
+	for _, si := range order {
+		s := &inst.Sensors[si]
+		b.Bin(s.Budget)
+		if s.Start >= 0 {
+			add(s.Start, s.Rates, s.Powers)
 		}
 		for wi := range s.More {
-			w := &s.More[wi]
-			for j := w.Start; j <= w.End; j++ {
-				r, p := w.Rates[j-w.Start], w.Powers[j-w.Start]
-				if r <= 0 || p <= 0 {
-					continue
-				}
-				bin.Entries = append(bin.Entries, gap.Entry{
-					Item:   j,
-					Profit: r * inst.Tau,
-					Weight: p * inst.Tau,
-				})
-			}
-		}
-		g.Bins[b] = bin
-	}
-	if inst.NumSinks() > 1 {
-		g.ItemGroup = make([]int, inst.T)
-		for j := range g.ItemGroup {
-			g.ItemGroup[j] = inst.AbsSlot(j)
+			add(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers)
 		}
 	}
-	return g
+	return b.Compiled()
 }
 
 // sensorOrder returns sensor indices sorted by increasing start slot, then
@@ -378,7 +332,7 @@ func OfflineGreedy(inst *Instance) (*Allocation, error) {
 }
 
 // OfflineGreedyCtx is OfflineGreedy with an up-front cancellation check
-// (the greedy sweep itself is a single fast sort-and-scan).
+// (the greedy pass itself is a single fast sort-and-scan).
 func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) {
 	if inst == nil {
 		return nil, errors.New("core: nil instance")
@@ -386,18 +340,25 @@ func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Identity order: the greedy baseline does not depend on bin order.
+	// Identity order: bin b is sensor b. The greedy pass does not depend
+	// on bin order beyond its tie-break.
 	order := make([]int, len(inst.Sensors))
 	for i := range order {
 		order[i] = i
 	}
-	g := buildGAP(inst, order)
-	asg, err := gap.Greedy(g)
+	var b gap.Builder
+	g, err := inst.compileGAP(&b, order, 0, 0)
 	if err != nil {
 		return nil, err
 	}
+	itemBin := make([]int32, inst.T)
+	if _, err := g.Greedy(nil, itemBin); err != nil {
+		return nil, err
+	}
 	alloc := inst.NewAllocation()
-	copy(alloc.SlotOwner, asg.ItemBin)
+	for j, bin := range itemBin {
+		alloc.SlotOwner[j] = int(bin)
+	}
 	inst.RecomputeData(alloc)
 	return alloc, nil
 }

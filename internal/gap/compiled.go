@@ -1,25 +1,26 @@
 package gap
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"mobisink/internal/knapsack"
 )
 
-// Compiled is the structure-of-arrays form of an Instance: entries live in
+// Compiled is the solving form of a GAP instance: entries live in
 // contiguous bin-major CSR arrays and weights are pre-quantized for the
-// exact DP oracle. It is built once (validating the instance exactly once)
-// and reused across solver calls; Solve/SolveInto are safe for concurrent
-// use.
+// exact DP oracle. A Builder writes it bin by bin, validating as it goes;
+// SolveInto and Greedy then run on it any number of times, and are safe
+// for concurrent use.
 //
 // Entries that can never be assigned — non-positive profit, or weight
-// exceeding the bin capacity — are dropped at compile time; the local-ratio
-// sweep over the compiled form is bit-identical to the sweep over the
-// original instance, which filters them per call instead.
+// exceeding the bin capacity — are not kept; the local-ratio sweep's
+// knapsacks would never take them.
 type Compiled struct {
 	NumItems int
 
@@ -40,11 +41,12 @@ type Compiled struct {
 
 	maxBin int // max compiled entries in one bin
 	// groupsExact is false when some group reduction dropped an entry not
-	// weakly dominated by its winner (see reduceGroups).
+	// weakly dominated by its winner (see Builder.reduceGroups).
 	groupsExact bool
 }
 
-// Typed validation errors of Compile (and, via wrapping, CompileAppro).
+// Typed validation errors of Builder.Reset (and, via wrapping,
+// core.CompileAppro).
 var (
 	// ErrBadQuantum rejects a negative, NaN, or infinite weight quantum
 	// (zero is valid and selects the FPTAS oracle).
@@ -54,95 +56,191 @@ var (
 	ErrBadEps = errors.New("gap: eps must be below 1 and not NaN")
 )
 
-// Compile builds the flat form of inst. quantum > 0 selects the exact
-// quantized-weight DP oracle; otherwise the (1−eps)-FPTAS oracle is used
-// (eps ≤ 0 means 0.1). The instance is validated here, once, instead of on
-// every solve.
-func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
-	if inst == nil {
-		return nil, errors.New("gap: nil instance")
-	}
-	if math.IsNaN(quantum) || math.IsInf(quantum, 0) || quantum < 0 {
-		return nil, fmt.Errorf("%w (got %v)", ErrBadQuantum, quantum)
-	}
-	if math.IsNaN(eps) || eps >= 1 {
-		return nil, fmt.Errorf("%w (got %v)", ErrBadEps, eps)
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	if eps <= 0 {
-		eps = 0.1
-	}
-	b := len(inst.Bins)
-	c := &Compiled{
-		NumItems:    inst.NumItems,
-		Off:         make([]int32, b+1),
-		Cap:         make([]float64, b),
-		Quantum:     quantum,
-		Eps:         eps,
+// Builder writes a Compiled bin by bin: Reset, then Bin for each bin in
+// the local-ratio order, each followed by Add for its eligible items,
+// then Compiled. It makes every check of a GAP instance as the entries
+// arrive: items in range and listed at most once per bin, no negative
+// capacity or weight. The first error sticks; Compiled returns it.
+//
+// With conflict groups, each bin keeps at most one entry per group: the
+// dominant one — max profit, then min weight, then lowest item. So the
+// sweep honours the fleet's "one sink per absolute slot" constraint with
+// no per-candidate group bookkeeping.
+//
+// A Builder is reusable: Reset keeps the previous form's arrays, so a
+// pooled Builder compiles without allocating in steady state. The
+// Compiled it returns shares those arrays and is valid until the next
+// Reset.
+type Builder struct {
+	c     Compiled
+	group []int   // per-item conflict group, or nil
+	seen  []int32 // seen[j] == len(c.Cap) ⇔ the open bin lists item j
+	win   map[int]int
+	err   error
+}
+
+// Reset starts a new compiled form of numItems items. quantum > 0 selects
+// the exact quantized-weight DP oracle; otherwise the (1−eps)-FPTAS
+// oracle is used (eps ≤ 0 means 0.1). itemGroup, when non-nil (len
+// numItems), assigns each item a conflict group: within any one bin, at
+// most one item per group may be assigned; negative ids are
+// unconstrained.
+func (b *Builder) Reset(numItems int, itemGroup []int, quantum, eps float64) {
+	c := &b.c
+	*c = Compiled{
+		NumItems: numItems,
+		Off:      append(c.Off[:0], 0),
+		Item:     c.Item[:0], Profit: c.Profit[:0], Weight: c.Weight[:0], Cap: c.Cap[:0],
+		WQ: c.WQ[:0], CapU: c.CapU[:0],
+		Quantum: quantum, Eps: eps,
 		groupsExact: true,
 	}
-	// Same-group dominance reduction (fleet conflict groups): within each
-	// bin, at most one entry per conflict group survives compilation, so
-	// the sweep below structurally honors the "one sink per absolute slot"
-	// constraint without any per-candidate group bookkeeping.
-	var drops [][]bool
-	if inst.ItemGroup != nil {
-		drops = make([][]bool, b)
-		for i, bin := range inst.Bins {
-			drop, exact := reduceGroups(bin.Entries, bin.Capacity, inst.ItemGroup)
-			drops[i] = drop
-			if !exact {
-				c.groupsExact = false
-			}
+	b.group, b.err = itemGroup, nil
+	switch {
+	case math.IsNaN(quantum) || math.IsInf(quantum, 0) || quantum < 0:
+		b.err = fmt.Errorf("%w (got %v)", ErrBadQuantum, quantum)
+	case math.IsNaN(eps) || eps >= 1:
+		b.err = fmt.Errorf("%w (got %v)", ErrBadEps, eps)
+	case numItems < 0:
+		b.err = fmt.Errorf("gap: negative item count %d", numItems)
+	case itemGroup != nil && len(itemGroup) != numItems:
+		b.err = fmt.Errorf("gap: ItemGroup covers %d items, instance has %d", len(itemGroup), numItems)
+	}
+	if b.err != nil {
+		return
+	}
+	if eps <= 0 {
+		c.Eps = 0.1
+	}
+	if cap(b.seen) < numItems {
+		b.seen = make([]int32, numItems)
+	}
+	b.seen = b.seen[:numItems]
+	clear(b.seen)
+}
+
+// Bin closes the open bin, if any, and opens the next one.
+func (b *Builder) Bin(capacity float64) {
+	if b.err != nil {
+		return
+	}
+	b.closeBin()
+	c := &b.c
+	if capacity < 0 {
+		b.err = fmt.Errorf("gap: bin %d has negative capacity", len(c.Cap))
+		return
+	}
+	c.Cap = append(c.Cap, capacity)
+	if c.Quantum > 0 {
+		c.CapU = append(c.CapU, int32(min(math.Floor(capacity/c.Quantum), math.MaxInt32)))
+	}
+}
+
+// Add lists item in the open bin with its profit and weight there.
+func (b *Builder) Add(item int, profit, weight float64) {
+	if b.err != nil {
+		return
+	}
+	c := &b.c
+	bin := len(c.Cap) - 1
+	switch {
+	case len(c.Off) > len(c.Cap):
+		b.err = errors.New("gap: entry added with no open bin")
+	case item < 0 || item >= c.NumItems:
+		b.err = fmt.Errorf("gap: bin %d references item %d out of range", bin, item)
+	case weight < 0:
+		b.err = fmt.Errorf("gap: bin %d item %d has negative weight", bin, item)
+	case b.seen[item] == int32(bin+1):
+		b.err = fmt.Errorf("gap: bin %d lists item %d twice", bin, item)
+	}
+	if b.err != nil {
+		return
+	}
+	b.seen[item] = int32(bin + 1)
+	if !(profit > 0 && weight <= c.Cap[bin]) {
+		return // never assignable
+	}
+	c.Item = append(c.Item, int32(item))
+	c.Profit = append(c.Profit, profit)
+	c.Weight = append(c.Weight, weight)
+	if c.Quantum > 0 {
+		c.WQ = append(c.WQ, quantize(weight, c.Quantum))
+	}
+}
+
+// Compiled closes the open bin and returns the compiled form, or the
+// first error any call since Reset met.
+func (b *Builder) Compiled() (*Compiled, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	b.closeBin()
+	return &b.c, nil
+}
+
+// closeBin ends the open bin's entries, after the group reduction.
+func (b *Builder) closeBin() {
+	c := &b.c
+	if len(c.Off) > len(c.Cap) {
+		return // no open bin
+	}
+	lo := int(c.Off[len(c.Off)-1])
+	if b.group != nil {
+		b.reduceGroups(lo)
+	}
+	c.Off = append(c.Off, int32(len(c.Item)))
+	c.maxBin = max(c.maxBin, len(c.Item)-lo)
+}
+
+// reduceGroups keeps, among the open bin's entries from lo on whose items
+// share a conflict group, only the dominant one. The reduction is exact
+// when every dropped entry is weakly dominated (profit ≤, weight ≥) by
+// its group's winner, which holds for monotone link models where the
+// closer sink offers both the higher rate and the lower (or equal) energy
+// cost. An inexact reduction still yields feasible assignments; only the
+// approximation guarantee versus the unreduced optimum may degrade.
+func (b *Builder) reduceGroups(lo int) {
+	c := &b.c
+	if b.win == nil {
+		b.win = map[int]int{}
+	}
+	clear(b.win)
+	for k := lo; k < len(c.Item); k++ {
+		g := b.group[c.Item[k]]
+		if g < 0 {
+			continue
+		}
+		w, ok := b.win[g]
+		if !ok || c.Profit[k] > c.Profit[w] ||
+			(c.Profit[k] == c.Profit[w] && c.Weight[k] < c.Weight[w]) ||
+			(c.Profit[k] == c.Profit[w] && c.Weight[k] == c.Weight[w] && c.Item[k] < c.Item[w]) {
+			b.win[g] = k
 		}
 	}
-	kept := func(bin, k int, e Entry, capacity float64) bool {
-		if drops != nil && drops[bin] != nil && drops[bin][k] {
-			return false
-		}
-		return e.Profit > 0 && e.Weight <= capacity
+	lost := func(k int) bool {
+		g := b.group[c.Item[k]]
+		return g >= 0 && b.win[g] != k
 	}
-	total := 0
-	for i, bin := range inst.Bins {
-		c.Cap[i] = bin.Capacity
-		for k, e := range bin.Entries {
-			if kept(i, k, e, bin.Capacity) {
-				total++
-			}
-		}
-		c.Off[i+1] = int32(total)
-	}
-	c.Item = make([]int32, total)
-	c.Profit = make([]float64, total)
-	c.Weight = make([]float64, total)
-	if quantum > 0 {
-		c.WQ = make([]int32, total)
-		c.CapU = make([]int32, b)
-	}
-	k := 0
-	for i, bin := range inst.Bins {
-		for ke, e := range bin.Entries {
-			if !kept(i, ke, e, bin.Capacity) {
-				continue
-			}
-			c.Item[k] = int32(e.Item)
-			c.Profit[k] = e.Profit
-			c.Weight[k] = e.Weight
-			if quantum > 0 {
-				c.WQ[k] = quantize(e.Weight, quantum)
-			}
-			k++
-		}
-		if quantum > 0 {
-			c.CapU[i] = int32(min(math.Floor(bin.Capacity/quantum), math.MaxInt32))
-		}
-		if n := int(c.Off[i+1] - c.Off[i]); n > c.maxBin {
-			c.maxBin = n
+	for k := lo; k < len(c.Item); k++ {
+		if lost(k) && c.Weight[k] < c.Weight[b.win[b.group[c.Item[k]]]] {
+			c.groupsExact = false
 		}
 	}
-	return c, nil
+	n := lo
+	for k := lo; k < len(c.Item); k++ {
+		if lost(k) {
+			continue
+		}
+		c.Item[n], c.Profit[n], c.Weight[n] = c.Item[k], c.Profit[k], c.Weight[k]
+		if c.Quantum > 0 {
+			c.WQ[n] = c.WQ[k]
+		}
+		n++
+	}
+	c.Item, c.Profit, c.Weight = c.Item[:n], c.Profit[:n], c.Weight[:n]
+	if c.Quantum > 0 {
+		c.WQ = c.WQ[:n]
+	}
 }
 
 // quantize rounds a weight up to whole quanta, exactly as the per-call DP
@@ -152,20 +250,20 @@ func quantize(w, quantum float64) int32 {
 	return int32(min(math.Ceil(w/quantum-1e-9), math.MaxInt32))
 }
 
-// GroupReductionExact reports whether the compile-time conflict-group
-// reduction was dominance-exact: every dropped entry was weakly dominated
-// (profit ≤, weight ≥) by its group's surviving entry, so the reduced
-// instance has the same optimum as the group-constrained original. This
-// holds for monotone link models (the repo's radio tables), where the
-// closer sink offers both the higher rate and the lower energy cost; it is
-// trivially true on instances without conflict groups.
+// GroupReductionExact reports whether the conflict-group reduction was
+// dominance-exact: every dropped entry was weakly dominated (profit ≤,
+// weight ≥) by its group's surviving entry, so the reduced instance has
+// the same optimum as the group-constrained original. This holds for
+// monotone link models (the repo's radio tables), where the closer sink
+// offers both the higher rate and the lower energy cost; it is trivially
+// true on instances without conflict groups.
 func (c *Compiled) GroupReductionExact() bool { return c.groupsExact }
 
-// Scratch is the reusable per-solve state of a Compiled sweep: the
-// residual-claim array plus the candidate buffers and knapsack arena. The
-// zero value is ready to use; buffers grow on demand and are retained, so
-// a reused Scratch makes the sweep allocation-free in steady state. A
-// Scratch must not be used concurrently.
+// Scratch is the reusable per-solve state of a Compiled sweep or greedy
+// pass: the residual-claim array plus the candidate buffers and knapsack
+// arena. The zero value is ready to use; buffers grow on demand and are
+// retained, so a reused Scratch makes the sweep allocation-free in steady
+// state. A Scratch must not be used concurrently.
 type Scratch struct {
 	claim []float64
 	prof  []float64
@@ -176,38 +274,35 @@ type Scratch struct {
 }
 
 func (s *Scratch) prepare(numItems, maxBin int, dpMode bool) {
-	if cap(s.claim) < numItems {
-		s.claim = make([]float64, numItems)
-	}
-	s.claim = s.claim[:numItems]
-	for i := range s.claim {
-		s.claim[i] = 0
-	}
-	if cap(s.prof) < maxBin {
-		s.prof = make([]float64, maxBin)
-		s.pos = make([]int32, maxBin)
-	}
+	s.claim = grow(s.claim, numItems)
+	clear(s.claim)
+	s.prof, s.pos = grow(s.prof, maxBin), grow(s.pos, maxBin)
 	if dpMode {
-		if cap(s.wq) < maxBin {
-			s.wq = make([]int32, maxBin)
-		}
-	} else if cap(s.w) < maxBin {
-		s.w = make([]float64, maxBin)
+		s.wq = grow(s.wq, maxBin)
+	} else {
+		s.w = grow(s.w, maxBin)
 	}
 }
+
+// scratchMax is the largest buffer a pooled Scratch keeps.
+const scratchMax = 1 << 20
 
 var flatPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func putFlatScratch(s *Scratch) {
-	if cap(s.claim) > lrScratchMax {
-		s.claim = nil
+	if cap(s.claim) > scratchMax || cap(s.prof) > scratchMax {
+		*s = Scratch{}
 	}
 	s.ar.Trim()
 	flatPool.Put(s)
 }
 
 // sweep runs the residual-profit local-ratio pass over every bin in
-// order, claiming items into s.claim/itemBin.
+// order, claiming items into s.claim/itemBin. claim[j] is the original
+// profit of (l, j) for the most recent bin l whose knapsack selected item
+// j; the residual profit of (i, j) is orig(i, j) − claim[j]. This is the
+// paper's decomposition D^{(l+1)} / T^{(l+1)} without materializing the
+// n×T matrices.
 func (c *Compiled) sweep(ctx context.Context, s *Scratch, itemBin []int32) error {
 	dpMode := c.Quantum > 0
 	claim := s.claim
@@ -257,10 +352,9 @@ func (c *Compiled) sweep(ctx context.Context, s *Scratch, itemBin []int32) error
 	return nil
 }
 
-// finalProfit is the paper's final decomposition pass: each item belongs
-// to the last bin that claimed it, and the total is accumulated in
-// bin-major entry order — the same float-summation order as the
-// per-instance sweep, so both engines agree bitwise.
+// finalProfit is the paper's final decomposition pass (Algorithm 1 lines
+// 9-12): each item belongs to the last bin that claimed it, and the total
+// is accumulated in bin-major entry order.
 func (c *Compiled) finalProfit(itemBin []int32) float64 {
 	total := 0.0
 	for b := range c.Cap {
@@ -273,40 +367,105 @@ func (c *Compiled) finalProfit(itemBin []int32) float64 {
 	return total
 }
 
-// SolveInto runs the local-ratio sweep over the compiled instance, writing
-// each item's owning bin into itemBin (-1 for unassigned; len must be
-// NumItems) and returning the assignment profit. s may be nil to draw
+// unassign checks itemBin's length and marks every item unassigned.
+func (c *Compiled) unassign(itemBin []int32) error {
+	if len(itemBin) != c.NumItems {
+		return fmt.Errorf("gap: itemBin covers %d items, instance has %d", len(itemBin), c.NumItems)
+	}
+	for i := range itemBin {
+		itemBin[i] = -1
+	}
+	return nil
+}
+
+// SolveInto runs the Cohen-Katzir-Raz local-ratio sweep (the paper's
+// Algorithm 1, its ref. [3]) over the compiled instance: bins in order,
+// each packing its items with the knapsack oracle against residual
+// profits, each item finally owned by the last bin that selected it.
+// With a β-approximate oracle the result is a 1/(1+β)-approximation.
+//
+// It writes each item's owning bin into itemBin (-1 for unassigned; len
+// must be NumItems) and returns the assignment profit. The context is
+// polled before each bin and inside the oracle's DP. s may be nil to draw
 // scratch from an internal pool; passing a reused Scratch makes the solve
 // allocation-free in steady state.
 func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32) (float64, error) {
-	if len(itemBin) != c.NumItems {
-		return 0, fmt.Errorf("gap: itemBin covers %d items, instance has %d", len(itemBin), c.NumItems)
+	if err := c.unassign(itemBin); err != nil {
+		return 0, err
 	}
 	if s == nil {
 		s = flatPool.Get().(*Scratch)
 		defer putFlatScratch(s)
 	}
 	s.prepare(c.NumItems, c.maxBin, c.Quantum > 0)
-	for i := range itemBin {
-		itemBin[i] = -1
-	}
 	if err := c.sweep(ctx, s, itemBin); err != nil {
 		return 0, err
 	}
 	return c.finalProfit(itemBin), nil
 }
 
-// Solve runs SolveInto with pooled scratch and materializes the result as
-// an Assignment.
-func (c *Compiled) Solve(ctx context.Context) (*Assignment, error) {
-	itemBin := make([]int32, c.NumItems)
-	profit, err := c.SolveInto(ctx, nil, itemBin)
-	if err != nil {
-		return nil, err
+// Greedy is the density-greedy baseline: it visits every compiled entry
+// in decreasing profit-per-weight density (then decreasing profit, then
+// ascending bin, then ascending item — a total order) and gives each
+// still-unassigned item to the entry's bin when the bin has the capacity
+// left. It writes itemBin and returns the profit like SolveInto.
+func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
+	if err := c.unassign(itemBin); err != nil {
+		return 0, err
 	}
-	a := &Assignment{ItemBin: make([]int, c.NumItems), Profit: profit}
-	for j, b := range itemBin {
-		a.ItemBin[j] = int(b)
+	if s == nil {
+		s = flatPool.Get().(*Scratch)
+		defer putFlatScratch(s)
 	}
-	return a, nil
+	// The sweep's per-bin buffers serve as per-entry ones here: pos lists
+	// the entries, wq holds each entry's bin, prof its density and w each
+	// bin's capacity left.
+	n := len(c.Item)
+	s.pos, s.wq, s.prof = grow(s.pos, n), grow(s.wq, n), grow(s.prof, n)
+	order, binOf, dens := s.pos, s.wq, s.prof
+	for b := range c.Cap {
+		for k := c.Off[b]; k < c.Off[b+1]; k++ {
+			order[k], binOf[k] = k, int32(b)
+			dens[k] = zeroWeightDensity
+			if c.Weight[k] > 0 {
+				dens[k] = c.Profit[k] / c.Weight[k]
+			}
+		}
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		if dens[x] != dens[y] {
+			return cmp.Compare(dens[y], dens[x])
+		}
+		if c.Profit[x] != c.Profit[y] {
+			return cmp.Compare(c.Profit[y], c.Profit[x])
+		}
+		if binOf[x] != binOf[y] {
+			return cmp.Compare(binOf[x], binOf[y])
+		}
+		return cmp.Compare(c.Item[x], c.Item[y])
+	})
+	s.w = append(s.w[:0], c.Cap...)
+	left := s.w
+	profit := 0.0
+	for _, k := range order {
+		j, b := c.Item[k], binOf[k]
+		if itemBin[j] != -1 || c.Weight[k] > left[b] {
+			continue
+		}
+		itemBin[j] = b
+		left[b] -= c.Weight[k]
+		profit += c.Profit[k]
+	}
+	return profit, nil
+}
+
+// zeroWeightDensity ranks a free entry ahead of every priced one.
+const zeroWeightDensity = 1e308
+
+// grow returns buf resized to n, reallocated only when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobisink/internal/knapsack"
@@ -63,13 +64,23 @@ func TestCompileDropsDeadEntries(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsInvalid: the Builder refuses an item listed twice in
+// one bin and an entry with no open bin, and the error sticks.
 func TestCompileRejectsInvalid(t *testing.T) {
-	bad := &Instance{NumItems: 1, Bins: []Bin{{Capacity: 1, Entries: []Entry{
-		{Item: 0, Profit: 1, Weight: 0.1},
-		{Item: 0, Profit: 2, Weight: 0.2},
-	}}}}
-	if _, err := Compile(bad, 0.1, 0); err == nil {
-		t.Fatal("Compile accepted a duplicate entry")
+	var b Builder
+	b.Reset(1, nil, 0.1, 0)
+	b.Bin(1)
+	b.Add(0, 1, 0.1)
+	b.Add(0, 2, 0.2)
+	b.Bin(1)
+	b.Add(0, 1, 0.1)
+	if _, err := b.Compiled(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("Builder accepted a duplicate entry: %v", err)
+	}
+	b.Reset(1, nil, 0.1, 0)
+	b.Add(0, 1, 0.1)
+	if _, err := b.Compiled(); err == nil {
+		t.Fatal("Builder accepted an entry before the first bin")
 	}
 	if _, err := Compile(nil, 0.1, 0); err == nil {
 		t.Fatal("Compile accepted a nil instance")
@@ -77,7 +88,7 @@ func TestCompileRejectsInvalid(t *testing.T) {
 }
 
 // TestCompiledMatchesLocalRatio checks the compiled sweep is bit-identical
-// to the legacy pointer-chasing LocalRatioCtx, in both oracle modes.
+// to the pointer-form reference sweep, LocalRatioCtx, in both oracle modes.
 func TestCompiledMatchesLocalRatio(t *testing.T) {
 	const quantum, eps = 0.05, 0.25
 	for seed := int64(0); seed < 25; seed++ {
@@ -124,34 +135,63 @@ func TestSolveIntoSizeMismatch(t *testing.T) {
 	if _, err := c.SolveInto(context.Background(), nil, make([]int32, 3)); err == nil {
 		t.Fatal("SolveInto accepted a short itemBin")
 	}
+	if _, err := c.Greedy(nil, make([]int32, 3)); err == nil {
+		t.Fatal("Greedy accepted a short itemBin")
+	}
 }
 
 // TestSolveIntoNoAllocs is the steady-state gate for the serving path: a
-// reused Scratch and itemBin make the sequential compiled solve
-// allocation-free, in both oracle modes.
+// reused Builder, Scratch and itemBin make compiling an instance and then
+// solving it allocation-free, in both oracle modes and for the greedy
+// pass — the per-interval online schedulers' pattern.
 func TestSolveIntoNoAllocs(t *testing.T) {
 	inst := windowedInstance(7, 12, 60)
 	for _, mode := range []struct {
-		name string
-		q    float64
-	}{{"dp", 0.05}, {"fptas", 0}} {
+		name   string
+		q      float64
+		greedy bool
+	}{{"dp", 0.05, false}, {"fptas", 0, false}, {"greedy", 0, true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			c, err := Compile(inst, mode.q, 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var b Builder
 			var s Scratch
-			itemBin := make([]int32, c.NumItems)
+			itemBin := make([]int32, inst.NumItems)
 			run := func() {
-				if _, err := c.SolveInto(context.Background(), &s, itemBin); err != nil {
+				b.Reset(inst.NumItems, nil, mode.q, 0.25)
+				for _, bin := range inst.Bins {
+					b.Bin(bin.Capacity)
+					for _, e := range bin.Entries {
+						b.Add(e.Item, e.Profit, e.Weight)
+					}
+				}
+				c, err := b.Compiled()
+				if err == nil && mode.greedy {
+					_, err = c.Greedy(&s, itemBin)
+				} else if err == nil {
+					_, err = c.SolveInto(context.Background(), &s, itemBin)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			run() // warm scratch buffers
+			run() // warm the builder's and the scratch's buffers
 			if n := testing.AllocsPerRun(50, run); n != 0 {
-				t.Fatalf("SolveInto allocates %v per run with reused scratch", n)
+				t.Fatalf("compile and solve allocate %v per run with a reused builder and scratch", n)
 			}
 		})
+	}
+}
+
+// TestLocalRatioCtxCanceled: a canceled context aborts the sweep with the
+// context's error.
+func TestLocalRatioCtxCanceled(t *testing.T) {
+	c, err := Compile(windowedInstance(2, 6, 12), 0.05, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.SolveInto(ctx, nil, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
@@ -167,7 +207,7 @@ func TestCompiledSolveCanceled(t *testing.T) {
 	}
 }
 
-// TestCompileValidatesQuantumEps: Compile rejects a NaN, infinite or
+// TestCompileValidatesQuantumEps: the Builder rejects a NaN, infinite or
 // negative quantum and a NaN or ≥1 eps with typed errors.
 func TestCompileValidatesQuantumEps(t *testing.T) {
 	inst := windowedInstance(1, 4, 8)

@@ -1,30 +1,28 @@
 package gap_test
 
 import (
+	"context"
 	"fmt"
 
 	"mobisink/internal/gap"
-	"mobisink/internal/knapsack"
 )
 
 // Two capacitated bins (sensors) compete for three items (time slots); the
-// local-ratio algorithm assigns each item to the last bin that claimed it.
-func ExampleLocalRatio() {
-	inst := &gap.Instance{
-		NumItems: 3,
-		Bins: []gap.Bin{
-			{Capacity: 2, Entries: []gap.Entry{
-				{Item: 0, Profit: 10, Weight: 1},
-				{Item: 1, Profit: 9, Weight: 1},
-				{Item: 2, Profit: 1, Weight: 1},
-			}},
-			{Capacity: 1, Entries: []gap.Entry{
-				{Item: 0, Profit: 2, Weight: 1},
-				{Item: 2, Profit: 8, Weight: 1},
-			}},
-		},
-	}
-	asg, _ := gap.LocalRatio(inst, knapsack.BranchAndBound)
-	fmt.Printf("profit=%.0f items→bins=%v\n", asg.Profit, asg.ItemBin)
+// local-ratio sweep assigns each item to the last bin that claimed it.
+// Unit weights make the exact DP oracle at quantum 1 exact.
+func ExampleBuilder() {
+	var b gap.Builder
+	b.Reset(3, nil, 1, 0)
+	b.Bin(2)
+	b.Add(0, 10, 1)
+	b.Add(1, 9, 1)
+	b.Add(2, 1, 1)
+	b.Bin(1)
+	b.Add(0, 2, 1)
+	b.Add(2, 8, 1)
+	c, _ := b.Compiled()
+	itemBin := make([]int32, c.NumItems)
+	profit, _ := c.SolveInto(context.Background(), nil, itemBin)
+	fmt.Printf("profit=%.0f items→bins=%v\n", profit, itemBin)
 	// Output: profit=27 items→bins=[0 0 1]
 }

@@ -4,23 +4,14 @@
 // reduces to GAP with bins = sensors (capacity = per-tour energy budget) and
 // items = time slots (paper Thm 1).
 //
-// The main solver is LocalRatio, the Cohen-Katzir-Raz algorithm the paper
-// adopts (its ref. [3]): bins are processed in a given order; each bin packs
-// its eligible items with a knapsack oracle against *residual* profits; the
-// profit function is then decomposed so that later bins only see the profit
-// in excess of what the current bin claimed; finally each item goes to the
-// last bin that selected it. With a β-approximate knapsack oracle the result
-// is a 1/(1+β)-approximation.
+// A Builder writes an instance bin by bin into the compiled form
+// (Compiled), which runs the Cohen-Katzir-Raz local-ratio algorithm the
+// paper adopts (its ref. [3]; Compiled.SolveInto) and a density-greedy
+// baseline (Compiled.Greedy). Instance is the pointer form, kept for the
+// exhaustive optimum and for checking assignments.
 package gap
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sort"
-
-	"mobisink/internal/knapsack"
-)
+import "fmt"
 
 // Entry is one eligible (bin, item) pair.
 type Entry struct {
@@ -60,92 +51,24 @@ func (inst *Instance) groupOf(j int) int {
 	return -1
 }
 
-// reduceGroups computes the same-group dominance reduction for one bin:
-// among the bin's assignable entries (positive profit, weight within
-// capacity) whose items share a conflict group, only the dominant entry —
-// max profit, then min weight, then lowest item — survives. It returns a
-// per-entry drop mask (nil when the bin has no group with two or more
-// assignable entries, the common case) and whether the reduction is exact:
-// it is whenever every dropped entry is weakly dominated (profit ≤, weight
-// ≥) by its group's winner, which holds for monotone link models where the
-// closer sink offers both the higher rate and the lower (or equal) energy
-// cost. An inexact reduction still yields feasible assignments; only the
-// approximation guarantee versus the unreduced optimum may degrade.
-func reduceGroups(entries []Entry, capacity float64, itemGroup []int) (drop []bool, exact bool) {
-	exact = true
-	if itemGroup == nil {
-		return nil, exact
-	}
-	winner := map[int]int{} // group → entry index of current winner
-	reduced := false
-	for k, e := range entries {
-		g := itemGroup[e.Item]
-		if g < 0 || e.Profit <= 0 || e.Weight > capacity {
-			continue
-		}
-		w, ok := winner[g]
-		if !ok {
-			winner[g] = k
-			continue
-		}
-		reduced = true
-		win := entries[w]
-		if e.Profit > win.Profit ||
-			(e.Profit == win.Profit && e.Weight < win.Weight) ||
-			(e.Profit == win.Profit && e.Weight == win.Weight && e.Item < win.Item) {
-			winner[g] = k
-		}
-	}
-	if !reduced {
-		return nil, exact
-	}
-	drop = make([]bool, len(entries))
-	for k, e := range entries {
-		g := itemGroup[e.Item]
-		if g < 0 || e.Profit <= 0 || e.Weight > capacity {
-			continue
-		}
-		if w := winner[g]; w != k {
-			drop[k] = true
-			if e.Weight < entries[w].Weight {
-				exact = false
-			}
-		}
-	}
-	return drop, exact
+// Validate makes the Builder's checks on the instance: item count and
+// ranges, conflict-group length, signs, and per-bin duplicate entries.
+func (inst *Instance) Validate() error {
+	_, err := inst.compile(0, 0)
+	return err
 }
 
-// Validate checks index ranges, signs, and per-bin duplicate entries.
-// Duplicates are tracked with a single epoch-marked array instead of a
-// per-bin map — Validate runs on every legacy solve, and the map churn
-// used to dominate its cost.
-func (inst *Instance) Validate() error {
-	if inst.NumItems < 0 {
-		return fmt.Errorf("gap: negative item count %d", inst.NumItems)
-	}
-	if inst.ItemGroup != nil && len(inst.ItemGroup) != inst.NumItems {
-		return fmt.Errorf("gap: ItemGroup covers %d items, instance has %d", len(inst.ItemGroup), inst.NumItems)
-	}
-	seen := make([]int, inst.NumItems) // seen[j] == b+1 ⇔ bin b already lists item j
-	for b, bin := range inst.Bins {
-		if bin.Capacity < 0 {
-			return fmt.Errorf("gap: bin %d has negative capacity", b)
-		}
-		epoch := b + 1
+// compile writes the instance into a new Builder bin by bin.
+func (inst *Instance) compile(quantum, eps float64) (*Compiled, error) {
+	b := new(Builder)
+	b.Reset(inst.NumItems, inst.ItemGroup, quantum, eps)
+	for _, bin := range inst.Bins {
+		b.Bin(bin.Capacity)
 		for _, e := range bin.Entries {
-			if e.Item < 0 || e.Item >= inst.NumItems {
-				return fmt.Errorf("gap: bin %d references item %d out of range", b, e.Item)
-			}
-			if e.Weight < 0 {
-				return fmt.Errorf("gap: bin %d item %d has negative weight", b, e.Item)
-			}
-			if seen[e.Item] == epoch {
-				return fmt.Errorf("gap: bin %d lists item %d twice", b, e.Item)
-			}
-			seen[e.Item] = epoch
+			b.Add(e.Item, e.Profit, e.Weight)
 		}
 	}
-	return nil
+	return b.Compiled()
 }
 
 // Assignment maps each item to its bin (or -1 for unassigned).
@@ -211,101 +134,6 @@ func findEntry(entries []Entry, item int) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// LocalRatio runs the Cohen-Katzir-Raz algorithm with the given knapsack
-// oracle, processing bins in index order (callers encode the paper's
-// start-slot/end-slot sensor ordering by building Bins accordingly).
-func LocalRatio(inst *Instance, solve knapsack.Solver) (*Assignment, error) {
-	if solve == nil {
-		return nil, errors.New("gap: nil knapsack solver")
-	}
-	return LocalRatioBins(inst, func(_ int, items []knapsack.Item, capacity float64) knapsack.Solution {
-		return solve(items, capacity)
-	})
-}
-
-// BinSolver packs one bin; the bin index lets callers vary per-bin
-// constraints (e.g. a per-sensor data cap on total profit).
-type BinSolver func(bin int, items []knapsack.Item, capacity float64) knapsack.Solution
-
-// LocalRatioBins is LocalRatio with a per-bin oracle.
-func LocalRatioBins(inst *Instance, solve BinSolver) (*Assignment, error) {
-	if solve == nil {
-		return nil, errors.New("gap: nil bin solver")
-	}
-	return LocalRatioBinsCtx(context.Background(), inst,
-		func(_ context.Context, bin int, items []knapsack.Item, capacity float64) (knapsack.Solution, error) {
-			return solve(bin, items, capacity), nil
-		})
-}
-
-// Greedy is a simple baseline: consider all (bin, item) entries in
-// decreasing profit-per-weight density and assign each still-unassigned item
-// to the first bin with enough residual capacity.
-func Greedy(inst *Instance) (*Assignment, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	var cands []cand
-	for b, bin := range inst.Bins {
-		// The same-group dominance reduction keeps at most one entry per
-		// (bin, conflict group), so the greedy scan below can never assign
-		// a bin two items of one group.
-		drop, _ := reduceGroups(bin.Entries, bin.Capacity, inst.ItemGroup)
-		for k, e := range bin.Entries {
-			if e.Profit <= 0 || e.Weight > bin.Capacity {
-				continue
-			}
-			if drop != nil && drop[k] {
-				continue
-			}
-			d := inf
-			if e.Weight > 0 {
-				d = e.Profit / e.Weight
-			}
-			cands = append(cands, cand{b, e, d})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	a := NewAssignment(inst.NumItems)
-	residual := make([]float64, len(inst.Bins))
-	for b := range residual {
-		residual[b] = inst.Bins[b].Capacity
-	}
-	for _, c := range cands {
-		if a.ItemBin[c.e.Item] != -1 {
-			continue
-		}
-		if c.e.Weight > residual[c.bin] {
-			continue
-		}
-		a.ItemBin[c.e.Item] = c.bin
-		residual[c.bin] -= c.e.Weight
-		a.Profit += c.e.Profit
-	}
-	return a, nil
-}
-
-const inf = 1e308
-
-type cand struct {
-	bin     int
-	e       Entry
-	density float64
-}
-
-func candLess(a, b cand) bool {
-	if a.density != b.density {
-		return a.density > b.density // descending density
-	}
-	if a.e.Profit != b.e.Profit {
-		return a.e.Profit > b.e.Profit
-	}
-	if a.bin != b.bin {
-		return a.bin < b.bin
-	}
-	return a.e.Item < b.e.Item
 }
 
 // Exhaustive finds the optimal assignment by exhaustive search; it is

@@ -1,15 +1,27 @@
 package gap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
-
-	"mobisink/internal/knapsack"
 )
 
-func exactKnapsack(items []knapsack.Item, c float64) knapsack.Solution {
-	return knapsack.BranchAndBound(items, c)
+// solveAt runs the production engine on inst: the Builder, then SolveInto
+// with the exact DP oracle at quantum q > 0, or the FPTAS at eps when q
+// is 0. Every test instance's weights are multiples of 0.1, so the DP at
+// 0.1 is an exact knapsack oracle.
+func solveAt(t *testing.T, inst *Instance, q, eps float64) *Assignment {
+	t.Helper()
+	c, err := Compile(inst, q, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestValidate(t *testing.T) {
@@ -83,10 +95,7 @@ func TestLocalRatioSmall(t *testing.T) {
 			}},
 		},
 	}
-	a, err := LocalRatio(inst, exactKnapsack)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := solveAt(t, inst, 0.1, 0)
 	p, err := a.Check(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -106,19 +115,17 @@ func TestLocalRatioSmall(t *testing.T) {
 	}
 }
 
+// TestLocalRatioNilSolver: the reference sweep refuses a nil oracle.
 func TestLocalRatioNilSolver(t *testing.T) {
-	if _, err := LocalRatio(&Instance{}, nil); err == nil {
+	if _, err := LocalRatioCtx(context.Background(), &Instance{}, nil); err == nil {
 		t.Error("expected error for nil solver")
 	}
 }
 
 func TestLocalRatioRejectsInvalid(t *testing.T) {
 	inst := &Instance{NumItems: -1}
-	if _, err := LocalRatio(inst, exactKnapsack); err == nil {
-		t.Error("expected validation error")
-	}
-	if _, err := Greedy(inst); err == nil {
-		t.Error("expected validation error from greedy")
+	if _, err := Compile(inst, 0.1, 0); err == nil {
+		t.Error("expected validation error from the builder")
 	}
 	if _, err := Exhaustive(inst, 100); err == nil {
 		t.Error("expected validation error from exhaustive")
@@ -143,8 +150,8 @@ func randInstance(rng *rand.Rand, bins, items int) *Instance {
 	return inst
 }
 
-// The paper's guarantee: LocalRatio with an exact knapsack (β=1) achieves at
-// least OPT/2.
+// The paper's guarantee: the local-ratio sweep with an exact knapsack
+// (β=1) achieves at least OPT/2.
 func TestLocalRatioHalfApproximation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 150; trial++ {
@@ -153,10 +160,7 @@ func TestLocalRatioHalfApproximation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := LocalRatio(inst, exactKnapsack)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := solveAt(t, inst, 0.1, 0)
 		if _, err := a.Check(inst); err != nil {
 			t.Fatalf("trial %d: infeasible: %v", trial, err)
 		}
@@ -170,17 +174,13 @@ func TestLocalRatioHalfApproximation(t *testing.T) {
 func TestLocalRatioFPTASGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const eps = 0.3
-	solve := knapsack.FPTAS(eps)
 	for trial := 0; trial < 80; trial++ {
 		inst := randInstance(rng, 1+rng.Intn(3), 1+rng.Intn(6))
 		opt, err := Exhaustive(inst, 1<<24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := LocalRatio(inst, solve)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := solveAt(t, inst, 0, eps)
 		if _, err := a.Check(inst); err != nil {
 			t.Fatalf("trial %d: infeasible: %v", trial, err)
 		}
@@ -194,10 +194,11 @@ func TestGreedyFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 100; trial++ {
 		inst := randInstance(rng, 1+rng.Intn(4), 1+rng.Intn(8))
-		a, err := Greedy(inst)
+		c, err := Compile(inst, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := c.greedy()
 		p, err := a.Check(inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -216,7 +217,7 @@ func TestExhaustiveRefusesHugeInstances(t *testing.T) {
 }
 
 // When every item fits every bin with identical weights/profits per bin and
-// capacities are generous, LocalRatio must recover the optimum.
+// capacities are generous, the sweep must recover the optimum.
 func TestLocalRatioTrivialOptimal(t *testing.T) {
 	inst := &Instance{
 		NumItems: 4,
@@ -227,10 +228,7 @@ func TestLocalRatioTrivialOptimal(t *testing.T) {
 			}},
 		},
 	}
-	a, err := LocalRatio(inst, exactKnapsack)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := solveAt(t, inst, 0.1, 0)
 	if a.Profit != 10 {
 		t.Errorf("profit = %v, want 10 (all items)", a.Profit)
 	}
@@ -246,10 +244,7 @@ func TestLocalRatioLastSelectorWins(t *testing.T) {
 			{Capacity: 1, Entries: []Entry{{Item: 0, Profit: 9, Weight: 1}}},
 		},
 	}
-	a, err := LocalRatio(inst, exactKnapsack)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := solveAt(t, inst, 0.1, 0)
 	if a.ItemBin[0] != 1 || a.Profit != 9 {
 		t.Errorf("item should go to bin 1 with profit 9, got bin %d profit %v", a.ItemBin[0], a.Profit)
 	}

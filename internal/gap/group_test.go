@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mobisink/internal/knapsack"
@@ -34,38 +35,51 @@ func groupedInstance(rng *rand.Rand, bins, items, nGroups int) *Instance {
 	return inst
 }
 
+// TestReduceGroupsPicksDominant: the Builder keeps one entry per
+// (bin, conflict group), the dominant one, and reports whether every
+// dropped entry was weakly dominated.
 func TestReduceGroupsPicksDominant(t *testing.T) {
+	itemGroup := []int{0, 1, -1, 0}
+	compile := func(entries ...Entry) *Compiled {
+		t.Helper()
+		var b Builder
+		b.Reset(len(itemGroup), itemGroup, 0, 0.1)
+		b.Bin(10)
+		for _, e := range entries {
+			b.Add(e.Item, e.Profit, e.Weight)
+		}
+		c, err := b.Compiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	entries := []Entry{
 		{Item: 0, Profit: 5, Weight: 1},
-		{Item: 3, Profit: 7, Weight: 2}, // winner of group 0 (items 0, 3 with groups below)
+		{Item: 3, Profit: 7, Weight: 2}, // winner of group 0 (items 0 and 3)
 		{Item: 1, Profit: 4, Weight: 1},
 	}
-	itemGroup := []int{0, 1, -1, 0}
-	drop, exact := reduceGroups(entries, 10, itemGroup)
-	if drop == nil {
-		t.Fatal("expected a reduction: group 0 holds two assignable entries")
+	c := compile(entries...)
+	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
+		t.Fatalf("kept items %v, want [3 1]: only the item-0 entry dropped", c.Item)
 	}
-	if !drop[0] || drop[1] || drop[2] {
-		t.Fatalf("drop = %v, want only the item-0 entry dropped", drop)
-	}
-	if exact {
+	if c.GroupReductionExact() {
 		t.Fatal("dropped entry is lighter than the winner: reduction must report inexact")
 	}
 
 	// Weakly dominated loser → exact.
 	entries[0].Weight = 2
-	drop, exact = reduceGroups(entries, 10, itemGroup)
-	if drop == nil || !drop[0] {
-		t.Fatalf("drop = %v, want item-0 entry dropped", drop)
+	c = compile(entries...)
+	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
+		t.Fatalf("kept items %v, want [3 1]", c.Item)
 	}
-	if !exact {
+	if !c.GroupReductionExact() {
 		t.Fatal("weakly dominated loser must keep the reduction exact")
 	}
 
 	// Singleton groups → no reduction at all.
-	singles := []Entry{entries[0], entries[2]} // items 0 (group 0) and 1 (group 1)
-	if d, _ := reduceGroups(singles, 10, itemGroup); d != nil {
-		t.Fatalf("singleton groups reduced: %v", d)
+	if c = compile(entries[0], entries[2]); !reflect.DeepEqual(c.Item, []int32{0, 1}) {
+		t.Fatalf("singleton groups reduced: kept %v", c.Item)
 	}
 }
 
@@ -95,10 +109,10 @@ func TestValidateItemGroupLength(t *testing.T) {
 	}
 }
 
-// TestGroupedSolversHonorGroups: local-ratio (legacy and compiled),
-// greedy, and exhaustive all emit assignments that pass the
-// group-checking Check on random grouped instances, and the compiled
-// sweep stays bit-identical to the legacy one.
+// TestGroupedSolversHonorGroups: local-ratio, greedy and exhaustive all
+// emit assignments that pass the group-checking Check on random grouped
+// instances, and the compiled sweep and greedy stay bit-identical to
+// their references.
 func TestGroupedSolversHonorGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctx := context.Background()
@@ -137,6 +151,11 @@ func TestGroupedSolversHonorGroups(t *testing.T) {
 		}
 		if _, err := greedy.Check(inst); err != nil {
 			t.Fatalf("trial %d: greedy violates groups: %v", trial, err)
+		}
+		if cg := c.greedy(); !reflect.DeepEqual(cg.ItemBin, greedy.ItemBin) ||
+			math.Float64bits(cg.Profit) != math.Float64bits(greedy.Profit) {
+			t.Fatalf("trial %d: compiled greedy %v (profit %v) != reference %v (profit %v)",
+				trial, cg.ItemBin, cg.Profit, greedy.ItemBin, greedy.Profit)
 		}
 		ex, err := Exhaustive(inst, 1<<22)
 		if err != nil {

@@ -12,17 +12,6 @@ import (
 // burning its worker mid-solve instead of running to completion.
 type SolverCtx func(ctx context.Context, items []Item, capacity float64) (Solution, error)
 
-// Ctx adapts a plain Solver into a SolverCtx: the context is checked once
-// up front (the plain solver cannot be interrupted mid-run).
-func (s Solver) Ctx() SolverCtx {
-	return func(ctx context.Context, items []Item, capacity float64) (Solution, error) {
-		if err := ctx.Err(); err != nil {
-			return Solution{}, err
-		}
-		return s(items, capacity), nil
-	}
-}
-
 // nodeCheckInterval is how many branch-and-bound nodes are expanded
 // between context polls; DP solvers poll once per item layer instead.
 const nodeCheckInterval = 4096

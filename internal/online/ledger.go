@@ -142,13 +142,18 @@ func capAware(s Scheduler) bool {
 }
 
 // Admit enters the interval's heard claims in the ledger: each sensor
-// registers in the interval (the record Lemma 1 is checked on), and its
-// claimed Budget and DataLeft are clamped to the ledger's residuals.
+// registers in the interval (the record Lemma 1 is checked on), its
+// claimed Budget and DataLeft are clamped to the ledger's residuals, and
+// its claimed clip range is cut to its window within the interval, the
+// range an honest sensor claims.
 func (l *Ledger) Admit(iv Interval, regs []Registration) {
 	res := l.res
 	for k := range regs {
 		r := &regs[k]
 		res.RegisteredIn[r.Sensor] = append(res.RegisteredIn[r.Sensor], iv.Index)
+		s := &l.inst.Sensors[r.Sensor]
+		r.ClipStart = max(r.ClipStart, s.Start, iv.Start)
+		r.ClipEnd = min(r.ClipEnd, s.End, iv.End)
 		if r.Budget > res.Residual[r.Sensor] {
 			r.Budget = res.Residual[r.Sensor]
 			if l.st != nil {
@@ -260,7 +265,7 @@ func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, ow
 			return fmt.Errorf("scheduler assigned slot %d to unregistered sensor %d", slot, sensor)
 		}
 		r := &regs[k]
-		if slot < max(r.ClipStart, iv.Start) || slot > min(r.ClipEnd, iv.End) {
+		if slot < r.ClipStart || slot > r.ClipEnd {
 			return fmt.Errorf("slot %d outside clipped window [%d,%d] of sensor %d", slot, r.ClipStart, r.ClipEnd, sensor)
 		}
 		if l.res.Alloc.SlotOwner[slot] != -1 {

@@ -20,18 +20,19 @@
 package online
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
 	"mobisink/internal/gap"
-	"mobisink/internal/knapsack"
 	"mobisink/internal/matching"
 )
 
@@ -262,55 +263,78 @@ func (a *Appro) Name() string { return "Online_Appro" }
 
 // Schedule implements Scheduler.
 func (a *Appro) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	// Order registered sensors by (clipped start, clipped end) — the same
-	// ordering rule as offline.
-	order := make([]int, len(regs))
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(x, y int) bool {
-		rx, ry := regs[order[x]], regs[order[y]]
-		if rx.ClipStart != ry.ClipStart {
-			return rx.ClipStart < ry.ClipStart
-		}
-		if rx.ClipEnd != ry.ClipEnd {
-			return rx.ClipEnd < ry.ClipEnd
-		}
-		return rx.Sensor < ry.Sensor
-	})
-	width := iv.End - iv.Start + 1
-	g := &gap.Instance{NumItems: width}
-	g.Bins = make([]gap.Bin, len(order))
-	for b, k := range order {
-		r := regs[k]
-		s := &inst.Sensors[r.Sensor]
-		bin := gap.Bin{Capacity: r.Budget}
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			rate, pw := s.RateAt(j), s.PowerAt(j)
-			if rate <= 0 || pw <= 0 {
-				continue
-			}
-			bin.Entries = append(bin.Entries, gap.Entry{
-				Item: j - iv.Start, Profit: rate * inst.Tau, Weight: pw * inst.Tau,
-			})
-		}
-		g.Bins[b] = bin
-	}
-	asg, err := gap.LocalRatioCtx(ctx, g, a.solver(inst))
+	sc := gapPool.Get().(*gapScratch)
+	defer gapPool.Put(sc)
+	// Bins in the offline ordering rule, over the clipped windows.
+	sc.order = claimOrder(regs, sc.order)
+	quantum, eps := a.Opts.Oracle(inst)
+	c, err := sc.compile(inst, iv, regs, quantum, eps)
 	if err != nil {
 		return nil, err
 	}
-	assign := make(map[int]int)
-	for item, b := range asg.ItemBin {
-		if b >= 0 {
-			assign[item+iv.Start] = regs[order[b]].Sensor
-		}
+	if _, err := c.SolveInto(ctx, &sc.s, sc.itemBin); err != nil {
+		return nil, err
 	}
-	return assign, nil
+	return sc.plan(iv, regs), nil
 }
 
-func (a *Appro) solver(inst *core.Instance) knapsack.SolverCtx {
-	return a.Opts.SolverCtx(inst)
+// gapScratch is one per-interval GAP solve's reusable state: the builder
+// and the sweep scratch, the claims' bin order and the item → bin result.
+type gapScratch struct {
+	b       gap.Builder
+	s       gap.Scratch
+	order   []int
+	itemBin []int32
+}
+
+// gapPool shares gapScratch across the tours running at once.
+var gapPool = sync.Pool{New: func() any { return new(gapScratch) }}
+
+// compile writes the interval's GAP into the builder: one bin per claim,
+// in sc.order, with the claimed budget as its capacity; one item per
+// slot of the interval, each usable slot of the clipped window an entry.
+func (sc *gapScratch) compile(inst *core.Instance, iv Interval, regs []Registration, quantum, eps float64) (*gap.Compiled, error) {
+	width := iv.End - iv.Start + 1
+	sc.b.Reset(width, nil, quantum, eps)
+	for _, k := range sc.order {
+		r := &regs[k]
+		s := &inst.Sensors[r.Sensor]
+		sc.b.Bin(r.Budget)
+		for j := r.ClipStart; j <= r.ClipEnd; j++ {
+			if rate, pw := s.RateAt(j), s.PowerAt(j); rate > 0 && pw > 0 {
+				sc.b.Add(j-iv.Start, rate*inst.Tau, pw*inst.Tau)
+			}
+		}
+	}
+	sc.itemBin = slices.Grow(sc.itemBin[:0], width)[:width]
+	return sc.b.Compiled()
+}
+
+// plan maps the solve's item → bin result to the interval's slot →
+// sensor plan.
+func (sc *gapScratch) plan(iv Interval, regs []Registration) map[int]int {
+	assign := make(map[int]int)
+	for item, b := range sc.itemBin {
+		if b >= 0 {
+			assign[item+iv.Start] = regs[sc.order[b]].Sensor
+		}
+	}
+	return assign
+}
+
+// claimOrder fills order with the claims' indices in Algorithm 1's line-1
+// order, over the clipped windows: by start slot, then end slot, then
+// sensor.
+func claimOrder(regs []Registration, order []int) []int {
+	order = order[:0]
+	for k := range regs {
+		order = append(order, k)
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		rx, ry := &regs[x], &regs[y]
+		return cmp.Or(cmp.Compare(rx.ClipStart, ry.ClipStart), cmp.Compare(rx.ClipEnd, ry.ClipEnd), cmp.Compare(rx.Sensor, ry.Sensor))
+	})
+	return order
 }
 
 // MaxMatch is the matching-based scheduler for the fixed-power special case
@@ -435,30 +459,19 @@ func (g *Greedy) Schedule(ctx context.Context, inst *core.Instance, iv Interval,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	width := iv.End - iv.Start + 1
-	gi := &gap.Instance{NumItems: width}
-	gi.Bins = make([]gap.Bin, len(regs))
-	for k, r := range regs {
-		s := &inst.Sensors[r.Sensor]
-		bin := gap.Bin{Capacity: r.Budget}
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			rate, pw := s.RateAt(j), s.PowerAt(j)
-			if rate <= 0 || pw <= 0 {
-				continue
-			}
-			bin.Entries = append(bin.Entries, gap.Entry{Item: j - iv.Start, Profit: rate * inst.Tau, Weight: pw * inst.Tau})
-		}
-		gi.Bins[k] = bin
+	sc := gapPool.Get().(*gapScratch)
+	defer gapPool.Put(sc)
+	// One bin per claim, in the claims' own order.
+	sc.order = sc.order[:0]
+	for k := range regs {
+		sc.order = append(sc.order, k)
 	}
-	asg, err := gap.Greedy(gi)
+	c, err := sc.compile(inst, iv, regs, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	assign := make(map[int]int)
-	for item, b := range asg.ItemBin {
-		if b >= 0 {
-			assign[item+iv.Start] = regs[b].Sensor
-		}
+	if _, err := c.Greedy(&sc.s, sc.itemBin); err != nil {
+		return nil, err
 	}
-	return assign, nil
+	return sc.plan(iv, regs), nil
 }

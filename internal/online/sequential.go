@@ -3,7 +3,6 @@ package online
 import (
 	"context"
 	"math"
-	"sort"
 
 	"mobisink/internal/core"
 	"mobisink/internal/knapsack"
@@ -27,20 +26,7 @@ func (s *Sequential) CapAware() bool { return true }
 
 // Schedule implements Scheduler.
 func (s *Sequential) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	order := make([]int, len(regs))
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(x, y int) bool {
-		rx, ry := regs[order[x]], regs[order[y]]
-		if rx.ClipStart != ry.ClipStart {
-			return rx.ClipStart < ry.ClipStart
-		}
-		if rx.ClipEnd != ry.ClipEnd {
-			return rx.ClipEnd < ry.ClipEnd
-		}
-		return rx.Sensor < ry.Sensor
-	})
+	order := claimOrder(regs, nil)
 	assign := make(map[int]int)
 	solve := s.Opts.SolverCtx(inst)
 	quantum := inst.RateQuantumBits()

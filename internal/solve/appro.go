@@ -27,15 +27,11 @@ type approCache struct {
 func (s *approSolver) Name() string { return "Offline_Appro" }
 
 func (s *approSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Allocation, error) {
-	if s.opts.Knapsack != nil {
-		// An opaque oracle cannot be compiled; take the legacy sweep.
-		return core.OfflineApproCtx(ctx, inst, s.opts)
-	}
 	c, err := s.compiled(inst)
 	if err != nil {
 		return nil, err
 	}
-	return c.Solve(ctx, s.opts)
+	return c.Solve(ctx)
 }
 
 // compiled returns the flat form of inst, reusing the cached one when the

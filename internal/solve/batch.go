@@ -45,7 +45,7 @@ func Batch(ctx context.Context, algorithm string, insts []*core.Instance, opts O
 	// work is measured (solve_compile_ns) and the per-instance solvers
 	// then ride the flat path with zero redundant validation.
 	var compiled []*core.Compiled
-	if as, ok := s.(*approSolver); ok && as.opts.Knapsack == nil {
+	if as, ok := s.(*approSolver); ok {
 		compiled = make([]*core.Compiled, len(insts))
 		for i, inst := range insts {
 			if items[i].Err != nil {
@@ -69,7 +69,7 @@ func Batch(ctx context.Context, algorithm string, insts []*core.Instance, opts O
 		var alloc *core.Allocation
 		var err error
 		if compiled != nil {
-			alloc, err = compiled[i].Solve(ctx, opts.Core)
+			alloc, err = compiled[i].Solve(ctx)
 		} else {
 			alloc, err = s.Solve(ctx, insts[i])
 		}

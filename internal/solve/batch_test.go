@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mobisink/internal/core"
-	"mobisink/internal/knapsack"
 )
 
 func TestBatchMatchesIndividualSolves(t *testing.T) {
@@ -78,24 +77,6 @@ func TestBatchEmpty(t *testing.T) {
 	}
 	if len(items) != 0 {
 		t.Fatalf("got %d items for an empty batch", len(items))
-	}
-}
-
-// TestBatchCustomOracle exercises the non-compiled fallback: a custom
-// knapsack oracle cannot ride the flat path, so Batch must route through
-// the solver's generic Solve.
-func TestBatchCustomOracle(t *testing.T) {
-	opts := Options{Core: core.Options{Knapsack: knapsack.Greedy}}
-	insts := []*core.Instance{paperInstance(t, 20, 4, 5, 1)}
-	items, err := Batch(context.Background(), "Offline_Appro", insts, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if items[0].Err != nil {
-		t.Fatal(items[0].Err)
-	}
-	if items[0].Alloc == nil || items[0].Alloc.Data <= 0 {
-		t.Fatalf("custom-oracle batch produced %+v", items[0].Alloc)
 	}
 }
 

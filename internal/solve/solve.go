@@ -38,8 +38,7 @@ type Solver interface {
 // Options configures solver construction. The zero value selects the
 // defaults used throughout the paper reproduction.
 type Options struct {
-	// Core tunes the inner knapsack solver (Eps, ForceFPTAS, Knapsack
-	// override).
+	// Core tunes the inner knapsack solver (Eps, ForceFPTAS).
 	Core core.Options
 	// Online tunes protocol realism for the Online_* solvers (Ack
 	// contention window, seed).

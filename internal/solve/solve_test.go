@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
 	"mobisink/internal/fault"
-	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/online"
 	"mobisink/internal/radio"
@@ -139,34 +139,59 @@ func TestSolveCanceledUpfront(t *testing.T) {
 	}
 }
 
-// TestSolveCancelsMidSweep proves cancellation aborts real work: a knapsack
-// oracle cancels the context on its first invocation, and the local-ratio
-// sweep must stop before reaching the remaining bins.
+// pollCtx is a context that counts its Err polls and, from poll
+// cancelAt on (0: never), reports context.Canceled. It records which
+// polls the local-ratio sweep made, from their call stacks.
+type pollCtx struct {
+	context.Context
+	cancelAt, polls int
+	inSweep         []int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if strings.HasSuffix(f.Function, "gap.(*Compiled).sweep") {
+			c.inSweep = append(c.inSweep, c.polls)
+			break
+		}
+	}
+	if c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveCancelsMidSweep proves cancellation aborts real work on the
+// production engine: a context canceled at a poll halfway through the
+// local-ratio sweeps of an uncanceled run must stop Offline_Appro and
+// Online_Appro with context.Canceled, polling at most once more.
 func TestSolveCancelsMidSweep(t *testing.T) {
 	inst := paperInstance(t, 60, 5, 5, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	calls := 0
-	opts := Options{Core: core.Options{
-		Knapsack: func(items []knapsack.Item, c float64) knapsack.Solution {
-			calls++
-			if calls == 1 {
-				cancel()
-			}
-			return knapsack.FPTAS(0.1)(items, c)
-		},
-	}}
-	s, err := New("Offline_Appro", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(ctx, inst); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	// The sweep has one knapsack call per sensor bin; cancellation after
-	// the first call must prevent the vast majority of them.
-	if calls > 2 {
-		t.Fatalf("sweep ran %d knapsacks after cancellation", calls)
+	for _, name := range []string{"Offline_Appro", "Online_Appro"} {
+		s, err := New(name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := &pollCtx{Context: context.Background()}
+		if _, err := s.Solve(probe, inst); err != nil {
+			t.Fatal(err)
+		}
+		if len(probe.inSweep) < 10 {
+			t.Fatalf("%s: only %d of %d polls inside the sweep", name, len(probe.inSweep), probe.polls)
+		}
+		k := probe.inSweep[len(probe.inSweep)/2]
+		ctx := &pollCtx{Context: context.Background(), cancelAt: k}
+		if _, err := s.Solve(ctx, inst); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", name, err)
+		}
+		if ctx.polls > k+1 {
+			t.Fatalf("%s: canceled at poll %d of %d, polled %d times", name, k, probe.polls, ctx.polls)
+		}
 	}
 }
 

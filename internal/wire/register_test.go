@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -464,5 +465,88 @@ func TestProbeSetIsRadioReach(t *testing.T) {
 				t.Errorf("sink sent %v Probe frames, want Σ|reach ∩ connected| = %d", sent, frames)
 			}
 		})
+	}
+}
+
+// TestOverclaimedClipRangeIsCut: one sensor's Ack claims a clip range
+// beyond its window within the interval — past the interval's end, or
+// the whole int32 range. The ledger cuts each claim to the range an
+// honest sensor claims, so the tour completes under every scheduler and
+// its Result equals the in-process run's bit for bit. The peer claims
+// its full initial budget and an unbounded queue, which the ledger
+// clamps to its residuals too. It is probed in an interval its window
+// outlasts, so the over-claim reaches slots of its window in the next
+// interval.
+func TestOverclaimedClipRangeIsCut(t *testing.T) {
+	inst := shortInstance(t, 8, 900, 17)
+	peer := -1
+	for j, ids := range reachOf(inst) {
+		for _, id := range ids {
+			if end := min((j+1)*inst.Gamma, inst.T) - 1; peer < 0 && inst.Sensors[id].End > end {
+				peer = id
+			}
+		}
+	}
+	if peer < 0 {
+		t.Fatal("no probed sensor's window outlasts its interval")
+	}
+	for _, tc := range []struct {
+		name  string
+		claim func(p *Probe) (start, end int)
+	}{
+		{"past-interval", func(p *Probe) (int, int) { return p.Start, p.End + 3 }},
+		{"int32-range", func(*Probe) (int, int) { return math.MinInt32, math.MaxInt32 }},
+	} {
+		for _, mk := range []func() online.Scheduler{
+			func() online.Scheduler { return &online.Appro{} },
+			func() online.Scheduler { return &online.Greedy{} },
+			func() online.Scheduler { return &online.Sequential{} },
+		} {
+			t.Run(tc.name+"/"+mk().Name(), func(t *testing.T) {
+				want, err := online.Run(inst, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: mk()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sink.Close()
+				c, _ := rawHandshake(t, sink.Addr(), peer, 0, -1)
+				done := servePeer(c, func(m Msg) bool {
+					if p, ok := m.(*Probe); ok {
+						start, end := tc.claim(p)
+						_ = c.WriteMsg(RegisterAck(p.Interval, p.Attempt, online.Registration{
+							Sensor: peer, Budget: inst.Sensors[peer].Budget, DataLeft: math.Inf(1),
+							ClipStart: start, ClipEnd: end,
+						}))
+					}
+					return true
+				})
+				fl := launchExcept(t, sink.Addr(), inst, peer)
+
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				if err := sink.WaitSensors(ctx); err != nil {
+					t.Fatal(err)
+				}
+				got, err := sink.RunTour(ctx)
+				if err != nil {
+					t.Fatalf("tour with an over-claimed clip range: %v", err)
+				}
+				sink.Close()
+				fl.join(t)
+				waitPeers(t, done)
+
+				if math.Float64bits(got.Data) != math.Float64bits(want.Data) ||
+					!reflect.DeepEqual(got.Alloc.SlotOwner, want.Alloc.SlotOwner) ||
+					got.Messages != want.Messages || got.Intervals != want.Intervals ||
+					!reflect.DeepEqual(got.RegisteredIn, want.RegisteredIn) ||
+					!reflect.DeepEqual(got.Residual, want.Residual) ||
+					!reflect.DeepEqual(got.ResidualData, want.ResidualData) {
+					t.Fatalf("wire result diverges from the in-process run:\nwire      %+v\nin-process %+v", got, want)
+				}
+			})
+		}
 	}
 }
