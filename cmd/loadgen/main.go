@@ -6,8 +6,8 @@
 // samples, and the sink-side wire histograms (registration roundtrip,
 // broadcast fan-out stall, interval commit) at p50/p95/p99/p99.9.
 //
-//	loadgen -n 1000                         uniform ramp, sharded sink
-//	loadgen -n 5000 -arrival burst -shards 16
+//	loadgen -n 1000                         uniform ramp
+//	loadgen -n 5000 -arrival burst
 //	loadgen -n 1000 -json fleet.json        benchjson-shaped artifact
 //
 // The -json artifact uses the same row shape as BENCH_wire.json, so a
@@ -38,8 +38,6 @@ import (
 
 type config struct {
 	n       int
-	shards  int
-	queue   int
 	algo    string
 	seed    int64
 	pathLen float64
@@ -58,8 +56,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.n, "n", 1000, "fleet size (sensor clients)")
-	flag.IntVar(&cfg.shards, "shards", 0, "broadcast writer shards (0 = sink default)")
-	flag.IntVar(&cfg.queue, "queue", 0, "per-connection outbound queue depth (0 = sink default)")
 	flag.StringVar(&cfg.algo, "algo", "greedy", "per-interval scheduler: appro, maxmatch, greedy, or sequential")
 	flag.Int64Var(&cfg.seed, "seed", 1, "topology, budget, and arrival seed")
 	flag.Float64Var(&cfg.pathLen, "path", 2000, "sink path length, m")
@@ -88,8 +84,8 @@ type report struct {
 	DataMb    float64
 	TourWall  time.Duration
 	// Join percentiles are exact (computed from every client's sample):
-	// dial + handshake + Resume/Sync, the client-observed cost of
-	// entering the fleet.
+	// dial + Hello + Sync, the client-observed cost of entering the
+	// fleet.
 	JoinP50, JoinP95, JoinP99, JoinP999 time.Duration
 	// Sink-side histogram percentiles, nanoseconds.
 	RegRoundtripP99    float64
@@ -155,10 +151,7 @@ func run(cfg config, out io.Writer) (*report, error) {
 	if cfg.chaos > 0 {
 		rec = &wire.Recovery{MaxRetries: cfg.retries, RegWindow: cfg.window, ConfirmWindow: cfg.window}
 	}
-	sink, err := wire.NewSink(wire.SinkConfig{
-		Inst: inst, Scheduler: sched, Recovery: rec,
-		Shards: cfg.shards, Queue: cfg.queue,
-	})
+	sink, err := wire.NewSink(wire.SinkConfig{Inst: inst, Scheduler: sched, Recovery: rec})
 	if err != nil {
 		return nil, err
 	}
@@ -183,11 +176,11 @@ func run(cfg config, out io.Writer) (*report, error) {
 		}
 	}
 
-	fmt.Fprintf(out, "loadgen: %d sensors, %s arrival over %v, sharded (W=%d) sink, %s scheduler\n",
-		cfg.n, cfg.arrival, cfg.ramp, effectiveShards(cfg.shards), sched.Name())
+	fmt.Fprintf(out, "loadgen: %d sensors, %s arrival over %v, %s scheduler\n",
+		cfg.n, cfg.arrival, cfg.ramp, sched.Name())
 
 	// Ramp the fleet in. Every client records its join latency (dial
-	// through completed Resume/Sync) and then runs its protocol loop.
+	// through the received Sync) and then runs its protocol loop.
 	offsets := arrivalOffsets(cfg)
 	joins := make(chan time.Duration, cfg.n)
 	dialErrs := make(chan error, cfg.n)
@@ -279,18 +272,6 @@ func run(cfg config, out io.Writer) (*report, error) {
 		fmt.Fprintf(out, "loadgen: wrote %s\n", cfg.jsonOut)
 	}
 	return rep, nil
-}
-
-// effectiveShards mirrors the sink's normalization, for the banner.
-func effectiveShards(shards int) int {
-	switch {
-	case shards <= 0:
-		return 8
-	case shards > 64:
-		return 64
-	default:
-		return shards
-	}
 }
 
 // exactQuantile reads the q-th quantile from sorted samples (nearest-

@@ -65,7 +65,6 @@ type config struct {
 	heartbeat  time.Duration
 	crashDemo  bool
 	fleet      int
-	shards     int
 }
 
 func main() {
@@ -90,7 +89,6 @@ func main() {
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 0, "idle keepalive period; also derives read (3×) and write (1×) deadlines on every connection")
 	flag.BoolVar(&cfg.crashDemo, "crash-demo", false, "demo mode: kill the sink mid-tour and restart it from the journal, then check parity")
 	flag.IntVar(&cfg.fleet, "fleet", 0, "convenience: demo with this many in-process sensors and print the latency percentile snapshot on exit (overrides -n, implies -stats)")
-	flag.IntVar(&cfg.shards, "shards", 0, "broadcast writer shards (0 = default 8)")
 	flag.Parse()
 	if cfg.fleet > 0 {
 		cfg.n = cfg.fleet
@@ -166,7 +164,6 @@ func run(cfg config) error {
 		Inst: inst, Scheduler: sched, Addr: cfg.addr, Recovery: rec,
 		WALPath: walPath, SessionTTL: cfg.sessionTTL,
 		Heartbeat: cfg.heartbeat, Conn: connOpts(cfg.heartbeat),
-		Shards: cfg.shards,
 	}
 	if cfg.crashDemo {
 		intervals := (inst.T + inst.Gamma - 1) / inst.Gamma

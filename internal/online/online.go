@@ -340,15 +340,9 @@ func claimOrder(regs []Registration, order []int) []int {
 // MaxMatch is the matching-based scheduler for the fixed-power special case
 // (Online_MaxMatch): per interval, a maximum-weight matching between
 // registered sensors (with capacity n'_i = min(Γ, |[i'_s, i'_e]|,
-// ⌊P(v_i)/(P'·τ)⌋)) and the interval's slots.
-type MaxMatch struct {
-	// UseHungarian switches to the paper's literal construction — n'_i
-	// explicit sensor-node copies solved by the O(n³) Hungarian algorithm —
-	// instead of the default capacity-aware min-cost flow. Both produce a
-	// maximum-weight matching; the flow backend is faster. Kept for
-	// validating the equivalence on live instances.
-	UseHungarian bool
-}
+// ⌊P(v_i)/(P'·τ)⌋)) and the interval's slots, solved as a capacity-aware
+// min-cost flow rather than over the paper's n'_i sensor copies.
+type MaxMatch struct{}
 
 // Name implements Scheduler.
 func (m *MaxMatch) Name() string { return "Online_MaxMatch" }
@@ -360,14 +354,7 @@ func (m *MaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interva
 		return nil, errors.New("MaxMatch scheduler requires a fixed transmission power instance")
 	}
 	perSlot := pFixed * inst.Tau
-	width := iv.End - iv.Start + 1
-	if m.UseHungarian {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return m.scheduleHungarian(inst, iv, regs, perSlot, width)
-	}
-	g, err := matching.NewGraph(len(regs), width)
+	g, err := matching.NewGraph(len(regs), iv.End-iv.Start+1)
 	if err != nil {
 		return nil, err
 	}
@@ -402,47 +389,6 @@ func (m *MaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interva
 	for rSlot, k := range match.RightMatch {
 		if k >= 0 {
 			assign[rSlot+iv.Start] = regs[k].Sensor
-		}
-	}
-	return assign, nil
-}
-
-// scheduleHungarian is the paper's G' construction: n'_i identical copies
-// per registered sensor, solved with the Hungarian algorithm.
-func (m *MaxMatch) scheduleHungarian(inst *core.Instance, iv Interval, regs []Registration, perSlot float64, width int) (map[int]int, error) {
-	var rows [][]float64
-	var rowSensor []int
-	for _, r := range regs {
-		s := &inst.Sensors[r.Sensor]
-		nCopies := int(math.Floor(r.Budget/perSlot + 1e-9))
-		if w := r.ClipEnd - r.ClipStart + 1; nCopies > w {
-			nCopies = w
-		}
-		if nCopies > inst.Gamma {
-			nCopies = inst.Gamma
-		}
-		if nCopies <= 0 {
-			continue
-		}
-		row := make([]float64, width)
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			if rate := s.RateAt(j); rate > 0 {
-				row[j-iv.Start] = rate * inst.Tau
-			}
-		}
-		for c := 0; c < nCopies; c++ {
-			rows = append(rows, row)
-			rowSensor = append(rowSensor, r.Sensor)
-		}
-	}
-	matchL, _, err := matching.Hungarian(rows)
-	if err != nil {
-		return nil, err
-	}
-	assign := make(map[int]int)
-	for l, r := range matchL {
-		if r >= 0 {
-			assign[r+iv.Start] = rowSensor[l]
 		}
 	}
 	return assign, nil

@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
 	"mobisink/internal/fault"
+	"mobisink/internal/matching"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -442,6 +444,55 @@ func TestRegistrationContention(t *testing.T) {
 	}
 }
 
+// hungarianMaxMatch is the paper's literal G′ construction for
+// Online_MaxMatch, the reference MaxMatch's flow backend is checked
+// against: n′_i identical copies of each registered sensor, solved by the
+// O(n³) Hungarian algorithm.
+type hungarianMaxMatch struct{}
+
+func (hungarianMaxMatch) Name() string { return "Online_MaxMatch_Hungarian" }
+
+func (hungarianMaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pFixed, ok := inst.FixedTxPower()
+	if !ok {
+		return nil, errors.New("MaxMatch scheduler requires a fixed transmission power instance")
+	}
+	perSlot := pFixed * inst.Tau
+	var rows [][]float64
+	var rowSensor []int
+	for _, r := range regs {
+		s := &inst.Sensors[r.Sensor]
+		nCopies := min(int(math.Floor(r.Budget/perSlot+1e-9)), r.ClipEnd-r.ClipStart+1, inst.Gamma)
+		if nCopies <= 0 {
+			continue
+		}
+		row := make([]float64, iv.End-iv.Start+1)
+		for j := r.ClipStart; j <= r.ClipEnd; j++ {
+			if rate := s.RateAt(j); rate > 0 {
+				row[j-iv.Start] = rate * inst.Tau
+			}
+		}
+		for c := 0; c < nCopies; c++ {
+			rows = append(rows, row)
+			rowSensor = append(rowSensor, r.Sensor)
+		}
+	}
+	matchL, _, err := matching.Hungarian(rows)
+	if err != nil {
+		return nil, err
+	}
+	assign := make(map[int]int)
+	for l, r := range matchL {
+		if r >= 0 {
+			assign[r+iv.Start] = rowSensor[l]
+		}
+	}
+	return assign, nil
+}
+
 // The paper's literal copies+Hungarian construction and the capacity-aware
 // flow backend must collect identical throughput on live tours.
 func TestMaxMatchBackendsAgree(t *testing.T) {
@@ -452,7 +503,7 @@ func TestMaxMatchBackendsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hung, err := Run(inst, &MaxMatch{UseHungarian: true})
+		hung, err := Run(inst, hungarianMaxMatch{})
 		if err != nil {
 			t.Fatal(err)
 		}

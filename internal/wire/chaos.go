@@ -60,7 +60,7 @@ func (s ChaosStats) Dropped() int64 {
 // connection churn rather than simulated flags. Direction matters:
 // Probe/Schedule/Finish drops apply sink → sensor, register-Ack drops
 // apply sensor → sink, and declines, confirms, and the session handshake
-// (Hello, Resume, Sync) always pass — black-holing a handshake would
+// (Hello, Sync) always pass — black-holing a handshake would
 // wedge a reconnecting client rather than model loss. Conn kills fire on
 // delivery of an interval's first probe (attempt 0 only, so a resumed
 // connection is not re-killed by the retransmit of the same probe).
@@ -247,17 +247,11 @@ func (p *ChaosProxy) pump(src, dst *Conn, sensorID, curInterval *atomic.Int64, d
 			}
 			return
 		}
-		switch h := m.(type) {
-		case *Hello:
-			if h.Role == RoleSensor {
-				sensorID.Store(int64(h.Sensor))
-			}
+		if h, ok := m.(*Hello); ok {
+			sensorID.Store(int64(h.Sensor))
+		}
+		if t := m.Type(); t == TypeHello || t == TypeSync {
 			if !forward(m) { // the handshake is never dropped or delayed
-				return
-			}
-			continue
-		case *Resume, *Sync:
-			if !forward(m) { // session resumption traffic always passes
 				return
 			}
 			continue

@@ -182,46 +182,20 @@ func (c *Conn) StartHeartbeat(every time.Duration) (stop func()) {
 func (c *Conn) stopHeartbeat() { c.hbOnce.Do(func() { close(c.hbStop) }) }
 
 // ClientHandshake sends the sensor's Hello — carrying its session token
-// (0 = none) and last committed interval (-1 = none) — and validates the
-// sink's answering Hello.
-func (c *Conn) ClientHandshake(sensor int, token uint64, lastInterval int) error {
-	h := &Hello{
-		Version: Version, Role: RoleSensor, Sensor: sensor,
-		Token: token, LastInterval: lastInterval,
-	}
+// (0 = none) and last committed interval (-1 = none) — and returns the
+// sink's answering Sync, the handshake's one round trip.
+func (c *Conn) ClientHandshake(sensor int, token uint64, lastInterval int) (*Sync, error) {
+	h := &Hello{Version: Version, Sensor: sensor, Token: token, LastInterval: lastInterval}
 	if err := c.WriteMsg(h); err != nil {
-		return err
+		return nil, err
 	}
-	m, err := c.ReadMsg()
-	if err != nil {
-		return err
-	}
-	r, ok := m.(*Hello)
-	if !ok {
-		return fmt.Errorf("%w: want hello, got %s", ErrBadField, m.Type())
-	}
-	if r.Role != RoleSink {
-		return fmt.Errorf("%w: peer is not a sink", ErrBadField)
-	}
-	return nil
-}
-
-// ServerHandshake reads the sensor's Hello, answers with the sink's, and
-// returns the sensor's Hello (index, session token, last interval).
-func (c *Conn) ServerHandshake() (*Hello, error) {
 	m, err := c.ReadMsg()
 	if err != nil {
 		return nil, err
 	}
-	h, ok := m.(*Hello)
+	sync, ok := m.(*Sync)
 	if !ok {
-		return nil, fmt.Errorf("%w: want hello, got %s", ErrBadField, m.Type())
+		return nil, fmt.Errorf("%w: want sync, got %s", ErrBadField, m.Type())
 	}
-	if h.Role != RoleSensor || h.Sensor < 0 {
-		return nil, fmt.Errorf("%w: peer is not a sensor (role %d, id %d)", ErrBadField, h.Role, h.Sensor)
-	}
-	if err := c.WriteMsg(&Hello{Version: Version, Role: RoleSink, Sensor: -1, LastInterval: -1}); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return sync, nil
 }

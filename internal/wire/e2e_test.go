@@ -359,7 +359,10 @@ func TestProxyHalfClosesOnSinkHangup(t *testing.T) {
 		}
 		c := NewConn(raw)
 		defer c.Close()
-		if _, err := c.ServerHandshake(); err != nil {
+		if _, err := c.ReadMsg(); err != nil { // the Hello
+			return
+		}
+		if err := c.WriteMsg(&Sync{Token: 1, Interval: -1}); err != nil {
 			return
 		}
 		_ = c.WriteMsg(&Schedule{Interval: 0, Pairs: []Assign{{Slot: 0, Sensor: 0}}})
@@ -381,7 +384,7 @@ func TestProxyHalfClosesOnSinkHangup(t *testing.T) {
 	}
 	c := NewConn(raw)
 	defer c.Close()
-	if err := c.ClientHandshake(0, 0, -1); err != nil {
+	if _, err := c.ClientHandshake(0, 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadMsg(); err != nil {

@@ -1,9 +1,9 @@
 // Package wire promotes the online protocol (paper Algorithm 2) from
 // in-process function calls to a real transport. It defines a compact,
 // versioned, length-prefixed binary framing for the protocol's message
-// types — Hello (version handshake), Probe, Ack (carrying an
-// online.Registration), Schedule, and Finish — plus, on top of the
-// framing:
+// types — Hello (the sensor's session handshake, answered by a Sync),
+// Probe, Ack (carrying an online.Registration), Schedule, and Finish —
+// plus, on top of the framing:
 //
 //   - Sink, a TCP server that accepts long-lived sensor connections and
 //     runs the interval loop (probe broadcast → registration window →
@@ -39,9 +39,9 @@ import (
 )
 
 // Version is the protocol version carried by the Hello handshake. A sink
-// and sensor with different versions refuse to talk. Version 2 added
-// session resumption (Hello token fields, Resume/Sync) and Heartbeat.
-const Version = 2
+// and sensor with different versions refuse to talk: the sink closes the
+// connection on another version's Hello without answering it.
+const Version = 3
 
 // magic opens every Hello payload; it guards against a non-protocol peer
 // (or a desynchronized stream) being interpreted as a handshake.
@@ -74,10 +74,8 @@ const (
 	TypeAck
 	TypeSchedule
 	TypeFinish
-	// TypeResume and TypeSync are the session-resumption handshake: after
-	// Hello the sensor states its residual claim (Resume), the sink
-	// answers with the authoritative session state (Sync).
-	TypeResume
+	// TypeSync is the sink's answer to a Hello: the authoritative
+	// session state.
 	TypeSync
 	// TypeHeartbeat is the idle keepalive; it carries no fields and is
 	// consumed by the connection layer, never surfaced to the protocol.
@@ -97,8 +95,6 @@ func (t Type) String() string {
 		return "schedule"
 	case TypeFinish:
 		return "finish"
-	case TypeResume:
-		return "resume"
 	case TypeSync:
 		return "sync"
 	case TypeHeartbeat:
@@ -107,30 +103,19 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// Role distinguishes the two endpoints in a Hello.
-type Role uint8
-
-// Handshake roles.
-const (
-	RoleSink   Role = 0
-	RoleSensor Role = 1
-)
-
 // Msg is one protocol message.
 type Msg interface {
 	// Type returns the message's wire tag.
 	Type() Type
 }
 
-// Hello is the version handshake, the first frame in each direction on a
-// new connection. Sensor is the dense sensor index for RoleSensor and -1
-// for RoleSink. Token is the sensor's session token from a previous
-// connection (0 = none, request a fresh session) and LastInterval the
-// last interval whose Finish it committed (-1 = none); the sink answers
-// the subsequent Resume with a Sync carrying the authoritative state.
+// Hello is the sensor's handshake, the first frame on a new connection.
+// Sensor is the dense sensor index. Token is the sensor's session token
+// from a previous connection (0 = none, request a fresh session) and
+// LastInterval the last interval whose Finish it committed (-1 = none);
+// the sink answers with a Sync carrying the authoritative state.
 type Hello struct {
 	Version      uint8
-	Role         Role
 	Sensor       int
 	Token        uint64
 	LastInterval int
@@ -139,22 +124,7 @@ type Hello struct {
 // Type implements Msg.
 func (*Hello) Type() Type { return TypeHello }
 
-// Resume is the sensor's session-resumption claim, sent right after
-// Hello: the token it is resuming (0 for a fresh session) and its local
-// view of its ledger — last committed interval, residual energy budget,
-// and residual data. The sink reconciles the claim against its session
-// table and answers with a Sync.
-type Resume struct {
-	Token        uint64
-	LastInterval int
-	Budget       float64
-	DataLeft     float64 // +Inf on instances without data caps
-}
-
-// Type implements Msg.
-func (*Resume) Type() Type { return TypeResume }
-
-// Sync is the sink's authoritative answer to a Resume. Resumed reports
+// Sync is the sink's authoritative answer to a Hello. Resumed reports
 // whether an existing session was found (false = fresh session issued);
 // Token is the session token to present on the next reconnect; Interval
 // is the last interval the sink committed for this sensor; Missed
@@ -288,14 +258,13 @@ func (*Finish) Type() Type { return TypeFinish }
 
 // Fixed payload sizes per tag (bytes, including the tag byte).
 const (
-	helloLen     = 1 + 2 + 1 + 1 + 4 + 8 + 4
+	helloLen     = 1 + 2 + 1 + 4 + 8 + 4
 	probeLen     = 1 + 4 + 1 + 4 + 4 + 8 + 8
 	ackBaseLen   = 1 + 1 + 4 + 1 + 4
 	ackRegLen    = ackBaseLen + 8 + 8 + 4 + 4
 	schedHeadLen = 1 + 4 + 1 + 2
 	assignLen    = 4 + 4
 	finishLen    = 1 + 4
-	resumeLen    = 1 + 8 + 4 + 8 + 8
 	syncLen      = 1 + 1 + 8 + 4 + 4 + 8 + 8
 	heartbeatLen = 1
 )
@@ -343,13 +312,12 @@ func AppendFrame(dst []byte, m Msg) ([]byte, error) {
 func appendPayload(dst []byte, m Msg) ([]byte, error) {
 	switch m := m.(type) {
 	case *Hello:
-		if m.Role > RoleSensor || m.Sensor < -1 || !fitsI32(m.Sensor, m.LastInterval) ||
-			m.LastInterval < -1 {
-			return nil, fmt.Errorf("%w: hello role %d sensor %d last %d", ErrBadField, m.Role, m.Sensor, m.LastInterval)
+		if m.Sensor < 0 || m.LastInterval < -1 || !fitsI32(m.Sensor, m.LastInterval) {
+			return nil, fmt.Errorf("%w: hello sensor %d last %d", ErrBadField, m.Sensor, m.LastInterval)
 		}
 		dst = append(dst, byte(TypeHello))
 		dst = appendU16(dst, magic)
-		dst = append(dst, m.Version, byte(m.Role))
+		dst = append(dst, m.Version)
 		dst = appendI32(dst, int32(m.Sensor))
 		dst = binary.BigEndian.AppendUint64(dst, m.Token)
 		return appendI32(dst, int32(m.LastInterval)), nil
@@ -411,17 +379,6 @@ func appendPayload(dst []byte, m Msg) ([]byte, error) {
 		}
 		dst = append(dst, byte(TypeFinish))
 		return appendI32(dst, int32(m.Interval)), nil
-	case *Resume:
-		if m.LastInterval < -1 || !fitsI32(m.LastInterval) ||
-			math.IsNaN(m.Budget) || m.Budget < 0 || math.IsInf(m.Budget, 0) ||
-			math.IsNaN(m.DataLeft) || m.DataLeft < 0 {
-			return nil, fmt.Errorf("%w: resume last %d budget %v data %v", ErrBadField, m.LastInterval, m.Budget, m.DataLeft)
-		}
-		dst = append(dst, byte(TypeResume))
-		dst = binary.BigEndian.AppendUint64(dst, m.Token)
-		dst = appendI32(dst, int32(m.LastInterval))
-		dst = appendF64(dst, m.Budget)
-		return appendF64(dst, m.DataLeft), nil
 	case *Sync:
 		if m.Token == 0 || m.Interval < -1 || m.Missed < 0 ||
 			!fitsI32(m.Interval, m.Missed) ||
@@ -455,21 +412,26 @@ func Decode(p []byte) (Msg, error) {
 	}
 	switch Type(p[0]) {
 	case TypeHello:
-		if err := exactLen(p, helloLen); err != nil {
-			return nil, err
+		// Magic and version come first: another version's Hello may have
+		// another layout, and it is refused as version skew.
+		if len(p) < 4 {
+			return nil, fmt.Errorf("%w: %d byte hello", ErrTruncated, len(p))
 		}
 		if binary.BigEndian.Uint16(p[1:]) != magic {
 			return nil, fmt.Errorf("%w: 0x%04x", ErrBadMagic, binary.BigEndian.Uint16(p[1:]))
 		}
+		if p[3] != Version {
+			return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, p[3], Version)
+		}
+		if err := exactLen(p, helloLen); err != nil {
+			return nil, err
+		}
 		h := &Hello{
-			Version: p[3], Role: Role(p[4]), Sensor: int(getI32(p[5:])),
-			Token: binary.BigEndian.Uint64(p[9:]), LastInterval: int(getI32(p[17:])),
+			Version: p[3], Sensor: int(getI32(p[4:])),
+			Token: binary.BigEndian.Uint64(p[8:]), LastInterval: int(getI32(p[16:])),
 		}
-		if h.Version != Version {
-			return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, h.Version, Version)
-		}
-		if h.Role > RoleSensor || h.Sensor < -1 || h.LastInterval < -1 {
-			return nil, fmt.Errorf("%w: hello role %d sensor %d last %d", ErrBadField, h.Role, h.Sensor, h.LastInterval)
+		if h.Sensor < 0 || h.LastInterval < -1 {
+			return nil, fmt.Errorf("%w: hello sensor %d last %d", ErrBadField, h.Sensor, h.LastInterval)
 		}
 		return h, nil
 	case TypeProbe:
@@ -552,20 +514,6 @@ func Decode(p []byte) (Msg, error) {
 		m := &Finish{Interval: int(getI32(p[1:]))}
 		if m.Interval < 0 {
 			return nil, fmt.Errorf("%w: finish interval %d", ErrBadField, m.Interval)
-		}
-		return m, nil
-	case TypeResume:
-		if err := exactLen(p, resumeLen); err != nil {
-			return nil, err
-		}
-		m := &Resume{
-			Token: binary.BigEndian.Uint64(p[1:]), LastInterval: int(getI32(p[9:])),
-			Budget: getF64(p[13:]), DataLeft: getF64(p[21:]),
-		}
-		if m.LastInterval < -1 ||
-			math.IsNaN(m.Budget) || m.Budget < 0 || math.IsInf(m.Budget, 0) ||
-			math.IsNaN(m.DataLeft) || m.DataLeft < 0 {
-			return nil, fmt.Errorf("%w: resume last %d budget %v data %v", ErrBadField, m.LastInterval, m.Budget, m.DataLeft)
 		}
 		return m, nil
 	case TypeSync:

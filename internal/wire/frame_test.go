@@ -31,8 +31,7 @@ func roundTrip(t *testing.T, m Msg) Msg {
 
 func TestRoundTrip(t *testing.T) {
 	msgs := []Msg{
-		&Hello{Version: Version, Role: RoleSink, Sensor: -1},
-		&Hello{Version: Version, Role: RoleSensor, Sensor: 42},
+		&Hello{Version: Version, Sensor: 42, LastInterval: -1},
 		&Probe{Interval: 3, Attempt: 2, Start: 48, End: 63, SinkX: 240.5, SinkY: -17.25},
 		&Ack{Kind: AckDecline, Interval: 3, Attempt: 1, Sensor: 9},
 		&Ack{Kind: AckConfirm, Interval: 7, Sensor: 120},
@@ -44,11 +43,9 @@ func TestRoundTrip(t *testing.T) {
 		&Schedule{Interval: 4, Repair: true, Pairs: []Assign{{61, 2}}},
 		&Schedule{Interval: 5},
 		&Finish{Interval: 3},
-		&Hello{Version: Version, Role: RoleSensor, Sensor: 7,
+		&Hello{Version: Version, Sensor: 7,
 			Token: 0xDEADBEEF12345678, LastInterval: 5},
-		&Hello{Version: Version, Role: RoleSink, Sensor: -1, LastInterval: -1},
-		&Resume{Token: 0, LastInterval: -1, Budget: 1.5, DataLeft: math.Inf(1)},
-		&Resume{Token: 99, LastInterval: 4, Budget: 0, DataLeft: 0.03125},
+		&Hello{Version: Version, Sensor: 0},
 		&Sync{Resumed: true, Token: 3, Interval: 6, Missed: 2,
 			Budget: 0.25, DataLeft: math.Inf(1)},
 		&Sync{Token: 1, Interval: -1},
@@ -84,7 +81,10 @@ func TestDecodeStrict(t *testing.T) {
 		return frame[4:] // payload without length prefix
 	}
 	probe := valid(&Probe{Interval: 1, Start: 16, End: 31})
-	hello := valid(&Hello{Version: Version, Role: RoleSensor, Sensor: 3})
+	hello := valid(&Hello{Version: Version, Sensor: 3, LastInterval: -1})
+	if len(hello) != 20 {
+		t.Fatalf("hello payload is %d bytes, want 20", len(hello))
+	}
 	sched := valid(&Schedule{Interval: 1, Pairs: []Assign{{16, 2}}})
 
 	cases := []struct {
@@ -106,9 +106,12 @@ func TestDecodeStrict(t *testing.T) {
 			p[3] = Version + 1
 			return p
 		}(), ErrVersion},
-		{"bad hello role", func() []byte {
+		// Version 2's 21-byte layout: a role byte after the version.
+		{"version 2 hello", append([]byte{byte(TypeHello), 0x4D, 0x53, 2, 1}, hello[4:]...), ErrVersion},
+		{"truncated hello", hello[:3], ErrTruncated},
+		{"negative hello sensor", func() []byte {
 			p := append([]byte{}, hello...)
-			p[4] = 7
+			binary.BigEndian.PutUint32(p[4:], 0xFFFFFFFF) // -1
 			return p
 		}(), ErrBadField},
 		{"bad ack kind", func() []byte {
@@ -133,11 +136,11 @@ func TestDecodeStrict(t *testing.T) {
 		}(), ErrBadField},
 		{"hello last interval below -1", func() []byte {
 			p := append([]byte{}, hello...)
-			binary.BigEndian.PutUint32(p[17:], 0xFFFFFFFE) // -2
+			binary.BigEndian.PutUint32(p[16:], 0xFFFFFFFE) // -2
 			return p
 		}(), ErrBadField},
-		{"truncated resume", func() []byte {
-			p := valid(&Resume{Token: 1, LastInterval: 0, Budget: 1, DataLeft: 1})
+		{"truncated sync", func() []byte {
+			p := valid(&Sync{Token: 1, Interval: 0, Budget: 1, DataLeft: 1})
 			return p[:len(p)-4]
 		}(), ErrTruncated},
 		{"bad sync resumed byte", func() []byte {
@@ -173,12 +176,8 @@ func TestEncodeRejectsBadFields(t *testing.T) {
 		&Schedule{Interval: 0, Pairs: []Assign{{-1, 0}}},
 		&Schedule{Interval: 0, Pairs: make([]Assign, MaxSchedulePairs+1)},
 		&Finish{Interval: -2},
-		&Hello{Version: Version, Role: 3},
-		&Hello{Version: Version, Role: RoleSensor, Sensor: 1, LastInterval: -2},
-		&Resume{LastInterval: -2},
-		&Resume{Budget: math.Inf(1)},
-		&Resume{Budget: math.NaN()},
-		&Resume{DataLeft: -1},
+		&Hello{Version: Version, Sensor: -1},
+		&Hello{Version: Version, Sensor: 1, LastInterval: -2},
 		&Sync{Token: 0, Interval: 0},
 		&Sync{Token: 1, Interval: -2},
 		&Sync{Token: 1, Missed: -1},

@@ -19,8 +19,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
-	seed(&Hello{Version: Version, Role: RoleSink, Sensor: -1})
-	seed(&Hello{Version: Version, Role: RoleSensor, Sensor: 17})
+	seed(&Hello{Version: Version, Sensor: 17, LastInterval: -1})
 	seed(&Probe{Interval: 2, Attempt: 1, Start: 32, End: 47, SinkX: 120, SinkY: -3})
 	seed(&Ack{Kind: AckDecline, Interval: 2, Sensor: 5})
 	seed(&Ack{Kind: AckConfirm, Interval: 2, Sensor: 5})
@@ -29,11 +28,11 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(&Schedule{Interval: 2, Pairs: []Assign{{32, 5}, {33, 6}}})
 	seed(&Schedule{Interval: 2, Repair: true, Pairs: []Assign{{40, 1}}})
 	seed(&Finish{Interval: 2})
-	seed(&Hello{Version: Version, Role: RoleSensor, Sensor: 17,
+	seed(&Hello{Version: Version, Sensor: 17,
 		Token: 0xABCDEF0123456789, LastInterval: 3})
-	seed(&Resume{Token: 42, LastInterval: 3, Budget: 0.5, DataLeft: math.Inf(1)})
 	seed(&Sync{Resumed: true, Token: 42, Interval: 4, Missed: 1,
 		Budget: 0.25, DataLeft: 1024})
+	seed(&Sync{Token: 1, Interval: -1, Budget: 1, DataLeft: math.Inf(1)})
 	seed(&Heartbeat{})
 	// Hostile shapes: truncations, unknown tags, version skew, junk.
 	f.Add([]byte{})
@@ -41,6 +40,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{byte(TypeSchedule), 0, 0, 0, 1, 0, 0xFF, 0xFF})
 	f.Add([]byte{99, 1, 2, 3})
 	f.Add([]byte{byte(TypeHello), 0x4D, 0x53, Version + 1, 0, 0, 0, 0, 7})
+	// Version 2's 21-byte Hello (a role byte after the version), and a
+	// version-3 Hello naming sensor -1.
+	f.Add(append([]byte{byte(TypeHello), 0x4D, 0x53, 2, 1}, make([]byte, 16)...))
+	f.Add(append([]byte{byte(TypeHello), 0x4D, 0x53, Version, 0xFF, 0xFF, 0xFF, 0xFF}, make([]byte, 12)...))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

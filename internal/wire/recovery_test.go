@@ -109,13 +109,7 @@ func TestStalledSensorCannotWedgeTour(t *testing.T) {
 	}
 	defer raw.Close()
 	imp := NewConn(raw)
-	if err := imp.ClientHandshake(0, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := imp.WriteMsg(&Resume{LastInterval: -1, Budget: inst.Sensors[0].Budget, DataLeft: inst.DataCapOf(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := imp.ReadMsg(); err != nil { // its Sync
+	if _, err := imp.ClientHandshake(0, 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	// From here on the impostor neither reads nor writes.
@@ -154,7 +148,7 @@ func TestStalledSensorCannotWedgeTour(t *testing.T) {
 	fl.join(t)
 }
 
-// rawHandshake performs the full client-side v2 handshake on a raw conn
+// rawHandshake performs the client side of the handshake on a raw conn
 // and returns the sink's Sync.
 func rawHandshake(t *testing.T, addr string, sensor int, token uint64, last int) (*Conn, *Sync) {
 	t.Helper()
@@ -163,23 +157,10 @@ func rawHandshake(t *testing.T, addr string, sensor int, token uint64, last int)
 		t.Fatal(err)
 	}
 	c := NewConn(raw)
-	if err := c.ClientHandshake(sensor, token, last); err != nil {
-		c.Close()
-		t.Fatal(err)
-	}
-	if err := c.WriteMsg(&Resume{Token: token, LastInterval: last, Budget: 1, DataLeft: 1}); err != nil {
-		c.Close()
-		t.Fatal(err)
-	}
-	m, err := c.ReadMsg()
+	sync, err := c.ClientHandshake(sensor, token, last)
 	if err != nil {
 		c.Close()
 		t.Fatal(err)
-	}
-	sync, ok := m.(*Sync)
-	if !ok {
-		c.Close()
-		t.Fatalf("want sync, got %T", m)
 	}
 	return c, sync
 }

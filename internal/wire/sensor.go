@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -122,9 +121,9 @@ func DialSensor(addr string, cfg SensorConfig) (*SensorClient, error) {
 	return c, nil
 }
 
-// connect dials the sink and runs the full v2 handshake: Hello (token,
-// last interval), Resume (the client's residual view), Sync (the sink's
-// verdict). On success the client adopts the sink's session token, the
+// connect dials the sink and runs the handshake: a Hello carrying the
+// session token and last committed interval, answered by the sink's
+// Sync. On success the client adopts the sink's session token, the
 // committed-interval watermark, and the minimum of the two residual
 // views, and drops any half-built interval state.
 func (c *SensorClient) connect() error {
@@ -136,26 +135,11 @@ func (c *SensorClient) connect() error {
 	c.mu.Lock()
 	token := c.token
 	last := c.lastFinished
-	budget := c.residual
-	dataLeft := c.residualData
 	c.mu.Unlock()
-	if err := conn.ClientHandshake(c.id, token, last); err != nil {
-		conn.Close()
-		return err
-	}
-	if err := conn.WriteMsg(&Resume{Token: token, LastInterval: last, Budget: budget, DataLeft: dataLeft}); err != nil {
-		conn.Close()
-		return err
-	}
-	m, err := conn.ReadMsg()
+	sync, err := conn.ClientHandshake(c.id, token, last)
 	if err != nil {
 		conn.Close()
 		return err
-	}
-	sync, ok := m.(*Sync)
-	if !ok {
-		conn.Close()
-		return fmt.Errorf("%w: want sync, got %s", ErrBadField, m.Type())
 	}
 	c.mu.Lock()
 	c.token = sync.Token

@@ -180,6 +180,17 @@ type bshard struct {
 	tasks chan btask
 }
 
+// The sink's write plane: live connections are partitioned id mod
+// writeShards, each shard fanning pre-encoded frames out through
+// per-conn queues of writeQueue frames, so the interval loop never
+// blocks on a socket write. A peer that stops draining its socket fills
+// only its own queue; on overflow the connection is killed through the
+// same drop path as a write-deadline failure.
+const (
+	writeShards = 8
+	writeQueue  = 256
+)
+
 // broadcaster is the sharded fan-out plane: W shards, each owning a
 // disjoint conn set (id mod W) and one worker moving pre-encoded frames
 // from the task queue into the per-conn queues. The interval loop's
@@ -200,17 +211,12 @@ type broadcaster struct {
 	fcnt chan int
 }
 
-// newBroadcaster builds the write plane: w shards, per-conn queues of
-// the given depth, workers exiting when done closes, dead conns
-// reported through drop (which must tolerate concurrent calls and may
-// call back into removeConn).
+// newBroadcaster builds the write plane: w shards (1 to 64, the stack
+// array Broadcast partitions into), per-conn queues of the given depth
+// (at least 1), workers exiting when done closes, dead conns reported
+// through drop (which must tolerate concurrent calls and may call back
+// into removeConn).
 func newBroadcaster(w, queue int, done <-chan struct{}, drop func(id int, c *Conn)) *broadcaster {
-	if w < 1 {
-		w = 1
-	}
-	if queue < 1 {
-		queue = 1
-	}
 	b := &broadcaster{
 		shards: make([]*bshard, w),
 		queue:  queue,

@@ -334,16 +334,8 @@ func TestSlowSensorTourCompletes(t *testing.T) {
 	}
 	slow := NewConn(raw)
 	defer slow.Close()
-	if err := slow.ClientHandshake(0, 0, -1); err != nil {
+	if _, err := slow.ClientHandshake(0, 0, -1); err != nil {
 		t.Fatal(err)
-	}
-	if err := slow.WriteMsg(&Resume{}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := slow.ReadMsg(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := m.(*Sync); !ok {
-		t.Fatalf("slow sensor got %s, want sync", m.Type())
 	}
 	slowDone := make(chan struct{})
 	go func() {

@@ -87,17 +87,6 @@ type SinkConfig struct {
 	// HaltAfter, when positive, stops RunTour with ErrHalted after that
 	// many intervals have committed in this process (crash-restart demo).
 	HaltAfter int
-	// Shards sets the writer-shard count of the broadcast plane: live
-	// connections are partitioned id mod Shards, each shard fanning
-	// pre-encoded frames out through per-conn bounded queues so the
-	// interval loop never blocks on a socket write. Zero or negative
-	// means the default (8); values above 64 are clamped.
-	Shards int
-	// Queue is the per-connection outbound queue depth of the broadcast
-	// plane. A peer that stops draining its socket fills only its own
-	// queue; on overflow the connection is killed through the same drop
-	// path as a write-deadline failure. Default 256.
-	Queue int
 }
 
 // session is one sensor's resumption state: the token that authorizes a
@@ -127,9 +116,9 @@ const lingerTimeout = time.Second
 // connections and runs the tour's intervals over them with the same
 // online.Driver and online.Ledger as the in-process runner; its
 // sinkTransport only moves the frames. Sensors that disconnect mid-tour
-// may resume their session (Resume/Sync handshake) within the session
-// TTL; with a WAL configured the sink itself may die and a successor
-// resume the tour from the journal.
+// may resume their session (a Hello answered by a Sync) within the
+// session TTL; with a WAL configured the sink itself may die and a
+// successor resume the tour from the journal.
 type Sink struct {
 	cfg   SinkConfig
 	rec   *Recovery
@@ -187,15 +176,6 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = time.Minute
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Shards > 64 {
-		cfg.Shards = 64
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 256
-	}
 	s := &Sink{
 		cfg:         cfg,
 		rec:         cfg.Recovery,
@@ -241,7 +221,7 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.bc = newBroadcaster(cfg.Shards, cfg.Queue, s.done, s.dropConn)
+	s.bc = newBroadcaster(writeShards, writeQueue, s.done, s.dropConn)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -456,35 +436,24 @@ func (s *Sink) acceptLoop() {
 	}
 }
 
-// handle runs one connection: Hello, then the Resume/Sync session
-// handshake, then the protocol read loop feeding the inbox. The conn
-// only joins the broadcast set after its Sync is on the wire, so a
-// resuming sensor never sees interval traffic before its session state.
-// When the read loop ends, handle sends the connection's closed marker
-// behind every message it forwarded — unless the sink is closing, when
-// it instead drains the conn until the peer hangs up (see Close).
+// handle runs one connection: the sensor's Hello, answered by a Sync,
+// then the protocol read loop feeding the inbox. A first frame that is
+// not a Hello from one of the instance's sensors closes the conn with
+// nothing written. The conn only joins the broadcast set after its Sync
+// is on the wire, so a resuming sensor never sees interval traffic
+// before its session state. When the read loop ends, handle sends the
+// connection's closed marker behind every message it forwarded —
+// unless the sink is closing, when it instead drains the conn until the
+// peer hangs up (see Close).
 func (s *Sink) handle(c *Conn) {
-	hello, err := c.ServerHandshake()
-	if err != nil {
+	m, err := c.ReadMsg()
+	hello, ok := m.(*Hello)
+	if err != nil || !ok || hello.Sensor >= len(s.cfg.Inst.Sensors) {
 		c.Close()
 		return
 	}
 	id := hello.Sensor
-	if id >= len(s.cfg.Inst.Sensors) {
-		c.Close()
-		return
-	}
-	m, err := c.ReadMsg()
-	if err != nil {
-		c.Close()
-		return
-	}
-	rs, ok := m.(*Resume)
-	if !ok || rs.Token != hello.Token {
-		c.Close()
-		return
-	}
-	sync, old := s.attach(id, c, rs)
+	sync, old := s.attach(id, c, hello)
 	if sync == nil { // sink closed
 		c.Close()
 		return
@@ -553,10 +522,11 @@ func (s *Sink) handle(c *Conn) {
 	}
 }
 
-// attach reconciles a Resume claim against the session table and builds
-// the answering Sync. It returns the stale conn to kick when the session
-// was still nominally owned, and nil Sync when the sink is closed.
-func (s *Sink) attach(id int, c *Conn, rs *Resume) (*Sync, *Conn) {
+// attach reconciles a Hello's session claim against the session table
+// and builds the answering Sync. It returns the stale conn to kick when
+// the session was still nominally owned, and nil Sync when the sink is
+// closed.
+func (s *Sink) attach(id int, c *Conn, h *Hello) (*Sync, *Conn) {
 	now := time.Now()
 	s.mu.Lock()
 	if s.closed {
@@ -564,7 +534,7 @@ func (s *Sink) attach(id int, c *Conn, rs *Resume) (*Sync, *Conn) {
 		return nil, nil
 	}
 	sess := s.sessions[id]
-	resumed := sess != nil && rs.Token != 0 && sess.token == rs.Token &&
+	resumed := sess != nil && h.Token != 0 && sess.token == h.Token &&
 		(sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
 	var old *Conn
 	if sess != nil && sess.owner != nil {
@@ -589,8 +559,8 @@ func (s *Sink) attach(id int, c *Conn, rs *Resume) (*Sync, *Conn) {
 	budget, dataLeft := s.led.Residual(id)
 
 	missed := 0
-	if resumed && committed > rs.LastInterval {
-		missed = committed - rs.LastInterval
+	if resumed && committed > h.LastInterval {
+		missed = committed - h.LastInterval
 	}
 	if resumed {
 		sessionsResumed.Inc()
@@ -692,7 +662,7 @@ func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 	// Drain the write plane before declaring the tour done, so the final
 	// Finish frames are on the wire before the caller tears the sink
 	// down. A HaltAfter "crash" returns above without flushing — frames
-	// a real crash would lose stay lost, and the Resume/Sync min-residual
+	// a real crash would lose stay lost, and the Sync's min-residual
 	// adoption heals the divergence bit-exactly.
 	if err := s.bc.Flush(ctx); err != nil {
 		return nil, fmt.Errorf("wire: final flush: %w", err)
