@@ -4,6 +4,7 @@ package mobisink_test
 // seed corpus as regular tests; `go test -fuzz=FuzzX` explores further.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -49,52 +50,59 @@ func FuzzReadTraceCSV(f *testing.F) {
 	})
 }
 
-// FuzzKnapsackSolvers: on random instances, all solvers must return
-// feasible packings and respect the exactness/approximation hierarchy.
+// FuzzKnapsackSolvers: on random instances, all knapsack kernels must
+// return feasible packings and respect the exactness/approximation
+// hierarchy.
 func FuzzKnapsackSolvers(f *testing.F) {
 	f.Add(uint8(3), uint16(100), uint16(50))
 	f.Add(uint8(8), uint16(1), uint16(1000))
 	f.Fuzz(func(t *testing.T, nRaw uint8, capRaw, scale uint16) {
 		n := int(nRaw%10) + 1
 		capacity := float64(capRaw) / 10
-		items := make([]knapsack.Item, n)
+		profit := make([]float64, n)
+		weight := make([]float64, n)
+		wq := make([]int32, n)
 		x := uint32(scale) + 1
 		next := func() float64 { // cheap deterministic generator
 			x = x*1664525 + 1013904223
 			return float64(x%1000) / 10
 		}
-		for i := range items {
-			items[i] = knapsack.Item{Profit: next(), Weight: next() / 2}
+		for i := range profit {
+			profit[i], weight[i] = next(), next()/2
+			wq[i] = knapsack.QuantizeWeight(weight[i], 0.1)
 		}
-		exactBB := knapsack.BranchAndBound(items, capacity)
-		exactDP := knapsack.DP(items, capacity, 0.1)
-		greedy := knapsack.Greedy(items, capacity)
-		fptas := knapsack.FPTAS(0.2)(items, capacity)
-		for name, s := range map[string]knapsack.Solution{
-			"bb": exactBB, "dp": exactDP, "greedy": greedy, "fptas": fptas,
-		} {
-			w := 0.0
-			for _, k := range s.Picked {
-				if k < 0 || k >= n {
+		ctx := context.Background()
+		a := knapsack.NewArena()
+		pack := func(name string, picks []int32, err error) float64 {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p, w := 0.0, 0.0
+			for _, k := range picks {
+				if k < 0 || int(k) >= n {
 					t.Fatalf("%s: index out of range", name)
 				}
-				w += items[k].Weight
+				p, w = p+profit[k], w+weight[k]
 			}
 			if w > capacity+1e-9 {
 				t.Fatalf("%s: infeasible", name)
 			}
+			return p
 		}
+		picks, _, err := a.BranchAndBoundFlat(ctx, profit, weight, capacity)
+		exactBB := pack("bb", picks, err)
+		picks, _, err = a.DPFlat(ctx, profit, wq, int(knapsack.QuantizeCapacity(capacity, 0.1)))
+		exactDP := pack("dp", picks, err)
+		picks, _, err = a.FPTASFlat(ctx, 0.2, profit, weight, capacity)
+		fptas := pack("fptas", picks, err)
 		// Weights here are exact multiples of 0.05 so the 0.1-quantum DP can
 		// differ from BB only through conservative rounding; it must never
 		// exceed BB.
-		if exactDP.Profit > exactBB.Profit+1e-9 {
-			t.Fatalf("dp %v above exact bb %v", exactDP.Profit, exactBB.Profit)
+		if exactDP > exactBB+1e-9 {
+			t.Fatalf("dp %v above exact bb %v", exactDP, exactBB)
 		}
-		if greedy.Profit < exactBB.Profit/2-1e-9 {
-			t.Fatalf("greedy %v below half of %v", greedy.Profit, exactBB.Profit)
-		}
-		if fptas.Profit < 0.8*exactBB.Profit-1e-9 {
-			t.Fatalf("fptas %v below (1-eps)·%v", fptas.Profit, exactBB.Profit)
+		if fptas < 0.8*exactBB-1e-9 {
+			t.Fatalf("fptas %v below (1-eps)·%v", fptas, exactBB)
 		}
 	})
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
-	"mobisink/internal/knapsack"
+	"mobisink/internal/gap"
 )
 
 // SetDataCaps attaches finite data queues to the instance: caps[i] is the
@@ -84,91 +86,52 @@ func (inst *Instance) scanRateQuantum() float64 {
 // separable assignment problems this sequential scheme with an exact
 // single-bin oracle is a 1/2-approximation, and unlike the local-ratio
 // profit decomposition it remains sound under per-sensor data caps
-// (the objective of each subproblem *is* the capped quantity).
+// (the objective of each subproblem *is* the capped quantity). A fleet
+// sensor takes at most one sink per absolute slot.
 func OfflineSequential(inst *Instance, opts Options) (*Allocation, error) {
 	return OfflineSequentialCtx(context.Background(), inst, opts)
 }
 
-// OfflineSequentialCtx is OfflineSequential with cancellation: the context
-// is polled per sensor and threaded into each per-sensor knapsack.
+// seqScratch is one OfflineSequential solve's reusable state: the builder
+// and the pass scratch, the per-bin data caps and the item → bin result.
+type seqScratch struct {
+	b       gap.Builder
+	s       gap.Scratch
+	caps    []float64
+	itemBin []int32
+}
+
+var seqPool = sync.Pool{New: func() any { return new(seqScratch) }}
+
+// OfflineSequentialCtx is OfflineSequential with cancellation: the
+// context is polled per sensor and inside each per-sensor knapsack. It
+// runs gap.Compiled.Sequential over the GAP reduction, with the oracle
+// opts choose.
 func OfflineSequentialCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
 	if inst == nil {
 		return nil, errors.New("core: nil instance")
 	}
+	sc := seqPool.Get().(*seqScratch)
+	defer seqPool.Put(sc)
 	order := sensorOrder(inst)
-	alloc := inst.NewAllocation()
-	quantum := inst.RateQuantumBits()
-	solve := opts.SolverCtx(inst)
-	fleet := inst.NumSinks() > 1
-	var items []knapsack.Item
-	var slots []int
-	for _, si := range order {
-		s := &inst.Sensors[si]
-		items = items[:0]
-		slots = slots[:0]
-		collect := func(start int, rates, powers []float64) {
-			for k, r := range rates {
-				j := start + k
-				if alloc.SlotOwner[j] != -1 {
-					continue
-				}
-				p := powers[k]
-				if r <= 0 || p <= 0 {
-					continue
-				}
-				items = append(items, knapsack.Item{Profit: r * inst.Tau, Weight: p * inst.Tau})
-				slots = append(slots, j)
-			}
-		}
-		if s.Start >= 0 {
-			collect(s.Start, s.Rates, s.Powers)
-		}
-		for wi := range s.More {
-			w := &s.More[wi]
-			collect(w.Start, w.Rates, w.Powers)
-		}
-		if fleet {
-			items, slots = reduceByAbsSlot(inst, items, slots)
-		}
-		var sol knapsack.Solution
-		var err error
-		if cap := inst.DataCapOf(si); math.IsInf(cap, 1) {
-			sol, err = solve(ctx, items, s.Budget)
-		} else {
-			sol, err = knapsack.MaxProfitUnderCtx(ctx, items, s.Budget, cap, quantum)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range sol.Picked {
-			alloc.SlotOwner[slots[k]] = si
-		}
+	quantum, eps := opts.Oracle(inst)
+	g, err := inst.compileGAP(&sc.b, order, nil, quantum, eps)
+	if err != nil {
+		return nil, err
 	}
-	inst.RecomputeData(alloc)
-	return alloc, nil
-}
-
-// reduceByAbsSlot thins a fleet sensor's candidate slots to at most one
-// per absolute time slot — the dominant candidate (max profit, tie min
-// weight, tie first seen) — so the group-blind per-sensor knapsack of the
-// sequential packer can never produce a cross-sink conflict.
-func reduceByAbsSlot(inst *Instance, items []knapsack.Item, slots []int) ([]knapsack.Item, []int) {
-	best := make(map[int]int, len(slots)) // absolute slot → index in the kept prefix
-	n := 0
-	for k := range slots {
-		a := inst.AbsSlot(slots[k])
-		if bi, ok := best[a]; ok {
-			cur, cand := items[bi], items[k]
-			if cand.Profit > cur.Profit || (cand.Profit == cur.Profit && cand.Weight < cur.Weight) {
-				items[bi], slots[bi] = cand, slots[k]
-			}
-			continue
+	var caps []float64
+	if inst.DataCaps != nil {
+		caps = sc.caps[:0]
+		for _, si := range order {
+			caps = append(caps, inst.DataCaps[si])
 		}
-		items[n], slots[n] = items[k], slots[k]
-		best[a] = n
-		n++
+		sc.caps = caps
 	}
-	return items[:n], slots[:n]
+	sc.itemBin = slices.Grow(sc.itemBin[:0], inst.T)[:inst.T]
+	if _, err := g.Sequential(ctx, &sc.s, inst.slotGroups(), caps, inst.RateQuantumBits(), sc.itemBin); err != nil {
+		return nil, err
+	}
+	return inst.allocation(order, sc.itemBin), nil
 }
 
 // validateDataCaps checks the per-sensor data constraint of an allocation.

@@ -31,7 +31,7 @@ func CompileAppro(inst *Instance, opts Options) (*Compiled, error) {
 	}
 	quantum, eps := opts.Oracle(inst)
 	order := sensorOrder(inst)
-	g, err := inst.compileGAP(new(gap.Builder), order, quantum, eps)
+	g, err := inst.compileGAP(new(gap.Builder), order, inst.slotGroups(), quantum, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +53,5 @@ func (c *Compiled) Solve(ctx context.Context) (*Allocation, error) {
 	if _, err := c.g.SolveInto(ctx, nil, itemBin); err != nil {
 		return nil, err
 	}
-	alloc := c.inst.NewAllocation()
-	for j, b := range itemBin {
-		if b >= 0 {
-			alloc.SlotOwner[j] = c.order[b]
-		}
-	}
-	c.inst.RecomputeData(alloc)
-	return alloc, nil
+	return c.inst.allocation(c.order, itemBin), nil
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"mobisink/internal/gap"
-	"mobisink/internal/knapsack"
 	"mobisink/internal/matching"
 )
 
@@ -36,18 +35,6 @@ func (o Options) Oracle(inst *Instance) (quantum, eps float64) {
 		quantum, _ = inst.WeightQuantum()
 	}
 	return quantum, eps
-}
-
-// SolverCtx returns Oracle's choice as a per-call knapsack solver, for the
-// sequential packers; both poll the context inside their inner loops.
-func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
-	q, eps := o.Oracle(inst)
-	if q > 0 {
-		return func(ctx context.Context, items []knapsack.Item, c float64) (knapsack.Solution, error) {
-			return knapsack.DPCtx(ctx, items, c, q)
-		}
-	}
-	return knapsack.FPTASCtx(eps)
 }
 
 // oracleQuanta holds an instance's two knapsack-oracle quanta. Both depend
@@ -153,22 +140,14 @@ func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Alloca
 
 // compileGAP writes the paper's GAP reduction (Thm 1) into b, one bin per
 // sensor of order (capacity = per-tour energy budget), one entry per
-// usable window slot (profit = r·τ bits, weight = P·τ Joules). Shared by
-// OfflineAppro and OfflineGreedy, which differ only in bin order and the
-// pass they run on the result.
+// usable window slot (profit = r·τ bits, weight = P·τ Joules), under the
+// conflict groups group (nil: none). Shared by OfflineAppro, OfflineGreedy
+// and OfflineSequential, which differ in bin order, groups and the pass
+// they run on the result.
 //
 // Fleet instances contribute entries from every window (one per audible
-// sink) and carry the cross-sink constraint as the conflict groups
-// group[global slot] = absolute slot: within a bin (sensor) at most one
-// item per absolute slot may be assigned.
-func (inst *Instance) compileGAP(b *gap.Builder, order []int, quantum, eps float64) (*gap.Compiled, error) {
-	var group []int
-	if inst.NumSinks() > 1 {
-		group = make([]int, inst.T)
-		for j := range group {
-			group[j] = inst.AbsSlot(j)
-		}
-	}
+// sink).
+func (inst *Instance) compileGAP(b *gap.Builder, order []int, group []int, quantum, eps float64) (*gap.Compiled, error) {
 	b.Reset(inst.T, group, quantum, eps)
 	add := func(start int, rates, powers []float64) {
 		for k, r := range rates {
@@ -188,6 +167,33 @@ func (inst *Instance) compileGAP(b *gap.Builder, order []int, quantum, eps float
 		}
 	}
 	return b.Compiled()
+}
+
+// slotGroups returns a fleet's cross-sink constraint as conflict groups,
+// group[global slot] = absolute slot: a sensor (bin) may use at most one
+// item per absolute slot. It is nil on a single-sink instance.
+func (inst *Instance) slotGroups() []int {
+	if inst.NumSinks() == 1 {
+		return nil
+	}
+	group := make([]int, inst.T)
+	for j := range group {
+		group[j] = inst.AbsSlot(j)
+	}
+	return group
+}
+
+// allocation maps a pass's item → bin result, bin b being sensor
+// order[b], to a slot → sensor allocation with its data recomputed.
+func (inst *Instance) allocation(order []int, itemBin []int32) *Allocation {
+	alloc := inst.NewAllocation()
+	for j, b := range itemBin {
+		if b >= 0 {
+			alloc.SlotOwner[j] = order[b]
+		}
+	}
+	inst.RecomputeData(alloc)
+	return alloc
 }
 
 // sensorOrder returns sensor indices sorted by increasing start slot, then
@@ -347,7 +353,7 @@ func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) 
 		order[i] = i
 	}
 	var b gap.Builder
-	g, err := inst.compileGAP(&b, order, 0, 0)
+	g, err := inst.compileGAP(&b, order, inst.slotGroups(), 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -355,10 +361,5 @@ func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) 
 	if _, err := g.Greedy(nil, itemBin); err != nil {
 		return nil, err
 	}
-	alloc := inst.NewAllocation()
-	for j, bin := range itemBin {
-		alloc.SlotOwner[j] = int(bin)
-	}
-	inst.RecomputeData(alloc)
-	return alloc, nil
+	return inst.allocation(order, itemBin), nil
 }

@@ -15,8 +15,8 @@ import (
 // Compiled is the solving form of a GAP instance: entries live in
 // contiguous bin-major CSR arrays and weights are pre-quantized for the
 // exact DP oracle. A Builder writes it bin by bin, validating as it goes;
-// SolveInto and Greedy then run on it any number of times, and are safe
-// for concurrent use.
+// SolveInto, Greedy and Sequential then run on it any number of times,
+// and are safe for concurrent use.
 //
 // Entries that can never be assigned — non-positive profit, or weight
 // exceeding the bin capacity — are not kept; the local-ratio sweep's
@@ -132,7 +132,7 @@ func (b *Builder) Bin(capacity float64) {
 	}
 	c.Cap = append(c.Cap, capacity)
 	if c.Quantum > 0 {
-		c.CapU = append(c.CapU, int32(min(math.Floor(capacity/c.Quantum), math.MaxInt32)))
+		c.CapU = append(c.CapU, knapsack.QuantizeCapacity(capacity, c.Quantum))
 	}
 }
 
@@ -164,7 +164,7 @@ func (b *Builder) Add(item int, profit, weight float64) {
 	c.Profit = append(c.Profit, profit)
 	c.Weight = append(c.Weight, weight)
 	if c.Quantum > 0 {
-		c.WQ = append(c.WQ, quantize(weight, c.Quantum))
+		c.WQ = append(c.WQ, knapsack.QuantizeWeight(weight, c.Quantum))
 	}
 }
 
@@ -243,13 +243,6 @@ func (b *Builder) reduceGroups(lo int) {
 	}
 }
 
-// quantize rounds a weight up to whole quanta, exactly as the per-call DP
-// oracle has always done. Values beyond int32 are clamped — a DP table
-// that size could never be allocated anyway.
-func quantize(w, quantum float64) int32 {
-	return int32(min(math.Ceil(w/quantum-1e-9), math.MaxInt32))
-}
-
 // GroupReductionExact reports whether the conflict-group reduction was
 // dominance-exact: every dropped entry was weakly dominated (profit ≤,
 // weight ≥) by its group's surviving entry, so the reduced instance has
@@ -259,17 +252,18 @@ func quantize(w, quantum float64) int32 {
 // true on instances without conflict groups.
 func (c *Compiled) GroupReductionExact() bool { return c.groupsExact }
 
-// Scratch is the reusable per-solve state of a Compiled sweep or greedy
-// pass: the residual-claim array plus the candidate buffers and knapsack
-// arena. The zero value is ready to use; buffers grow on demand and are
-// retained, so a reused Scratch makes the sweep allocation-free in steady
-// state. A Scratch must not be used concurrently.
+// Scratch is the reusable per-solve state of a Compiled pass: the
+// residual-claim array plus the candidate buffers and knapsack arena. The
+// zero value is ready to use; buffers grow on demand and are retained, so
+// a reused Scratch makes every pass allocation-free in steady state. A
+// Scratch must not be used concurrently.
 type Scratch struct {
 	claim []float64
 	prof  []float64
 	w     []float64
 	wq    []int32
 	pos   []int32
+	at    []int32 // Sequential: per conflict group, its candidate or -1
 	ar    knapsack.Arena
 }
 
@@ -457,6 +451,112 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
 		profit += c.Profit[k]
 	}
 	return profit, nil
+}
+
+// Sequential is the sequential packer: it visits the bins in order, and
+// each bin solves its knapsack over the entries whose items no earlier bin
+// took, with the compiled oracle (the DP at the weight quantum, else the
+// FPTAS). A bin whose dataCap is finite solves the doubly constrained
+// knapsack instead, its profit capped at dataCap[b] in quanta of
+// dataQuantum. Each item belongs to the first bin that takes it. With an
+// exact oracle this is a 1/2-approximation for separable assignment, and
+// unlike the local-ratio sweep it stays sound under data caps: each bin's
+// objective is the capped quantity itself.
+//
+// group, when non-nil (len NumItems), gives each item a conflict group
+// (negative: none). Among a bin's free entries the pass keeps one per
+// group — max profit, then min weight, then the first — at the place of
+// the group's first free entry. Compile such an instance without groups
+// and pass them here: the Builder's reduction would drop, for good, an
+// entry a bin could still use once an earlier bin took its group's
+// winner. dataCap, when non-nil, has one cap per bin; +Inf caps nothing.
+//
+// It writes itemBin and returns the profit like SolveInto, polling the
+// context before each bin and inside the oracle's DP.
+func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, dataCap []float64, dataQuantum float64, itemBin []int32) (float64, error) {
+	if err := c.unassign(itemBin); err != nil {
+		return 0, err
+	}
+	if group != nil && len(group) != c.NumItems {
+		return 0, fmt.Errorf("gap: group covers %d items, instance has %d", len(group), c.NumItems)
+	}
+	if dataCap != nil && len(dataCap) != len(c.Cap) {
+		return 0, fmt.Errorf("gap: %d data caps for %d bins", len(dataCap), len(c.Cap))
+	}
+	if s == nil {
+		s = flatPool.Get().(*Scratch)
+		defer putFlatScratch(s)
+	}
+	s.prof, s.w, s.wq, s.pos = grow(s.prof, c.maxBin), grow(s.w, c.maxBin), grow(s.wq, c.maxBin), grow(s.pos, c.maxBin)
+	if group != nil {
+		groups := 0
+		for _, g := range group {
+			groups = max(groups, g+1)
+		}
+		s.at = grow(s.at, groups)
+		for g := range s.at {
+			s.at[g] = -1
+		}
+	}
+	for b := range c.Cap {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		nc := c.freeEntries(s, b, group, itemBin)
+		prof, w, wq := s.prof[:nc], s.w[:nc], s.wq[:nc]
+		var picks []int32
+		var err error
+		switch {
+		case dataCap != nil && !math.IsInf(dataCap[b], 1):
+			picks, _, err = s.ar.MaxProfitUnderFlat(ctx, prof, w, c.Cap[b], dataCap[b], dataQuantum)
+		case c.Quantum > 0:
+			picks, _, err = s.ar.DPFlat(ctx, prof, wq, int(c.CapU[b]))
+		default:
+			picks, _, err = s.ar.FPTASFlat(ctx, c.Eps, prof, w, c.Cap[b])
+		}
+		if err != nil {
+			return 0, err
+		}
+		for _, p := range picks {
+			itemBin[c.Item[s.pos[p]]] = int32(b)
+		}
+	}
+	return c.finalProfit(itemBin), nil
+}
+
+// freeEntries lays out bin b's candidates for Sequential: its entries
+// whose items are still unassigned, one per conflict group, in s.pos and
+// the oracle arrays. It returns their count.
+func (c *Compiled) freeEntries(s *Scratch, b int, group []int, itemBin []int32) int {
+	pos := s.pos
+	nc := 0
+	for k := c.Off[b]; k < c.Off[b+1]; k++ {
+		j := c.Item[k]
+		if itemBin[j] >= 0 {
+			continue
+		}
+		if group != nil && group[j] >= 0 {
+			if at := s.at[group[j]]; at >= 0 {
+				if w := pos[at]; c.Profit[k] > c.Profit[w] || (c.Profit[k] == c.Profit[w] && c.Weight[k] < c.Weight[w]) {
+					pos[at] = k
+				}
+				continue
+			}
+			s.at[group[j]] = int32(nc)
+		}
+		pos[nc] = k
+		nc++
+	}
+	for x, k := range pos[:nc] {
+		s.prof[x], s.w[x] = c.Profit[k], c.Weight[k]
+		if c.Quantum > 0 {
+			s.wq[x] = c.WQ[k]
+		}
+		if group != nil && group[c.Item[k]] >= 0 {
+			s.at[group[c.Item[k]]] = -1
+		}
+	}
+	return nc
 }
 
 // zeroWeightDensity ranks a free entry ahead of every priced one.

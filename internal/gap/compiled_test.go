@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"mobisink/internal/knapsack"
 )
 
 // windowedInstance builds a random instance whose bins see contiguous item
@@ -94,15 +92,11 @@ func TestCompiledMatchesLocalRatio(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		inst := windowedInstance(seed, 3+int(seed%7), 12+int(seed%9))
 		for _, dpMode := range []bool{true, false} {
-			var legacySolve knapsack.SolverCtx
+			legacySolve := FPTASOracle(eps)
 			q, e := 0.0, eps
 			if dpMode {
 				q, e = quantum, 0
-				legacySolve = func(ctx context.Context, items []knapsack.Item, capacity float64) (knapsack.Solution, error) {
-					return knapsack.DPCtx(ctx, items, capacity, quantum)
-				}
-			} else {
-				legacySolve = knapsack.FPTASCtx(eps)
+				legacySolve = DPOracle(quantum)
 			}
 			want, err := LocalRatioCtx(context.Background(), inst, legacySolve)
 			if err != nil {
@@ -138,19 +132,41 @@ func TestSolveIntoSizeMismatch(t *testing.T) {
 	if _, err := c.Greedy(nil, make([]int32, 3)); err == nil {
 		t.Fatal("Greedy accepted a short itemBin")
 	}
+	if _, err := c.Sequential(context.Background(), nil, nil, nil, 0, make([]int32, 3)); err == nil {
+		t.Fatal("Sequential accepted a short itemBin")
+	}
+	itemBin := make([]int32, c.NumItems)
+	if _, err := c.Sequential(context.Background(), nil, make([]int, 3), nil, 0, itemBin); err == nil {
+		t.Fatal("Sequential accepted a short group")
+	}
+	if _, err := c.Sequential(context.Background(), nil, nil, make([]float64, 1), 1, itemBin); err == nil {
+		t.Fatal("Sequential accepted a data cap per bin short")
+	}
 }
 
 // TestSolveIntoNoAllocs is the steady-state gate for the serving path: a
 // reused Builder, Scratch and itemBin make compiling an instance and then
-// solving it allocation-free, in both oracle modes and for the greedy
-// pass — the per-interval online schedulers' pattern.
+// solving it allocation-free, in both oracle modes, for the greedy pass
+// and for the sequential pass in both oracle modes (conflict groups, and
+// a data cap on every other bin) — the per-interval online schedulers'
+// pattern.
 func TestSolveIntoNoAllocs(t *testing.T) {
 	inst := windowedInstance(7, 12, 60)
+	group := make([]int, inst.NumItems)
+	for j := range group {
+		group[j] = j % 7
+	}
+	dataCap := make([]float64, len(inst.Bins))
+	for b := range dataCap {
+		dataCap[b] = math.Inf(1)
+		if b%2 == 0 {
+			dataCap[b] = 2.5
+		}
+	}
 	for _, mode := range []struct {
-		name   string
-		q      float64
-		greedy bool
-	}{{"dp", 0.05, false}, {"fptas", 0, false}, {"greedy", 0, true}} {
+		name string
+		q    float64
+	}{{"dp", 0.05}, {"fptas", 0}, {"greedy", 0}, {"sequential", 0.05}, {"sequential-fptas", 0}} {
 		t.Run(mode.name, func(t *testing.T) {
 			var b Builder
 			var s Scratch
@@ -164,10 +180,15 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 					}
 				}
 				c, err := b.Compiled()
-				if err == nil && mode.greedy {
-					_, err = c.Greedy(&s, itemBin)
-				} else if err == nil {
-					_, err = c.SolveInto(context.Background(), &s, itemBin)
+				if err == nil {
+					switch {
+					case mode.name == "greedy":
+						_, err = c.Greedy(&s, itemBin)
+					case strings.HasPrefix(mode.name, "sequential"):
+						_, err = c.Sequential(context.Background(), &s, group, dataCap, 0.01, itemBin)
+					default:
+						_, err = c.SolveInto(context.Background(), &s, itemBin)
+					}
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -178,6 +199,59 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 				t.Fatalf("compile and solve allocate %v per run with a reused builder and scratch", n)
 			}
 		})
+	}
+}
+
+// TestSequentialThinsFreeEntries: the sequential pass keeps one entry per
+// conflict group among a bin's free entries — so a bin can still use a
+// group whose winner an earlier bin took, which the Builder's reduction
+// would have dropped — and caps a bin's profit at its data cap.
+func TestSequentialThinsFreeEntries(t *testing.T) {
+	ctx := context.Background()
+	pass := func(group []int, dataCap []float64, bins ...[]Entry) ([]int32, float64) {
+		t.Helper()
+		var b Builder
+		b.Reset(3, nil, 0.1, 0)
+		for _, entries := range bins {
+			b.Bin(2)
+			for _, e := range entries {
+				b.Add(e.Item, e.Profit, e.Weight)
+			}
+		}
+		c, err := b.Compiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		itemBin := make([]int32, 3)
+		profit, err := c.Sequential(ctx, nil, group, dataCap, 1, itemBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return itemBin, profit
+	}
+	group := []int{0, 0, -1}
+	// Bin 0 takes item 0; bin 1's dominant group-0 entry is then item 0's,
+	// taken, so it packs item 1 instead.
+	itemBin, profit := pass(group, nil,
+		[]Entry{{Item: 0, Profit: 5, Weight: 1}},
+		[]Entry{{Item: 0, Profit: 5, Weight: 1}, {Item: 1, Profit: 3, Weight: 1}, {Item: 2, Profit: 4, Weight: 1}})
+	if !reflect.DeepEqual(itemBin, []int32{0, 1, 1}) || profit != 12 {
+		t.Fatalf("got %v (profit %v), want [0 1 1] (profit 12)", itemBin, profit)
+	}
+	// Both group-0 entries free and room for both: only the dominant one
+	// (max profit, then min weight) is packed.
+	itemBin, _ = pass(group, nil, []Entry{{Item: 0, Profit: 3, Weight: 0.5}, {Item: 1, Profit: 3, Weight: 0.4}})
+	if !reflect.DeepEqual(itemBin, []int32{-1, 0, -1}) {
+		t.Fatalf("got %v, want [-1 0 -1]: one entry per group", itemBin)
+	}
+	// A data cap of 8 admits two of the three 4-unit items; +Inf caps
+	// nothing.
+	items := []Entry{{Item: 0, Profit: 4, Weight: 0.5}, {Item: 1, Profit: 4, Weight: 0.5}, {Item: 2, Profit: 4, Weight: 0.5}}
+	if _, profit = pass(nil, []float64{8}, items); profit != 8 {
+		t.Fatalf("capped profit %v, want 8", profit)
+	}
+	if _, profit = pass(nil, []float64{math.Inf(1)}, items); profit != 12 {
+		t.Fatalf("uncapped profit %v, want 12", profit)
 	}
 }
 
@@ -192,6 +266,9 @@ func TestLocalRatioCtxCanceled(t *testing.T) {
 	cancel()
 	if _, err := c.SolveInto(ctx, nil, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if _, err := c.Sequential(ctx, nil, nil, nil, 0, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sequential: got %v, want context.Canceled", err)
 	}
 }
 

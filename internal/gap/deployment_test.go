@@ -11,7 +11,6 @@ import (
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
 	"mobisink/internal/gap"
-	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -126,11 +125,9 @@ func TestEnginesMatchReferenceOnDeployments(t *testing.T) {
 		})
 		for _, opts := range []core.Options{{}, {ForceFPTAS: true, Eps: 0.2}} {
 			q, eps := opts.Oracle(inst)
-			solve := knapsack.FPTASCtx(eps)
+			solve := gap.FPTASOracle(eps)
 			if q > 0 {
-				solve = func(ctx context.Context, items []knapsack.Item, c float64) (knapsack.Solution, error) {
-					return knapsack.DPCtx(ctx, items, c, q)
-				}
+				solve = gap.DPOracle(q)
 			}
 			ref, err := gap.LocalRatioCtx(ctx, pointerReduction(inst, order), solve)
 			if err != nil {

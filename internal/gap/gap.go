@@ -6,9 +6,10 @@
 //
 // A Builder writes an instance bin by bin into the compiled form
 // (Compiled), which runs the Cohen-Katzir-Raz local-ratio algorithm the
-// paper adopts (its ref. [3]; Compiled.SolveInto) and a density-greedy
-// baseline (Compiled.Greedy). Instance is the pointer form, kept for the
-// exhaustive optimum and for checking assignments.
+// paper adopts (its ref. [3]; Compiled.SolveInto), a density-greedy
+// baseline (Compiled.Greedy) and the sequential packer of the data-cap
+// extension (Compiled.Sequential). Instance is the pointer form, kept for
+// the exhaustive optimum and for checking assignments.
 package gap
 
 import "fmt"

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"mobisink/internal/knapsack"
 )
 
 // groupedInstance builds a random instance whose items carry conflict
@@ -118,7 +116,7 @@ func TestGroupedSolversHonorGroups(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 40; trial++ {
 		inst := groupedInstance(rng, 2+rng.Intn(4), 4+rng.Intn(8), 2+rng.Intn(3))
-		legacy, err := LocalRatioCtx(ctx, inst, knapsack.FPTASCtx(0.1))
+		legacy, err := LocalRatioCtx(ctx, inst, FPTASOracle(0.1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package gap
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"mobisink/internal/knapsack"
@@ -14,6 +15,41 @@ import (
 // per entry, with their own same-group reduction. The compiled engine
 // must match them bit for bit. Compile and Compiled.Solve are the
 // Instance-level wrappers the tests use over the Builder.
+
+// Oracle is the reference sweep's knapsack: it packs the candidates
+// (profit[i], weight[i]) under capacity and returns the picked positions,
+// ascending.
+type Oracle func(ctx context.Context, profit, weight []float64, capacity float64) ([]int32, error)
+
+// DPOracle is the exact DP at quantum over one bin's candidates, as a
+// per-call oracle runs it: the candidates heavier than the capacity are
+// dropped first, the rest rounded by the kernel's rule.
+func DPOracle(quantum float64) Oracle {
+	return func(ctx context.Context, profit, weight []float64, capacity float64) ([]int32, error) {
+		var prof []float64
+		var wq, remap []int32
+		for i := range profit {
+			if profit[i] > 0 && weight[i] <= capacity {
+				prof = append(prof, profit[i])
+				wq = append(wq, knapsack.QuantizeWeight(weight[i], quantum))
+				remap = append(remap, int32(i))
+			}
+		}
+		picks, _, err := knapsack.NewArena().DPFlat(ctx, prof, wq, int(knapsack.QuantizeCapacity(capacity, quantum)))
+		for x, p := range picks {
+			picks[x] = remap[p]
+		}
+		return picks, err
+	}
+}
+
+// FPTASOracle is the (1−eps)-FPTAS over one bin's candidates.
+func FPTASOracle(eps float64) Oracle {
+	return func(ctx context.Context, profit, weight []float64, capacity float64) ([]int32, error) {
+		picks, _, err := knapsack.NewArena().FPTASFlat(ctx, eps, profit, weight, capacity)
+		return slices.Clone(picks), err
+	}
+}
 
 // Compile feeds inst into a Builder bin by bin.
 func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
@@ -97,7 +133,7 @@ func refReduceGroups(entries []Entry, capacity float64, itemGroup []int) []bool 
 
 // LocalRatioCtx runs the Cohen-Katzir-Raz sweep over the pointer form
 // with the given knapsack oracle, processing bins in index order.
-func LocalRatioCtx(ctx context.Context, inst *Instance, solve knapsack.SolverCtx) (*Assignment, error) {
+func LocalRatioCtx(ctx context.Context, inst *Instance, solve Oracle) (*Assignment, error) {
 	if solve == nil {
 		return nil, errors.New("gap: nil knapsack solver")
 	}
@@ -112,7 +148,7 @@ func LocalRatioCtx(ctx context.Context, inst *Instance, solve knapsack.SolverCtx
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var items []knapsack.Item
+		var profit, weight []float64
 		var itemIdx []int
 		drop := refReduceGroups(bin.Entries, bin.Capacity, inst.ItemGroup)
 		for k, e := range bin.Entries {
@@ -123,14 +159,14 @@ func LocalRatioCtx(ctx context.Context, inst *Instance, solve knapsack.SolverCtx
 			if residual <= 0 {
 				continue
 			}
-			items = append(items, knapsack.Item{Profit: residual, Weight: e.Weight})
+			profit, weight = append(profit, residual), append(weight, e.Weight)
 			itemIdx = append(itemIdx, e.Item)
 		}
-		sol, err := solve(ctx, items, bin.Capacity)
+		picks, err := solve(ctx, profit, weight, bin.Capacity)
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range sol.Picked {
+		for _, k := range picks {
 			j := itemIdx[k]
 			e, _ := findEntry(bin.Entries, j)
 			lastClaim[j] = e.Profit

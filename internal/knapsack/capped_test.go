@@ -1,13 +1,21 @@
 package knapsack
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
 
+// maxProfitUnder runs MaxProfitUnderFlat.
+func maxProfitUnder(items []item, capacity, profitCap, profitQuantum float64) solution {
+	profit, weight := split(items)
+	picks, _, err := NewArena().MaxProfitUnderFlat(context.Background(), profit, weight, capacity, profitCap, profitQuantum)
+	return solutionOf(items, picks, err)
+}
+
 // bruteCapped enumerates all subsets under both constraints.
-func bruteCapped(items []Item, capacity, profitCap float64) float64 {
+func bruteCapped(items []item, capacity, profitCap float64) float64 {
 	best := 0.0
 	n := len(items)
 	for mask := 0; mask < 1<<n; mask++ {
@@ -32,7 +40,7 @@ func bruteCapped(items []Item, capacity, profitCap float64) float64 {
 }
 
 func TestMaxProfitUnderKnown(t *testing.T) {
-	items := []Item{
+	items := []item{
 		{Profit: 400, Weight: 1},
 		{Profit: 800, Weight: 1},
 		{Profit: 1200, Weight: 1},
@@ -41,18 +49,18 @@ func TestMaxProfitUnderKnown(t *testing.T) {
 	// 1200 (+400 would exceed 1500? 1200+400=1600 > 1500 → 1200 alone or
 	// 800+400=1200 ≤ 1500 — best is 1200... wait 1200 alone = 1200,
 	// 800+400 = 1200 too; both fine). Cap 1300 → 1200.
-	s := MaxProfitUnder(items, 2, 1500, 400)
+	s := maxProfitUnder(items, 2, 1500, 400)
 	checkFeasible(t, "capped", items, 2, s)
 	if s.Profit != 1200 {
 		t.Errorf("profit = %v, want 1200", s.Profit)
 	}
 	// Generous cap: behaves like a plain exact knapsack.
-	s = MaxProfitUnder(items, 2, 1e9, 400)
+	s = maxProfitUnder(items, 2, 1e9, 400)
 	if s.Profit != 2000 {
 		t.Errorf("uncapped profit = %v, want 2000", s.Profit)
 	}
 	// Zero cap: nothing.
-	if s := MaxProfitUnder(items, 2, 0, 400); len(s.Picked) != 0 {
+	if s := maxProfitUnder(items, 2, 0, 400); len(s.Picked) != 0 {
 		t.Error("zero cap must pick nothing")
 	}
 }
@@ -61,10 +69,10 @@ func TestMaxProfitUnderMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(10)
-		items := make([]Item, n)
+		items := make([]item, n)
 		for i := range items {
 			// Profits as exact multiples of the quantum 10.
-			items[i] = Item{
+			items[i] = item{
 				Profit: float64(10 * (1 + rng.Intn(50))),
 				Weight: math.Floor(rng.Float64()*50) / 10,
 			}
@@ -72,7 +80,7 @@ func TestMaxProfitUnderMatchesBrute(t *testing.T) {
 		capacity := rng.Float64() * 15
 		profitCap := float64(10 * rng.Intn(200))
 		want := bruteCapped(items, capacity, profitCap)
-		got := MaxProfitUnder(items, capacity, profitCap, 10)
+		got := maxProfitUnder(items, capacity, profitCap, 10)
 		checkFeasible(t, "capped", items, capacity, got)
 		if got.Profit > profitCap+1e-9 {
 			t.Fatalf("trial %d: profit %v exceeds cap %v", trial, got.Profit, profitCap)
@@ -86,24 +94,15 @@ func TestMaxProfitUnderMatchesBrute(t *testing.T) {
 
 func TestMaxProfitUnderQuantumSafety(t *testing.T) {
 	// Coarse quantum: still feasible, profit within n·quantum of optimum.
-	items := []Item{{Profit: 105, Weight: 1}, {Profit: 95, Weight: 1}}
-	s := MaxProfitUnder(items, 2, 150, 50)
+	items := []item{{Profit: 105, Weight: 1}, {Profit: 95, Weight: 1}}
+	s := maxProfitUnder(items, 2, 150, 50)
 	checkFeasible(t, "coarse", items, 2, s)
 	if s.Profit > 150+1e-9 {
 		t.Errorf("cap violated: %v", s.Profit)
 	}
 	// Non-positive quantum falls back to 1.
-	s = MaxProfitUnder(items, 2, 150, 0)
+	s = maxProfitUnder(items, 2, 150, 0)
 	if s.Profit > 150 {
 		t.Errorf("default-quantum cap violated: %v", s.Profit)
-	}
-}
-
-func TestCappedSolver(t *testing.T) {
-	solve := CappedSolver(1000, 10)
-	items := []Item{{Profit: 600, Weight: 1}, {Profit: 600, Weight: 1}}
-	s := solve(items, 5)
-	if s.Profit != 600 {
-		t.Errorf("profit = %v, want 600 (cap prevents both)", s.Profit)
 	}
 }

@@ -1,8 +1,7 @@
 package knapsack
 
-// Flat kernels: the zero-steady-state-allocation core of every solver in
-// this package. Each kernel operates on parallel candidate arrays
-// (structure-of-arrays instead of []Item), draws every table from a
+// Flat kernels: every solver in this package. Each kernel operates on
+// parallel candidate arrays (profits, weights), draws every table from a
 // caller-held Arena, and appends its picks to an arena-backed buffer —
 // after the arena has warmed up, a kernel call performs no heap
 // allocation at all (gated by TestNoAllocs* in flat_test.go).
@@ -22,8 +21,8 @@ import (
 
 // Arena is the reusable scratch shared by the flat kernels. The zero
 // value is ready to use; buffers grow on demand and are retained across
-// calls. An Arena must not be used concurrently; pooled callers hold one
-// arena per goroutine (see arenaPool).
+// calls. An Arena must not be used concurrently; concurrent callers hold
+// one arena each (gap.Scratch embeds one).
 type Arena struct {
 	dp    []float64 // DP value / minimum-weight row
 	rows  []bool    // flat choice matrix, never cleared
@@ -36,19 +35,13 @@ type Arena struct {
 	cur   []int32   // branch-and-bound current set
 	best  []int32   // branch-and-bound incumbent set
 	mark  []bool    // branch-and-bound pick marks
-
-	// wrapper-level buffers for the []Item entry points
-	wprof []float64
-	wwt   []float64
-	wq    []int32
-	wmap  []int32
 }
 
 // NewArena returns an empty arena (equivalent to new(Arena); provided for
 // discoverability).
 func NewArena() *Arena { return new(Arena) }
 
-// arenaFloats returns a length-n slice backed by the arena without
+// floats returns a length-n slice backed by the arena without
 // clearing it; callers overwrite every element they read.
 func (a *Arena) floats(n int) []float64 {
 	if cap(a.dp) < n {
@@ -78,6 +71,10 @@ func (a *Arena) int32s(buf *[]int32, n int) []int32 {
 	return (*buf)[:n]
 }
 
+// nodeCheckInterval is how many branch-and-bound nodes are expanded
+// between context polls; the DP kernels poll once per item layer instead.
+const nodeCheckInterval = 4096
+
 // arenaMax bounds how large a retained buffer may grow; a one-off huge
 // instance does not pin its tables forever.
 const arenaMax = 1 << 22
@@ -93,9 +90,6 @@ func (a *Arena) Trim() {
 	}
 	if cap(a.pre) > arenaMax {
 		a.pre = nil
-	}
-	if cap(a.wprof) > arenaMax {
-		a.wprof, a.wwt, a.wq, a.wmap = nil, nil, nil, nil
 	}
 }
 
@@ -372,9 +366,20 @@ func (a *Arena) FPTASFlat(ctx context.Context, eps float64, profit, weight []flo
 	return a.picks, total, nil
 }
 
-// MaxProfitUnderFlat maximizes profit subject to both the weight capacity
-// and a profit ceiling (quantized by profitQuantum), the kernel behind
-// MaxProfitUnderCtx. Picks ascending, arena-backed.
+// MaxProfitUnderFlat solves the doubly constrained 0/1 knapsack: maximize
+// total profit subject to total weight ≤ capacity AND total profit ≤
+// profitCap. It is the per-sensor subproblem when sensors hold a finite
+// amount of sensed data (the paper assumes unbounded data; this lifts
+// that assumption): profit is exactly the data uploaded, so the data
+// queue is a cap on total profit.
+//
+// Profits are quantized to multiples of profitQuantum (each candidate's
+// profit rounds UP, the cap rounds DOWN; a non-positive quantum means 1),
+// so the packing is always feasible for the true cap and its true profit
+// is within len(profit)·profitQuantum of the constrained optimum; with a
+// quantum that exactly divides every profit (the discrete rate table) the
+// result is exact. The weight dimension is exact, by a minimum-weight DP
+// per quantized profit. Picks ascending, arena-backed.
 func (a *Arena) MaxProfitUnderFlat(ctx context.Context, profit, weight []float64, capacity, profitCap, profitQuantum float64) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -474,9 +479,10 @@ func (st *bbState) dfs(k int, left, profit float64) {
 	st.dfs(k+1, left, profit)
 }
 
-// BranchAndBoundFlat solves the knapsack exactly over candidate arrays
-// with the density-ordered depth-first search and fractional bound of
-// BranchAndBoundCtx, all state arena-backed. Picks ascending.
+// BranchAndBoundFlat solves the knapsack exactly over candidate arrays by
+// depth-first search over density-sorted candidates with a fractional
+// (LP relaxation) upper bound, all state arena-backed; the context is
+// polled every nodeCheckInterval search nodes. Picks ascending.
 func (a *Arena) BranchAndBoundFlat(ctx context.Context, profit, weight []float64, capacity float64) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err

@@ -1,141 +1,36 @@
-// Package knapsack provides 0/1 knapsack solvers used as the inner oracle of
-// the local-ratio GAP algorithm (paper §IV): any β-approximation for
-// knapsack yields a 1/(1+β)-approximation for the data collection
-// maximization problem. The package offers
+// Package knapsack holds the 0/1 knapsack kernels that are the inner
+// oracle of the local-ratio GAP algorithm (paper §IV): any β-approximation
+// for knapsack yields a 1/(1+β)-approximation for the data collection
+// maximization problem. Every kernel is a method of an Arena and runs over
+// parallel candidate arrays:
 //
-//   - Greedy: density greedy + best-single-item, a 2-approximation
-//     (β = 2), O(n log n);
-//   - BranchAndBound: exact (β = 1) depth-first search with a fractional
-//     relaxation bound, fast on the small per-sensor instances that arise
-//     here (|A(v)| ≤ 2Γ items);
-//   - DP: exact dynamic program over quantized weights;
-//   - FPTAS: Lawler-style profit-scaling dynamic program with
+//   - DPFlat: exact dynamic program over quantized weights;
+//   - FPTASFlat: Lawler-style profit-scaling dynamic program with
 //     profit ≥ (1−ε)·OPT, i.e. β = 1/(1−ε) ≈ 1+ε, matching the paper's
-//     analysis (Thm 2 uses β = 1+ε ⇒ overall ratio 1/(2+ε)).
+//     analysis (Thm 2 uses β = 1+ε ⇒ overall ratio 1/(2+ε));
+//   - BranchAndBoundFlat: exact (β = 1) depth-first search with a
+//     fractional relaxation bound, fast on the small per-sensor instances
+//     that arise here (|A(v)| ≤ 2Γ items);
+//   - MaxProfitUnderFlat: the doubly constrained knapsack of a sensor with
+//     a finite data queue (profit capped as well as weight).
 //
-// Items with non-positive profit or weight exceeding the capacity are never
-// selected; zero-weight positive-profit items are always selected.
+// Candidates with non-positive profit or weight exceeding the capacity are
+// never selected; zero-weight positive-profit candidates always are.
 package knapsack
 
-import (
-	"context"
-	"math"
-	"slices"
-)
+import "math"
 
-// Item is one knapsack item.
-type Item struct {
-	Profit float64 // objective contribution if packed (> 0 to be useful)
-	Weight float64 // capacity consumed if packed (≥ 0)
+// QuantizeWeight is DPFlat's rounding of a weight: up to whole quanta, so
+// every packing of the rounded weights is feasible for the real ones. The
+// 1e-9 guard keeps a weight that is a multiple of the quantum up to float
+// noise from rounding up a whole quantum. Values beyond int32 clamp — a
+// DP table that size could never be allocated anyway.
+func QuantizeWeight(w, quantum float64) int32 {
+	return int32(min(math.Ceil(w/quantum-1e-9), math.MaxInt32))
 }
 
-// Solution is a feasible packing.
-type Solution struct {
-	Picked []int   // indices into the input item slice, ascending
-	Profit float64 // total profit of Picked
-	Weight float64 // total weight of Picked
-}
-
-// Solver is any algorithm producing a feasible packing for items under the
-// given capacity.
-type Solver func(items []Item, capacity float64) Solution
-
-// usable reports whether item i can ever be packed profitably.
-func usable(it Item, capacity float64) bool {
-	return it.Profit > 0 && it.Weight >= 0 && it.Weight <= capacity
-}
-
-// Greedy packs items in decreasing profit/weight density and returns the
-// better of the greedy packing and the single best item — the classic
-// 1/2-approximation. Picks are emitted already ordered (a mark array scan
-// instead of a post-hoc sort) with running profit/weight totals.
-func Greedy(items []Item, capacity float64) Solution {
-	type cand struct {
-		idx     int
-		density float64
-	}
-	cands := make([]cand, 0, len(items))
-	best := -1
-	for i, it := range items {
-		if !usable(it, capacity) {
-			continue
-		}
-		d := math.Inf(1)
-		if it.Weight > 0 {
-			d = it.Profit / it.Weight
-		}
-		cands = append(cands, cand{i, d})
-		if best < 0 || it.Profit > items[best].Profit {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Solution{}
-	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		if a.density != b.density {
-			if a.density > b.density {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
-	taken := make([]bool, len(items))
-	left := capacity
-	total := 0.0
-	count := 0
-	for _, c := range cands {
-		if items[c.idx].Weight <= left {
-			taken[c.idx] = true
-			left -= items[c.idx].Weight
-			total += items[c.idx].Profit
-			count++
-		}
-	}
-	if total < items[best].Profit {
-		return Solution{
-			Picked: []int{best},
-			Profit: items[best].Profit,
-			Weight: items[best].Weight,
-		}
-	}
-	s := Solution{Picked: make([]int, 0, count)}
-	for i, t := range taken {
-		if t {
-			s.Picked = append(s.Picked, i)
-			s.Profit += items[i].Profit
-			s.Weight += items[i].Weight
-		}
-	}
-	return s
-}
-
-// BranchAndBound solves the knapsack exactly by depth-first search over
-// density-sorted items with a fractional (LP relaxation) upper bound.
-func BranchAndBound(items []Item, capacity float64) Solution {
-	s, _ := BranchAndBoundCtx(context.Background(), items, capacity)
-	return s
-}
-
-// DP solves the knapsack exactly after quantizing weights to multiples of
-// quantum: item weights are rounded up (keeping every packing feasible) and
-// the capacity is rounded down. With quantum small relative to the item
-// weights the result is exact; it is always feasible. Memory is
-// O(capacity/quantum) integers.
-func DP(items []Item, capacity float64, quantum float64) Solution {
-	s, _ := DPCtx(context.Background(), items, capacity, quantum)
-	return s
-}
-
-// FPTAS returns a solver with profit guarantee ≥ (1−ε)·OPT using Lawler's
-// profit-scaling dynamic program: profits are scaled by K = ε·pmax/n and the
-// DP minimizes weight per scaled-profit total. Runtime O(n²·⌈n/ε⌉) in the
-// worst case, tiny for the per-sensor instances here.
-func FPTAS(eps float64) Solver {
-	ctxSolve := FPTASCtx(eps)
-	return func(items []Item, capacity float64) Solution {
-		s, _ := ctxSolve(context.Background(), items, capacity)
-		return s
-	}
+// QuantizeCapacity is DPFlat's rounding of a capacity: down to whole
+// quanta, the other half of QuantizeWeight's feasibility argument.
+func QuantizeCapacity(capacity, quantum float64) int32 {
+	return int32(min(math.Floor(capacity/quantum), math.MaxInt32))
 }

@@ -12,6 +12,7 @@
 package lagrange
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -26,10 +27,6 @@ type Options struct {
 	// InitialStep scales the first step size; 0 means 2.0 (relative to the
 	// mean positive profit).
 	InitialStep float64
-	// Solver is the per-sensor knapsack oracle; it must be EXACT or an
-	// upper bound is not guaranteed. Nil selects the quantized DP when
-	// possible and branch-and-bound otherwise.
-	Solver knapsack.Solver
 }
 
 // Result carries the best bound found and the multiplier trajectory info.
@@ -43,6 +40,12 @@ type Result struct {
 }
 
 // UpperBound runs subgradient descent and returns the best dual bound.
+//
+// Each sensor's knapsack must be EXACT or the dual is no upper bound. It
+// is the quantized DP when the instance has a weight quantum — exact
+// because core.Instance.WeightQuantum accepts nothing but exact-divisor
+// quanta (micro-Joule resolution of a discrete power table), so rounding
+// weights up changes none — and branch-and-bound otherwise.
 func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 	if inst == nil {
 		return nil, errors.New("lagrange: nil instance")
@@ -51,19 +54,19 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 	if iters <= 0 {
 		iters = 60
 	}
-	solve := opts.Solver
-	if solve == nil {
-		solve = defaultSolver(inst)
-	}
+	quantum, dp := inst.WeightQuantum()
 
 	// Flatten per-sensor entries once, from every window. On fleet
 	// instances this drops the cross-sink constraint (≤ 1 sink per
 	// absolute slot per sensor), which only relaxes the problem further,
-	// so the dual stays an upper bound.
+	// so the dual stays an upper bound. An entry heavier than its
+	// sensor's budget counts toward the mean profit but can never be
+	// packed, so it is not kept.
 	type entry struct {
 		slot   int
 		profit float64
 		weight float64
+		wq     int32 // weight in quanta, on the DP path
 	}
 	sensors := make([][]entry, len(inst.Sensors))
 	meanProfit := 0.0
@@ -76,9 +79,15 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 				if r <= 0 || p <= 0 {
 					continue
 				}
-				sensors[i] = append(sensors[i], entry{start + k, r * inst.Tau, p * inst.Tau})
 				meanProfit += r * inst.Tau
 				nProfit++
+				if w := p * inst.Tau; w <= s.Budget {
+					e := entry{slot: start + k, profit: r * inst.Tau, weight: w}
+					if dp {
+						e.wq = knapsack.QuantizeWeight(w, quantum)
+					}
+					sensors[i] = append(sensors[i], e)
+				}
 			}
 		}
 		if s.Start >= 0 {
@@ -101,7 +110,10 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 
 	lambda := make([]float64, inst.T)
 	usage := make([]int, inst.T)
-	items := make([]knapsack.Item, 0, 64)
+	var ar knapsack.Arena
+	prof := make([]float64, 0, 64)
+	wt := make([]float64, 0, 64)
+	wq := make([]int32, 0, 64)
 	idx := make([]int, 0, 64)
 
 	best := math.Inf(1)
@@ -116,21 +128,31 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 			usage[j] = 0
 		}
 		for i := range sensors {
-			items = items[:0]
-			idx = idx[:0]
+			prof, wt, wq, idx = prof[:0], wt[:0], wq[:0], idx[:0]
 			for _, e := range sensors[i] {
 				rp := e.profit - lambda[e.slot]
 				if rp <= 0 {
 					continue
 				}
-				items = append(items, knapsack.Item{Profit: rp, Weight: e.weight})
+				prof, wt, wq = append(prof, rp), append(wt, e.weight), append(wq, e.wq)
 				idx = append(idx, e.slot)
 			}
-			sol := solve(items, inst.Sensors[i].Budget)
-			dual += sol.Profit
-			for _, k := range sol.Picked {
+			budget := inst.Sensors[i].Budget
+			var picks []int32
+			if dp {
+				picks, _, _ = ar.DPFlat(context.Background(), prof, wq, int(knapsack.QuantizeCapacity(budget, quantum)))
+			} else {
+				picks, _, _ = ar.BranchAndBoundFlat(context.Background(), prof, wt, budget)
+			}
+			// A sensor's packing is summed on its own, in ascending pick
+			// order, before it joins the dual: that order fixes the float
+			// sum.
+			packed := 0.0
+			for _, k := range picks {
+				packed += prof[k]
 				usage[idx[k]]++
 			}
+			dual += packed
 		}
 		if it == 0 {
 			initial = dual
@@ -146,18 +168,4 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 		}
 	}
 	return &Result{Bound: best, Initial: initial, Iterations: iters}, nil
-}
-
-// defaultSolver mirrors core's automatic choice but insists on exactness:
-// the quantized DP rounds weights up, so it is exact only because
-// core.Instance.WeightQuantum accepts nothing but exact-divisor quanta
-// (micro-Joule resolution of a discrete power table); anything else takes
-// branch-and-bound.
-func defaultSolver(inst *core.Instance) knapsack.Solver {
-	if q, ok := inst.WeightQuantum(); ok {
-		return func(items []knapsack.Item, c float64) knapsack.Solution {
-			return knapsack.DP(items, c, q)
-		}
-	}
-	return knapsack.BranchAndBound
 }

@@ -315,21 +315,3 @@ func TestComputeDeadlineRespectsCancel(t *testing.T) {
 		t.Fatal("canceled tour completed")
 	}
 }
-
-// TestDegradedCapAwareGuard checks a non-cap-aware degraded override is
-// rejected on data-capped instances before the tour starts.
-func TestDegradedCapAwareGuard(t *testing.T) {
-	inst := paperInstance(t, 30, 30, radio.Paper2013(), 5, 1)
-	caps := make([]float64, len(inst.Sensors))
-	for i := range caps {
-		caps[i] = 1e6
-	}
-	inst.DataCaps = caps
-	_, err := RunOpts(inst, &Sequential{}, Options{
-		Faults:   &fault.Plan{Seed: 1, StallProb: 0.5},
-		Degraded: &Greedy{},
-	})
-	if err == nil {
-		t.Fatal("cap-unaware degraded scheduler accepted on capped instance")
-	}
-}

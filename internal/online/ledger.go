@@ -62,17 +62,13 @@ type Loss interface {
 }
 
 // Fallback is a recovering ledger's degraded mode: which intervals stall,
-// and which scheduler plans them instead.
+// and so are planned by the degraded scheduler instead (see degraded).
 type Fallback struct {
 	// Stalls injects deterministic scheduler stalls; nil injects none.
 	Stalls *fault.Injector
 	// Deadline, when positive, bounds each interval's scheduler
 	// wall-clock time.
 	Deadline time.Duration
-	// Degraded plans the stalled intervals. Nil picks the density-greedy
-	// scheduler (Sequential on data-capped instances, which Greedy cannot
-	// handle).
-	Degraded Scheduler
 }
 
 // Claim flags, per registration of the interval being committed.
@@ -111,29 +107,27 @@ type Ledger struct {
 
 // NewLedger binds a tour's Result to its scheduler. A non-nil st makes the
 // ledger recovering: Admit tallies its clamps there, Plan falls back as fb
-// says, and Commit accepts a Loss. The scheduler, and a recovering
-// ledger's degraded scheduler, must handle data caps when the instance
-// has them.
+// says, and Commit accepts a Loss. The scheduler must handle data caps
+// when the instance has them.
 func NewLedger(inst *core.Instance, res *Result, sched Scheduler, st *fault.Stats, fb Fallback) (*Ledger, error) {
 	if inst.DataCaps != nil && !capAware(sched) {
 		return nil, fmt.Errorf("scheduler %s does not handle data-capped instances (use Sequential)", sched.Name())
-	}
-	if st != nil {
-		if fb.Degraded == nil {
-			fb.Degraded = &Greedy{}
-			if inst.DataCaps != nil {
-				fb.Degraded = &Sequential{}
-			}
-		}
-		if inst.DataCaps != nil && !capAware(fb.Degraded) {
-			return nil, fmt.Errorf("degraded scheduler %s does not handle data-capped instances", fb.Degraded.Name())
-		}
 	}
 	return &Ledger{
 		inst: inst, res: res, sched: sched, st: st, fb: fb,
 		regOf: make([]int32, len(inst.Sensors)),
 		owner: make([]int, inst.Gamma),
 	}, nil
+}
+
+// degraded is the scheduler that plans a stalled interval: the density
+// greedy, or Sequential on data-capped instances, which Greedy cannot
+// handle.
+func (l *Ledger) degraded() Scheduler {
+	if l.inst.DataCaps != nil {
+		return &Sequential{}
+	}
+	return &Greedy{}
 }
 
 func capAware(s Scheduler) bool {
@@ -174,7 +168,7 @@ func (l *Ledger) Plan(ctx context.Context, iv Interval, regs []Registration) (ma
 	if l.st != nil {
 		if l.fb.Stalls != nil && l.fb.Stalls.Stalled(iv.Index) {
 			l.st.DegradedIntervals++
-			return l.fb.Degraded.Schedule(ctx, l.inst, iv, regs)
+			return l.degraded().Schedule(ctx, l.inst, iv, regs)
 		}
 		if l.fb.Deadline > 0 {
 			cctx, cancel := context.WithTimeout(ctx, l.fb.Deadline)
@@ -182,7 +176,7 @@ func (l *Ledger) Plan(ctx context.Context, iv Interval, regs []Registration) (ma
 			cancel()
 			if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				l.st.DegradedIntervals++
-				return l.fb.Degraded.Schedule(ctx, l.inst, iv, regs)
+				return l.degraded().Schedule(ctx, l.inst, iv, regs)
 			}
 			return plan, err
 		}

@@ -60,7 +60,7 @@ func newMemory(inst *core.Instance, res *Result, inj *fault.Injector, opts Optio
 		m.st = &fault.Stats{}
 	}
 	if opts.AckWindow > 0 {
-		m.contention, m.window = opts.contentionRand(), opts.AckWindow
+		m.contention, m.window = rand.New(rand.NewSource(opts.Seed)), opts.AckWindow
 	}
 	for _, s := range inj.Plan().Shortfalls {
 		m.short = append(m.short, s.Sensor)

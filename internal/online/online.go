@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -149,12 +148,6 @@ type Options struct {
 	// Seed drives the contention randomness; runs are deterministic per
 	// seed.
 	Seed int64
-	// Rand, when non-nil, supplies the contention randomness directly
-	// instead of deriving a stream from Seed — injecting one generator
-	// makes a whole experiment (topology, budgets, contention, faults)
-	// reproducible from a single source. The run consumes the generator;
-	// reusing it across runs changes their draws.
-	Rand *rand.Rand
 	// Faults, when non-nil and non-zero, injects the fault plan into the
 	// tour (message drops, crashes, harvest shortfalls, compute stalls —
 	// see internal/fault) and enables the recovery protocol: bounded
@@ -167,20 +160,6 @@ type Options struct {
 	// to the degraded scheduler (wall-clock dependent, so off by default;
 	// deterministic stalls are injected via Faults.StallProb instead).
 	ComputeDeadline time.Duration
-	// Degraded overrides the fallback scheduler used for stalled
-	// intervals. Nil picks the density-greedy scheduler (Sequential on
-	// data-capped instances, which Greedy cannot handle).
-	Degraded Scheduler
-}
-
-// contentionRand returns the RNG driving registration contention and
-// fault-path draws: the injected generator when set, else a fresh stream
-// from Seed.
-func (o Options) contentionRand() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand
-	}
-	return rand.New(rand.NewSource(o.Seed))
 }
 
 // Run simulates one tour of the online protocol over the instance using the
@@ -228,7 +207,7 @@ func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Opti
 		return nil, err
 	}
 	if recovering {
-		fb = Fallback{Stalls: inj, Deadline: opts.ComputeDeadline, Degraded: opts.Degraded}
+		fb = Fallback{Stalls: inj, Deadline: opts.ComputeDeadline}
 	}
 	led, err := NewLedger(inst, res, sched, res.Fault, fb)
 	if err != nil {
@@ -279,11 +258,13 @@ func (a *Appro) Schedule(ctx context.Context, inst *core.Instance, iv Interval, 
 }
 
 // gapScratch is one per-interval GAP solve's reusable state: the builder
-// and the sweep scratch, the claims' bin order and the item → bin result.
+// and the pass scratch, the claims' bin order, Sequential's per-bin data
+// caps and the item → bin result.
 type gapScratch struct {
 	b       gap.Builder
 	s       gap.Scratch
 	order   []int
+	caps    []float64
 	itemBin []int32
 }
 

@@ -2,16 +2,14 @@ package online
 
 import (
 	"context"
-	"math"
 
 	"mobisink/internal/core"
-	"mobisink/internal/knapsack"
 )
 
 // Sequential is the per-interval scheduler for instances with finite data
 // queues (core.Instance.DataCaps): registered sensors are processed in
-// (clipped start, clipped end) order and each solves an exact knapsack over
-// the still-unclaimed interval slots, doubly constrained by its residual
+// (clipped start, clipped end) order and each solves a knapsack over the
+// still-unclaimed interval slots, doubly constrained by its residual
 // energy budget and its residual data. On uncapped instances it degrades to
 // plain sequential packing (a 1/2-approximation for separable assignment).
 type Sequential struct {
@@ -24,43 +22,24 @@ func (s *Sequential) Name() string { return "Online_Sequential" }
 // CapAware marks the scheduler as safe for data-capped instances.
 func (s *Sequential) CapAware() bool { return true }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. It runs gap.Compiled.Sequential over the
+// interval's GAP, one bin per claim in claim order, each capped at the
+// claim's DataLeft.
 func (s *Sequential) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	order := claimOrder(regs, nil)
-	assign := make(map[int]int)
-	solve := s.Opts.SolverCtx(inst)
-	quantum := inst.RateQuantumBits()
-	var items []knapsack.Item
-	var slots []int
-	for _, k := range order {
-		r := regs[k]
-		sen := &inst.Sensors[r.Sensor]
-		items = items[:0]
-		slots = slots[:0]
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			if _, taken := assign[j]; taken {
-				continue
-			}
-			rate, pw := sen.RateAt(j), sen.PowerAt(j)
-			if rate <= 0 || pw <= 0 {
-				continue
-			}
-			items = append(items, knapsack.Item{Profit: rate * inst.Tau, Weight: pw * inst.Tau})
-			slots = append(slots, j)
-		}
-		var sol knapsack.Solution
-		var err error
-		if math.IsInf(r.DataLeft, 1) {
-			sol, err = solve(ctx, items, r.Budget)
-		} else {
-			sol, err = knapsack.MaxProfitUnderCtx(ctx, items, r.Budget, r.DataLeft, quantum)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range sol.Picked {
-			assign[slots[p]] = r.Sensor
-		}
+	sc := gapPool.Get().(*gapScratch)
+	defer gapPool.Put(sc)
+	sc.order = claimOrder(regs, sc.order)
+	quantum, eps := s.Opts.Oracle(inst)
+	c, err := sc.compile(inst, iv, regs, quantum, eps)
+	if err != nil {
+		return nil, err
 	}
-	return assign, nil
+	sc.caps = sc.caps[:0]
+	for _, k := range sc.order {
+		sc.caps = append(sc.caps, regs[k].DataLeft)
+	}
+	if _, err := c.Sequential(ctx, &sc.s, nil, sc.caps, inst.RateQuantumBits(), sc.itemBin); err != nil {
+		return nil, err
+	}
+	return sc.plan(iv, regs), nil
 }

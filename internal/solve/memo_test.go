@@ -16,9 +16,10 @@ import (
 // the same time on one fresh instance must agree bit for bit with the same
 // solvers run one after another on an identical instance.
 func TestOracleMemoConcurrentFirstRead(t *testing.T) {
-	// The online schedulers also share one pooled gap builder across
-	// concurrent solves, and Offline_Greedy runs the compiled greedy pass.
-	names := []string{"Offline_Appro", "Online_Appro", "Offline_Sequential", "Online_Greedy", "Offline_Greedy"}
+	// The online schedulers share one pooled gap builder across
+	// concurrent solves, and so do the Offline_Sequential solves;
+	// Offline_Greedy runs the compiled greedy pass.
+	names := []string{"Offline_Appro", "Online_Appro", "Offline_Sequential", "Online_Sequential", "Online_Greedy", "Offline_Greedy"}
 	// Slot owners and data per solver, then the Lagrangian bound.
 	type outcome struct {
 		owners [][]int

@@ -141,11 +141,13 @@ func TestSolveCanceledUpfront(t *testing.T) {
 
 // pollCtx is a context that counts its Err polls and, from poll
 // cancelAt on (0: never), reports context.Canceled. It records which
-// polls the local-ratio sweep made, from their call stacks.
+// polls the GAP engine's pass (the function named pass) made, from their
+// call stacks.
 type pollCtx struct {
 	context.Context
+	pass            string
 	cancelAt, polls int
-	inSweep         []int
+	inPass          []int
 }
 
 func (c *pollCtx) Err() error {
@@ -155,8 +157,8 @@ func (c *pollCtx) Err() error {
 	for more := true; more; {
 		var f runtime.Frame
 		f, more = frames.Next()
-		if strings.HasSuffix(f.Function, "gap.(*Compiled).sweep") {
-			c.inSweep = append(c.inSweep, c.polls)
+		if strings.HasSuffix(f.Function, c.pass) {
+			c.inPass = append(c.inPass, c.polls)
 			break
 		}
 	}
@@ -168,29 +170,36 @@ func (c *pollCtx) Err() error {
 
 // TestSolveCancelsMidSweep proves cancellation aborts real work on the
 // production engine: a context canceled at a poll halfway through the
-// local-ratio sweeps of an uncanceled run must stop Offline_Appro and
-// Online_Appro with context.Canceled, polling at most once more.
+// GAP passes of an uncanceled run — the local-ratio sweeps of
+// Offline_Appro and Online_Appro, the sequential passes of
+// Offline_Sequential and Online_Sequential — must stop the solver with
+// context.Canceled, polling at most once more.
 func TestSolveCancelsMidSweep(t *testing.T) {
 	inst := paperInstance(t, 60, 5, 5, 1)
-	for _, name := range []string{"Offline_Appro", "Online_Appro"} {
-		s, err := New(name, Options{})
+	for _, tc := range []struct{ name, pass string }{
+		{"Offline_Appro", "gap.(*Compiled).sweep"},
+		{"Online_Appro", "gap.(*Compiled).sweep"},
+		{"Offline_Sequential", "gap.(*Compiled).Sequential"},
+		{"Online_Sequential", "gap.(*Compiled).Sequential"},
+	} {
+		s, err := New(tc.name, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := &pollCtx{Context: context.Background()}
+		probe := &pollCtx{Context: context.Background(), pass: tc.pass}
 		if _, err := s.Solve(probe, inst); err != nil {
 			t.Fatal(err)
 		}
-		if len(probe.inSweep) < 10 {
-			t.Fatalf("%s: only %d of %d polls inside the sweep", name, len(probe.inSweep), probe.polls)
+		if len(probe.inPass) < 10 {
+			t.Fatalf("%s: only %d of %d polls inside the pass", tc.name, len(probe.inPass), probe.polls)
 		}
-		k := probe.inSweep[len(probe.inSweep)/2]
-		ctx := &pollCtx{Context: context.Background(), cancelAt: k}
+		k := probe.inPass[len(probe.inPass)/2]
+		ctx := &pollCtx{Context: context.Background(), pass: tc.pass, cancelAt: k}
 		if _, err := s.Solve(ctx, inst); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: got %v, want context.Canceled", name, err)
+			t.Fatalf("%s: got %v, want context.Canceled", tc.name, err)
 		}
 		if ctx.polls > k+1 {
-			t.Fatalf("%s: canceled at poll %d of %d, polled %d times", name, k, probe.polls, ctx.polls)
+			t.Fatalf("%s: canceled at poll %d of %d, polled %d times", tc.name, k, probe.polls, ctx.polls)
 		}
 	}
 }

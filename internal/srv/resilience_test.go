@@ -194,6 +194,30 @@ func TestClientErrorsNeitherRetryNorTrip(t *testing.T) {
 	}
 }
 
+// TestBadEpsIsAClientError: an out-of-range eps is the client's fault on
+// the sequential algorithms too. Six such requests per algorithm, more
+// than the breaker's default threshold of five, each get 400; healthz
+// stays 200, and a valid request then succeeds.
+func TestBadEpsIsAClientError(t *testing.T) {
+	s, ts := newTestServer(t, Config{}, nil)
+	defer closeServer(t, s)
+	dep := testDeployment(t, 20)
+	for _, alg := range []string{"offline_sequential", "online_sequential"} {
+		for i := 0; i < 6; i++ {
+			req := Request{Deployment: dep, Speed: 5, SlotLen: 1, Algorithm: alg, ForceFPTAS: true, Eps: 1.5}
+			if _, resp := postAllocate(t, ts, req); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s request %d: status %d, want 400", alg, i+1, resp.StatusCode)
+			}
+		}
+	}
+	if hz := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil); hz.StatusCode != http.StatusOK {
+		t.Fatalf("healthz %d after bad-eps requests, want 200", hz.StatusCode)
+	}
+	if out, resp := postAllocate(t, ts, Request{Deployment: dep, Speed: 5, SlotLen: 1, Algorithm: "offline_appro"}); out == nil {
+		t.Fatalf("valid request after bad-eps requests: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestBreakerOpensAndHealthzReports: consecutive server-side failures
 // open the circuit; requests fail fast with 503 and healthz flips to 503
 // with the reason, then everything recovers after the cooldown.

@@ -44,15 +44,10 @@ type Recovery struct {
 	// their slots. Default 100ms.
 	ConfirmWindow time.Duration
 	// Stalls, when non-nil, injects deterministic scheduler stalls
-	// (Plan.StallProb/StallIntervals) that force the degraded fallback,
-	// mirroring the in-process fault path.
+	// (Plan.StallProb/StallIntervals) that force the degraded fallback
+	// (density greedy; Sequential on data-capped instances), mirroring
+	// the in-process fault path.
 	Stalls *fault.Injector
-	// ComputeDeadline, when positive, bounds each interval's scheduler
-	// wall-clock time; on overrun the interval falls back to Degraded.
-	ComputeDeadline time.Duration
-	// Degraded overrides the fallback scheduler (default density-greedy;
-	// Sequential on data-capped instances).
-	Degraded online.Scheduler
 }
 
 // SinkConfig configures a Sink server.
@@ -200,7 +195,7 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 			s.rec.ConfirmWindow = 100 * time.Millisecond
 		}
 		s.res.Fault = &fault.Stats{}
-		fb = online.Fallback{Stalls: s.rec.Stalls, Deadline: s.rec.ComputeDeadline, Degraded: s.rec.Degraded}
+		fb = online.Fallback{Stalls: s.rec.Stalls}
 	}
 	led, err := online.NewLedger(cfg.Inst, s.res, cfg.Scheduler, s.res.Fault, fb)
 	if err != nil {
