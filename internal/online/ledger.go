@@ -11,6 +11,7 @@ import (
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
+	"mobisink/internal/wal"
 )
 
 // This file is the sink's books for every interval, whatever carries the
@@ -20,21 +21,15 @@ import (
 // Commit), and loss reaches it only through the Loss hook the transport's
 // Schedule phase returns.
 
-// Pair is one committed transmission: a slot and the sensor that owns it.
-type Pair struct {
-	Slot   int
-	Sensor int
-}
+// Pair is one committed transmission: a slot and the sensor that owns
+// it, as the interval's journal record holds it.
+type Pair = wal.Assign
 
 // Debit is one sensor's charge for an interval: the energy and data of
 // its committed slots, summed in ascending slot order. That order pins
 // the floating-point sums, so the sink's ledger, the sensor's own
 // bookkeeping and a journal replay all reach bit-identical residuals.
-type Debit struct {
-	Sensor int
-	Energy float64
-	Data   float64
-}
+type Debit = wal.Debit
 
 // Debit charges one sensor's interval to the ledger with one clamped
 // subtraction per budget. The live commit and the journal replay both
@@ -89,8 +84,10 @@ type Ledger struct {
 	// protocol: no fallback, and Commit takes no Loss.
 	st *fault.Stats
 	fb Fallback
-	// mu guards the residuals Commit debits against Residual.
-	mu sync.Mutex
+	// mu guards the residuals Commit debits, and committed, the last
+	// interval whose commit is final (journaled, if any; -1: none).
+	mu        sync.Mutex
+	committed int
 
 	// Scratch reused across intervals. regOf maps a sensor to 1 + its
 	// index among the interval's claims (0: not registered); owner holds
@@ -114,7 +111,7 @@ func NewLedger(inst *core.Instance, res *Result, sched Scheduler, st *fault.Stat
 		return nil, fmt.Errorf("scheduler %s does not handle data-capped instances (use Sequential)", sched.Name())
 	}
 	return &Ledger{
-		inst: inst, res: res, sched: sched, st: st, fb: fb,
+		inst: inst, res: res, sched: sched, st: st, fb: fb, committed: -1,
 		regOf: make([]int32, len(inst.Sensors)),
 		owner: make([]int, inst.Gamma),
 	}, nil
@@ -243,6 +240,14 @@ func (l *Ledger) Residual(sensor int) (energy, data float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.res.Residual[sensor], l.res.ResidualData[sensor]
+}
+
+// Committed returns the last interval whose commit is final, read under
+// the residuals' lock: a wire session handshake reports it beside them.
+func (l *Ledger) Committed() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.committed
 }
 
 // validate checks the plan against the protocol rules, lays it out by

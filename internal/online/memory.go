@@ -159,7 +159,7 @@ func (m *memory) Schedule(_ context.Context, iv Interval, _ []Registration, _ ma
 // Finish broadcasts the Finish unless the plan jams it. The claimants
 // that hear it sync their bookkeeping to the physical residual (their
 // debit); the rest stay stale for the admission clamp to catch.
-func (m *memory) Finish(_ context.Context, iv Interval, regs []Registration, _ []Pair, _ []Debit) error {
+func (m *memory) Finish(_ context.Context, iv Interval, regs []Registration) error {
 	if len(regs) == 0 {
 		return nil
 	}

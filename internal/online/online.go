@@ -178,56 +178,35 @@ func RunOpts(inst *core.Instance, sched Scheduler, opts Options) (*Result, error
 // interval boundary and threaded into the scheduler, so a canceled job
 // stops between (or inside) intervals instead of finishing the tour.
 func RunCtx(ctx context.Context, inst *core.Instance, sched Scheduler, opts Options) (*Result, error) {
-	if inst == nil {
-		return nil, errors.New("online: nil instance")
+	// The injector reads the instance, so the checks come first.
+	if err := checkTour(inst, sched); err != nil {
+		return nil, err
 	}
-	if sched == nil {
-		return nil, errors.New("online: nil scheduler")
-	}
-	if inst.NumSinks() > 1 {
-		return nil, fmt.Errorf("online: the online protocol drives a single sink, instance has a fleet of %d", inst.NumSinks())
-	}
-	res := NewResult(inst)
 	// The recovering ledger is used only when something can actually
 	// fire, so a fault-free run commits exactly the paper's protocol.
 	var plan fault.Plan
-	var fb Fallback
-	recovering := (opts.Faults != nil && !opts.Faults.Zero()) || opts.ComputeDeadline > 0
-	if recovering {
+	var fb *Fallback
+	if (opts.Faults != nil && !opts.Faults.Zero()) || opts.ComputeDeadline > 0 {
 		if opts.Faults != nil {
 			plan = *opts.Faults
 		}
-		if plan.Seed == 0 {
-			plan.Seed = opts.Seed // one seed reproduces the whole run
-		}
-		res.Fault = &fault.Stats{}
+		plan.Seed = cmp.Or(plan.Seed, opts.Seed) // one seed reproduces the whole run
+		fb = &Fallback{Deadline: opts.ComputeDeadline}
 	}
 	inj, err := fault.NewInjector(plan, len(inst.Sensors), inst.T)
 	if err != nil {
 		return nil, err
 	}
-	if recovering {
-		fb = Fallback{Stalls: inj, Deadline: opts.ComputeDeadline}
+	if fb != nil {
+		fb.Stalls = inj
 	}
-	led, err := NewLedger(inst, res, sched, res.Fault, fb)
+	d, err := newTour(inst, sched, fb, inj.MaxRetries(), nil, nil, func(res *Result) Transport {
+		return newMemory(inst, res, inj, opts)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("online: %w", err)
+		return nil, err
 	}
-	d := NewDriver(led, newMemory(inst, res, inj, opts), inj.MaxRetries())
-	for j := 0; j < res.Intervals; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := d.Interval(ctx, j); err != nil {
-			return nil, fmt.Errorf("online: interval %d: %w", j, err)
-		}
-	}
-	inst.RecomputeData(res.Alloc)
-	res.Data = res.Alloc.Data
-	if _, err := inst.Validate(res.Alloc); err != nil {
-		return nil, fmt.Errorf("online: produced infeasible allocation: %w", err)
-	}
-	return res, nil
+	return d.Run(ctx, 0)
 }
 
 // Appro is the GAP-based scheduler (Online_Appro): within the interval it

@@ -7,7 +7,7 @@ import "mobisink/internal/metrics"
 var (
 	recordsWritten = metrics.Default().Counter(
 		"wal_records_written_total",
-		"Journal records appended (and fsynced unless NoSync).")
+		"Journal records appended and fsynced.")
 	recordsReplayed = metrics.Default().Counter(
 		"wal_records_replayed_total",
 		"Journal records decoded during replay scans.")

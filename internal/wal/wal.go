@@ -10,14 +10,17 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
 // and the payload starts with a one-byte record kind. Replay is tolerant
-// of a torn tail — a crash mid-append leaves a truncated or corrupt last
-// record, and Scan stops at the last valid one; Open then truncates the
-// file there so the next append starts from a clean prefix. Anything
-// else (bad checksum mid-file, unknown kind, trailing garbage inside a
-// payload) is corruption and fails replay loudly.
+// of a torn tail: a crash mid-append leaves a truncated or corrupt last
+// record, Scan stops before it, and Open truncates the file there so the
+// next append starts from a clean prefix. Scan cannot tell a torn tail
+// from damage earlier in the file: it stops silently at the first
+// record that fails to decode (short, bad checksum, unknown kind,
+// trailing bytes inside a payload), wherever it lies, and Open's
+// truncation then drops every later record, valid or not.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -298,60 +301,40 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	return r, 8 + n, nil
 }
 
-// Scan replays every record from r, stopping cleanly at the last valid
-// one. It returns the decoded records, the byte length of the valid
-// prefix, and a nil error for both a clean EOF and a torn tail (the
-// torn bytes are simply not part of the prefix). Only a read error from
-// the underlying reader is returned.
+// Scan replays every record from r, stopping cleanly before the first
+// one DecodeRecord refuses, wherever it lies. It returns the decoded
+// records, the byte length of the valid prefix, and a nil error for a
+// clean EOF, a torn tail and mid-file damage alike (the bytes after the
+// prefix are simply not part of it). Only a read error from r is
+// returned, with no records.
 func Scan(r io.Reader) ([]Record, int64, error) {
-	var (
-		recs  []Record
-		valid int64
-		head  [8]byte
-	)
+	var b bytes.Buffer
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, 0, err
+	}
+	var recs []Record
+	var valid int64
 	for {
-		if _, err := io.ReadFull(r, head[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil
-			}
-			return recs, valid, err
-		}
-		n := int(binary.BigEndian.Uint32(head[:]))
-		if n > MaxRecord {
-			return recs, valid, nil // corrupt length = torn tail
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil
-			}
-			return recs, valid, err
-		}
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(head[4:]) {
-			return recs, valid, nil
-		}
-		rec, err := decodePayload(payload)
+		rec, n, err := DecodeRecord(b.Bytes()[valid:])
 		if err != nil {
 			return recs, valid, nil
 		}
 		recs = append(recs, rec)
-		valid += int64(8 + n)
+		valid += int64(n)
 		recordsReplayed.Inc()
 	}
 }
 
 // Log is an open journal positioned for appending.
 type Log struct {
-	f *os.File
-	// NoSync skips the per-append fsync. Tests use it; production sinks
-	// should leave it false so a committed interval survives power loss.
-	NoSync bool
-	buf    []byte
+	f   *os.File
+	buf []byte
 }
 
 // Open opens (creating if absent) the journal at path, replays its
-// valid prefix, truncates any torn tail, and returns the log positioned
-// for appending plus the replayed records.
+// valid prefix, truncates the file there (a torn tail, or everything
+// from the first damaged record on), and returns the log positioned for
+// appending plus the replayed records.
 func Open(path string) (*Log, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -375,8 +358,8 @@ func Open(path string) (*Log, []Record, error) {
 	return &Log{f: f}, recs, nil
 }
 
-// Append encodes the record, writes it, and (unless NoSync) fsyncs so
-// the commit is durable before the caller proceeds.
+// Append encodes the record, writes it, and fsyncs so the commit is
+// durable before the caller proceeds.
 func (l *Log) Append(r Record) error {
 	buf, err := AppendRecord(l.buf[:0], r)
 	if err != nil {
@@ -386,10 +369,8 @@ func (l *Log) Append(r Record) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
-	if !l.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
+	if err := l.f.Sync(); err != nil {
+		return err
 	}
 	recordsWritten.Inc()
 	return nil

@@ -207,7 +207,6 @@ func TestOpenAppendReopen(t *testing.T) {
 	if len(replayed) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(replayed))
 	}
-	l.NoSync = true
 	for _, r := range recs[:2] {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
@@ -225,7 +224,6 @@ func TestOpenAppendReopen(t *testing.T) {
 	if !reflect.DeepEqual(replayed, recs[:2]) {
 		t.Fatalf("replayed %+v", replayed)
 	}
-	l.NoSync = true
 	for _, r := range recs[2:] {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
@@ -247,7 +245,6 @@ func TestOpenAppendReopen(t *testing.T) {
 	}
 	// The tear was truncated: the file ends exactly at the valid prefix,
 	// so an append then a reopen replays cleanly.
-	l.NoSync = true
 	if err := l.Append(Commit{Interval: 2}); err != nil {
 		t.Fatal(err)
 	}

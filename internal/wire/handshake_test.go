@@ -130,7 +130,7 @@ func TestSinkAnswersHelloWithSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	const committed = 2
-	recs := []wal.Record{wal.Begin{Sensors: len(inst.Sensors), T: inst.T, Gamma: inst.Gamma, Fingerprint: instanceFingerprint(inst)}}
+	recs := []wal.Record{wal.Begin{Sensors: len(inst.Sensors), T: inst.T, Gamma: inst.Gamma, Fingerprint: online.Fingerprint(inst)}}
 	for j := 0; j <= committed; j++ {
 		recs = append(recs, wal.Commit{Interval: j})
 	}

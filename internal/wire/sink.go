@@ -2,11 +2,8 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -18,10 +15,8 @@ import (
 )
 
 // ErrHalted is returned by RunTour when SinkConfig.HaltAfter stopped the
-// tour early (the crash-restart demo's simulated crash point). The
-// journal holds every committed interval; a new Sink on the same WAL
-// resumes at the first uncommitted one.
-var ErrHalted = errors.New("wire: tour halted by HaltAfter")
+// tour early; a new Sink on the same WAL resumes it.
+var ErrHalted = online.ErrHalted
 
 // Recovery enables the sink server's self-healing machinery, the wire
 // counterpart of online.Options.Faults: bounded probe retransmission,
@@ -62,11 +57,9 @@ type SinkConfig struct {
 	// Recovery enables the self-healing protocol; nil runs the idealized
 	// lossless exchange.
 	Recovery *Recovery
-	// WALPath, when non-empty, journals every interval commit to an
-	// append-only log (internal/wal). If the file already holds a journal
-	// for this instance, NewSink replays it — restoring the allocation,
-	// registrations, and residual ledger bit-for-bit — and RunTour
-	// resumes at the first uncommitted interval.
+	// WALPath, when non-empty, names the tour's journal (internal/wal).
+	// A journal already there for this instance is replayed bit-for-bit,
+	// and RunTour resumes at the first uncommitted interval.
 	WALPath string
 	// SessionTTL is how long a disconnected sensor's session (and its
 	// resumption rights) survives. Default 1 minute.
@@ -108,8 +101,8 @@ var errClosed = fmt.Errorf("sink closed: %w", net.ErrClosed)
 const lingerTimeout = time.Second
 
 // Sink is the mobile sink as a TCP server: it accepts long-lived sensor
-// connections and runs the tour's intervals over them with the same
-// online.Driver and online.Ledger as the in-process runner; its
+// connections, keeps their sessions, and runs a tour built by
+// online.NewTour over them, as the in-process runner does; its
 // sinkTransport only moves the frames. Sensors that disconnect mid-tour
 // may resume their session (a Hello answered by a Sync) within the
 // session TTL; with a WAL configured the sink itself may die and a
@@ -117,27 +110,17 @@ const lingerTimeout = time.Second
 type Sink struct {
 	cfg   SinkConfig
 	rec   *Recovery
-	ttl   time.Duration
 	ln    net.Listener
 	inbox chan inbound
 	done  chan struct{}
 	// bc is the sharded write plane.
 	bc *broadcaster
 
-	// res is the tour ledger, created (or WAL-replayed) by NewSink; led
-	// makes its interval decisions and drv runs the intervals. RunTour's
-	// goroutine owns all writes; the session handshake reads residuals
-	// through led.Residual and committedIv under lmu.
-	res *online.Result
-	led *online.Ledger
+	// drv runs the tour on RunTour's goroutine; the session handshake
+	// reads the residuals and the committed interval through its ledger.
 	drv *online.Driver
-	lmu sync.Mutex
-	// committedIv is the last interval whose commit is final (-1 none).
-	committedIv int
-
-	log          *wal.Log
-	resumeFrom   int
-	tourDone     bool
+	led *online.Ledger
+	// recoverStart is when NewSink found a journal to replay.
 	recoverStart time.Time
 
 	// handlers counts the running connection handlers; Close waits on it.
@@ -152,39 +135,19 @@ type Sink struct {
 	closed    bool
 }
 
-// NewSink validates the configuration, opens and replays the journal
-// (when configured), binds the listener, and starts accepting sensor
-// connections. Callers must Close it.
+// NewSink opens the journal (when configured), builds the tour on it,
+// binds the listener, and starts accepting sensor connections. Callers
+// must Close it.
 func NewSink(cfg SinkConfig) (*Sink, error) {
-	if cfg.Inst == nil {
-		return nil, errors.New("wire: nil instance")
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("wire: nil scheduler")
-	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.Sensors == 0 {
-		cfg.Sensors = len(cfg.Inst.Sensors)
-	}
-	if cfg.SessionTTL <= 0 {
-		cfg.SessionTTL = time.Minute
-	}
 	s := &Sink{
-		cfg:         cfg,
-		rec:         cfg.Recovery,
-		ttl:         cfg.SessionTTL,
-		inbox:       make(chan inbound, max(256, 16*cfg.Sensors)),
-		done:        make(chan struct{}),
-		conns:       make(map[int]*Conn),
-		open:        make(map[*Conn]struct{}),
-		sessions:    make(map[int]*session),
-		joinedIDs:   make(map[int]bool),
-		res:         online.NewResult(cfg.Inst),
-		committedIv: -1,
+		rec:       cfg.Recovery,
+		done:      make(chan struct{}),
+		conns:     make(map[int]*Conn),
+		open:      make(map[*Conn]struct{}),
+		sessions:  make(map[int]*session),
+		joinedIDs: make(map[int]bool),
 	}
-	var fb online.Fallback
+	var fb *online.Fallback
 	retries := 0
 	if s.rec != nil {
 		retries = s.rec.MaxRetries
@@ -194,166 +157,50 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		if s.rec.ConfirmWindow <= 0 {
 			s.rec.ConfirmWindow = 100 * time.Millisecond
 		}
-		s.res.Fault = &fault.Stats{}
-		fb = online.Fallback{Stalls: s.rec.Stalls}
+		fb = &online.Fallback{Stalls: s.rec.Stalls}
 	}
-	led, err := online.NewLedger(cfg.Inst, s.res, cfg.Scheduler, s.res.Fault, fb)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	s.led = led
-	s.drv = online.NewDriver(led, &sinkTransport{s: s, ans: make([]uint8, len(cfg.Inst.Sensors))}, retries)
+	var log online.Journal // nil unless opened: a nil *wal.Log is not
+	var recs []wal.Record
 	if cfg.WALPath != "" {
-		if err := s.openJournal(cfg.WALPath); err != nil {
+		l, r, err := wal.Open(cfg.WALPath)
+		if err != nil {
 			return nil, err
 		}
+		log, recs = l, r
+		if len(recs) > 0 {
+			s.recoverStart = time.Now()
+		}
 	}
+	drv, err := online.NewTour(cfg.Inst, cfg.Scheduler, fb, retries, log, recs, func(res *online.Result) online.Transport {
+		return &sinkTransport{s: s, res: res, ans: make([]uint8, len(cfg.Inst.Sensors))}
+	})
+	if err != nil {
+		if log != nil {
+			log.Close()
+		}
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	s.drv, s.led = drv, drv.Ledger()
+	if cfg.Addr == "" {
+		cfg.Addr = "127.0.0.1:0"
+	}
+	if cfg.Sensors == 0 {
+		cfg.Sensors = len(cfg.Inst.Sensors)
+	}
+	if cfg.SessionTTL <= 0 {
+		cfg.SessionTTL = time.Minute
+	}
+	s.cfg = cfg
+	s.inbox = make(chan inbound, max(256, 16*cfg.Sensors))
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		if s.log != nil {
-			s.log.Close()
-		}
+		drv.Close()
 		return nil, err
 	}
 	s.ln = ln
 	s.bc = newBroadcaster(writeShards, writeQueue, s.done, s.dropConn)
 	go s.acceptLoop()
 	return s, nil
-}
-
-// openJournal opens (or creates) the WAL, verifies it belongs to this
-// instance, and replays every committed interval into the ledger.
-func (s *Sink) openJournal(path string) error {
-	log, recs, err := wal.Open(path)
-	if err != nil {
-		return err
-	}
-	fp := instanceFingerprint(s.cfg.Inst)
-	inst := s.cfg.Inst
-	if len(recs) == 0 {
-		if err := log.Append(wal.Begin{
-			Sensors: len(inst.Sensors), T: inst.T, Gamma: inst.Gamma, Fingerprint: fp,
-		}); err != nil {
-			log.Close()
-			return err
-		}
-		s.log = log
-		return nil
-	}
-	s.recoverStart = time.Now()
-	b, ok := recs[0].(wal.Begin)
-	if !ok {
-		log.Close()
-		return errors.New("wire: journal does not start with a Begin record")
-	}
-	if b.Sensors != len(inst.Sensors) || b.T != inst.T || b.Gamma != inst.Gamma || b.Fingerprint != fp {
-		log.Close()
-		return fmt.Errorf("wire: journal written for a different instance (fingerprint %x, want %x)", b.Fingerprint, fp)
-	}
-	for _, r := range recs[1:] {
-		switch r := r.(type) {
-		case wal.Commit:
-			if s.tourDone {
-				log.Close()
-				return errors.New("wire: journal has a Commit after End")
-			}
-			if err := s.applyCommit(r); err != nil {
-				log.Close()
-				return err
-			}
-		case wal.End:
-			s.tourDone = true
-		default:
-			log.Close()
-			return fmt.Errorf("wire: unexpected journal record kind %d", r.Kind())
-		}
-	}
-	// Re-validate the replayed state before trusting it: the partial
-	// allocation must be feasible and Lemma 1 must hold.
-	inst.RecomputeData(s.res.Alloc)
-	if _, err := inst.Validate(s.res.Alloc); err != nil {
-		log.Close()
-		return fmt.Errorf("wire: journal replays to infeasible allocation: %w", err)
-	}
-	if err := s.res.CheckLemma1(); err != nil {
-		log.Close()
-		return fmt.Errorf("wire: journal replays to Lemma 1 violation: %w", err)
-	}
-	s.resumeFrom = s.committedIv + 1
-	s.log = log
-	return nil
-}
-
-// applyCommit replays one committed interval into the ledger: the
-// registrations, the slot owners, and the stored debits through the live
-// commit's own clamped subtraction (online.Result.Debit), so residuals
-// are bit-identical to the pre-crash process.
-func (s *Sink) applyCommit(c wal.Commit) error {
-	inst := s.cfg.Inst
-	if c.Interval != s.committedIv+1 {
-		return fmt.Errorf("wire: journal commits interval %d after %d", c.Interval, s.committedIv)
-	}
-	res := s.res
-	for _, id := range c.Registered {
-		if id >= len(inst.Sensors) {
-			return fmt.Errorf("wire: journal registers unknown sensor %d", id)
-		}
-		res.RegisteredIn[id] = append(res.RegisteredIn[id], c.Interval)
-	}
-	for _, p := range c.Pairs {
-		if p.Slot >= inst.T || p.Sensor >= len(inst.Sensors) {
-			return fmt.Errorf("wire: journal assigns slot %d to sensor %d out of range", p.Slot, p.Sensor)
-		}
-		if res.Alloc.SlotOwner[p.Slot] != -1 {
-			return fmt.Errorf("wire: journal double-books slot %d", p.Slot)
-		}
-		res.Alloc.SlotOwner[p.Slot] = p.Sensor
-	}
-	for _, d := range c.Debits {
-		if d.Sensor >= len(inst.Sensors) {
-			return fmt.Errorf("wire: journal debits unknown sensor %d", d.Sensor)
-		}
-		res.Debit(online.Debit(d))
-	}
-	// Reconstruct the message counters the live run would have tallied.
-	// Retransmission and repair-unicast counts are not journaled (they
-	// are transport effort, not tour state) and restart at zero.
-	res.Messages.Probes++
-	if len(c.Registered) > 0 {
-		res.Messages.Acks += len(c.Registered)
-		res.Messages.Schedules++
-		res.Messages.Finishes++
-	}
-	s.committedIv = c.Interval
-	return nil
-}
-
-// instanceFingerprint folds the tour-defining parameters — shape, slot
-// length, radio range, and every sensor's budget, window, position, and
-// data cap — into one hash, so a journal cannot be replayed against a
-// different deployment.
-func instanceFingerprint(inst *core.Instance) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(inst.T))
-	put(uint64(inst.Gamma))
-	put(math.Float64bits(inst.Tau))
-	put(math.Float64bits(inst.Range))
-	for i := range inst.Sensors {
-		sn := &inst.Sensors[i]
-		put(uint64(sn.ID))
-		put(math.Float64bits(sn.Budget))
-		put(uint64(int64(sn.Start)))
-		put(uint64(int64(sn.End)))
-		put(math.Float64bits(sn.Pos.X))
-		put(math.Float64bits(sn.Pos.Y))
-		put(math.Float64bits(inst.DataCapOf(i)))
-	}
-	return h.Sum64()
 }
 
 // Addr returns the bound listen address ("127.0.0.1:port").
@@ -399,9 +246,7 @@ func (s *Sink) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	if s.log != nil {
-		s.log.Close()
-	}
+	s.drv.Close()
 	return err
 }
 
@@ -530,7 +375,7 @@ func (s *Sink) attach(id int, c *Conn, h *Hello) (*Sync, *Conn) {
 	}
 	sess := s.sessions[id]
 	resumed := sess != nil && h.Token != 0 && sess.token == h.Token &&
-		(sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
+		(sess.owner != nil || now.Sub(sess.lastGone) <= s.cfg.SessionTTL)
 	var old *Conn
 	if sess != nil && sess.owner != nil {
 		old = sess.owner
@@ -548,9 +393,7 @@ func (s *Sink) attach(id int, c *Conn, h *Hello) (*Sync, *Conn) {
 	token := sess.token
 	s.mu.Unlock()
 
-	s.lmu.Lock()
-	committed := s.committedIv
-	s.lmu.Unlock()
+	committed := s.led.Committed()
 	budget, dataLeft := s.led.Residual(id)
 
 	missed := 0
@@ -607,7 +450,7 @@ func (s *Sink) reachableLocked(id int, now time.Time) bool {
 		return true
 	}
 	sess := s.sessions[id]
-	return s.rec != nil && sess != nil && (sess.owner != nil || now.Sub(sess.lastGone) <= s.ttl)
+	return s.rec != nil && sess != nil && (sess.owner != nil || now.Sub(sess.lastGone) <= s.cfg.SessionTTL)
 }
 
 // dropConn discards a connection whose write failed; its sensor may
@@ -627,52 +470,17 @@ func (s *Sink) dropConn(id int, c *Conn) {
 	}
 }
 
-// RunTour drives one tour of the online protocol over the connected
-// sensors and returns the same Result as online.Run: on a lossless
-// network with Recovery nil, byte-identical allocations, collected data,
-// residual budgets, and message counts. With Recovery set, Result.Fault
-// tallies the sink-observable recoveries (retransmission rounds, budget
-// clamps, missed schedules, repairs, lost slots, degraded intervals);
-// network-side drop counts live in the chaos layer, which the sink
-// cannot observe. With a WAL configured the tour starts at the first
-// uncommitted interval — on a fresh journal that is interval 0; on a
-// replayed one it is wherever the previous process died.
+// RunTour drives the tour over the connected sensors from its first
+// uncommitted interval. On a lossless network with Recovery nil it
+// returns the same Result as online.Run, byte for byte. With Recovery
+// set, Result.Fault tallies the recoveries the sink can observe;
+// network-side drop counts live in the chaos layer.
 func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
-	inst := s.cfg.Inst
-	res := s.res
 	if !s.recoverStart.IsZero() {
 		recoverySeconds.Observe(time.Since(s.recoverStart).Seconds())
 		s.recoverStart = time.Time{}
 	}
-	ran := 0
-	for j := s.resumeFrom; j < res.Intervals && !s.tourDone; j++ {
-		if err := s.drv.Interval(ctx, j); err != nil {
-			return nil, fmt.Errorf("wire: interval %d: %w", j, err)
-		}
-		ran++
-		if s.cfg.HaltAfter > 0 && ran >= s.cfg.HaltAfter && j+1 < res.Intervals {
-			return res, ErrHalted
-		}
-	}
-	// Drain the write plane before declaring the tour done, so the final
-	// Finish frames are on the wire before the caller tears the sink
-	// down. A HaltAfter "crash" returns above without flushing — frames
-	// a real crash would lose stay lost, and the Sync's min-residual
-	// adoption heals the divergence bit-exactly.
-	if err := s.bc.Flush(ctx); err != nil {
-		return nil, fmt.Errorf("wire: final flush: %w", err)
-	}
-	if s.log != nil && !s.tourDone {
-		if err := s.log.Append(wal.End{}); err != nil {
-			return nil, fmt.Errorf("wire: journal end: %w", err)
-		}
-	}
-	inst.RecomputeData(res.Alloc)
-	res.Data = res.Alloc.Data
-	if _, err := inst.Validate(res.Alloc); err != nil {
-		return nil, fmt.Errorf("wire: produced infeasible allocation: %w", err)
-	}
-	return res, nil
+	return s.drv.Run(ctx, s.cfg.HaltAfter)
 }
 
 // confirmLoss is the commit's view of a recovery-mode interval: the
@@ -682,7 +490,7 @@ func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 // dropped repair frame, and any resulting ledger divergence is healed by
 // the budget clamp at the sensor's next registration.
 type confirmLoss struct {
-	s      *Sink
+	t      *sinkTransport
 	iv     int
 	silent map[int]bool
 }
@@ -694,33 +502,11 @@ func (c *confirmLoss) Alive(int, int) bool  { return true }
 // interval's Schedule broadcast, so the repair cannot overtake it.
 func (c *confirmLoss) Repair(slot, sensor int) bool {
 	fix := &Schedule{Interval: c.iv, Repair: true, Pairs: []Assign{{Slot: slot, Sensor: sensor}}}
-	if !c.s.bc.Unicast(sensor, fix) {
+	if !c.t.s.bc.Unicast(sensor, fix) {
 		return false
 	}
-	c.s.res.Messages.RepairUnicasts++
+	c.t.res.Messages.RepairUnicasts++
 	return true
-}
-
-// commitInterval journals the sealed interval (when a WAL is configured)
-// and advances the committed-interval watermark the session handshake
-// reports to resuming sensors.
-func (s *Sink) commitInterval(interval int, ids []int, pairs []online.Pair, debits []online.Debit) error {
-	if s.log != nil {
-		rec := wal.Commit{Interval: interval, Registered: ids}
-		for _, p := range pairs {
-			rec.Pairs = append(rec.Pairs, wal.Assign(p))
-		}
-		for _, d := range debits {
-			rec.Debits = append(rec.Debits, wal.Debit(d))
-		}
-		if err := s.log.Append(rec); err != nil {
-			return fmt.Errorf("journal commit: %w", err)
-		}
-	}
-	s.lmu.Lock()
-	s.committedIv = interval
-	s.lmu.Unlock()
-	return nil
 }
 
 // broadcast fans one frame out to the listed sensors: the frame is

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"time"
 
@@ -21,11 +22,11 @@ const (
 // sinkTransport is the Sink's online.Transport: the driver's frames go
 // out on the sharded write plane and come back through the inbox.
 // Recovery mode times its registration rounds and its confirm window;
-// idealized mode waits for every answer. It also journals each commit
-// before the Finish and observes the wire's interval histograms. It
-// belongs to RunTour's goroutine.
+// idealized mode waits for every answer. It also observes the wire's
+// interval histograms. It belongs to RunTour's goroutine.
 type sinkTransport struct {
-	s *Sink
+	s   *Sink
+	res *online.Result
 	// ans is each sensor's registration state; probed lists the sensors
 	// marked this interval.
 	ans     []uint8
@@ -145,7 +146,7 @@ func (t *sinkTransport) settle(in inbound, interval int) bool {
 	*a = ansSettled
 	if ack.Kind == AckRegister {
 		t.claims = append(t.claims, ack.Registration())
-		t.s.res.Messages.Acks++
+		t.res.Messages.Acks++
 	}
 	return counted
 }
@@ -170,7 +171,7 @@ func (t *sinkTransport) Schedule(ctx context.Context, iv online.Interval, regs [
 	if err != nil {
 		return nil, err
 	}
-	return &confirmLoss{s: s, iv: iv.Index, silent: silent}, nil
+	return &confirmLoss{t: t, iv: iv.Index, silent: silent}, nil
 }
 
 // collectConfirms waits out the confirm window and returns the
@@ -205,25 +206,25 @@ func (t *sinkTransport) collectConfirms(ctx context.Context, iv online.Interval,
 	return silent, nil
 }
 
-// Finish journals the commit (when a WAL is configured) before the
-// Finish broadcast, so a crash between the two cannot lose a debit the
-// sensors performed; an idle interval journals too, so a restarted sink
-// resumes past it. The claimants debit on receipt, and TCP ordering
-// delivers the Finish before the next interval's Probe, so every later
-// claim reflects the debit.
-func (t *sinkTransport) Finish(_ context.Context, iv online.Interval, regs []online.Registration, pairs []online.Pair, debits []online.Debit) error {
+// Finish broadcasts the Finish of a committed, journaled interval; TCP
+// ordering delivers it before the next Probe, so every later claim
+// reflects the debit. The tour's last Finish drains the write plane
+// before the End is journaled. A HaltAfter stop never gets there: frames
+// a crash would lose stay lost, and the Sync's min-residual adoption
+// heals the divergence bit-exactly.
+func (t *sinkTransport) Finish(ctx context.Context, iv online.Interval, regs []online.Registration) error {
 	s := t.s
 	t.observeRegistration()
-	ids := t.claimants(regs)
-	if err := s.commitInterval(iv.Index, ids, pairs, debits); err != nil {
-		return err
-	}
 	intervalCommitNs.Observe(float64(time.Since(t.probeAt).Nanoseconds()))
-	if len(regs) == 0 {
-		return nil
+	if len(regs) > 0 {
+		s.broadcast(&Finish{Interval: iv.Index}, t.claimants(regs))
+		t.res.Messages.Finishes++
 	}
-	s.broadcast(&Finish{Interval: iv.Index}, ids)
-	s.res.Messages.Finishes++
+	if iv.Index == t.res.Intervals-1 {
+		if err := s.bc.Flush(ctx); err != nil {
+			return fmt.Errorf("final flush: %w", err)
+		}
+	}
 	return nil
 }
 
