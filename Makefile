@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal
+.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal fuzz-knapsack
 
 all: build vet test
 
@@ -81,6 +81,13 @@ fuzz-wal:
 fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz FuzzFleetBuild -fuzztime 30s ./internal/core
 
+# Short fuzz pass over the knapsack kernels: every packing must pass
+# knapsack.Fits, the exact kernels must agree, and the FPTAS must keep its
+# (1−ε) guarantee. testdata/fuzz/FuzzKnapsackSolvers holds two inputs
+# whose best packing fills the capacity exactly.
+fuzz-knapsack:
+	$(GO) test -run '^$$' -fuzz FuzzKnapsackSolvers -fuzztime 30s .
+
 # Robustness gate: the fault-injection layer, the self-healing online
 # protocol, and the hardened serving path under the race detector
 # (includes the chaos sweep and the end-to-end panic/breaker tests),
@@ -151,8 +158,8 @@ bench-compare-short:
 
 # Coverage gate (part of the default `test` target): per-package floors
 # on the solving and protocol packages, committed as the baseline below
-# measured coverage at the time of writing (gap 97.9, knapsack 94.3,
-# online 94.5, wire 87.2, wal 83.1, matching 99.3, core 90.0, lagrange
+# measured coverage at the time of writing (gap 98.3, knapsack 94.4,
+# online 94.5, wire 87.2, wal 83.1, matching 98.9, core 90.0, lagrange
 # 97.4, loadgen 77.8). Raise the floors when coverage rises.
 COVER_FLOORS = internal/gap:95 internal/knapsack:91 internal/online:94 internal/wire:84 \
 	internal/wal:78 internal/matching:96 internal/core:87 internal/lagrange:94 cmd/loadgen:72
@@ -184,6 +191,7 @@ examples:
 	$(GO) run ./examples/trafficload
 	$(GO) run ./examples/highway
 	$(GO) run ./examples/twinsinks
+	$(GO) run ./examples/widearea
 
 clean:
 	rm -f test_output.txt bench_output.txt

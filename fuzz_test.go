@@ -6,49 +6,14 @@ package mobisink_test
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"mobisink/internal/core"
-	"mobisink/internal/energy"
 	"mobisink/internal/geom"
 	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
-
-// FuzzReadTraceCSV: the trace parser must never panic and any accepted
-// trace must satisfy the Harvester contract on a few probes.
-func FuzzReadTraceCSV(f *testing.F) {
-	f.Add("0,0.001\n100,0.002\n", 0.0)
-	f.Add("time,power\n0,1\n1,2\n2,0\n", 2.0)
-	f.Add("# comment\n5,0\n", 0.0)
-	f.Add("", 0.0)
-	f.Add("a,b\nc,d\n", 0.0)
-	f.Add("0,0.001,extra\n", 100.0)
-	f.Add("0,-1\n", 0.0)
-	f.Fuzz(func(t *testing.T, csv string, period float64) {
-		if math.IsNaN(period) || math.IsInf(period, 0) {
-			return
-		}
-		tr, err := energy.ReadTraceCSV(strings.NewReader(csv), period)
-		if err != nil {
-			return
-		}
-		for _, at := range []float64{-10, 0, 50, 1e6} {
-			p := tr.Power(at)
-			if p < 0 || math.IsNaN(p) {
-				t.Fatalf("Power(%v) = %v", at, p)
-			}
-		}
-		if e := tr.EnergyBetween(0, 100); e < 0 || math.IsNaN(e) {
-			t.Fatalf("EnergyBetween = %v", e)
-		}
-		if tr.EnergyBetween(50, 10) != 0 {
-			t.Fatal("reversed interval must be 0")
-		}
-	})
-}
 
 // FuzzKnapsackSolvers: on random instances, all knapsack kernels must
 // return feasible packings and respect the exactness/approximation
@@ -84,7 +49,7 @@ func FuzzKnapsackSolvers(f *testing.F) {
 				}
 				p, w = p+profit[k], w+weight[k]
 			}
-			if w > capacity+1e-9 {
+			if !knapsack.Fits(w, capacity) {
 				t.Fatalf("%s: infeasible", name)
 			}
 			return p

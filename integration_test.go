@@ -17,7 +17,6 @@ import (
 	"mobisink/internal/lagrange"
 	"mobisink/internal/network"
 	"mobisink/internal/online"
-	"mobisink/internal/phy"
 	"mobisink/internal/radio"
 	"mobisink/internal/tour"
 	"mobisink/internal/traffic"
@@ -189,10 +188,11 @@ func TestWorkloadDrivenCampaign(t *testing.T) {
 	}
 }
 
-// TestPhysicsDrivenRadio swaps the paper's rate table for the PHY-derived
-// model and runs the standard pipeline.
-func TestPhysicsDrivenRadio(t *testing.T) {
-	model, err := phy.NewModel([]phy.Params{phy.CC2420(-7), phy.CC2420(0)}, 0.9, 250)
+// TestContinuousPowerRadio swaps the paper's rate table for a
+// continuous-power path-loss model, which has no weight quantum, so both
+// Offline_Appro and Online_Appro run the FPTAS knapsack oracle end to end.
+func TestContinuousPowerRadio(t *testing.T) {
+	model, err := radio.NewPathLoss(250e3, 20, 2.5, 0.17, 0.33, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"mobisink/internal/energy"
-	"mobisink/internal/gap"
+	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -24,13 +24,37 @@ func tinyDeployment(t *testing.T, n int, seed int64, budget float64) *network.De
 	return d
 }
 
+// optimum is the exact optimum of a tiny single-sink instance by brute
+// force over slot owners: each slot goes to one sensor that can use it, or
+// to nobody, within every sensor's budget.
 func optimum(t *testing.T, inst *Instance) float64 {
 	t.Helper()
-	opt, err := gap.Exhaustive(buildGAP(inst, sensorOrder(inst)), 1<<28)
-	if err != nil {
-		t.Skipf("instance too large for exhaustive: %v", err)
+	if inst.NumSinks() > 1 || inst.T > 16 {
+		t.Fatalf("brute force is for tiny single-sink instances (T = %d)", inst.T)
 	}
-	return opt.Profit
+	used := make([]float64, len(inst.Sensors))
+	best := 0.0
+	var visit func(j int, data float64)
+	visit = func(j int, data float64) {
+		if j == inst.T {
+			best = max(best, data)
+			return
+		}
+		visit(j+1, data)
+		for i := range inst.Sensors {
+			s := &inst.Sensors[i]
+			r, w := s.RateAt(j), s.PowerAt(j)*inst.Tau
+			if r <= 0 || w <= 0 || !knapsack.Fits(used[i]+w, s.Budget) {
+				continue
+			}
+			prev := used[i]
+			used[i] += w
+			visit(j+1, data+r*inst.Tau)
+			used[i] = prev
+		}
+	}
+	visit(0, 0)
+	return best
 }
 
 func TestBuildInstanceValidation(t *testing.T) {
@@ -311,7 +335,7 @@ func TestEnergyUsed(t *testing.T) {
 	}
 	used := inst.EnergyUsed(a)
 	for i, e := range used {
-		if e > inst.Sensors[i].Budget+1e-9 {
+		if !knapsack.Fits(e, inst.Sensors[i].Budget) {
 			t.Errorf("sensor %d over budget: %v > %v", i, e, inst.Sensors[i].Budget)
 		}
 	}

@@ -9,51 +9,64 @@ import (
 	"mobisink/internal/radio"
 )
 
-// buildGAP is the pointer form of the paper's GAP reduction (Thm 1) for
-// the given sensor order: one bin per sensor, one entry per usable window
-// slot, and the absolute-slot conflict groups on fleet instances.
-func buildGAP(inst *Instance, order []int) *gap.Instance {
-	g := &gap.Instance{NumItems: inst.T, Bins: make([]gap.Bin, len(order))}
-	add := func(bin *gap.Bin, start int, rates, powers []float64) {
+// refBin is one bin of the reference reduction: a capacity and its
+// (item, profit, weight) entries.
+type refBin struct {
+	capacity float64
+	entries  []refEntry
+}
+
+type refEntry struct {
+	item           int
+	profit, weight float64
+}
+
+// buildGAP is the paper's GAP reduction (Thm 1) as a bin list, for the
+// given sensor order: one bin per sensor, one entry per usable window
+// slot, and the absolute-slot conflict groups on fleet instances (nil
+// otherwise).
+func buildGAP(inst *Instance, order []int) (bins []refBin, itemGroup []int) {
+	bins = make([]refBin, len(order))
+	add := func(bin *refBin, start int, rates, powers []float64) {
 		for k, r := range rates {
 			if p := powers[k]; r > 0 && p > 0 {
-				bin.Entries = append(bin.Entries, gap.Entry{Item: start + k, Profit: r * inst.Tau, Weight: p * inst.Tau})
+				bin.entries = append(bin.entries, refEntry{start + k, r * inst.Tau, p * inst.Tau})
 			}
 		}
 	}
 	for b, si := range order {
 		s := &inst.Sensors[si]
-		g.Bins[b].Capacity = s.Budget
+		bins[b].capacity = s.Budget
 		if s.Start >= 0 {
-			add(&g.Bins[b], s.Start, s.Rates, s.Powers)
+			add(&bins[b], s.Start, s.Rates, s.Powers)
 		}
 		for _, w := range s.More {
-			add(&g.Bins[b], w.Start, w.Rates, w.Powers)
+			add(&bins[b], w.Start, w.Rates, w.Powers)
 		}
 	}
 	if inst.NumSinks() > 1 {
-		g.ItemGroup = make([]int, inst.T)
-		for j := range g.ItemGroup {
-			g.ItemGroup[j] = inst.AbsSlot(j)
+		itemGroup = make([]int, inst.T)
+		for j := range itemGroup {
+			itemGroup[j] = inst.AbsSlot(j)
 		}
 	}
-	return g
+	return bins, itemGroup
 }
 
 // offlineApproLegacyCtx is Offline_Appro the way it ran before the
-// reduction was written straight into the builder: the pointer reduction
-// first, then compiled bin by bin and swept. The gap package pins the
+// reduction was written straight into the builder: the reduction's bin
+// list first, then compiled bin by bin and swept. The gap package pins the
 // compiled sweep to its pointer reference bit for bit.
 func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
 	order := sensorOrder(inst)
-	g := buildGAP(inst, order)
+	bins, itemGroup := buildGAP(inst, order)
 	quantum, eps := opts.Oracle(inst)
 	var b gap.Builder
-	b.Reset(g.NumItems, g.ItemGroup, quantum, eps)
-	for _, bin := range g.Bins {
-		b.Bin(bin.Capacity)
-		for _, e := range bin.Entries {
-			b.Add(e.Item, e.Profit, e.Weight)
+	b.Reset(inst.T, itemGroup, quantum, eps)
+	for _, bin := range bins {
+		b.Bin(bin.capacity)
+		for _, e := range bin.entries {
+			b.Add(e.item, e.profit, e.weight)
 		}
 	}
 	c, err := b.Compiled()

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"mobisink/internal/geom"
+	"mobisink/internal/knapsack"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
 )
@@ -283,7 +284,7 @@ func (inst *Instance) Validate(a *Allocation) (float64, error) {
 		data += s.RateAt(j) * inst.Tau
 	}
 	for i, e := range energyUsed {
-		if e > inst.Sensors[i].Budget+1e-9 {
+		if !knapsack.Fits(e, inst.Sensors[i].Budget) {
 			return 0, fmt.Errorf("core: sensor %d spends %v J > budget %v J", i, e, inst.Sensors[i].Budget)
 		}
 	}

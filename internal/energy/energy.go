@@ -15,7 +15,9 @@
 // publishes for a 37×37 mm panel: 655.15 mWh on a sunny day and 313.70 mWh
 // on a partly cloudy day. The substitution preserves the quantity the
 // algorithms actually consume — the per-tour harvested energy and its
-// variability across sensors and times of day.
+// variability across sensors and times of day. The package has no trace
+// loader: one belongs with recorded traces in the repository and a caller
+// that replays them.
 package energy
 
 import (

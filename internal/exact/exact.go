@@ -4,11 +4,12 @@
 // The paper dismisses exact ILP solving as too slow for online use
 // (§I.B); this package exists to quantify that claim and to provide true
 // optima for "fraction of optimum" reporting on small and medium
-// instances, where gap.Exhaustive's state space is already astronomically
-// large. The search branches on slots in time order — assigning each to
-// one of its eligible sensors or to nobody — and prunes with an
-// energy-aware fractional relaxation bound, dominance rules, and a node
-// budget.
+// instances, where a brute force over slot owners is already
+// astronomically large. The search branches on slots in time order —
+// assigning each to one of its eligible sensors or to nobody — and prunes
+// with an energy-aware fractional relaxation bound, dominance rules, and
+// a node budget. The tests check it against that brute force on tiny
+// instances.
 package exact
 
 import (

@@ -208,113 +208,6 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Sanitized returns a copy of the plan clamped into validity for a tour
-// with numSensors sensors and T slots: probabilities are clamped into
-// [0,1] (NaN → 0), retry counts into [0, 8], crash windows are swapped
-// when inverted and clipped to the tour (windows entirely past the tour
-// end are dropped), out-of-range sensors are dropped, and negative or
-// NaN shortfalls are zeroed. Fuzzing uses it to turn arbitrary bytes
-// into a runnable plan; production callers should Validate instead.
-func (p *Plan) Sanitized(numSensors, T int) Plan {
-	if p == nil {
-		return Plan{}
-	}
-	clamp01 := func(v float64) float64 {
-		if math.IsNaN(v) || v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-	q := Plan{
-		Seed:         p.Seed,
-		DropProbe:    clamp01(p.DropProbe),
-		DropAck:      clamp01(p.DropAck),
-		DropSchedule: clamp01(p.DropSchedule),
-		DropFinish:   clamp01(p.DropFinish),
-		StallProb:    clamp01(p.StallProb),
-		ConnKillProb: clamp01(p.ConnKillProb),
-		MaxRetries:   p.MaxRetries,
-	}
-	if q.MaxRetries < 0 {
-		q.MaxRetries = 0
-	}
-	if q.MaxRetries > maxRetriesCap {
-		q.MaxRetries = maxRetriesCap
-	}
-	for _, c := range p.Crashes {
-		if c.To < c.From {
-			c.From, c.To = c.To, c.From
-		}
-		if c.Sensor < 0 || c.Sensor >= numSensors || c.From >= T || c.To < 0 {
-			continue
-		}
-		if c.From < 0 {
-			c.From = 0
-		}
-		if c.To >= T {
-			c.To = T - 1
-		}
-		q.Crashes = append(q.Crashes, c)
-	}
-	for _, s := range p.Shortfalls {
-		if s.Sensor < 0 || s.Sensor >= numSensors || math.IsNaN(s.Joules) || s.Joules <= 0 {
-			continue
-		}
-		if math.IsInf(s.Joules, 1) {
-			s.Joules = math.MaxFloat64
-		}
-		if s.Slot < 0 {
-			s.Slot = 0
-		}
-		if s.Slot >= T {
-			s.Slot = T - 1
-		}
-		q.Shortfalls = append(q.Shortfalls, s)
-	}
-	for _, iv := range p.StallIntervals {
-		if iv >= 0 {
-			q.StallIntervals = append(q.StallIntervals, iv)
-		}
-	}
-	// Interval indices are bounded above by the slot count (Γ ≥ 1), so T
-	// is a safe clip for the interval-coordinate units too.
-	for _, k := range p.ConnKills {
-		if k.Sensor < 0 || k.Sensor >= numSensors || k.Interval < 0 || k.Interval >= T {
-			continue
-		}
-		q.ConnKills = append(q.ConnKills, k)
-	}
-	for _, w := range p.Partitions {
-		if w.To < w.From {
-			w.From, w.To = w.To, w.From
-		}
-		if w.From >= T || w.To < 0 {
-			continue
-		}
-		if w.From < 0 {
-			w.From = 0
-		}
-		if w.To >= T {
-			w.To = T - 1
-		}
-		var keep []int
-		for _, s := range w.Sensors {
-			if s >= 0 && s < numSensors {
-				keep = append(keep, s)
-			}
-		}
-		if len(w.Sensors) > 0 && len(keep) == 0 {
-			continue // every named sensor was bogus; drop, don't widen to "all"
-		}
-		w.Sensors = keep
-		q.Partitions = append(q.Partitions, w)
-	}
-	return q
-}
-
 // Stats tallies the faults injected and the recoveries performed over one
 // tour. The online runner fills it; zero-valued fields mean the fault
 // class never fired.

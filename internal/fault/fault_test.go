@@ -56,59 +56,6 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestSanitized(t *testing.T) {
-	p := Plan{
-		Seed:       7,
-		DropProbe:  math.NaN(),
-		DropAck:    -3,
-		DropFinish: 2,
-		MaxRetries: 100,
-		Crashes: []Crash{
-			{Sensor: 0, From: 9, To: 2},    // inverted → swapped → [2,9] clipped to [2,4]
-			{Sensor: 1, From: 50, To: 60},  // past tour end → dropped
-			{Sensor: 99, From: 0, To: 1},   // unknown sensor → dropped
-			{Sensor: 2, From: -3, To: 100}, // clipped to [0,4]
-		},
-		Shortfalls: []Shortfall{
-			{Sensor: 0, Slot: 2, Joules: math.NaN()},  // dropped
-			{Sensor: 0, Slot: 80, Joules: 1},          // clamped to last slot
-			{Sensor: 1, Slot: 1, Joules: math.Inf(1)}, // finite-ized
-			{Sensor: -1, Slot: 0, Joules: 1},          // dropped
-			{Sensor: 2, Slot: 3, Joules: -5},          // dropped
-		},
-		StallIntervals: []int{-1, 3},
-	}
-	q := p.Sanitized(3, 5)
-	if err := q.Validate(); err != nil {
-		t.Fatalf("sanitized plan invalid: %v", err)
-	}
-	if q.DropProbe != 0 || q.DropAck != 0 || q.DropFinish != 1 {
-		t.Errorf("probabilities not clamped: %+v", q)
-	}
-	if q.MaxRetries != maxRetriesCap {
-		t.Errorf("retries = %d", q.MaxRetries)
-	}
-	if len(q.Crashes) != 2 || q.Crashes[0] != (Crash{0, 2, 4}) || q.Crashes[1] != (Crash{2, 0, 4}) {
-		t.Errorf("crashes = %+v", q.Crashes)
-	}
-	if len(q.Shortfalls) != 2 {
-		t.Fatalf("shortfalls = %+v", q.Shortfalls)
-	}
-	if q.Shortfalls[0].Slot != 4 || q.Shortfalls[1].Joules != math.MaxFloat64 {
-		t.Errorf("shortfalls = %+v", q.Shortfalls)
-	}
-	if len(q.StallIntervals) != 1 || q.StallIntervals[0] != 3 {
-		t.Errorf("stalls = %+v", q.StallIntervals)
-	}
-	// Building an injector from a sanitized plan always succeeds.
-	if _, err := NewInjector(q, 3, 5); err != nil {
-		t.Fatalf("injector on sanitized plan: %v", err)
-	}
-	if nilSan := (*Plan)(nil).Sanitized(3, 5); !nilSan.Zero() {
-		t.Error("nil plan must sanitize to zero")
-	}
-}
-
 func TestInjectorDeterminismAndPurity(t *testing.T) {
 	p := Plan{Seed: 11, DropProbe: 0.3, DropAck: 0.3, DropSchedule: 0.3,
 		DropFinish: 0.3, StallProb: 0.3}
@@ -292,47 +239,6 @@ func TestPartitioned(t *testing.T) {
 		if got := in.Partitioned(tc.iv, tc.s); got != tc.want {
 			t.Errorf("Partitioned(%d,%d) = %v, want %v", tc.iv, tc.s, got, tc.want)
 		}
-	}
-}
-
-func TestSanitizedChurnUnits(t *testing.T) {
-	p := Plan{
-		ConnKillProb: 3,
-		ConnKills: []ConnKill{
-			{Sensor: 0, Interval: 2},  // kept
-			{Sensor: 9, Interval: 0},  // unknown sensor → dropped
-			{Sensor: 1, Interval: -1}, // negative interval → dropped
-			{Sensor: 1, Interval: 50}, // past tour end → dropped
-		},
-		Partitions: []Partition{
-			{From: 4, To: 1, Sensors: []int{0}},       // inverted → swapped → [1,4]
-			{From: 50, To: 60},                        // past tour end → dropped
-			{From: -2, To: 100, Sensors: []int{2, 9}}, // clipped, bogus sensor pruned
-			{From: 0, To: 1, Sensors: []int{77}},      // all sensors bogus → dropped
-		},
-	}
-	q := p.Sanitized(3, 5)
-	if err := q.Validate(); err != nil {
-		t.Fatalf("sanitized plan invalid: %v", err)
-	}
-	if q.ConnKillProb != 1 {
-		t.Errorf("conn_kill_prob = %v", q.ConnKillProb)
-	}
-	if len(q.ConnKills) != 1 || q.ConnKills[0] != (ConnKill{Sensor: 0, Interval: 2}) {
-		t.Errorf("conn kills = %+v", q.ConnKills)
-	}
-	if len(q.Partitions) != 2 {
-		t.Fatalf("partitions = %+v", q.Partitions)
-	}
-	if q.Partitions[0].From != 1 || q.Partitions[0].To != 4 {
-		t.Errorf("window 0 = %+v", q.Partitions[0])
-	}
-	if q.Partitions[1].From != 0 || q.Partitions[1].To != 4 ||
-		len(q.Partitions[1].Sensors) != 1 || q.Partitions[1].Sensors[0] != 2 {
-		t.Errorf("window 1 = %+v", q.Partitions[1])
-	}
-	if _, err := NewInjector(q, 3, 5); err != nil {
-		t.Fatalf("injector on sanitized plan: %v", err)
 	}
 }
 

@@ -1,3 +1,14 @@
+// Package gap solves the Generalized Assignment Problem (GAP): pack items
+// into capacitated bins where each (bin, item) pair has its own profit and
+// weight, maximizing total profit. The data collection maximization problem
+// reduces to GAP with bins = sensors (capacity = per-tour energy budget) and
+// items = time slots (paper Thm 1).
+//
+// A Builder writes an instance bin by bin into the compiled form
+// (Compiled), which runs the Cohen-Katzir-Raz local-ratio algorithm the
+// paper adopts (its ref. [3]; Compiled.SolveInto), a density-greedy
+// baseline (Compiled.Greedy) and the sequential packer of the data-cap
+// extension (Compiled.Sequential).
 package gap
 
 import (
@@ -40,9 +51,6 @@ type Compiled struct {
 	Eps     float64 // FPTAS accuracy, used when Quantum == 0
 
 	maxBin int // max compiled entries in one bin
-	// groupsExact is false when some group reduction dropped an entry not
-	// weakly dominated by its winner (see Builder.reduceGroups).
-	groupsExact bool
 }
 
 // Typed validation errors of Builder.Reset (and, via wrapping,
@@ -93,7 +101,6 @@ func (b *Builder) Reset(numItems int, itemGroup []int, quantum, eps float64) {
 		Item:     c.Item[:0], Profit: c.Profit[:0], Weight: c.Weight[:0], Cap: c.Cap[:0],
 		WQ: c.WQ[:0], CapU: c.CapU[:0],
 		Quantum: quantum, Eps: eps,
-		groupsExact: true,
 	}
 	b.group, b.err = itemGroup, nil
 	switch {
@@ -217,18 +224,9 @@ func (b *Builder) reduceGroups(lo int) {
 			b.win[g] = k
 		}
 	}
-	lost := func(k int) bool {
-		g := b.group[c.Item[k]]
-		return g >= 0 && b.win[g] != k
-	}
-	for k := lo; k < len(c.Item); k++ {
-		if lost(k) && c.Weight[k] < c.Weight[b.win[b.group[c.Item[k]]]] {
-			c.groupsExact = false
-		}
-	}
 	n := lo
 	for k := lo; k < len(c.Item); k++ {
-		if lost(k) {
+		if g := b.group[c.Item[k]]; g >= 0 && b.win[g] != k {
 			continue
 		}
 		c.Item[n], c.Profit[n], c.Weight[n] = c.Item[k], c.Profit[k], c.Weight[k]
@@ -242,15 +240,6 @@ func (b *Builder) reduceGroups(lo int) {
 		c.WQ = c.WQ[:n]
 	}
 }
-
-// GroupReductionExact reports whether the conflict-group reduction was
-// dominance-exact: every dropped entry was weakly dominated (profit ≤,
-// weight ≥) by its group's surviving entry, so the reduced instance has
-// the same optimum as the group-constrained original. This holds for
-// monotone link models (the repo's radio tables), where the closer sink
-// offers both the higher rate and the lower energy cost; it is trivially
-// true on instances without conflict groups.
-func (c *Compiled) GroupReductionExact() bool { return c.groupsExact }
 
 // Scratch is the reusable per-solve state of a Compiled pass: the
 // residual-claim array plus the candidate buffers and knapsack arena. The

@@ -34,8 +34,8 @@ func groupedInstance(rng *rand.Rand, bins, items, nGroups int) *Instance {
 }
 
 // TestReduceGroupsPicksDominant: the Builder keeps one entry per
-// (bin, conflict group), the dominant one, and reports whether every
-// dropped entry was weakly dominated.
+// (bin, conflict group), the dominant one, whether or not the losers are
+// weakly dominated by it.
 func TestReduceGroupsPicksDominant(t *testing.T) {
 	itemGroup := []int{0, 1, -1, 0}
 	compile := func(entries ...Entry) *Compiled {
@@ -61,18 +61,12 @@ func TestReduceGroupsPicksDominant(t *testing.T) {
 	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
 		t.Fatalf("kept items %v, want [3 1]: only the item-0 entry dropped", c.Item)
 	}
-	if c.GroupReductionExact() {
-		t.Fatal("dropped entry is lighter than the winner: reduction must report inexact")
-	}
 
-	// Weakly dominated loser → exact.
+	// A weakly dominated loser drops the same way.
 	entries[0].Weight = 2
 	c = compile(entries...)
 	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
 		t.Fatalf("kept items %v, want [3 1]", c.Item)
-	}
-	if !c.GroupReductionExact() {
-		t.Fatal("weakly dominated loser must keep the reduction exact")
 	}
 
 	// Singleton groups → no reduction at all.
@@ -166,34 +160,5 @@ func TestGroupedSolversHonorGroups(t *testing.T) {
 			t.Fatalf("trial %d: exhaustive %v below a heuristic (lr %v, greedy %v)",
 				trial, ex.Profit, legacy.Profit, greedy.Profit)
 		}
-	}
-}
-
-// TestGroupReductionExactFlag: equal-weight groups (the fixed-power fleet
-// shape) reduce exactly; a lighter losing entry flips the flag.
-func TestGroupReductionExactFlag(t *testing.T) {
-	mk := func(loserWeight float64) *Instance {
-		return &Instance{
-			NumItems:  2,
-			ItemGroup: []int{0, 0},
-			Bins: []Bin{{Capacity: 10, Entries: []Entry{
-				{Item: 0, Profit: 1, Weight: loserWeight},
-				{Item: 1, Profit: 2, Weight: 1},
-			}}},
-		}
-	}
-	c, err := Compile(mk(1), 0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.GroupReductionExact() {
-		t.Fatal("equal-weight reduction reported inexact")
-	}
-	c, err = Compile(mk(0.5), 0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.GroupReductionExact() {
-		t.Fatal("lighter loser reported exact")
 	}
 }

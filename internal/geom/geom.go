@@ -63,14 +63,6 @@ type Line struct {
 	A, B Point
 }
 
-// NewLine returns a straight-line path between two distinct points.
-func NewLine(a, b Point) (*Line, error) {
-	if a.Dist(b) == 0 {
-		return nil, errors.New("geom: line endpoints coincide")
-	}
-	return &Line{A: a, B: b}, nil
-}
-
 // HighwayLine returns the canonical experiment path: a straight segment of
 // the given length along the x-axis starting at the origin.
 func HighwayLine(length float64) *Line {

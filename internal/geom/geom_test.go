@@ -30,15 +30,6 @@ func TestPointOps(t *testing.T) {
 	}
 }
 
-func TestNewLineRejectsDegenerate(t *testing.T) {
-	if _, err := NewLine(Point{1, 1}, Point{1, 1}); err == nil {
-		t.Fatal("expected error for coincident endpoints")
-	}
-	if _, err := NewLine(Point{0, 0}, Point{1, 0}); err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 func TestLineAt(t *testing.T) {
 	l := HighwayLine(100)
 	cases := []struct {

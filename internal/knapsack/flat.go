@@ -299,7 +299,7 @@ func (a *Arena) minWeightDP(ctx context.Context, profit, weight []float64, capac
 	}
 	bestQ := 0
 	for q := capS; q > 0; q-- {
-		if minW[q] <= capacity {
+		if Fits(minW[q], capacity) {
 			bestQ = q
 			break
 		}
@@ -341,7 +341,7 @@ func (a *Arena) FPTASFlat(ctx context.Context, eps float64, profit, weight []flo
 	a.picks = a.picks[:0]
 	pmax := 0.0
 	for i := range profit {
-		if profit[i] > 0 && weight[i] >= 0 && weight[i] <= capacity {
+		if profit[i] > 0 && weight[i] >= 0 && Fits(weight[i], capacity) {
 			a.idx = append(a.idx, int32(i))
 			if profit[i] > pmax {
 				pmax = profit[i]
@@ -393,7 +393,7 @@ func (a *Arena) MaxProfitUnderFlat(ctx context.Context, profit, weight []float64
 		profitQuantum = 1
 	}
 	for i := range profit {
-		if profit[i] >= profitQuantum && weight[i] >= 0 && weight[i] <= capacity {
+		if profit[i] >= profitQuantum && weight[i] >= 0 && Fits(weight[i], capacity) {
 			a.idx = append(a.idx, int32(i))
 		}
 	}
@@ -490,7 +490,7 @@ func (a *Arena) BranchAndBoundFlat(ctx context.Context, profit, weight []float64
 	a.picks = a.picks[:0]
 	ord := a.int32s(&a.ord, 0)[:0]
 	for i := range profit {
-		if profit[i] > 0 && weight[i] >= 0 && weight[i] <= capacity {
+		if profit[i] > 0 && weight[i] >= 0 && Fits(weight[i], capacity) {
 			ord = append(ord, int32(i))
 		}
 	}
@@ -529,7 +529,7 @@ func (a *Arena) BranchAndBoundFlat(ctx context.Context, profit, weight []float64
 		ord: ord, cur: a.cur[:0], best: a.best[:0],
 		bestProfit: -1,
 	}
-	st.dfs(0, capacity, 0)
+	st.dfs(0, limit(capacity), 0)
 	a.cur, a.best = st.cur[:0], st.best // retain grown backing arrays
 	if st.canceled {
 		return nil, 0, context.Cause(ctx)

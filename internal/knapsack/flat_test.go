@@ -43,7 +43,7 @@ func bruteFlatCapped(profit, weight []float64, capacity, profitCap float64) floa
 				w += weight[i]
 			}
 		}
-		if w <= capacity && p <= profitCap+1e-9 && p > best {
+		if Fits(w, capacity) && p <= profitCap+1e-9 && p > best {
 			best = p
 		}
 	}
@@ -202,6 +202,38 @@ func TestBranchAndBoundFlatMatchesBrute(t *testing.T) {
 		checkPicks(t, picks, profit, wq, int(capacity), total)
 		if want := bruteFlat(profit, wq, int(capacity)); math.Abs(total-want) > 1e-9 {
 			t.Fatalf("trial %d: B&B %v != brute %v", trial, total, want)
+		}
+	}
+}
+
+// TestExactFitPackings: weights that fill the capacity exactly sum an ulp
+// above it in float64 (8.4 + 5.7 = 14.100000000000001 > 14.1). Fits
+// accepts that sum, so every float kernel must pack both items.
+func TestExactFitPackings(t *testing.T) {
+	profit, weight := []float64{3, 2}, []float64{8.4, 5.7}
+	const capacity = 14.1
+	if weight[0]+weight[1] <= capacity || !Fits(weight[0]+weight[1], capacity) {
+		t.Fatal("fixture must sum an ulp above the capacity, within Fits")
+	}
+	if Fits(capacity+1e-8, capacity) {
+		t.Fatal("Fits must refuse a weight 1e-8 over the capacity")
+	}
+	a := NewArena()
+	ctx := context.Background()
+	for _, k := range []struct {
+		name string
+		run  func() ([]int32, float64, error)
+	}{
+		{"bb", func() ([]int32, float64, error) { return a.BranchAndBoundFlat(ctx, profit, weight, capacity) }},
+		{"fptas", func() ([]int32, float64, error) { return a.FPTASFlat(ctx, 0.2, profit, weight, capacity) }},
+		{"capped", func() ([]int32, float64, error) { return a.MaxProfitUnderFlat(ctx, profit, weight, capacity, 10, 1) }},
+	} {
+		picks, total, err := k.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(picks) != 2 || total != 5 {
+			t.Errorf("%s: picks %v worth %v, want both items worth 5", k.name, picks, total)
 		}
 	}
 }

@@ -15,10 +15,24 @@
 //     a finite data queue (profit capped as well as weight).
 //
 // Candidates with non-positive profit or weight exceeding the capacity are
-// never selected; zero-weight positive-profit candidates always are.
+// never selected; zero-weight positive-profit candidates always are. The
+// float kernels compare weights with capacities by Fits, the one
+// feasibility rule, and so do the validators that check packings
+// (core.Instance.Validate and online's interval ledger).
 package knapsack
 
 import "math"
+
+// Fits is the feasibility rule: a total weight fits a capacity when it
+// exceeds it by at most 1e-9. A float sum of weights that fill a capacity
+// exactly can land an ulp above it (8.4 + 5.7 = 14.100000000000001 >
+// 14.1), so a rule with no slack refuses an exact fit. The kernels pack,
+// and the validators accept, under this one rule.
+func Fits(weight, capacity float64) bool { return weight <= limit(capacity) }
+
+// limit is the largest total weight that Fits capacity; a kernel that
+// tracks a residual starts it here.
+func limit(capacity float64) float64 { return capacity + 1e-9 }
 
 // QuantizeWeight is DPFlat's rounding of a weight: up to whole quanta, so
 // every packing of the rounded weights is feasible for the real ones. The

@@ -130,7 +130,7 @@ func checkFeasible(t *testing.T, name string, items []item, capacity float64, s 
 		w += items[i].Weight
 		p += items[i].Profit
 	}
-	if w > capacity+1e-9 {
+	if !Fits(w, capacity) {
 		t.Fatalf("%s: infeasible weight %v > %v", name, w, capacity)
 	}
 	if math.Abs(w-s.Weight) > 1e-9 || math.Abs(p-s.Profit) > 1e-9 {

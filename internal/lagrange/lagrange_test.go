@@ -6,7 +6,7 @@ import (
 
 	"mobisink/internal/core"
 	"mobisink/internal/energy"
-	"mobisink/internal/gap"
+	"mobisink/internal/exact"
 	"mobisink/internal/geom"
 	"mobisink/internal/network"
 	"mobisink/internal/radio"
@@ -26,26 +26,17 @@ func tinyInstance(t *testing.T, n int, seed int64, budget float64) *core.Instanc
 	return inst
 }
 
-func optimum(t *testing.T, inst *core.Instance) (float64, bool) {
+// optimum is inst's exact optimum, from the branch-and-bound solver.
+func optimum(t *testing.T, inst *core.Instance) float64 {
 	t.Helper()
-	g := &gap.Instance{NumItems: inst.T}
-	for i := range inst.Sensors {
-		s := &inst.Sensors[i]
-		bin := gap.Bin{Capacity: s.Budget}
-		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
-			if s.RateAt(j) > 0 && s.PowerAt(j) > 0 {
-				bin.Entries = append(bin.Entries, gap.Entry{
-					Item: j, Profit: s.RateAt(j) * inst.Tau, Weight: s.PowerAt(j) * inst.Tau,
-				})
-			}
-		}
-		g.Bins = append(g.Bins, bin)
-	}
-	opt, err := gap.Exhaustive(g, 1<<26)
+	res, err := exact.Solve(inst, exact.Options{})
 	if err != nil {
-		return 0, false
+		t.Fatal(err)
 	}
-	return opt.Profit, true
+	if !res.Optimal {
+		t.Fatalf("exact search stopped at its node budget (%d nodes)", res.Nodes)
+	}
+	return res.Alloc.Data
 }
 
 func TestUpperBoundNil(t *testing.T) {
@@ -61,10 +52,7 @@ func TestBoundDominatesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, ok := optimum(t, inst)
-		if !ok {
-			continue
-		}
+		opt := optimum(t, inst)
 		if res.Bound < opt-1e-6 {
 			t.Fatalf("seed %d: lagrangian bound %v below OPT %v", seed, res.Bound, opt)
 		}

@@ -1,58 +1,30 @@
 // Package mac models contention during the online protocol's registration
 // phase. The paper assumes every in-range sensor's Ack reaches the sink
 // before the registration timer expires; in a real CSMA network
-// simultaneous Acks collide. This package provides slotted contention
-// models to quantify how sensitive the distributed framework is to that
-// assumption (it is the paper's only unmodelled MAC interaction — data
-// slots are collision-free by construction of the schedule).
+// simultaneous Acks collide. This package provides the slotted
+// carrier-sense contention model (CSMAWindow, and CSMAWindowLossy over an
+// erasure channel) the online runner draws registrations from, to quantify
+// how sensitive the distributed framework is to that assumption (it is the
+// paper's only unmodelled MAC interaction — data slots are collision-free
+// by construction of the schedule).
 package mac
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
-
-// SlottedAloha simulates one registration window of w slots with n
-// contenders, each transmitting in one uniformly chosen slot: a contender
-// succeeds iff it is alone in its slot. Returns the per-contender success
-// mask.
-func SlottedAloha(n, w int, rng *rand.Rand) ([]bool, error) {
-	if err := check(n, w, rng); err != nil {
-		return nil, err
-	}
-	choice := make([]int, n)
-	count := make([]int, w)
-	for i := range choice {
-		choice[i] = rng.Intn(w)
-		count[choice[i]]++
-	}
-	ok := make([]bool, n)
-	for i, c := range choice {
-		ok[i] = count[c] == 1
-	}
-	return ok, nil
-}
-
-// AlohaSuccessProb is the analytic per-contender success probability of
-// SlottedAloha: (1 − 1/w)^(n−1).
-func AlohaSuccessProb(n, w int) float64 {
-	if n <= 0 || w <= 0 {
-		return 0
-	}
-	return math.Pow(1-1/float64(w), float64(n-1))
-}
 
 // CSMAWindow simulates carrier-sense contention with retry over a window
 // of w slots: every contender draws a backoff slot; the window is scanned
 // in order, and in each slot the contenders whose backoff expired transmit.
 // A sole transmitter succeeds and leaves; colliders detect the collision
 // and re-draw a backoff uniformly in the remaining window (lost only when
-// no slots remain). Retrying lifts CSMA above one-shot slotted ALOHA when
-// the window is generous (sparse regime); in a saturated window the
-// retries crowd the remaining slots and can do worse — the classic
-// congestion-collapse behaviour.
+// no slots remain). Retrying lifts CSMA above one-shot slotted ALOHA, whose
+// per-contender success probability is (1 − 1/w)^(n−1), when the window is
+// generous (sparse regime); in a saturated window the retries crowd the
+// remaining slots and can do worse — the classic congestion-collapse
+// behaviour.
 func CSMAWindow(n, w int, rng *rand.Rand) ([]bool, error) {
 	if err := check(n, w, rng); err != nil {
 		return nil, err
@@ -130,28 +102,6 @@ func CSMAWindowLossy(n, w int, rng *rand.Rand, lossy func(contender, attempt int
 		}
 	}
 	return ok, nil
-}
-
-// ExpectedRegistrations estimates the mean number of successful CSMA
-// registrations by Monte-Carlo (deterministic per seed).
-func ExpectedRegistrations(n, w, trials int, seed int64) (float64, error) {
-	if trials <= 0 {
-		return 0, errors.New("mac: trials must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	total := 0
-	for t := 0; t < trials; t++ {
-		ok, err := CSMAWindow(n, w, rng)
-		if err != nil {
-			return 0, err
-		}
-		for _, s := range ok {
-			if s {
-				total++
-			}
-		}
-	}
-	return float64(total) / float64(trials), nil
 }
 
 func check(n, w int, rng *rand.Rand) error {

@@ -8,78 +8,45 @@ import (
 
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := SlottedAloha(-1, 8, rng); err == nil {
+	if _, err := CSMAWindow(-1, 8, rng); err == nil {
 		t.Error("expected negative-n error")
-	}
-	if _, err := SlottedAloha(5, 0, rng); err == nil {
-		t.Error("expected window error")
-	}
-	if _, err := SlottedAloha(5, 8, nil); err == nil {
-		t.Error("expected rng error")
 	}
 	if _, err := CSMAWindow(5, 0, rng); err == nil {
 		t.Error("expected window error")
 	}
-	if _, err := ExpectedRegistrations(5, 8, 0, 1); err == nil {
-		t.Error("expected trials error")
+	if _, err := CSMAWindow(5, 8, nil); err == nil {
+		t.Error("expected rng error")
 	}
 }
 
-func TestAlohaMatchesAnalytic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n, w, trials = 10, 16, 20000
-	succ := 0
-	for i := 0; i < trials; i++ {
-		ok, err := SlottedAloha(n, w, rng)
+// registered is the mean number of CSMA registrations of n contenders in
+// a window of w slots over the given trials.
+func registered(t *testing.T, n, w, trials int, rng *rand.Rand) float64 {
+	t.Helper()
+	total := 0
+	for range trials {
+		ok, err := CSMAWindow(n, w, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range ok {
 			if s {
-				succ++
+				total++
 			}
 		}
 	}
-	got := float64(succ) / float64(trials*n)
-	want := AlohaSuccessProb(n, w)
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("empirical %v vs analytic %v", got, want)
-	}
-}
-
-func TestAlohaSuccessProbEdge(t *testing.T) {
-	if AlohaSuccessProb(1, 8) != 1 {
-		t.Error("single contender always succeeds")
-	}
-	if AlohaSuccessProb(0, 8) != 0 || AlohaSuccessProb(5, 0) != 0 {
-		t.Error("degenerate inputs must give 0")
-	}
-	// Larger window → higher success.
-	if AlohaSuccessProb(10, 32) <= AlohaSuccessProb(10, 8) {
-		t.Error("success must grow with window")
-	}
+	return float64(total) / float64(trials)
 }
 
 func TestCSMABeatsAlohaWhenSparse(t *testing.T) {
 	// With a generous window, retrying colliders must register more
-	// contenders than one-shot slotted ALOHA.
-	rng := rand.New(rand.NewSource(3))
-	const n, w, trials = 8, 64, 5000
-	alohaTotal, csmaTotal := 0, 0
-	for i := 0; i < trials; i++ {
-		a, _ := SlottedAloha(n, w, rng)
-		c, _ := CSMAWindow(n, w, rng)
-		for k := 0; k < n; k++ {
-			if a[k] {
-				alohaTotal++
-			}
-			if c[k] {
-				csmaTotal++
-			}
-		}
-	}
-	if csmaTotal <= alohaTotal {
-		t.Errorf("sparse regime: CSMA %d not above ALOHA %d", csmaTotal, alohaTotal)
+	// contenders than one-shot slotted ALOHA, where each of the n
+	// contenders succeeds with probability (1 − 1/w)^(n−1).
+	const n, w = 8, 64
+	csma := registered(t, n, w, 5000, rand.New(rand.NewSource(3)))
+	aloha := n * math.Pow(1-1.0/w, n-1)
+	if csma <= aloha {
+		t.Errorf("sparse regime: CSMA %v not above ALOHA %v", csma, aloha)
 	}
 }
 
@@ -114,14 +81,8 @@ func TestCSMAWindowBasics(t *testing.T) {
 }
 
 func TestExpectedRegistrationsMonotone(t *testing.T) {
-	small, err := ExpectedRegistrations(12, 4, 3000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := ExpectedRegistrations(12, 64, 3000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := registered(t, 12, 4, 3000, rand.New(rand.NewSource(7)))
+	large := registered(t, 12, 64, 3000, rand.New(rand.NewSource(7)))
 	if large <= small {
 		t.Errorf("registrations must grow with window: %v vs %v", small, large)
 	}
@@ -163,13 +124,6 @@ func TestCSMASingleSensor(t *testing.T) {
 			if len(ok) != 1 || !ok[0] {
 				t.Fatalf("w=%d seed=%d: lone contender failed", w, seed)
 			}
-			aloha, err := SlottedAloha(1, w, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !aloha[0] {
-				t.Fatalf("w=%d seed=%d: lone ALOHA contender failed", w, seed)
-			}
 		}
 	}
 }
@@ -181,9 +135,6 @@ func TestCSMAZeroSlotWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := CSMAWindow(3, 0, rng); err == nil {
 		t.Error("CSMAWindow accepted w=0")
-	}
-	if _, err := SlottedAloha(3, 0, rng); err == nil {
-		t.Error("SlottedAloha accepted w=0")
 	}
 	if _, err := CSMAWindowLossy(3, 0, rng, func(int, int) bool { return false }); err == nil {
 		t.Error("CSMAWindowLossy accepted w=0")

@@ -7,9 +7,9 @@
 // equivalent to a degree constraint, so the production solver here is a
 // min-cost max-flow (successive shortest augmenting paths with Dijkstra and
 // Johnson potentials) over the *uncopied* graph with per-left-node
-// capacities — the same optimum, without inflating the node count. A classic
-// O(n³) Hungarian algorithm and Hopcroft–Karp maximum-cardinality matching
-// are provided for cross-validation and tests.
+// capacities — the same optimum, without inflating the node count. The
+// tests check it against the paper's literal copies solved by the O(n³)
+// Hungarian algorithm.
 package matching
 
 import (
@@ -399,184 +399,4 @@ func (f *flow) solve(ctx context.Context, src, snk int) error {
 			v = f.arcs[ai^1].to
 		}
 	}
-}
-
-// Hungarian computes a maximum-weight (not necessarily perfect) matching on
-// a dense weight matrix w[l][r] (weights ≤ 0 mean "no useful edge") with
-// unit capacities, via the O(n³) potential-based algorithm on the padded
-// square matrix. Returns per-left matches (index into right side or -1) and
-// the total weight. Intended for validation and small per-interval
-// schedules.
-func Hungarian(w [][]float64) ([]int, float64, error) {
-	nl := len(w)
-	nr := 0
-	for _, row := range w {
-		if len(row) > nr {
-			nr = len(row)
-		}
-	}
-	for i, row := range w {
-		if len(row) != nr && len(row) != 0 {
-			return nil, 0, fmt.Errorf("matching: ragged weight matrix at row %d", i)
-		}
-	}
-	n := nl
-	if nr > n {
-		n = nr
-	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	// Build a square min-cost matrix: cost = -max(w, 0); dummy cells cost 0.
-	cost := make([][]float64, n+1)
-	for i := range cost {
-		cost[i] = make([]float64, n+1)
-	}
-	for i := 0; i < nl; i++ {
-		for j := 0; j < len(w[i]); j++ {
-			if w[i][j] > 0 {
-				cost[i+1][j+1] = -w[i][j]
-			}
-		}
-	}
-	// Classic 1-indexed Hungarian with potentials u, v.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1) // p[j] = row matched to column j
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := range minv {
-			minv[j] = math.Inf(1)
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := math.Inf(1)
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := cost[i0][j] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-	matchL := make([]int, nl)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	total := 0.0
-	for j := 1; j <= n; j++ {
-		i := p[j]
-		if i == 0 || i > nl || j > nr {
-			continue
-		}
-		if len(w[i-1]) >= j && w[i-1][j-1] > 0 && cost[i][j] < 0 {
-			matchL[i-1] = j - 1
-			total += w[i-1][j-1]
-		}
-	}
-	return matchL, total, nil
-}
-
-// HopcroftKarp computes a maximum-cardinality matching for unit-capacity
-// bipartite graphs given as left-side adjacency lists. Returns per-left
-// matches (right index or -1) and the matching size. O(E√V).
-func HopcroftKarp(adjL [][]int, nr int) ([]int, int, error) {
-	nl := len(adjL)
-	for l, adj := range adjL {
-		for _, r := range adj {
-			if r < 0 || r >= nr {
-				return nil, 0, fmt.Errorf("matching: left %d lists right %d out of range", l, r)
-			}
-		}
-	}
-	const infd = math.MaxInt32
-	matchL := make([]int, nl)
-	matchR := make([]int, nr)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	dist := make([]int, nl)
-	queue := make([]int, 0, nl)
-
-	bfs := func() bool {
-		queue = queue[:0]
-		for l := 0; l < nl; l++ {
-			if matchL[l] == -1 {
-				dist[l] = 0
-				queue = append(queue, l)
-			} else {
-				dist[l] = infd
-			}
-		}
-		found := false
-		for head := 0; head < len(queue); head++ {
-			l := queue[head]
-			for _, r := range adjL[l] {
-				l2 := matchR[r]
-				if l2 == -1 {
-					found = true
-				} else if dist[l2] == infd {
-					dist[l2] = dist[l] + 1
-					queue = append(queue, l2)
-				}
-			}
-		}
-		return found
-	}
-	var dfs func(l int) bool
-	dfs = func(l int) bool {
-		for _, r := range adjL[l] {
-			l2 := matchR[r]
-			if l2 == -1 || (dist[l2] == dist[l]+1 && dfs(l2)) {
-				matchL[l] = r
-				matchR[r] = l
-				return true
-			}
-		}
-		dist[l] = infd
-		return false
-	}
-	size := 0
-	for bfs() {
-		for l := 0; l < nl; l++ {
-			if matchL[l] == -1 && dfs(l) {
-				size++
-			}
-		}
-	}
-	return matchL, size, nil
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,7 +196,7 @@ func TestHungarianMatchesFlow(t *testing.T) {
 				}
 			}
 		}
-		matchL, totalH, err := Hungarian(w)
+		matchL, totalH, err := hungarian(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,83 +224,21 @@ func TestHungarianMatchesFlow(t *testing.T) {
 }
 
 func TestHungarianEdgeCases(t *testing.T) {
-	m, total, err := Hungarian(nil)
+	m, total, err := hungarian(nil)
 	if err != nil || len(m) != 0 || total != 0 {
 		t.Errorf("empty: %v %v %v", m, total, err)
 	}
-	if _, _, err := Hungarian([][]float64{{1, 2}, {1}}); err == nil {
+	if _, _, err := hungarian([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("expected ragged-matrix error")
 	}
 	// All-nonpositive weights: empty matching.
-	m, total, err = Hungarian([][]float64{{-1, 0}, {0, -2}})
+	m, total, err = hungarian([][]float64{{-1, 0}, {0, -2}})
 	if err != nil || total != 0 {
 		t.Errorf("nonpositive: total = %v err = %v", total, err)
 	}
 	for _, r := range m {
 		if r != -1 {
 			t.Error("nonpositive weights must stay unmatched")
-		}
-	}
-}
-
-func TestHopcroftKarp(t *testing.T) {
-	// Perfect matching exists on a 3×3 cycle-ish graph.
-	adj := [][]int{{0, 1}, {1, 2}, {0, 2}}
-	matchL, size, err := HopcroftKarp(adj, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != 3 {
-		t.Fatalf("size = %d, want 3", size)
-	}
-	seen := map[int]bool{}
-	for l, r := range matchL {
-		if r == -1 || seen[r] {
-			t.Fatalf("invalid match %v", matchL)
-		}
-		ok := false
-		for _, cand := range adj[l] {
-			if cand == r {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("matched non-edge %d-%d", l, r)
-		}
-		seen[r] = true
-	}
-	// Range validation.
-	if _, _, err := HopcroftKarp([][]int{{5}}, 2); err == nil {
-		t.Error("expected range error")
-	}
-	// Empty graph.
-	if _, size, _ := HopcroftKarp(nil, 0); size != 0 {
-		t.Error("empty graph must have empty matching")
-	}
-}
-
-func TestHopcroftKarpMatchesFlowCardinality(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 100; trial++ {
-		nl := 1 + rng.Intn(8)
-		nr := 1 + rng.Intn(8)
-		adj := make([][]int, nl)
-		g, _ := NewGraph(nl, nr)
-		for l := 0; l < nl; l++ {
-			for r := 0; r < nr; r++ {
-				if rng.Float64() < 0.4 {
-					adj[l] = append(adj[l], r)
-					mustAdd(t, g, l, r, 1) // unit weights → max weight = max cardinality
-				}
-			}
-		}
-		_, size, err := HopcroftKarp(adj, nr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := g.MaxWeight()
-		if math.Abs(res.Weight-float64(size)) > 1e-6 {
-			t.Fatalf("trial %d: HK size %d != flow weight %v", trial, size, res.Weight)
 		}
 	}
 }
@@ -330,7 +269,7 @@ func TestCapacityEqualsCopies(t *testing.T) {
 				wRows = append(wRows, row)
 			}
 		}
-		_, totalCopies, err := Hungarian(wRows)
+		_, totalCopies, err := hungarian(wRows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,19 +307,109 @@ func BenchmarkMaxWeightOfflineScale(b *testing.B) {
 	}
 }
 
-func BenchmarkHungarian100(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	w := make([][]float64, 100)
-	for i := range w {
-		w[i] = make([]float64, 100)
-		for j := range w[i] {
-			w[i][j] = rng.Float64() * 100
+// hungarian computes a maximum-weight (not necessarily perfect) matching on
+// a dense weight matrix w[l][r] (weights ≤ 0 mean "no useful edge") with
+// unit capacities, via the O(n³) potential-based algorithm on the padded
+// square matrix. Returns per-left matches (index into right side or -1) and
+// the total weight. It is the reference the flow solver is checked
+// against.
+func hungarian(w [][]float64) ([]int, float64, error) {
+	nl := len(w)
+	nr := 0
+	for _, row := range w {
+		if len(row) > nr {
+			nr = len(row)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Hungarian(w); err != nil {
-			b.Fatal(err)
+	for i, row := range w {
+		if len(row) != nr && len(row) != 0 {
+			return nil, 0, fmt.Errorf("matching: ragged weight matrix at row %d", i)
 		}
 	}
+	n := nl
+	if nr > n {
+		n = nr
+	}
+	if n == 0 {
+		return nil, 0, nil
+	}
+	// Build a square min-cost matrix: cost = -max(w, 0); dummy cells cost 0.
+	cost := make([][]float64, n+1)
+	for i := range cost {
+		cost[i] = make([]float64, n+1)
+	}
+	for i := 0; i < nl; i++ {
+		for j := 0; j < len(w[i]); j++ {
+			if w[i][j] > 0 {
+				cost[i+1][j+1] = -w[i][j]
+			}
+		}
+	}
+	// Classic 1-indexed Hungarian with potentials u, v.
+	u := make([]float64, n+1)
+	v := make([]float64, n+1)
+	p := make([]int, n+1) // p[j] = row matched to column j
+	way := make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, n+1)
+		used := make([]bool, n+1)
+		for j := range minv {
+			minv[j] = math.Inf(1)
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := math.Inf(1)
+			j1 := 0
+			for j := 1; j <= n; j++ {
+				if used[j] {
+					continue
+				}
+				cur := cost[i0][j] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= n; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+	matchL := make([]int, nl)
+	for i := range matchL {
+		matchL[i] = -1
+	}
+	total := 0.0
+	for j := 1; j <= n; j++ {
+		i := p[j]
+		if i == 0 || i > nl || j > nr {
+			continue
+		}
+		if len(w[i-1]) >= j && w[i-1][j-1] > 0 && cost[i][j] < 0 {
+			matchL[i-1] = j - 1
+			total += w[i-1][j-1]
+		}
+	}
+	return matchL, total, nil
 }

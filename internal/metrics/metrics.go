@@ -189,19 +189,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linear bucket bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		return []float64{start}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // series is one (labelValues → instrument) entry of a family.
 type series struct {
 	labels string // rendered {k="v",...} or ""
@@ -388,19 +375,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{r.family(name, help, KindCounter, labelNames, nil)}
-}
-
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.get(labelValues, func() *series { return &series{gauge: &Gauge{}} }).gauge
-}
-
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, labelNames, nil)}
 }
 
 // HistogramVec is a histogram family partitioned by label values.

@@ -156,10 +156,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v, want %v", exp, want)
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if lin[0] != 0 || lin[1] != 5 || lin[2] != 10 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 	if len(DefBuckets()) < 5 {
 		t.Fatal("DefBuckets too coarse")
 	}

@@ -362,30 +362,6 @@ func (d *Deployment) SetUniformBudgets(b float64) error {
 	return nil
 }
 
-// CoverageGaps returns the slot indices (for the given trajectory and range)
-// that no sensor can serve. The paper assumes dense deployment — at least
-// one sensor audible per interval; this reports how well a topology meets
-// that.
-func (d *Deployment) CoverageGaps(tr *geom.Trajectory, rng float64) []int {
-	covered := make([]bool, tr.SlotCount)
-	for _, s := range d.Sensors {
-		j0, j1, ok := tr.SlotWindow(s.Pos, rng)
-		if !ok {
-			continue
-		}
-		for j := j0; j <= j1; j++ {
-			covered[j] = true
-		}
-	}
-	var gaps []int
-	for j, c := range covered {
-		if !c {
-			gaps = append(gaps, j)
-		}
-	}
-	return gaps
-}
-
 // MarshalJSON round-trips deployments for cmd/netgen.
 func (d *Deployment) MarshalJSON() ([]byte, error) {
 	type alias Deployment

@@ -152,30 +152,6 @@ func TestSetUniformBudgets(t *testing.T) {
 	}
 }
 
-func TestCoverageGaps(t *testing.T) {
-	// Dense deployment: no gaps expected at paper scale.
-	d, _ := Generate(PaperParams(600, 3))
-	tr, err := geom.NewTrajectory(d.Path(), 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gaps := d.CoverageGaps(tr, 200); len(gaps) != 0 {
-		t.Errorf("600 sensors left %d uncovered slots", len(gaps))
-	}
-	// A single far-away sensor: everything else is a gap.
-	tiny := &Deployment{PathLength: 10000, MaxOffset: 180,
-		Sensors: []Sensor{{ID: 0, Pos: geom.Point{X: 5000, Y: 0}}}}
-	gaps := tiny.CoverageGaps(tr, 200)
-	if len(gaps) == 0 {
-		t.Fatal("expected gaps with one sensor")
-	}
-	for _, j := range gaps {
-		if tr.PosAtSlotMid(j).Dist(geom.Point{X: 5000, Y: 0}) <= 200 {
-			t.Fatalf("slot %d reported as gap but is covered", j)
-		}
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	d, _ := Generate(PaperParams(20, 9))
 	_ = d.SetUniformBudgets(2)

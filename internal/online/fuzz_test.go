@@ -69,9 +69,9 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatalf("injector accepted a plan Validate rejected: %v", rawErr)
 		}
 		// Sanitized plans must be valid and runnable.
-		plan := raw.Sanitized(len(inst.Sensors), inst.T)
+		plan := sanitize(raw, len(inst.Sensors), inst.T)
 		if err := plan.Validate(); err != nil {
-			t.Fatalf("Sanitized produced an invalid plan: %v", err)
+			t.Fatalf("sanitize produced an invalid plan: %v", err)
 		}
 		res, err := RunOpts(inst, &Greedy{}, Options{Faults: &plan})
 		if err != nil {
@@ -86,4 +86,108 @@ func FuzzFaultPlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// retryCap is the MaxRetries cap fault.Plan.Validate enforces.
+const retryCap = 8
+
+// sanitize clamps a fuzzed plan into validity for a tour with numSensors
+// sensors and T slots, over the fields FuzzFaultPlan sets: probabilities
+// into [0,1] (NaN → 0), retries into [0, retryCap], crash windows swapped
+// when inverted and clipped to the tour (windows entirely past its end
+// dropped), out-of-range sensors dropped, NaN or non-positive shortfalls
+// dropped and +Inf ones made finite, negative stall intervals dropped.
+func sanitize(p fault.Plan, numSensors, T int) fault.Plan {
+	clamp01 := func(v float64) float64 {
+		if math.IsNaN(v) || v < 0 {
+			return 0
+		}
+		return min(v, 1)
+	}
+	q := fault.Plan{
+		Seed:         p.Seed,
+		DropProbe:    clamp01(p.DropProbe),
+		DropAck:      clamp01(p.DropAck),
+		DropSchedule: clamp01(p.DropSchedule),
+		DropFinish:   clamp01(p.DropFinish),
+		StallProb:    clamp01(p.StallProb),
+		MaxRetries:   min(max(p.MaxRetries, 0), retryCap),
+	}
+	for _, c := range p.Crashes {
+		if c.To < c.From {
+			c.From, c.To = c.To, c.From
+		}
+		if c.Sensor < 0 || c.Sensor >= numSensors || c.From >= T || c.To < 0 {
+			continue
+		}
+		c.From, c.To = max(c.From, 0), min(c.To, T-1)
+		q.Crashes = append(q.Crashes, c)
+	}
+	for _, s := range p.Shortfalls {
+		if s.Sensor < 0 || s.Sensor >= numSensors || math.IsNaN(s.Joules) || s.Joules <= 0 {
+			continue
+		}
+		s.Joules = min(s.Joules, math.MaxFloat64)
+		s.Slot = min(max(s.Slot, 0), T-1)
+		q.Shortfalls = append(q.Shortfalls, s)
+	}
+	for _, iv := range p.StallIntervals {
+		if iv >= 0 {
+			q.StallIntervals = append(q.StallIntervals, iv)
+		}
+	}
+	return q
+}
+
+func TestSanitized(t *testing.T) {
+	p := fault.Plan{
+		Seed:       7,
+		DropProbe:  math.NaN(),
+		DropAck:    -3,
+		DropFinish: 2,
+		MaxRetries: 100,
+		Crashes: []fault.Crash{
+			{Sensor: 0, From: 9, To: 2},    // inverted → swapped → [2,9] clipped to [2,4]
+			{Sensor: 1, From: 50, To: 60},  // past tour end → dropped
+			{Sensor: 99, From: 0, To: 1},   // unknown sensor → dropped
+			{Sensor: 2, From: -3, To: 100}, // clipped to [0,4]
+		},
+		Shortfalls: []fault.Shortfall{
+			{Sensor: 0, Slot: 2, Joules: math.NaN()},  // dropped
+			{Sensor: 0, Slot: 80, Joules: 1},          // clamped to last slot
+			{Sensor: 1, Slot: 1, Joules: math.Inf(1)}, // finite-ized
+			{Sensor: -1, Slot: 0, Joules: 1},          // dropped
+			{Sensor: 2, Slot: 3, Joules: -5},          // dropped
+		},
+		StallIntervals: []int{-1, 3},
+	}
+	q := sanitize(p, 3, 5)
+	if err := q.Validate(); err != nil {
+		t.Fatalf("sanitized plan invalid: %v", err)
+	}
+	if q.DropProbe != 0 || q.DropAck != 0 || q.DropFinish != 1 {
+		t.Errorf("probabilities not clamped: %+v", q)
+	}
+	if q.MaxRetries != retryCap {
+		t.Errorf("retries = %d", q.MaxRetries)
+	}
+	if len(q.Crashes) != 2 || q.Crashes[0] != (fault.Crash{Sensor: 0, From: 2, To: 4}) || q.Crashes[1] != (fault.Crash{Sensor: 2, From: 0, To: 4}) {
+		t.Errorf("crashes = %+v", q.Crashes)
+	}
+	if len(q.Shortfalls) != 2 {
+		t.Fatalf("shortfalls = %+v", q.Shortfalls)
+	}
+	if q.Shortfalls[0].Slot != 4 || q.Shortfalls[1].Joules != math.MaxFloat64 {
+		t.Errorf("shortfalls = %+v", q.Shortfalls)
+	}
+	if len(q.StallIntervals) != 1 || q.StallIntervals[0] != 3 {
+		t.Errorf("stalls = %+v", q.StallIntervals)
+	}
+	// Building an injector from a sanitized plan always succeeds.
+	if _, err := fault.NewInjector(q, 3, 5); err != nil {
+		t.Fatalf("injector on sanitized plan: %v", err)
+	}
+	if zero := sanitize(fault.Plan{}, 3, 5); !zero.Zero() {
+		t.Error("a zero plan must sanitize to zero")
+	}
 }

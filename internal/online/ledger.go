@@ -11,6 +11,7 @@ import (
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
+	"mobisink/internal/knapsack"
 	"mobisink/internal/wal"
 )
 
@@ -286,7 +287,7 @@ func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, ow
 		}
 	}
 	for k, r := range regs {
-		if l.spend[k] > r.Budget+1e-9 {
+		if !knapsack.Fits(l.spend[k], r.Budget) {
 			return fmt.Errorf("sensor %d scheduled to spend %v J with only %v J left", r.Sensor, l.spend[k], r.Budget)
 		}
 		if l.drain[k] > r.DataLeft+1e-6 {
@@ -359,7 +360,7 @@ func (l *Ledger) repair(regs []Registration, slot, exclude int, loss Loss) {
 // this interval already committed to it.
 func (l *Ledger) fits(k int, r *Registration, slot int) bool {
 	s := &l.inst.Sensors[r.Sensor]
-	if l.spend[k]+s.PowerAt(slot)*l.inst.Tau > r.Budget+1e-9 {
+	if !knapsack.Fits(l.spend[k]+s.PowerAt(slot)*l.inst.Tau, r.Budget) {
 		return false
 	}
 	return l.drain[k]+s.RateAt(slot)*l.inst.Tau <= r.DataLeft+1e-6

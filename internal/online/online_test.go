@@ -444,15 +444,15 @@ func TestRegistrationContention(t *testing.T) {
 	}
 }
 
-// hungarianMaxMatch is the paper's literal G′ construction for
-// Online_MaxMatch, the reference MaxMatch's flow backend is checked
-// against: n′_i identical copies of each registered sensor, solved by the
-// O(n³) Hungarian algorithm.
-type hungarianMaxMatch struct{}
+// copiesMaxMatch is the paper's literal G′ construction for
+// Online_MaxMatch, the reference MaxMatch's capacitated graph is checked
+// against: n′_i identical copies of each registered sensor, each a
+// unit-capacity left node.
+type copiesMaxMatch struct{}
 
-func (hungarianMaxMatch) Name() string { return "Online_MaxMatch_Hungarian" }
+func (copiesMaxMatch) Name() string { return "Online_MaxMatch_Copies" }
 
-func (hungarianMaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
+func (copiesMaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -461,40 +461,41 @@ func (hungarianMaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv I
 		return nil, errors.New("MaxMatch scheduler requires a fixed transmission power instance")
 	}
 	perSlot := pFixed * inst.Tau
-	var rows [][]float64
-	var rowSensor []int
-	for _, r := range regs {
-		s := &inst.Sensors[r.Sensor]
-		nCopies := min(int(math.Floor(r.Budget/perSlot+1e-9)), r.ClipEnd-r.ClipStart+1, inst.Gamma)
-		if nCopies <= 0 {
-			continue
-		}
-		row := make([]float64, iv.End-iv.Start+1)
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			if rate := s.RateAt(j); rate > 0 {
-				row[j-iv.Start] = rate * inst.Tau
-			}
-		}
-		for c := 0; c < nCopies; c++ {
-			rows = append(rows, row)
-			rowSensor = append(rowSensor, r.Sensor)
-		}
+	copies := make([]int, len(regs))
+	nL := 0
+	for k, r := range regs {
+		copies[k] = max(0, min(int(math.Floor(r.Budget/perSlot+1e-9)), r.ClipEnd-r.ClipStart+1, inst.Gamma))
+		nL += copies[k]
 	}
-	matchL, _, err := matching.Hungarian(rows)
+	g, err := matching.NewGraph(nL, iv.End-iv.Start+1)
 	if err != nil {
 		return nil, err
 	}
+	var copySensor []int // left node → sensor
+	for k, r := range regs {
+		for range copies[k] {
+			l := len(copySensor)
+			copySensor = append(copySensor, r.Sensor)
+			for j := r.ClipStart; j <= r.ClipEnd; j++ {
+				if rate := inst.Sensors[r.Sensor].RateAt(j); rate > 0 {
+					if err := g.AddEdge(l, j-iv.Start, rate*inst.Tau); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
 	assign := make(map[int]int)
-	for l, r := range matchL {
-		if r >= 0 {
-			assign[r+iv.Start] = rowSensor[l]
+	for r, l := range g.MaxWeight().RightMatch {
+		if l >= 0 {
+			assign[r+iv.Start] = copySensor[l]
 		}
 	}
 	return assign, nil
 }
 
-// The paper's literal copies+Hungarian construction and the capacity-aware
-// flow backend must collect identical throughput on live tours.
+// The paper's literal sensor copies and the capacity-aware graph must
+// collect identical throughput on live tours.
 func TestMaxMatchBackendsAgree(t *testing.T) {
 	fp, _ := radio.NewFixedPower(radio.Paper2013(), 0.3)
 	for seed := int64(30); seed < 33; seed++ {
@@ -503,12 +504,12 @@ func TestMaxMatchBackendsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hung, err := Run(inst, hungarianMaxMatch{})
+		copies, err := Run(inst, copiesMaxMatch{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(flow.Data-hung.Data) > 1e-6 {
-			t.Fatalf("seed %d: flow %v != hungarian %v", seed, flow.Data, hung.Data)
+		if math.Abs(flow.Data-copies.Data) > 1e-6 {
+			t.Fatalf("seed %d: capacities %v != copies %v", seed, flow.Data, copies.Data)
 		}
 	}
 }

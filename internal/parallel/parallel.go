@@ -28,17 +28,7 @@ func NewSem(n int) Sem {
 // Acquire blocks until a slot is free.
 func (s Sem) Acquire() { s <- struct{}{} }
 
-// TryAcquire takes a slot without blocking, reporting whether it got one.
-func (s Sem) TryAcquire() bool {
-	select {
-	case s <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire.
+// Release frees a slot taken by Acquire.
 func (s Sem) Release() { <-s }
 
 // Cap returns the slot count.
@@ -90,22 +80,4 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return errors.Join(nonNil...)
-}
-
-// Map runs fn over [0, n) and returns the results in index order; the
-// first error (by index) aborts nothing but is reported joined.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if fn == nil {
-		return nil, errors.New("parallel: nil task function")
-	}
-	out := make([]T, n)
-	err := ForEach(n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
 }

@@ -91,27 +91,3 @@ func TestForEachValidation(t *testing.T) {
 		t.Error("zero tasks must succeed")
 	}
 }
-
-func TestMap(t *testing.T) {
-	out, err := Map(10, 4, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	_, err = Map(3, 1, func(i int) (int, error) {
-		if i == 1 {
-			return 0, errors.New("bad")
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Error("expected error")
-	}
-	if _, err := Map[int](3, 1, nil); err == nil {
-		t.Error("expected nil-fn error")
-	}
-}

@@ -67,11 +67,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// RelGain returns (a−b)/b, the relative advantage of a over b.
-func RelGain(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b
-}

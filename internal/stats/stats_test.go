@@ -70,15 +70,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestRelGain(t *testing.T) {
-	if RelGain(12, 10) != 0.2 {
-		t.Error("gain wrong")
-	}
-	if RelGain(5, 0) != 0 {
-		t.Error("zero base must give 0")
-	}
-}
-
 // Property: Min ≤ Median ≤ Max and Min ≤ Mean ≤ Max.
 func TestSummaryOrdering(t *testing.T) {
 	f := func(raw []float64) bool {

@@ -137,59 +137,3 @@ func countPositive(xs []float64) int {
 	}
 	return n
 }
-
-// WindowMap renders sensor visibility windows along the tour: each row is
-// one sensor (subsampled to `limit` rows), each column a slot bucket,
-// showing where A(v) lies and which slots the sensor won.
-func WindowMap(w io.Writer, inst *core.Instance, a *core.Allocation, limit, width int) error {
-	if inst == nil || a == nil {
-		return errors.New("viz: nil instance or allocation")
-	}
-	if width <= 0 {
-		width = 80
-	}
-	if width > inst.T {
-		width = inst.T
-	}
-	if limit <= 0 {
-		limit = 20
-	}
-	// Pick sensors with windows, evenly spaced by start slot.
-	var ids []int
-	for i := range inst.Sensors {
-		if inst.Sensors[i].Start >= 0 {
-			ids = append(ids, i)
-		}
-	}
-	sort.Slice(ids, func(x, y int) bool { return inst.Sensors[ids[x]].Start < inst.Sensors[ids[y]].Start })
-	if len(ids) > limit {
-		sampled := make([]int, 0, limit)
-		for k := 0; k < limit; k++ {
-			sampled = append(sampled, ids[k*len(ids)/limit])
-		}
-		ids = sampled
-	}
-	perBucket := float64(inst.T) / float64(width)
-	fmt.Fprintf(w, "visibility windows (− window, ● allocated):\n")
-	for _, i := range ids {
-		s := &inst.Sensors[i]
-		line := make([]rune, width)
-		for b := range line {
-			line[b] = ' '
-		}
-		for j := s.Start; j <= s.End; j++ {
-			b := int(float64(j) / perBucket)
-			if b >= width {
-				b = width - 1
-			}
-			if line[b] != '●' {
-				line[b] = '−'
-			}
-			if a.SlotOwner[j] == i {
-				line[b] = '●'
-			}
-		}
-		fmt.Fprintf(w, "  v%-4d |%s|\n", i, string(line))
-	}
-	return nil
-}

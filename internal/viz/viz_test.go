@@ -99,28 +99,3 @@ func TestEnergyBars(t *testing.T) {
 		t.Error("zero limit must default")
 	}
 }
-
-func TestWindowMap(t *testing.T) {
-	inst, a := setup(t)
-	var buf bytes.Buffer
-	if err := WindowMap(&buf, inst, a, 8, 60); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "visibility windows") {
-		t.Error("missing header")
-	}
-	rows := strings.Count(out, "|")
-	if rows == 0 {
-		t.Error("no window rows")
-	}
-	if !strings.Contains(out, "−") {
-		t.Error("no window marks")
-	}
-	if err := WindowMap(&buf, inst, nil, 8, 60); err == nil {
-		t.Error("expected nil error")
-	}
-	if err := WindowMap(&buf, inst, a, 0, 0); err != nil {
-		t.Error("defaults must work")
-	}
-}
