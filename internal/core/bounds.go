@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // UpperBound returns an upper bound on the optimal collected data (bits),
@@ -46,37 +46,49 @@ func (inst *Instance) slotBound() float64 {
 
 func (inst *Instance) energyBound() float64 {
 	total := 0.0
+	var slots []slotCost // one buffer, reused sensor after sensor
 	for i := range inst.Sensors {
-		total += inst.fractionalKnapsack(i)
+		var v float64
+		v, slots = inst.fractionalKnapsack(i, slots[:0])
+		total += v
 	}
 	return total
 }
 
+// slotCost is one usable window slot of a sensor: the data it would
+// upload there and the energy that costs.
+type slotCost struct{ profit, weight float64 }
+
 // fractionalKnapsack returns the LP-relaxed best data volume sensor i could
 // upload alone: fill slots in decreasing rate/power density until the
-// budget is exhausted, taking a fractional final slot.
-func (inst *Instance) fractionalKnapsack(i int) float64 {
+// budget is exhausted, taking a fractional final slot. It lists the slots
+// in slots, whose grown backing it returns for the next sensor.
+func (inst *Instance) fractionalKnapsack(i int, slots []slotCost) (float64, []slotCost) {
 	s := &inst.Sensors[i]
 	if s.Start < 0 {
-		return 0
+		return 0, slots
 	}
-	type slot struct{ profit, weight float64 }
-	slots := make([]slot, 0, s.TotalWindowSize())
 	add := func(rates, powers []float64) {
 		for k, r := range rates {
 			p := powers[k]
 			if r <= 0 || p <= 0 {
 				continue
 			}
-			slots = append(slots, slot{r * inst.Tau, p * inst.Tau})
+			slots = append(slots, slotCost{r * inst.Tau, p * inst.Tau})
 		}
 	}
 	add(s.Rates, s.Powers)
 	for wi := range s.More {
 		add(s.More[wi].Rates, s.More[wi].Powers)
 	}
-	sort.Slice(slots, func(a, b int) bool {
-		return slots[a].profit*slots[b].weight > slots[b].profit*slots[a].weight
+	slices.SortFunc(slots, func(a, b slotCost) int {
+		switch {
+		case a.profit*b.weight > b.profit*a.weight:
+			return -1
+		case b.profit*a.weight > a.profit*b.weight:
+			return 1
+		}
+		return 0
 	})
 	left := s.Budget
 	total := 0.0
@@ -89,5 +101,5 @@ func (inst *Instance) fractionalKnapsack(i int) float64 {
 			break
 		}
 	}
-	return total
+	return total, slots
 }

@@ -26,17 +26,32 @@ type Compiled struct {
 // inst under opts: the GAP reduction written straight into a gap.Builder
 // in the paper's sensor order.
 func CompileAppro(inst *Instance, opts Options) (*Compiled, error) {
-	if inst == nil {
-		return nil, errors.New("core: nil instance")
-	}
-	quantum, eps := opts.Oracle(inst)
-	order := sensorOrder(inst)
-	g, err := inst.compileGAP(new(gap.Builder), order, inst.slotGroups(), quantum, eps)
+	c, err := compileAppro(inst, opts, new(gap.Builder))
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{inst: inst, order: order, g: g}, nil
+	return &c, nil
 }
+
+// compileAppro is CompileAppro into b; the result shares b's arrays and
+// is valid until b's next Reset.
+func compileAppro(inst *Instance, opts Options, b *gap.Builder) (Compiled, error) {
+	if inst == nil {
+		return Compiled{}, errors.New("core: nil instance")
+	}
+	quantum, eps := opts.Oracle(inst)
+	order := sensorOrder(inst)
+	g, err := inst.compileGAP(b, order, inst.slotGroups(), quantum, eps)
+	if err != nil {
+		return Compiled{}, err
+	}
+	return Compiled{inst: inst, order: order, g: g}, nil
+}
+
+// builderPool recycles the builders OfflineApproCtx compiles into: its
+// compiled form lives only for the one solve, so the builder's arrays
+// serve the next call.
+var builderPool = sync.Pool{New: func() any { return new(gap.Builder) }}
 
 // itemBinPool recycles the per-solve slot→bin arrays.
 var itemBinPool = sync.Pool{New: func() any { return new([]int32) }}

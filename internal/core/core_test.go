@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"mobisink/internal/energy"
@@ -212,6 +216,59 @@ func TestOfflineApproFeasibleAndHalfOptimal(t *testing.T) {
 	}
 }
 
+// fig2Instance builds a Figure 2 cell's instance (5 m/s, τ = 1 s): the
+// paper's deployment of n sensors and radio, budgets from a sunny
+// three-tour accrual with 50% jitter.
+func fig2Instance(t *testing.T, n int, seed int64) *Instance {
+	t.Helper()
+	d, err := network.Generate(network.PaperParams(n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AssignSteadyStateBudgets(energy.PaperSolar(energy.Sunny), 3*10000/5, 0.5, rand.New(rand.NewSource(seed))); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := BuildInstance(d, radio.Paper2013(), 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestOfflineApproConcurrent: concurrent solves draw their builders from
+// one pool, and each must still return what a lone solve returns.
+func TestOfflineApproConcurrent(t *testing.T) {
+	var insts []*Instance
+	var want []*Allocation
+	for _, n := range []int{20, 60, 120} {
+		inst := fig2Instance(t, n, int64(n))
+		a, err := OfflineAppro(inst, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, want = append(insts, inst), append(want, a)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				k := (g + r) % len(insts)
+				a, err := OfflineAppro(insts[k], Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if a.Data != want[k].Data || !slices.Equal(a.SlotOwner, want[k].SlotOwner) {
+					t.Errorf("instance %d: concurrent solve collected %v, lone solve %v", k, a.Data, want[k].Data)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestOfflineApproForceFPTAS(t *testing.T) {
 	d := tinyDeployment(t, 3, 11, 0.7)
 	inst, _ := BuildInstance(d, radio.Paper2013(), 30, 1)
@@ -354,6 +411,67 @@ func TestUpperBoundSanity(t *testing.T) {
 	rich, _ := BuildInstance(d, radio.Paper2013(), 30, 1)
 	if rich.UpperBound() != rich.slotBound() {
 		t.Error("with infinite energy the slot bound must bind")
+	}
+}
+
+// energyBoundSortSlice is energyBound in its earlier form, the reference
+// for the typed sort: a fresh slot list per sensor, ordered by sort.Slice
+// under the same strict density comparison.
+func energyBoundSortSlice(inst *Instance) float64 {
+	total := 0.0
+	for i := range inst.Sensors {
+		s := &inst.Sensors[i]
+		if s.Start < 0 {
+			continue
+		}
+		type slot struct{ profit, weight float64 }
+		slots := make([]slot, 0, s.TotalWindowSize())
+		add := func(rates, powers []float64) {
+			for k, r := range rates {
+				if p := powers[k]; r > 0 && p > 0 {
+					slots = append(slots, slot{r * inst.Tau, p * inst.Tau})
+				}
+			}
+		}
+		add(s.Rates, s.Powers)
+		for wi := range s.More {
+			add(s.More[wi].Rates, s.More[wi].Powers)
+		}
+		sort.Slice(slots, func(a, b int) bool {
+			return slots[a].profit*slots[b].weight > slots[b].profit*slots[a].weight
+		})
+		left, sum := s.Budget, 0.0
+		for _, sl := range slots {
+			if sl.weight <= left {
+				sum += sl.profit
+				left -= sl.weight
+			} else {
+				sum += sl.profit * left / sl.weight
+				break
+			}
+		}
+		total += sum
+	}
+	return total
+}
+
+// TestUpperBoundMatchesSortSlice: the typed sort visits the slots as
+// sort.Slice did (both are the same generated pdqsort), so on a Figure 2
+// pool the energy bound, and with it UpperBound, is bit-identical.
+func TestUpperBoundMatchesSortSlice(t *testing.T) {
+	for _, n := range []int{100, 300, 600} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
+				inst := fig2Instance(t, n, seed)
+				want := energyBoundSortSlice(inst)
+				if got := inst.energyBound(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("energy bound %v, sort.Slice form %v", got, want)
+				}
+				if got, want := inst.UpperBound(), math.Min(inst.slotBound(), want); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("UpperBound %v, sort.Slice form %v", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"mobisink/internal/gap"
@@ -131,7 +132,9 @@ func OfflineAppro(inst *Instance, opts Options) (*Allocation, error) {
 // OfflineApproCtx is OfflineAppro with cancellation: the context is
 // threaded into the local-ratio sweep and the inner knapsack DPs.
 func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
-	c, err := CompileAppro(inst, opts)
+	b := builderPool.Get().(*gap.Builder)
+	defer builderPool.Put(b)
+	c, err := compileAppro(inst, opts, b)
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +209,15 @@ func sensorOrder(inst *Instance) []int {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := &inst.Sensors[order[a]], &inst.Sensors[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		sa, sb := &inst.Sensors[a], &inst.Sensors[b]
 		if sa.Start != sb.Start {
-			return sa.Start < sb.Start
+			return cmp.Compare(sa.Start, sb.Start)
 		}
 		if sa.End != sb.End {
-			return sa.End < sb.End
+			return cmp.Compare(sa.End, sb.End)
 		}
-		return order[a] < order[b] // deterministic tie-break
+		return cmp.Compare(a, b) // deterministic tie-break
 	})
 	return order
 }

@@ -6,12 +6,16 @@ package knapsack
 // after the arena has warmed up, a kernel call performs no heap
 // allocation at all (gated by TestNoAllocs* in flat_test.go).
 //
-// The DP kernels additionally clamp each row to the prefix weight sum of
-// the items processed so far and skip the per-call clearing of the choice
+// DPFlat keeps each row of its DP as the row's breakpoints, not as a
+// dense array of capacity+1 cells: a row, the best profit within weight
+// x, is a step function of x with far fewer steps than cells on the
+// knapsacks the GAP sweep meets. The min-weight DP behind FPTASFlat and
+// MaxProfitUnderFlat fills dense rows, clamped to the prefix sum of the
+// scaled profits so far, and skips the per-call clearing of its choice
 // matrix: rows are written unconditionally inside the reachable range and
 // the traceback re-derives the (provably constant) choice outside it, so
-// the kernels return bit-identical picks to the classic full-range
-// formulation while touching a fraction of the memory.
+// it returns bit-identical picks to the classic full-range formulation
+// while touching a fraction of the memory.
 
 import (
 	"context"
@@ -24,9 +28,12 @@ import (
 // calls. An Arena must not be used concurrently; concurrent callers hold
 // one arena each (gap.Scratch embeds one).
 type Arena struct {
-	dp    []float64 // DP value / minimum-weight row
-	rows  []bool    // flat choice matrix, never cleared
+	dp    []float64 // minimum-weight row
+	rows  []bool    // min-weight DP's choice matrix, never cleared
 	pre   []int     // prefix sums of quantized weights / scaled profits
+	bw    []int     // DP breakpoint weights, row after row
+	bv    []float64 // DP breakpoint values, parallel to bw
+	boff  []int     // start of each DP row in bw and bv
 	sq    []int32   // scaled profits (FPTAS / profit-capped DP)
 	idx   []int32   // active candidate positions
 	free  []int32   // zero-weight always-picked candidates
@@ -91,6 +98,15 @@ func (a *Arena) Trim() {
 	if cap(a.pre) > arenaMax {
 		a.pre = nil
 	}
+	if cap(a.bw) > arenaMax {
+		a.bw = nil
+	}
+	if cap(a.bv) > arenaMax {
+		a.bv = nil
+	}
+	if cap(a.boff) > arenaMax {
+		a.boff = nil
+	}
 }
 
 // mergeFree merges the ascending free-item positions into the ascending
@@ -129,7 +145,18 @@ func (a *Arena) mergeFree(profit []float64) float64 {
 // polled once per item layer.
 //
 // The picks are bit-identical to the textbook full-range DP with strict
-// improvement ('>') and a descending traceback.
+// improvement ('>') and a descending traceback. Each row of that DP, the
+// best profit within weight x over the first k items, is a nondecreasing
+// step function of x; DPFlat keeps only its breakpoints (Nemhauser and
+// Ullmann's list form) and builds row k by one linear merge of row k−1
+// with row k−1 shifted by (w_k, p_k). Every value it keeps is the float
+// the dense table holds at that weight (an earlier value, or one plus
+// p_k), and the traceback reads the two values the dense DP compared, by
+// binary search in row k−1, so it makes every choice the dense DP made.
+// A row costs time in its breakpoints, not in the capacity: few on
+// rate-table profits, but random float profits over small weights make
+// nearly every weight a breakpoint, and then the merge is several times
+// slower than the dense band it replaced (BenchmarkDP80DenseRows).
 func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU int) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -140,6 +167,7 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 	if capU < 0 {
 		return a.picks, 0, nil
 	}
+	pre := a.pre[:0] // prefix sums of the active candidates' weights
 	sumQ := 0
 	for i := range profit {
 		if profit[i] <= 0 {
@@ -155,91 +183,120 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 		}
 		a.idx = append(a.idx, int32(i))
 		sumQ += w
+		pre = append(pre, sumQ)
 	}
+	a.pre = pre
 	m := len(a.idx)
 	if m == 0 {
 		total := a.mergeFree(profit)
 		return a.picks, total, nil
 	}
-	capQ := capU
-	if capQ > sumQ {
-		capQ = sumQ
-	}
-	width := capQ + 1
-	dp := a.floats(width)
-	for i := range dp {
-		dp[i] = 0
-	}
-	rows := a.bools(m * width) // never cleared: see traceback guards
-	pre := a.ints(m)
-	run := 0
-	slack := sumQ - capQ // ≥ 0 after the clamp above
-	prevHi := capQ       // dp starts zeroed, i.e. valid over the whole range
-	for k := 0; k < m; k++ {
+	capQ := min(capU, sumQ)
+	slack := sumQ - capQ
+	// Row k−1, the step function before item k, is bw/bv[off[k]:off[k+1]]:
+	// weights and values both strictly increasing, weights ≤ capQ, the
+	// first at or below every weight the row is read at. Row −1 (no
+	// items) is {(0, 0)}. The traceback never reads row m−1, so it is not
+	// built.
+	bw := append(a.bw[:0], 0)
+	bv := append(a.bv[:0], 0)
+	off := append(a.boff[:0], 0, 1)
+	for k := 0; k < m-1; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
 		i := a.idx[k]
-		wk := int(wq[i])
-		p := profit[i]
-		run += wk
-		pre[k] = run
-		hi := capQ
-		if run < hi {
-			hi = run
-		}
-		// Row k is only ever read for weights in [lo, hi]. Above the
-		// prefix weight sum the full DP is a flat value region where
-		// "take" always wins, so the traceback re-derives that constant
-		// choice instead of storing it; below capQ − suffixWeight(k+1..)
-		// = run − slack no traceback state can land (the remaining items
-		// cannot make up the difference to capQ), so those rows are dead.
-		// Before touching the new band (prevHi, hi] extend the flat tail
-		// value so stale cells match what the full DP holds there —
-		// O(capQ) total across all layers.
-		if hi > prevHi {
-			flat := dp[prevHi]
-			for x := prevHi + 1; x <= hi; x++ {
-				dp[x] = flat
+		wk, p := int(wq[i]), profit[i]
+		lo, hi := off[k], off[k+1]
+		n := hi - lo
+		base := len(bw)
+		bw = slices.Grow(bw, 2*n)[:base+2*n]
+		bv = slices.Grow(bv, 2*n)[:base+2*n]
+		gw, gv := bw[lo:hi], bv[lo:hi]
+		ow, ov := bw[base:], bv[base:]
+		// Merge g(x) = row k−1 with s(x) = g(x−wk)+p in weight order,
+		// keeping the upper envelope. last, the envelope's value so far,
+		// is at least the value of g and of s in force, so a breakpoint
+		// of either raises the envelope iff its value exceeds last. At a
+		// shared weight s wins only when strictly greater, as in the
+		// dense DP. Row k is read only at weights of at least
+		// dead = capQ − (weight of items k+1..m−1): no traceback state
+		// lands lower. So a breakpoint at or below dead replaces the one
+		// before it, and row k+1, built from it, is exact from its own
+		// dead weight on.
+		dead := pre[k] - slack
+		o, x, y := 0, 0, 0
+		last := math.Inf(-1)
+		for x < n && y < n {
+			xw, yw := gw[x], gw[y]+wk
+			if yw > capQ {
+				break
+			}
+			var w int
+			var v float64
+			switch {
+			case xw < yw:
+				w, v = xw, gv[x]
+				x++
+			case yw < xw:
+				w, v = yw, gv[y]+p
+				y++
+			default:
+				w, v = xw, gv[x]
+				if sv := gv[y] + p; sv > v {
+					v = sv
+				}
+				x++
+				y++
+			}
+			if v > last {
+				if w <= dead {
+					o = 0
+				}
+				ow[o], ov[o] = w, v
+				o++
+				last = v
 			}
 		}
-		prevHi = hi
-		lo := run - slack
-		if lo < wk {
-			lo = wk
-		}
-		dst := dp[lo : hi+1]
-		src := dp[lo-wk : hi+1-wk]
-		rw := rows[k*width+lo : k*width+hi+1]
-		src = src[:len(dst)]
-		rw = rw[:len(dst)]
-		for x := len(dst) - 1; x >= 0; x-- {
-			cand := src[x] + p
-			if cand > dst[x] {
-				dst[x] = cand
-				rw[x] = true
-			} else {
-				rw[x] = false
+		// One list is spent (or s has passed capQ); the other's values
+		// rise, so from its first value above last on it is copied whole.
+		for ; x < n; x++ {
+			if gv[x] > last {
+				o += copy(ow[o:], gw[x:n])
+				copy(ov[o-(n-x):], gv[x:n])
+				break
 			}
 		}
+		for ; y < n && gw[y]+wk <= capQ; y++ {
+			if v := gv[y] + p; v > last {
+				if gw[y]+wk <= dead {
+					o = 0
+				}
+				ow[o], ov[o] = gw[y]+wk, v
+				o++
+				last = v
+			}
+		}
+		bw, bv = bw[:base+o], bv[:base+o]
+		off = append(off, base+o)
 	}
+	a.bw, a.bv, a.boff = bw, bv, off
 	// Traceback, picks emitted in descending k then reversed to ascending.
 	w := capQ
 	total := 0.0
 	for k := m - 1; k >= 0; k-- {
 		i := a.idx[k]
 		wk := int(wq[i])
-		if w > pre[k] {
-			// w exceeds what the first k+1 items can weigh together, so
-			// the full DP is in its flat value region where adding item k
-			// (positive profit) always improves: the row is "take" without
-			// having been stored.
-			a.picks = append(a.picks, i)
-			total += profit[i]
-			w -= wk
-			continue
+		// Above the prefix weight sum every item so far fits, so the DP is
+		// in its flat value region where adding item k (positive profit)
+		// improves: take it without a lookup. Otherwise take it iff
+		// row(w−wk) + p > row(w), the dense DP's strict rule.
+		take := w > pre[k]
+		if !take && w >= wk {
+			gw, gv := bw[off[k]:off[k+1]], bv[off[k]:off[k+1]]
+			take = stepAt(gw, gv, w-wk)+profit[i] > stepAt(gw, gv, w)
 		}
-		if w >= wk && rows[k*width+w] {
+		if take {
 			a.picks = append(a.picks, i)
 			total += profit[i]
 			w -= wk
@@ -248,6 +305,21 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 	slices.Reverse(a.picks)
 	total += a.mergeFree(profit)
 	return a.picks, total, nil
+}
+
+// stepAt returns a DP row's value at weight x: the value of its last
+// breakpoint at or below x, which must exist (bw[0] ≤ x). The search
+// halves the range without an early exit, so it compiles to few branches.
+func stepAt(bw []int, bv []float64, x int) float64 {
+	lo, n := 0, len(bw)
+	for n > 1 {
+		half := n / 2
+		if bw[lo+half] <= x {
+			lo += half
+		}
+		n -= half
+	}
+	return bv[lo]
 }
 
 // minWeightDP is the shared min-weight-per-scaled-profit dynamic program

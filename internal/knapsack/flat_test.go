@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -48,6 +49,89 @@ func bruteFlatCapped(profit, weight []float64, capacity, profitCap float64) floa
 		}
 	}
 	return best
+}
+
+// denseDP is the dense-band kernel that DPFlat's breakpoint lists
+// replaced, kept as the reference DPFlat must match bit for bit. It fills
+// each DP row cell by cell on its live band only: above the prefix weight
+// sum the row is flat and "take" always wins, so the traceback re-derives
+// that choice instead of storing it; below capQ − suffix weight sum no
+// traceback state can land. Its tables are allocated per call.
+func denseDP(profit []float64, wq []int32, capU int) ([]int32, float64) {
+	if capU < 0 {
+		return []int32{}, 0
+	}
+	var idx, free []int32
+	sumQ := 0
+	for i := range profit {
+		if profit[i] <= 0 {
+			continue
+		}
+		w := int(wq[i])
+		if w == 0 {
+			free = append(free, int32(i))
+			continue
+		}
+		if w > capU {
+			continue
+		}
+		idx = append(idx, int32(i))
+		sumQ += w
+	}
+	picks := []int32{}
+	total := 0.0
+	if m := len(idx); m > 0 {
+		capQ := min(capU, sumQ)
+		width := capQ + 1
+		dp := make([]float64, width)
+		rows := make([]bool, m*width)
+		pre := make([]int, m)
+		run := 0
+		slack := sumQ - capQ
+		prevHi := capQ
+		for k := 0; k < m; k++ {
+			i := idx[k]
+			wk := int(wq[i])
+			p := profit[i]
+			run += wk
+			pre[k] = run
+			hi := min(capQ, run)
+			// Extend the flat tail value over the new band (prevHi, hi].
+			if hi > prevHi {
+				flat := dp[prevHi]
+				for x := prevHi + 1; x <= hi; x++ {
+					dp[x] = flat
+				}
+			}
+			prevHi = hi
+			lo := max(run-slack, wk)
+			for x := hi; x >= lo; x-- {
+				cand := dp[x-wk] + p
+				if cand > dp[x] {
+					dp[x] = cand
+					rows[k*width+x] = true
+				}
+			}
+		}
+		w := capQ
+		for k := m - 1; k >= 0; k-- {
+			i := idx[k]
+			wk := int(wq[i])
+			if w > pre[k] || (w >= wk && rows[k*width+w]) {
+				picks = append(picks, i)
+				total += profit[i]
+				w -= wk
+			}
+		}
+		slices.Reverse(picks)
+	}
+	freeTotal := 0.0
+	for _, i := range free {
+		freeTotal += profit[i]
+	}
+	picks = append(picks, free...)
+	slices.Sort(picks)
+	return picks, total + freeTotal
 }
 
 func checkPicks(t *testing.T, picks []int32, profit []float64, wq []int32, capU int, total float64) {
@@ -265,6 +349,27 @@ func TestNoAllocsDPFlat(t *testing.T) {
 	run() // warm the arena
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("DPFlat allocates %v per run after warmup", n)
+	}
+}
+
+// TestArenaTrimBreakpoints: Trim keeps the breakpoint buffers an ordinary
+// DPFlat call grew, and drops each one grown past arenaMax.
+func TestArenaTrimBreakpoints(t *testing.T) {
+	a := NewArena()
+	profit, _, wq := kernelFixture(64, 1)
+	if _, _, err := a.DPFlat(context.Background(), profit, wq, 100); err != nil {
+		t.Fatal(err)
+	}
+	a.Trim()
+	if cap(a.bw) == 0 || cap(a.bv) == 0 || cap(a.boff) == 0 {
+		t.Fatalf("Trim dropped an ordinary call's buffers: caps %d, %d, %d", cap(a.bw), cap(a.bv), cap(a.boff))
+	}
+	a.bw = make([]int, 0, arenaMax+1)
+	a.bv = make([]float64, 0, arenaMax+1)
+	a.boff = make([]int, 0, arenaMax+1)
+	a.Trim()
+	if a.bw != nil || a.bv != nil || a.boff != nil {
+		t.Fatalf("Trim kept oversized buffers: caps %d, %d, %d", cap(a.bw), cap(a.bv), cap(a.boff))
 	}
 }
 

@@ -4,7 +4,8 @@
 // maximization problem. Every kernel is a method of an Arena and runs over
 // parallel candidate arrays:
 //
-//   - DPFlat: exact dynamic program over quantized weights;
+//   - DPFlat: exact dynamic program over quantized weights, each row kept
+//     as the breakpoints of its step function (Nemhauser–Ullmann lists);
 //   - FPTASFlat: Lawler-style profit-scaling dynamic program with
 //     profit ≥ (1−ε)·OPT, i.e. β = 1/(1−ε) ≈ 1+ε, matching the paper's
 //     analysis (Thm 2 uses β = 1+ε ⇒ overall ratio 1/(2+ε));
@@ -43,8 +44,12 @@ func QuantizeWeight(w, quantum float64) int32 {
 	return int32(min(math.Ceil(w/quantum-1e-9), math.MaxInt32))
 }
 
-// QuantizeCapacity is DPFlat's rounding of a capacity: down to whole
-// quanta, the other half of QuantizeWeight's feasibility argument.
+// QuantizeCapacity is DPFlat's rounding of a capacity: the largest
+// weight that Fits it, down to whole quanta — the other half of
+// QuantizeWeight's feasibility argument. Rounding the Fits limit, not the
+// capacity itself, keeps a capacity that is a whole number of quanta up
+// to float noise (0.6/0.2 = 2.9999999999999996) from losing a quantum, so
+// DPFlat packs what Fits accepts.
 func QuantizeCapacity(capacity, quantum float64) int32 {
-	return int32(min(math.Floor(capacity/quantum), math.MaxInt32))
+	return int32(min(math.Floor(limit(capacity)/quantum), math.MaxInt32))
 }

@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,6 +267,28 @@ func TestDPQuantizationIsConservative(t *testing.T) {
 	}
 }
 
+// TestQuantizeCapacityWholeQuanta: a capacity that is a whole number of
+// quanta up to float noise keeps every quantum (0.6/0.2 is
+// 2.9999999999999996 and 1.2/0.0002 is 5999.999999999999 in float64), so
+// DPFlat packs three 0.2 J items into 0.6 J, as Fits accepts.
+func TestQuantizeCapacityWholeQuanta(t *testing.T) {
+	for _, c := range []struct {
+		capacity, quantum float64
+		want              int32
+	}{{0.6, 0.2, 3}, {1.2, 0.0002, 6000}} {
+		if got := QuantizeCapacity(c.capacity, c.quantum); got != c.want {
+			t.Errorf("QuantizeCapacity(%v, %v) = %d, want %d", c.capacity, c.quantum, got, c.want)
+		}
+	}
+	items := []item{{Profit: 1, Weight: 0.2}, {Profit: 1, Weight: 0.2}, {Profit: 1, Weight: 0.2}}
+	if !Fits(0.2+0.2+0.2, 0.6) {
+		t.Fatal("fixture: three 0.2 J items must fit 0.6 J")
+	}
+	if s := dp(0.2)(items, 0.6); len(s.Picked) != 3 {
+		t.Errorf("DPFlat packed %v of three 0.2 J items into 0.6 J", s.Picked)
+	}
+}
+
 func TestLargeUniformWeights(t *testing.T) {
 	// Mirrors the fixed-power special case: all weights equal, solver must
 	// pick the k most profitable items.
@@ -336,5 +359,32 @@ func BenchmarkDP80(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.DPFlat(context.Background(), profit, wq, int(QuantizeCapacity(2.0, 0.01)))
+	}
+}
+
+// BenchmarkDP80DenseRows is DPFlat's worst case: random float profits
+// make nearly every reachable weight a breakpoint of its row, so each
+// merge walks about as many breakpoints as the dense band had cells, at
+// more work a step. Weights are 1–33 quanta (the paper's power table is
+// 17–33 quanta of 0.01 J) or 1–4,096 (the largest ratio WeightQuantum
+// accepts); the capacity is half the total weight.
+func BenchmarkDP80DenseRows(b *testing.B) {
+	for _, maxW := range []int{33, 4096} {
+		b.Run(fmt.Sprintf("maxW=%d", maxW), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			profit := make([]float64, 80)
+			wq := make([]int32, 80)
+			sum := 0
+			for i := range profit {
+				profit[i] = rng.Float64() * 100
+				wq[i] = int32(1 + rng.Intn(maxW))
+				sum += int(wq[i])
+			}
+			a := NewArena()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.DPFlat(context.Background(), profit, wq, sum/2)
+			}
+		})
 	}
 }
