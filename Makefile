@@ -85,7 +85,9 @@ fuzz-fleet:
 # knapsack.Fits, the exact kernels must agree, and the FPTAS must keep its
 # (1−ε) guarantee; and DPFlat's breakpoint DP must pick exactly what the
 # dense-band reference picks. testdata/fuzz/FuzzKnapsackSolvers holds two
-# inputs whose best packing fills the capacity exactly.
+# inputs whose best packing fills the capacity exactly, and
+# internal/knapsack/testdata/fuzz/FuzzDPFlatMatchesDense one knapsack
+# whose candidates all fit and one where a profit is absorbed by the sum.
 fuzz-knapsack:
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackSolvers -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDPFlatMatchesDense -fuzztime 30s ./internal/knapsack

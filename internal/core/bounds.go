@@ -46,27 +46,39 @@ func (inst *Instance) slotBound() float64 {
 
 func (inst *Instance) energyBound() float64 {
 	total := 0.0
-	var slots []slotCost // one buffer, reused sensor after sensor
+	var runs []slotRun // one buffer, reused sensor after sensor
 	for i := range inst.Sensors {
 		var v float64
-		v, slots = inst.fractionalKnapsack(i, slots[:0])
+		v, runs = inst.fractionalKnapsack(i, runs[:0])
 		total += v
 	}
 	return total
 }
 
-// slotCost is one usable window slot of a sensor: the data it would
-// upload there and the energy that costs.
-type slotCost struct{ profit, weight float64 }
+// slotRun is a run of consecutive usable window slots of a sensor with
+// one link: the data each would upload, the energy that costs, and how
+// many slots the run holds.
+type slotRun struct {
+	profit, weight float64
+	count          int
+}
 
 // fractionalKnapsack returns the LP-relaxed best data volume sensor i could
 // upload alone: fill slots in decreasing rate/power density until the
-// budget is exhausted, taking a fractional final slot. It lists the slots
-// in slots, whose grown backing it returns for the next sensor.
-func (inst *Instance) fractionalKnapsack(i int, slots []slotCost) (float64, []slotCost) {
+// budget is exhausted, taking a fractional final slot. It folds the
+// window's slots into runs of one link in runs, sorts the runs, and
+// fills slot by slot; it returns runs' grown backing for the next sensor.
+//
+// The fill adds the slots' profits in the order a sort of the slots
+// themselves visits them whenever no two different links share a
+// density: runs of one link are interchangeable, and distinct densities
+// order uniquely. On the paper's rate table every tier has its own
+// density; two links of exactly equal density may fill in another order
+// than a per-slot sort would.
+func (inst *Instance) fractionalKnapsack(i int, runs []slotRun) (float64, []slotRun) {
 	s := &inst.Sensors[i]
 	if s.Start < 0 {
-		return 0, slots
+		return 0, runs
 	}
 	add := func(rates, powers []float64) {
 		for k, r := range rates {
@@ -74,14 +86,19 @@ func (inst *Instance) fractionalKnapsack(i int, slots []slotCost) (float64, []sl
 			if r <= 0 || p <= 0 {
 				continue
 			}
-			slots = append(slots, slotCost{r * inst.Tau, p * inst.Tau})
+			pr, w := r*inst.Tau, p*inst.Tau
+			if n := len(runs) - 1; n >= 0 && runs[n].profit == pr && runs[n].weight == w {
+				runs[n].count++
+				continue
+			}
+			runs = append(runs, slotRun{pr, w, 1})
 		}
 	}
 	add(s.Rates, s.Powers)
 	for wi := range s.More {
 		add(s.More[wi].Rates, s.More[wi].Powers)
 	}
-	slices.SortFunc(slots, func(a, b slotCost) int {
+	slices.SortFunc(runs, func(a, b slotRun) int {
 		switch {
 		case a.profit*b.weight > b.profit*a.weight:
 			return -1
@@ -92,14 +109,15 @@ func (inst *Instance) fractionalKnapsack(i int, slots []slotCost) (float64, []sl
 	})
 	left := s.Budget
 	total := 0.0
-	for _, sl := range slots {
-		if sl.weight <= left {
-			total += sl.profit
-			left -= sl.weight
-		} else {
-			total += sl.profit * left / sl.weight
-			break
+	for _, run := range runs {
+		for range run.count {
+			if run.weight <= left {
+				total += run.profit
+				left -= run.weight
+			} else {
+				return total + run.profit*left/run.weight, runs
+			}
 		}
 	}
-	return total, slots
+	return total, runs
 }

@@ -48,25 +48,32 @@ func compileAppro(inst *Instance, opts Options, b *gap.Builder) (Compiled, error
 	return Compiled{inst: inst, order: order, g: g}, nil
 }
 
-// builderPool recycles the builders OfflineApproCtx compiles into: its
-// compiled form lives only for the one solve, so the builder's arrays
-// serve the next call.
+// builderPool recycles the builders OfflineApproCtx and OfflineGreedyCtx
+// compile into: a compiled form lives only for the one solve, so the
+// builder's arrays serve the next call.
 var builderPool = sync.Pool{New: func() any { return new(gap.Builder) }}
 
 // itemBinPool recycles the per-solve slot→bin arrays.
 var itemBinPool = sync.Pool{New: func() any { return new([]int32) }}
 
+// itemBins draws a slot→bin array of n slots from itemBinPool; the
+// caller puts it back once the allocation is built.
+func itemBins(n int) *[]int32 {
+	bp := itemBinPool.Get().(*[]int32)
+	if cap(*bp) < n {
+		*bp = make([]int32, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
 // Solve runs the local-ratio sweep on the compiled form, with the oracle
 // CompileAppro's options chose.
 func (c *Compiled) Solve(ctx context.Context) (*Allocation, error) {
-	bp := itemBinPool.Get().(*[]int32)
-	defer itemBinPool.Put(bp)
-	if cap(*bp) < c.inst.T {
-		*bp = make([]int32, c.inst.T)
-	}
-	itemBin := (*bp)[:c.inst.T]
-	if _, err := c.g.SolveInto(ctx, nil, itemBin); err != nil {
+	itemBin := itemBins(c.inst.T)
+	defer itemBinPool.Put(itemBin)
+	if _, err := c.g.SolveInto(ctx, nil, *itemBin); err != nil {
 		return nil, err
 	}
-	return c.inst.allocation(c.order, itemBin), nil
+	return c.inst.allocation(c.order, *itemBin), nil
 }

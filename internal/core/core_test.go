@@ -221,6 +221,13 @@ func TestOfflineApproFeasibleAndHalfOptimal(t *testing.T) {
 // three-tour accrual with 50% jitter.
 func fig2Instance(t *testing.T, n int, seed int64) *Instance {
 	t.Helper()
+	return paperInstance(t, n, seed, radio.Paper2013(), 1)
+}
+
+// paperInstance builds fig2Instance's deployment and budgets over the
+// radio model m at slot length tau.
+func paperInstance(t *testing.T, n int, seed int64, m radio.Model, tau float64) *Instance {
+	t.Helper()
 	d, err := network.Generate(network.PaperParams(n, seed))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +235,7 @@ func fig2Instance(t *testing.T, n int, seed int64) *Instance {
 	if err := d.AssignSteadyStateBudgets(energy.PaperSolar(energy.Sunny), 3*10000/5, 0.5, rand.New(rand.NewSource(seed))); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := BuildInstance(d, radio.Paper2013(), 5, 1)
+	inst, err := BuildInstance(d, m, 5, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +269,50 @@ func TestOfflineApproConcurrent(t *testing.T) {
 				}
 				if a.Data != want[k].Data || !slices.Equal(a.SlotOwner, want[k].SlotOwner) {
 					t.Errorf("instance %d: concurrent solve collected %v, lone solve %v", k, a.Data, want[k].Data)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOfflineGreedyConcurrent: concurrent greedy solves share the
+// builder and item→bin pools with Offline_Appro, and each must still
+// return what a lone solve returns (run it under -race -count=10).
+func TestOfflineGreedyConcurrent(t *testing.T) {
+	var insts []*Instance
+	var want []*Allocation
+	for _, n := range []int{20, 60, 120} {
+		inst := fig2Instance(t, n, int64(n))
+		a, err := OfflineGreedy(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, want = append(insts, inst), append(want, a)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				k := (g + r) % len(insts)
+				var a *Allocation
+				var err error
+				if r%2 == 0 {
+					a, err = OfflineGreedy(insts[k])
+				} else {
+					_, err = OfflineAppro(insts[(k+1)%len(insts)], Options{}) // the other pool user
+					if err == nil {
+						a, err = OfflineGreedy(insts[k])
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if a.Data != want[k].Data || !slices.Equal(a.SlotOwner, want[k].SlotOwner) {
+					t.Errorf("instance %d: concurrent greedy solve collected %v, lone solve %v", k, a.Data, want[k].Data)
 				}
 			}
 		}()
@@ -455,24 +506,52 @@ func energyBoundSortSlice(inst *Instance) float64 {
 	return total
 }
 
-// TestUpperBoundMatchesSortSlice: the typed sort visits the slots as
-// sort.Slice did (both are the same generated pdqsort), so on a Figure 2
-// pool the energy bound, and with it UpperBound, is bit-identical.
+// TestUpperBoundMatchesSortSlice: the energy bound sorts runs of equal
+// links where sort.Slice sorted slots, and fills them slot by slot; with
+// no two different links of equal density the fill adds the same
+// profits in the same order. So on a Figure 2 pool, on fixed-power
+// (Figure 3) instances, on a continuous path-loss radio and on a
+// hand-built tour with one rate at two powers the energy bound, and with
+// it UpperBound, is bit-identical.
 func TestUpperBoundMatchesSortSlice(t *testing.T) {
-	for _, n := range []int{100, 300, 600} {
-		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
-				inst := fig2Instance(t, n, seed)
-				want := energyBoundSortSlice(inst)
-				if got := inst.energyBound(); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("energy bound %v, sort.Slice form %v", got, want)
-				}
-				if got, want := inst.UpperBound(), math.Min(inst.slotBound(), want); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("UpperBound %v, sort.Slice form %v", got, want)
-				}
-			})
+	pathLoss, err := radio.NewPathLoss(250e3, 20, 2.5, 0.17, 0.33, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := radio.NewFixedPower(radio.Paper2013(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string // of the subtest names
+		m      radio.Model
+		ns     []int
+	}{
+		{"", radio.Paper2013(), []int{100, 300, 600}},
+		{"fig3/", fixed, []int{100, 300}},
+		{"pathloss/", pathLoss, []int{100, 300}},
+	} {
+		for _, n := range c.ns {
+			for seed := int64(1); seed <= 2; seed++ {
+				t.Run(fmt.Sprintf("%sn=%d/seed=%d", c.prefix, n, seed), func(t *testing.T) {
+					inst := paperInstance(t, n, seed, c.m, 1)
+					want := energyBoundSortSlice(inst)
+					if got := inst.energyBound(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("energy bound %v, sort.Slice form %v", got, want)
+					}
+					if got, want := inst.UpperBound(), math.Min(inst.slotBound(), want); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("UpperBound %v, sort.Slice form %v", got, want)
+					}
+				})
+			}
 		}
 	}
+	t.Run("zero-slots", func(t *testing.T) {
+		inst := zeroSlotInstance()
+		if got, want := inst.energyBound(), energyBoundSortSlice(inst); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("energy bound %v, sort.Slice form %v", got, want)
+		}
+	})
 }
 
 func TestThroughputMb(t *testing.T) {

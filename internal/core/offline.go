@@ -143,30 +143,23 @@ func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Alloca
 
 // compileGAP writes the paper's GAP reduction (Thm 1) into b, one bin per
 // sensor of order (capacity = per-tour energy budget), one entry per
-// usable window slot (profit = r·τ bits, weight = P·τ Joules), under the
-// conflict groups group (nil: none). Shared by OfflineAppro, OfflineGreedy
-// and OfflineSequential, which differ in bin order, groups and the pass
-// they run on the result.
+// usable window slot (profit = r·τ bits, weight = P·τ Joules), listed by
+// one Builder.Run per window, under the conflict groups group (nil:
+// none). Shared by OfflineAppro, OfflineGreedy and OfflineSequential,
+// which differ in bin order, groups and the pass they run on the result.
 //
 // Fleet instances contribute entries from every window (one per audible
 // sink).
 func (inst *Instance) compileGAP(b *gap.Builder, order []int, group []int, quantum, eps float64) (*gap.Compiled, error) {
 	b.Reset(inst.T, group, quantum, eps)
-	add := func(start int, rates, powers []float64) {
-		for k, r := range rates {
-			if p := powers[k]; r > 0 && p > 0 {
-				b.Add(start+k, r*inst.Tau, p*inst.Tau)
-			}
-		}
-	}
 	for _, si := range order {
 		s := &inst.Sensors[si]
 		b.Bin(s.Budget)
 		if s.Start >= 0 {
-			add(s.Start, s.Rates, s.Powers)
+			b.Run(s.Start, s.Rates, s.Powers, inst.Tau)
 		}
 		for wi := range s.More {
-			add(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers)
+			b.Run(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
 		}
 	}
 	return b.Compiled()
@@ -355,14 +348,16 @@ func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) 
 	for i := range order {
 		order[i] = i
 	}
-	var b gap.Builder
-	g, err := inst.compileGAP(&b, order, inst.slotGroups(), 0, 0)
+	b := builderPool.Get().(*gap.Builder)
+	defer builderPool.Put(b)
+	g, err := inst.compileGAP(b, order, inst.slotGroups(), 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	itemBin := make([]int32, inst.T)
-	if _, err := g.Greedy(nil, itemBin); err != nil {
+	itemBin := itemBins(inst.T)
+	defer itemBinPool.Put(itemBin)
+	if _, err := g.Greedy(nil, *itemBin); err != nil {
 		return nil, err
 	}
-	return inst.allocation(order, itemBin), nil
+	return inst.allocation(order, *itemBin), nil
 }

@@ -85,6 +85,71 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestRunChecks: Run checks its run's item range once and each entry
+// for a duplicate and a negative weight, keeps only entries with positive
+// profit and weight that fit, scales both by the run's scale, and
+// quantizes the kept weights as Add would one by one.
+func TestRunChecks(t *testing.T) {
+	var b Builder
+	b.Reset(6, nil, 0.1, 0)
+	b.Bin(1)
+	b.Run(0, []float64{1, 0, 2, 3, 4}, []float64{0.1, 0.1, 0, 0.25, 0.3}, 2)
+	b.Run(5, []float64{9}, []float64{0.6}, 2) // 1.2 > capacity 1
+	c, err := b.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Item 1 has no profit, item 2 no weight, item 5 does not fit.
+	if !reflect.DeepEqual(c.Item, []int32{0, 3, 4}) || !reflect.DeepEqual(c.Profit, []float64{2, 6, 8}) ||
+		!reflect.DeepEqual(c.Weight, []float64{0.2, 0.5, 0.6}) || !reflect.DeepEqual(c.WQ, []int32{2, 5, 6}) {
+		t.Fatalf("compiled items %v profits %v weights %v quanta %v", c.Item, c.Profit, c.Weight, c.WQ)
+	}
+	for _, bad := range []struct {
+		name string
+		run  func(b *Builder)
+		want string
+	}{
+		{"range", func(b *Builder) { b.Run(4, []float64{1, 1, 1}, []float64{1, 1, 1}, 1) }, "out of range"},
+		{"lengths", func(b *Builder) { b.Run(0, []float64{1, 1}, []float64{1}, 1) }, "weights"},
+		{"twice", func(b *Builder) { b.Add(2, 1, 1); b.Run(1, []float64{1, 1}, []float64{1, 1}, 1) }, "twice"},
+		{"twice in a run of a dead entry", func(b *Builder) { b.Add(3, 0, 1); b.Run(3, []float64{1}, []float64{1}, 1) }, "twice"},
+		{"negative", func(b *Builder) { b.Run(0, []float64{1}, []float64{1}, -1) }, "negative weight"},
+	} {
+		b.Reset(6, nil, 0.1, 0)
+		b.Bin(5)
+		bad.run(&b)
+		if _, err := b.Compiled(); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: error %v, want one naming %q", bad.name, err, bad.want)
+		}
+	}
+}
+
+// TestZeroWeightIsNoEntry pins the Builder's contract that a zero weight
+// means no entry, not a free item: Add and Run list the item, so a
+// second listing is a duplicate, but keep nothing whatever the profit.
+func TestZeroWeightIsNoEntry(t *testing.T) {
+	var b Builder
+	b.Reset(2, nil, 0.1, 0)
+	b.Bin(1)
+	b.Add(0, 5, 0)
+	b.Bin(1)
+	b.Run(0, []float64{5, 7}, []float64{0, 0}, 1)
+	c, err := b.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Item) != 0 || !reflect.DeepEqual(c.Off, []int32{0, 0, 0}) {
+		t.Fatalf("compiled items %v offsets %v, want no entry", c.Item, c.Off)
+	}
+	b.Reset(1, nil, 0.1, 0)
+	b.Bin(1)
+	b.Add(0, 5, 0)
+	b.Add(0, 5, 0.1)
+	if _, err := b.Compiled(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("a zero-weight listing did not count as listed: %v", err)
+	}
+}
+
 // TestCompiledMatchesLocalRatio checks the compiled sweep is bit-identical
 // to the pointer-form reference sweep, LocalRatioCtx, in both oracle modes.
 func TestCompiledMatchesLocalRatio(t *testing.T) {

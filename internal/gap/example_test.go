@@ -9,14 +9,14 @@ import (
 
 // Two capacitated bins (sensors) compete for three items (time slots); the
 // local-ratio sweep assigns each item to the last bin that claimed it.
-// Unit weights make the exact DP oracle at quantum 1 exact.
+// Unit weights make the exact DP oracle at quantum 1 exact. The first bin
+// lists its three consecutive items in one Run, the second its two
+// apart with Add.
 func ExampleBuilder() {
 	var b gap.Builder
 	b.Reset(3, nil, 1, 0)
 	b.Bin(2)
-	b.Add(0, 10, 1)
-	b.Add(1, 9, 1)
-	b.Add(2, 1, 1)
+	b.Run(0, []float64{10, 9, 1}, []float64{1, 1, 1}, 1)
 	b.Bin(1)
 	b.Add(0, 2, 1)
 	b.Add(2, 8, 1)

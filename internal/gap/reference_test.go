@@ -19,7 +19,10 @@ import (
 // Compiled.Solve are the Instance-level wrappers the tests use over the
 // Builder.
 
-// Entry is one eligible (bin, item) pair.
+// Entry is one eligible (bin, item) pair. A zero weight means no entry:
+// Compile drops it, as the Builder does, while the references here
+// would take it as a free item, so they are compared on positive
+// weights only.
 type Entry struct {
 	Item   int     // item index in [0, NumItems)
 	Profit float64 // profit if the bin receives the item

@@ -81,6 +81,25 @@ func randomKnapsack(rng *rand.Rand) (profit []float64, wq []int32, capU int) {
 	return profit, wq, capU
 }
 
+// allFitKnapsack draws a knapsack whose capacity holds every candidate
+// at once, as randomKnapsack draws its items, with profits of mixed
+// magnitudes (up to 2^60, so later small ones may be absorbed by the
+// float sum) in about a third of the draws.
+func allFitKnapsack(rng *rand.Rand) (profit []float64, wq []int32, capU int) {
+	profit, wq, _ = randomKnapsack(rng)
+	if rng.Intn(3) == 0 {
+		for i := range profit {
+			if rng.Intn(4) == 0 {
+				profit[i] = math.Ldexp(1+float64(rng.Intn(8)), 50+rng.Intn(8))
+			}
+		}
+	}
+	for _, w := range wq {
+		capU += int(w)
+	}
+	return profit, wq, capU + rng.Intn(3)
+}
+
 // fig2Instance builds a Figure 2 tour instance: the paper's deployment
 // and radio, budgets as the experiments calibrate them.
 func fig2Instance(t *testing.T, n int, seed int64, speed, tau float64) *core.Instance {
@@ -179,6 +198,56 @@ func TestDPFlatMatchesDense(t *testing.T) {
 			matchDense(t, a, profit, wq, capU)
 		}
 	})
+	// positive counts the candidates with a positive profit: those an
+	// all-fit knapsack takes unless a profit is absorbed.
+	positive := func(profit []float64) int {
+		n := 0
+		for _, p := range profit {
+			if p > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	// Every candidate fits, so the DP has no slack and each row keeps one
+	// breakpoint; DPFlat must agree with the dense DP whether it takes
+	// every candidate or a profit is absorbed (zero-weight and
+	// non-positive candidates mixed in).
+	t.Run("all-fit", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		taken, partial := 0, 0
+		for trial := 0; trial < 20000; trial++ {
+			profit, wq, capU := allFitKnapsack(rng)
+			if picks := matchDense(t, a, profit, wq, capU); len(picks) == positive(profit) {
+				taken++
+			} else {
+				partial++
+			}
+		}
+		if taken == 0 || partial == 0 {
+			t.Fatalf("all-fit draws: %d took every candidate, %d did not; want both kinds", taken, partial)
+		}
+	})
+	// A 1 after 2^53 is absorbed by the float sum, and the dense DP drops
+	// it though everything fits, so DPFlat must drop it too.
+	t.Run("absorbed", func(t *testing.T) {
+		for _, c := range []struct {
+			profit []float64
+			wq     []int32
+			capU   int
+		}{
+			{[]float64{1 << 53, 1}, []int32{1, 1}, 2},
+			{[]float64{1 << 53, 1, 0, 3}, []int32{1, 1, 0, 1}, 5},
+			{[]float64{1, 1 << 53, 1, -2, 1 << 53}, []int32{2, 1, 1, 0, 3}, 7},
+		} {
+			if picks := matchDense(t, a, c.profit, c.wq, c.capU); len(picks) >= positive(c.profit) {
+				t.Fatalf("profits %v: picks %v, want an absorbed 1 dropped", c.profit, picks)
+			}
+		}
+		if picks := matchDense(t, a, []float64{1 << 53, 1}, []int32{1, 1}, 2); !slices.Equal(picks, []int32{0}) {
+			t.Fatalf("picks %v, want [0]", picks)
+		}
+	})
 	for _, c := range []struct {
 		n          int
 		speed, tau float64
@@ -198,13 +267,19 @@ func TestDPFlatMatchesDense(t *testing.T) {
 // holds DPFlat to the dense reference on it. Each item takes three bytes:
 // the first gives a weight of 0–63 quanta in its low six bits and the
 // profit's form in its top two (integral, binary fraction, decimal
-// fraction, or signed), the next two the profit's digits.
+// fraction, or signed), the next two the profit's digits. A byte past
+// the last item marks, bit i%8 for item i, the profits scaled by 2^44,
+// beside which a later integral profit is absorbed by the float sum.
 func FuzzDPFlatMatchesDense(f *testing.F) {
 	f.Add(int16(3), []byte{1, 0, 1, 1, 0, 1, 1, 0, 1})
 	f.Add(int16(-1), []byte{5, 0, 9})
 	f.Add(int16(40), []byte{0x4c, 3, 0, 0x91, 200, 1, 0xff, 128, 7, 0x0c, 3, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, capU int16, data []byte) {
 		n := min(len(data)/3, 64)
+		var large byte
+		if len(data) > 3*n {
+			large = data[3*n]
+		}
 		profit, wq := make([]float64, n), make([]int32, n)
 		for i := range profit {
 			b := data[3*i : 3*i+3]
@@ -219,6 +294,9 @@ func FuzzDPFlatMatchesDense(f *testing.F) {
 				profit[i] = v / 100
 			default:
 				profit[i] = v - 32768
+			}
+			if large>>(i%8)&1 == 1 {
+				profit[i] = math.Ldexp(profit[i], 44)
 			}
 		}
 		matchDense(t, knapsack.NewArena(), profit, wq, int(capU)%1000)

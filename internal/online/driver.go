@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"mobisink/internal/core"
@@ -39,7 +40,12 @@ func InRange(inst *core.Instance, iv Interval, dst []int) []int {
 	sinkPos := inst.Traj.PosAtSlotStart(iv.Start)
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		if s.Start >= 0 && sinkPos.Dist(s.Pos) <= inst.Range {
+		// A distance is never below either leg, so a sensor beyond the
+		// range along one axis is out of reach without computing it.
+		if s.Start < 0 || math.Abs(s.Pos.X-sinkPos.X) > inst.Range || math.Abs(s.Pos.Y-sinkPos.Y) > inst.Range {
+			continue
+		}
+		if sinkPos.Dist(s.Pos) <= inst.Range {
 			dst = append(dst, i)
 		}
 	}

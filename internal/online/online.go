@@ -252,7 +252,8 @@ var gapPool = sync.Pool{New: func() any { return new(gapScratch) }}
 
 // compile writes the interval's GAP into the builder: one bin per claim,
 // in sc.order, with the claimed budget as its capacity; one item per
-// slot of the interval, each usable slot of the clipped window an entry.
+// slot of the interval, each usable slot of the clipped window an entry,
+// listed by one Builder.Run per window the clip meets.
 func (sc *gapScratch) compile(inst *core.Instance, iv Interval, regs []Registration, quantum, eps float64) (*gap.Compiled, error) {
 	width := iv.End - iv.Start + 1
 	sc.b.Reset(width, nil, quantum, eps)
@@ -260,20 +261,36 @@ func (sc *gapScratch) compile(inst *core.Instance, iv Interval, regs []Registrat
 		r := &regs[k]
 		s := &inst.Sensors[r.Sensor]
 		sc.b.Bin(r.Budget)
-		for j := r.ClipStart; j <= r.ClipEnd; j++ {
-			if rate, pw := s.RateAt(j), s.PowerAt(j); rate > 0 && pw > 0 {
-				sc.b.Add(j-iv.Start, rate*inst.Tau, pw*inst.Tau)
-			}
+		if s.Start >= 0 {
+			sc.clip(r, iv, s.Start, s.Rates, s.Powers, inst.Tau)
+		}
+		for wi := range s.More {
+			sc.clip(r, iv, s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
 		}
 	}
 	sc.itemBin = slices.Grow(sc.itemBin[:0], width)[:width]
 	return sc.b.Compiled()
 }
 
+// clip lists in the open bin the slots of one window, starting at global
+// slot start, that the claim's clip covers.
+func (sc *gapScratch) clip(r *Registration, iv Interval, start int, rates, powers []float64, tau float64) {
+	lo, hi := max(r.ClipStart, start), min(r.ClipEnd, start+len(rates)-1)
+	if lo <= hi {
+		sc.b.Run(lo-iv.Start, rates[lo-start:hi-start+1], powers[lo-start:hi-start+1], tau)
+	}
+}
+
 // plan maps the solve's item → bin result to the interval's slot →
-// sensor plan.
+// sensor plan, sized to the assigned slots.
 func (sc *gapScratch) plan(iv Interval, regs []Registration) map[int]int {
-	assign := make(map[int]int)
+	n := 0
+	for _, b := range sc.itemBin {
+		if b >= 0 {
+			n++
+		}
+	}
+	assign := make(map[int]int, n)
 	for item, b := range sc.itemBin {
 		if b >= 0 {
 			assign[item+iv.Start] = regs[sc.order[b]].Sensor
