@@ -13,14 +13,16 @@ vet:
 	$(GO) vet ./...
 
 # Hygiene gate: formatting, vet, and the solver engine under the race
-# detector (concurrent solves share pooled scratch and gap builders, the
-# registry's compile cache, and each instance's lazily derived
-# knapsack-oracle quanta). Part of the default `test` target.
+# detector (concurrent solves share the pool of gap workspaces and each
+# instance's lazily derived knapsack-oracle quanta), with core's
+# concurrent Offline_Appro, Greedy and Sequential solves. Part of the
+# default `test` target.
 check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./internal/solve ./internal/gap
+	$(GO) test -race -run Concurrent ./internal/core
 
 test: check test-metrics test-fault test-wire test-recovery stress-wire cover bench-compare-short
 	$(GO) test ./...

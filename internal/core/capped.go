@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"mobisink/internal/gap"
 )
@@ -92,46 +90,34 @@ func OfflineSequential(inst *Instance, opts Options) (*Allocation, error) {
 	return OfflineSequentialCtx(context.Background(), inst, opts)
 }
 
-// seqScratch is one OfflineSequential solve's reusable state: the builder
-// and the pass scratch, the per-bin data caps and the item → bin result.
-type seqScratch struct {
-	b       gap.Builder
-	s       gap.Scratch
-	caps    []float64
-	itemBin []int32
-}
-
-var seqPool = sync.Pool{New: func() any { return new(seqScratch) }}
-
 // OfflineSequentialCtx is OfflineSequential with cancellation: the
 // context is polled per sensor and inside each per-sensor knapsack. It
 // runs gap.Compiled.Sequential over the GAP reduction, with the oracle
-// opts choose.
+// opts choose, in a pooled gap.Workspace.
 func OfflineSequentialCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
 	if inst == nil {
 		return nil, errors.New("core: nil instance")
 	}
-	sc := seqPool.Get().(*seqScratch)
-	defer seqPool.Put(sc)
-	order := sensorOrder(inst)
+	ws := gap.GetWorkspace()
+	defer ws.Release()
+	order := sensorOrder(inst, ws.Order(len(inst.Sensors)))
 	quantum, eps := opts.Oracle(inst)
-	g, err := inst.compileGAP(&sc.b, order, nil, quantum, eps)
+	g, err := inst.compileGAP(ws.Builder(), order, nil, quantum, eps)
 	if err != nil {
 		return nil, err
 	}
 	var caps []float64
 	if inst.DataCaps != nil {
-		caps = sc.caps[:0]
-		for _, si := range order {
-			caps = append(caps, inst.DataCaps[si])
+		caps = ws.Caps(len(order))
+		for b, si := range order {
+			caps[b] = inst.DataCaps[si]
 		}
-		sc.caps = caps
 	}
-	sc.itemBin = slices.Grow(sc.itemBin[:0], inst.T)[:inst.T]
-	if _, err := g.Sequential(ctx, &sc.s, inst.slotGroups(), caps, inst.RateQuantumBits(), sc.itemBin); err != nil {
+	itemBin := ws.ItemBin(inst.T)
+	if err := g.Sequential(ctx, ws.Scratch(), inst.slotGroups(), caps, inst.RateQuantumBits(), itemBin); err != nil {
 		return nil, err
 	}
-	return inst.allocation(order, sc.itemBin), nil
+	return inst.allocation(order, itemBin), nil
 }
 
 // validateDataCaps checks the per-sensor data constraint of an allocation.

@@ -276,9 +276,10 @@ func TestOfflineApproConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOfflineGreedyConcurrent: concurrent greedy solves share the
-// builder and item→bin pools with Offline_Appro, and each must still
-// return what a lone solve returns (run it under -race -count=10).
+// TestOfflineGreedyConcurrent: concurrent greedy solves share the pool
+// of gap workspaces with Offline_Appro and Offline_Sequential, and each
+// must still return what a lone solve returns (run it under -race
+// -count=10).
 func TestOfflineGreedyConcurrent(t *testing.T) {
 	var insts []*Instance
 	var want []*Allocation
@@ -302,7 +303,12 @@ func TestOfflineGreedyConcurrent(t *testing.T) {
 				if r%2 == 0 {
 					a, err = OfflineGreedy(insts[k])
 				} else {
-					_, err = OfflineAppro(insts[(k+1)%len(insts)], Options{}) // the other pool user
+					// The other pool users, in turn.
+					if other := insts[(k+1)%len(insts)]; r%4 == 1 {
+						_, err = OfflineAppro(other, Options{})
+					} else {
+						_, err = OfflineSequential(other, Options{})
+					}
 					if err == nil {
 						a, err = OfflineGreedy(insts[k])
 					}

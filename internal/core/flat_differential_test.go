@@ -60,7 +60,7 @@ func buildGAP(inst *Instance, order []int) (bins []refBin, itemGroup []int) {
 // list first, then compiled bin by bin and swept. The gap package pins the
 // compiled sweep to its pointer reference bit for bit.
 func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
-	order := sensorOrder(inst)
+	order := sensorOrder(inst, nil)
 	bins, itemGroup := buildGAP(inst, order)
 	quantum, eps := opts.Oracle(inst)
 	var b gap.Builder
@@ -76,7 +76,7 @@ func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*
 		return nil, err
 	}
 	itemBin := make([]int32, inst.T)
-	if _, err := c.SolveInto(ctx, nil, itemBin); err != nil {
+	if err := c.SolveInto(ctx, new(gap.Scratch), itemBin); err != nil {
 		return nil, err
 	}
 	alloc := inst.NewAllocation()
@@ -91,10 +91,10 @@ func offlineApproLegacyCtx(ctx context.Context, inst *Instance, opts Options) (*
 
 // TestFlatMatchesLegacy is the differential gate for the reduction core
 // writes straight into the gap builder: across a seeded sweep of 8
-// deployment configurations × 7 seeds (56 instances), it must reproduce
-// the pointer reduction's solve bit-for-bit — identical SlotOwner vectors
-// and bitwise-equal Data — in both oracle modes (exact quantized DP and
-// forced FPTAS).
+// deployment configurations × 7 seeds (56 instances), OfflineApproCtx
+// must reproduce the pointer reduction's solve bit-for-bit — identical
+// SlotOwner vectors and bitwise-equal Data — in both oracle modes (exact
+// quantized DP and forced FPTAS).
 func TestFlatMatchesLegacy(t *testing.T) {
 	configs := []struct {
 		n      int
@@ -124,11 +124,7 @@ func TestFlatMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := CompileAppro(inst, mode.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				flat, err := c.Solve(context.Background())
+				flat, err := OfflineApproCtx(context.Background(), inst, mode.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,13 +136,13 @@ func TestFlatMatchesLegacy(t *testing.T) {
 					t.Fatalf("n=%d budget=%v seed=%d %s: flat Data %v != legacy %v (must be bit-identical)",
 						cfg.n, cfg.budget, seed, mode.name, flat.Data, legacy.Data)
 				}
-				// The public entry point must route to the same flat result.
-				pub, err := OfflineApproCtx(context.Background(), inst, mode.opts)
+				// The context-free entry point must route to the same result.
+				pub, err := OfflineAppro(inst, mode.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pub.Data != flat.Data || !reflect.DeepEqual(pub.SlotOwner, flat.SlotOwner) {
-					t.Fatalf("n=%d budget=%v seed=%d %s: OfflineApproCtx diverges from compiled solve",
+					t.Fatalf("n=%d budget=%v seed=%d %s: OfflineAppro diverges from OfflineApproCtx",
 						cfg.n, cfg.budget, seed, mode.name)
 				}
 			}
@@ -154,25 +150,21 @@ func TestFlatMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestCompiledSolveReuse solves one compiled instance repeatedly (the
-// serving/benchmark pattern), checking results never drift from the first
-// solve.
+// TestCompiledSolveReuse solves one instance repeatedly, each solve
+// compiling into the pooled workspace the previous one released, and
+// checks the results never drift from the first solve.
 func TestCompiledSolveReuse(t *testing.T) {
 	d := tinyDeployment(t, 5, 3, 0.8)
 	inst, err := BuildInstance(d, radio.Paper2013(), 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompileAppro(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Solve(context.Background())
+	first, err := OfflineApproCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := c.Solve(context.Background())
+		again, err := OfflineApproCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,9 +283,9 @@ func TestCompileGAPRunsMatchPerSlot(t *testing.T) {
 				order, group []int
 				quantum, eps float64
 			}{
-				{"appro", sensorOrder(inst), group, quantum, eps},
+				{"appro", sensorOrder(inst, nil), group, quantum, eps},
 				{"greedy", identity, group, 0, 0},
-				{"sequential", sensorOrder(inst), nil, quantum, eps},
+				{"sequential", sensorOrder(inst, nil), nil, quantum, eps},
 			} {
 				got, err := inst.compileGAP(new(gap.Builder), p.order, p.group, p.quantum, p.eps)
 				if err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"mobisink/internal/gap"
+	"mobisink/internal/knapsack"
 	"mobisink/internal/matching"
 )
 
@@ -130,15 +131,26 @@ func OfflineAppro(inst *Instance, opts Options) (*Allocation, error) {
 }
 
 // OfflineApproCtx is OfflineAppro with cancellation: the context is
-// threaded into the local-ratio sweep and the inner knapsack DPs.
+// threaded into the local-ratio sweep and the inner knapsack DPs. The
+// reduction is compiled into a pooled gap.Workspace, which lives only for
+// the one solve.
 func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Allocation, error) {
-	b := builderPool.Get().(*gap.Builder)
-	defer builderPool.Put(b)
-	c, err := compileAppro(inst, opts, b)
+	if inst == nil {
+		return nil, errors.New("core: nil instance")
+	}
+	ws := gap.GetWorkspace()
+	defer ws.Release()
+	quantum, eps := opts.Oracle(inst)
+	order := sensorOrder(inst, ws.Order(len(inst.Sensors)))
+	g, err := inst.compileGAP(ws.Builder(), order, inst.slotGroups(), quantum, eps)
 	if err != nil {
 		return nil, err
 	}
-	return c.Solve(ctx)
+	itemBin := ws.ItemBin(inst.T)
+	if err := g.SolveInto(ctx, ws.Scratch(), itemBin); err != nil {
+		return nil, err
+	}
+	return inst.allocation(order, itemBin), nil
 }
 
 // compileGAP writes the paper's GAP reduction (Thm 1) into b, one bin per
@@ -192,11 +204,12 @@ func (inst *Instance) allocation(order []int, itemBin []int32) *Allocation {
 	return alloc
 }
 
-// sensorOrder returns sensor indices sorted by increasing start slot, then
-// end slot (paper Algorithm 1 line 1); sensors that never hear the sink are
-// dropped.
-func sensorOrder(inst *Instance) []int {
-	order := make([]int, 0, len(inst.Sensors))
+// sensorOrder fills order with the sensor indices sorted by increasing
+// start slot, then end slot (paper Algorithm 1 line 1), and returns it;
+// sensors that never hear the sink are dropped. An order with room for
+// every sensor is filled in place.
+func sensorOrder(inst *Instance, order []int) []int {
+	order = order[:0]
 	for i := range inst.Sensors {
 		if inst.Sensors[i].Start >= 0 {
 			order = append(order, i)
@@ -253,8 +266,9 @@ func (inst *Instance) FixedTxPower() (float64, bool) {
 // OfflineMaxMatch solves the fixed-transmission-power special case exactly
 // (paper §VI, Offline_MaxMatch): a maximum-weight matching between sensors
 // and slots where sensor v_i may take up to
-// n'_i = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋) slots. It errors when the instance
-// is not a fixed-power instance.
+// n'_i = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋) slots, the quotient counted by
+// knapsack.FitCount, so the cap is exactly what Validate accepts. It
+// errors when the instance is not a fixed-power instance.
 func OfflineMaxMatch(inst *Instance) (*Allocation, error) {
 	return OfflineMaxMatchCtx(context.Background(), inst)
 }
@@ -293,10 +307,7 @@ func OfflineMaxMatchCtx(ctx context.Context, inst *Instance) (*Allocation, error
 			}
 			continue
 		}
-		capSlots := int(math.Floor(s.Budget/perSlotCost + 1e-9))
-		if w := s.TotalWindowSize(); capSlots > w {
-			capSlots = w
-		}
+		capSlots := knapsack.FitCount(perSlotCost, s.Budget, s.TotalWindowSize())
 		if err := g.SetLeftCap(i, capSlots); err != nil {
 			return nil, err
 		}
@@ -342,22 +353,21 @@ func OfflineGreedyCtx(ctx context.Context, inst *Instance) (*Allocation, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ws := gap.GetWorkspace()
+	defer ws.Release()
 	// Identity order: bin b is sensor b. The greedy pass does not depend
 	// on bin order beyond its tie-break.
-	order := make([]int, len(inst.Sensors))
+	order := ws.Order(len(inst.Sensors))
 	for i := range order {
 		order[i] = i
 	}
-	b := builderPool.Get().(*gap.Builder)
-	defer builderPool.Put(b)
-	g, err := inst.compileGAP(b, order, inst.slotGroups(), 0, 0)
+	g, err := inst.compileGAP(ws.Builder(), order, inst.slotGroups(), 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	itemBin := itemBins(inst.T)
-	defer itemBinPool.Put(itemBin)
-	if _, err := g.Greedy(nil, *itemBin); err != nil {
+	itemBin := ws.ItemBin(inst.T)
+	if err := g.Greedy(ws.Scratch(), itemBin); err != nil {
 		return nil, err
 	}
-	return inst.allocation(order, *itemBin), nil
+	return inst.allocation(order, itemBin), nil
 }

@@ -79,7 +79,7 @@ func offlineSequentialRef(inst *Instance, opts Options) (*Allocation, error) {
 	fleet := inst.NumSinks() > 1
 	var items []refItem
 	var slots []int
-	for _, si := range sensorOrder(inst) {
+	for _, si := range sensorOrder(inst, nil) {
 		s := &inst.Sensors[si]
 		items, slots = items[:0], slots[:0]
 		collect := func(start int, rates, powers []float64) {

@@ -71,7 +71,10 @@ type densItem struct {
 	weight float64
 }
 
-// Solve runs the branch and bound. It requires a non-nil instance.
+// Solve runs the branch and bound. It requires a non-nil single-sink
+// instance: the search branches over each sensor's primary window only,
+// so on a K-sink fleet it would report an "optimum" that ignores every
+// other sink's slots.
 func Solve(inst *core.Instance, opts Options) (*Result, error) {
 	return SolveCtx(context.Background(), inst, opts)
 }
@@ -82,6 +85,9 @@ func Solve(inst *core.Instance, opts Options) (*Result, error) {
 func SolveCtx(ctx context.Context, inst *core.Instance, opts Options) (*Result, error) {
 	if inst == nil {
 		return nil, errors.New("exact: nil instance")
+	}
+	if k := inst.NumSinks(); k > 1 {
+		return nil, fmt.Errorf("exact: the search covers a single sink, instance has a fleet of %d", k)
 	}
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {

@@ -161,3 +161,31 @@ func TestSolveNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSolveRefusesFleet: the search reads only each sensor's primary
+// window, so it refuses a K-sink fleet instead of reporting an optimum
+// below what Offline_Appro collects there (on this instance the search
+// read an "optimum" of 2,534,400 bits and Offline_Appro a valid
+// 2,956,800).
+func TestSolveRefusesFleet(t *testing.T) {
+	d, err := network.Generate(network.PaperParams(8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetUniformBudgets(50); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SplitSinks(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.BuildFleetInstance(d, radio.Paper2013(), 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.NumSinks() != 3 {
+		t.Fatalf("built %d sinks, want 3", inst.NumSinks())
+	}
+	if res, err := Solve(inst, Options{}); err == nil {
+		t.Fatalf("Solve accepted a 3-sink fleet (optimum %v bits, optimal %v)", res.Alloc.Data, res.Optimal)
+	}
+}

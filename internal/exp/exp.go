@@ -188,8 +188,8 @@ func seedFor(base int64, n, trial int) int64 {
 
 // runCell executes all trials of one cell: every trial topology is built
 // with bounded parallelism, then each algorithm sweeps the whole cell
-// through solve.Batch — the flat engine compiles each instance once and
-// the work-stealing pool keeps workers busy across skewed instance sizes.
+// through solve.Batch, whose work-stealing pool keeps workers busy across
+// skewed instance sizes.
 func runCell(cfg Config, c cell) ([]Point, error) {
 	insts := make([]*core.Instance, cfg.Trials)
 	ubs := make([]float64, cfg.Trials)
@@ -273,9 +273,8 @@ func buildTrial(cfg Config, c cell, trial int) (*core.Instance, error) {
 	return core.BuildInstance(dep, model, c.setting.Speed, c.setting.Tau)
 }
 
-// runTrial builds one topology and runs every algorithm of the cell on it
-// (the fault sweeps use this un-batched path: their per-trial fault plans
-// cannot share a compiled instance).
+// runTrial builds one topology and runs every algorithm of the cell on
+// it, one trial at a time (AccrualSensitivity's serial sweep).
 func runTrial(cfg Config, c cell, trial int) trialResult {
 	inst, err := buildTrial(cfg, c, trial)
 	if err != nil {

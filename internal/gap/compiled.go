@@ -8,7 +8,9 @@
 // (Compiled), which runs the Cohen-Katzir-Raz local-ratio algorithm the
 // paper adopts (its ref. [3]; Compiled.SolveInto), a density-greedy
 // baseline (Compiled.Greedy) and the sequential packer of the data-cap
-// extension (Compiled.Sequential).
+// extension (Compiled.Sequential). A pooled Workspace holds everything
+// one solve reuses: the Builder, the passes' Scratch and the arrays the
+// caller fills.
 package gap
 
 import (
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mobisink/internal/knapsack"
 )
@@ -56,8 +57,8 @@ type Compiled struct {
 	maxBin int // max compiled entries in one bin
 }
 
-// Typed validation errors of Builder.Reset (and, via wrapping,
-// core.CompileAppro).
+// Typed validation errors of Builder.Reset (and, via wrapping, of the
+// core and online solvers that compile into a Builder).
 var (
 	// ErrBadQuantum rejects a negative, NaN, or infinite weight quantum
 	// (zero is valid and selects the FPTAS oracle).
@@ -314,19 +315,6 @@ func (s *Scratch) prepare(numItems, maxBin int, dpMode bool) {
 	}
 }
 
-// scratchMax is the largest buffer a pooled Scratch keeps.
-const scratchMax = 1 << 20
-
-var flatPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-func putFlatScratch(s *Scratch) {
-	if cap(s.claim) > scratchMax || cap(s.prof) > scratchMax {
-		*s = Scratch{}
-	}
-	s.ar.Trim()
-	flatPool.Put(s)
-}
-
 // sweep runs the residual-profit local-ratio pass over every bin in
 // order, claiming items into s.claim/itemBin. claim[j] is the original
 // profit of (l, j) for the most recent bin l whose knapsack selected item
@@ -382,21 +370,6 @@ func (c *Compiled) sweep(ctx context.Context, s *Scratch, itemBin []int32) error
 	return nil
 }
 
-// finalProfit is the paper's final decomposition pass (Algorithm 1 lines
-// 9-12): each item belongs to the last bin that claimed it, and the total
-// is accumulated in bin-major entry order.
-func (c *Compiled) finalProfit(itemBin []int32) float64 {
-	total := 0.0
-	for b := range c.Cap {
-		for k := c.Off[b]; k < c.Off[b+1]; k++ {
-			if itemBin[c.Item[k]] == int32(b) {
-				total += c.Profit[k]
-			}
-		}
-	}
-	return total
-}
-
 // unassign checks itemBin's length and marks every item unassigned.
 func (c *Compiled) unassign(itemBin []int32) error {
 	if len(itemBin) != c.NumItems {
@@ -411,41 +384,32 @@ func (c *Compiled) unassign(itemBin []int32) error {
 // SolveInto runs the Cohen-Katzir-Raz local-ratio sweep (the paper's
 // Algorithm 1, its ref. [3]) over the compiled instance: bins in order,
 // each packing its items with the knapsack oracle against residual
-// profits, each item finally owned by the last bin that selected it.
-// With a β-approximate oracle the result is a 1/(1+β)-approximation.
+// profits, each item finally owned by the last bin that selected it
+// (Algorithm 1 lines 9-12). With a β-approximate oracle the result is a
+// 1/(1+β)-approximation.
 //
 // It writes each item's owning bin into itemBin (-1 for unassigned; len
-// must be NumItems) and returns the assignment profit. The context is
-// polled before each bin and inside the oracle's DP. s may be nil to draw
-// scratch from an internal pool; passing a reused Scratch makes the solve
-// allocation-free in steady state.
-func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32) (float64, error) {
+// must be NumItems); the caller reads the assignment's profit from it.
+// The context is polled before each bin and inside the oracle's DP. s
+// must not be nil; a reused Scratch makes the solve allocation-free in
+// steady state.
+func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32) error {
 	if err := c.unassign(itemBin); err != nil {
-		return 0, err
-	}
-	if s == nil {
-		s = flatPool.Get().(*Scratch)
-		defer putFlatScratch(s)
+		return err
 	}
 	s.prepare(c.NumItems, c.maxBin, c.Quantum > 0)
-	if err := c.sweep(ctx, s, itemBin); err != nil {
-		return 0, err
-	}
-	return c.finalProfit(itemBin), nil
+	return c.sweep(ctx, s, itemBin)
 }
 
 // Greedy is the density-greedy baseline: it visits every compiled entry
 // in decreasing profit-per-weight density (then decreasing profit, then
 // ascending bin, then ascending item — a total order) and gives each
 // still-unassigned item to the entry's bin when the bin has the capacity
-// left. It writes itemBin and returns the profit like SolveInto.
-func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
+// left. It writes itemBin like SolveInto. Every compiled entry has a
+// positive weight (Builder.Run), so every density is finite.
+func (c *Compiled) Greedy(s *Scratch, itemBin []int32) error {
 	if err := c.unassign(itemBin); err != nil {
-		return 0, err
-	}
-	if s == nil {
-		s = flatPool.Get().(*Scratch)
-		defer putFlatScratch(s)
+		return err
 	}
 	// The sweep's per-bin buffers serve as per-entry ones here: pos lists
 	// the entries, wq holds each entry's bin, prof its density and w each
@@ -456,10 +420,7 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
 	for b := range c.Cap {
 		for k := c.Off[b]; k < c.Off[b+1]; k++ {
 			order[k], binOf[k] = k, int32(b)
-			dens[k] = zeroWeightDensity
-			if c.Weight[k] > 0 {
-				dens[k] = c.Profit[k] / c.Weight[k]
-			}
+			dens[k] = c.Profit[k] / c.Weight[k]
 		}
 	}
 	slices.SortFunc(order, func(x, y int32) int {
@@ -476,7 +437,6 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
 	})
 	s.w = append(s.w[:0], c.Cap...)
 	left := s.w
-	profit := 0.0
 	for _, k := range order {
 		j, b := c.Item[k], binOf[k]
 		if itemBin[j] != -1 || c.Weight[k] > left[b] {
@@ -484,9 +444,8 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
 		}
 		itemBin[j] = b
 		left[b] -= c.Weight[k]
-		profit += c.Profit[k]
 	}
-	return profit, nil
+	return nil
 }
 
 // Sequential is the sequential packer: it visits the bins in order, and
@@ -507,21 +466,17 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) (float64, error) {
 // entry a bin could still use once an earlier bin took its group's
 // winner. dataCap, when non-nil, has one cap per bin; +Inf caps nothing.
 //
-// It writes itemBin and returns the profit like SolveInto, polling the
-// context before each bin and inside the oracle's DP.
-func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, dataCap []float64, dataQuantum float64, itemBin []int32) (float64, error) {
+// It writes itemBin like SolveInto, polling the context before each bin
+// and inside the oracle's DP.
+func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, dataCap []float64, dataQuantum float64, itemBin []int32) error {
 	if err := c.unassign(itemBin); err != nil {
-		return 0, err
+		return err
 	}
 	if group != nil && len(group) != c.NumItems {
-		return 0, fmt.Errorf("gap: group covers %d items, instance has %d", len(group), c.NumItems)
+		return fmt.Errorf("gap: group covers %d items, instance has %d", len(group), c.NumItems)
 	}
 	if dataCap != nil && len(dataCap) != len(c.Cap) {
-		return 0, fmt.Errorf("gap: %d data caps for %d bins", len(dataCap), len(c.Cap))
-	}
-	if s == nil {
-		s = flatPool.Get().(*Scratch)
-		defer putFlatScratch(s)
+		return fmt.Errorf("gap: %d data caps for %d bins", len(dataCap), len(c.Cap))
 	}
 	s.prof, s.w, s.wq, s.pos = grow(s.prof, c.maxBin), grow(s.w, c.maxBin), grow(s.wq, c.maxBin), grow(s.pos, c.maxBin)
 	if group != nil {
@@ -536,7 +491,7 @@ func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, data
 	}
 	for b := range c.Cap {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		nc := c.freeEntries(s, b, group, itemBin)
 		prof, w, wq := s.prof[:nc], s.w[:nc], s.wq[:nc]
@@ -551,13 +506,13 @@ func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, data
 			picks, _, err = s.ar.FPTASFlat(ctx, c.Eps, prof, w, c.Cap[b])
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
 		for _, p := range picks {
 			itemBin[c.Item[s.pos[p]]] = int32(b)
 		}
 	}
-	return c.finalProfit(itemBin), nil
+	return nil
 }
 
 // freeEntries lays out bin b's candidates for Sequential: its entries
@@ -594,9 +549,6 @@ func (c *Compiled) freeEntries(s *Scratch, b int, group []int, itemBin []int32) 
 	}
 	return nc
 }
-
-// zeroWeightDensity ranks a free entry ahead of every priced one.
-const zeroWeightDensity = 1e308
 
 // grow returns buf resized to n, reallocated only when too small.
 func grow[T any](buf []T, n int) []T {

@@ -191,30 +191,31 @@ func TestSolveIntoSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SolveInto(context.Background(), nil, make([]int32, 3)); err == nil {
+	var s Scratch
+	if err := c.SolveInto(context.Background(), &s, make([]int32, 3)); err == nil {
 		t.Fatal("SolveInto accepted a short itemBin")
 	}
-	if _, err := c.Greedy(nil, make([]int32, 3)); err == nil {
+	if err := c.Greedy(&s, make([]int32, 3)); err == nil {
 		t.Fatal("Greedy accepted a short itemBin")
 	}
-	if _, err := c.Sequential(context.Background(), nil, nil, nil, 0, make([]int32, 3)); err == nil {
+	if err := c.Sequential(context.Background(), &s, nil, nil, 0, make([]int32, 3)); err == nil {
 		t.Fatal("Sequential accepted a short itemBin")
 	}
 	itemBin := make([]int32, c.NumItems)
-	if _, err := c.Sequential(context.Background(), nil, make([]int, 3), nil, 0, itemBin); err == nil {
+	if err := c.Sequential(context.Background(), &s, make([]int, 3), nil, 0, itemBin); err == nil {
 		t.Fatal("Sequential accepted a short group")
 	}
-	if _, err := c.Sequential(context.Background(), nil, nil, make([]float64, 1), 1, itemBin); err == nil {
+	if err := c.Sequential(context.Background(), &s, nil, make([]float64, 1), 1, itemBin); err == nil {
 		t.Fatal("Sequential accepted a data cap per bin short")
 	}
 }
 
 // TestSolveIntoNoAllocs is the steady-state gate for the serving path: a
-// reused Builder, Scratch and itemBin make compiling an instance and then
-// solving it allocation-free, in both oracle modes, for the greedy pass
-// and for the sequential pass in both oracle modes (conflict groups, and
-// a data cap on every other bin) — the per-interval online schedulers'
-// pattern.
+// warm Workspace's Builder, Scratch and item → bin array make compiling
+// an instance and then solving it allocation-free, in both oracle
+// modes, for the greedy pass and for the sequential pass in both oracle
+// modes (conflict groups, and a data cap on every other bin) — the
+// offline solvers' and the per-interval online schedulers' pattern.
 func TestSolveIntoNoAllocs(t *testing.T) {
 	inst := windowedInstance(7, 12, 60)
 	group := make([]int, inst.NumItems)
@@ -233,10 +234,10 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 		q    float64
 	}{{"dp", 0.05}, {"fptas", 0}, {"greedy", 0}, {"sequential", 0.05}, {"sequential-fptas", 0}} {
 		t.Run(mode.name, func(t *testing.T) {
-			var b Builder
-			var s Scratch
-			itemBin := make([]int32, inst.NumItems)
+			ws := GetWorkspace()
+			defer ws.Release()
 			run := func() {
+				b := ws.Builder()
 				b.Reset(inst.NumItems, nil, mode.q, 0.25)
 				for _, bin := range inst.Bins {
 					b.Bin(bin.Capacity)
@@ -246,22 +247,23 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 				}
 				c, err := b.Compiled()
 				if err == nil {
+					itemBin := ws.ItemBin(c.NumItems)
 					switch {
 					case mode.name == "greedy":
-						_, err = c.Greedy(&s, itemBin)
+						err = c.Greedy(ws.Scratch(), itemBin)
 					case strings.HasPrefix(mode.name, "sequential"):
-						_, err = c.Sequential(context.Background(), &s, group, dataCap, 0.01, itemBin)
+						err = c.Sequential(context.Background(), ws.Scratch(), group, dataCap, 0.01, itemBin)
 					default:
-						_, err = c.SolveInto(context.Background(), &s, itemBin)
+						err = c.SolveInto(context.Background(), ws.Scratch(), itemBin)
 					}
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			run() // warm the builder's and the scratch's buffers
+			run() // warm the workspace's buffers
 			if n := testing.AllocsPerRun(50, run); n != 0 {
-				t.Fatalf("compile and solve allocate %v per run with a reused builder and scratch", n)
+				t.Fatalf("compile and solve allocate %v per run on a warm workspace", n)
 			}
 		})
 	}
@@ -288,11 +290,10 @@ func TestSequentialThinsFreeEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		itemBin := make([]int32, 3)
-		profit, err := c.Sequential(ctx, nil, group, dataCap, 1, itemBin)
-		if err != nil {
+		if err := c.Sequential(ctx, new(Scratch), group, dataCap, 1, itemBin); err != nil {
 			t.Fatal(err)
 		}
-		return itemBin, profit
+		return itemBin, c.profitOf(itemBin)
 	}
 	group := []int{0, 0, -1}
 	// Bin 0 takes item 0; bin 1's dominant group-0 entry is then item 0's,
@@ -329,10 +330,10 @@ func TestLocalRatioCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SolveInto(ctx, nil, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
+	if err := c.SolveInto(ctx, new(Scratch), make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if _, err := c.Sequential(ctx, nil, nil, nil, 0, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
+	if err := c.Sequential(ctx, new(Scratch), nil, nil, 0, make([]int32, c.NumItems)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sequential: got %v, want context.Canceled", err)
 	}
 }

@@ -11,9 +11,12 @@ import (
 // local-ratio sweep assigns each item to the last bin that claimed it.
 // Unit weights make the exact DP oracle at quantum 1 exact. The first bin
 // lists its three consecutive items in one Run, the second its two
-// apart with Add.
+// apart with Add. A pooled Workspace holds the builder, the pass scratch
+// and the item → bin array; the profit is read off the assignment.
 func ExampleBuilder() {
-	var b gap.Builder
+	ws := gap.GetWorkspace()
+	defer ws.Release()
+	b := ws.Builder()
 	b.Reset(3, nil, 1, 0)
 	b.Bin(2)
 	b.Run(0, []float64{10, 9, 1}, []float64{1, 1, 1}, 1)
@@ -21,8 +24,16 @@ func ExampleBuilder() {
 	b.Add(0, 2, 1)
 	b.Add(2, 8, 1)
 	c, _ := b.Compiled()
-	itemBin := make([]int32, c.NumItems)
-	profit, _ := c.SolveInto(context.Background(), nil, itemBin)
+	itemBin := ws.ItemBin(c.NumItems)
+	_ = c.SolveInto(context.Background(), ws.Scratch(), itemBin)
+	profit := 0.0
+	for bin := range c.Cap {
+		for k := c.Off[bin]; k < c.Off[bin+1]; k++ {
+			if itemBin[c.Item[k]] == int32(bin) {
+				profit += c.Profit[k]
+			}
+		}
+	}
 	fmt.Printf("profit=%.0f items→bins=%v\n", profit, itemBin)
 	// Output: profit=27 items→bins=[0 0 1]
 }

@@ -261,25 +261,38 @@ func Compile(inst *Instance, quantum, eps float64) (*Compiled, error) {
 	return inst.compile(quantum, eps)
 }
 
-// Solve runs SolveInto with pooled scratch and materializes the result as
-// an Assignment.
+// Solve runs SolveInto with a fresh Scratch and materializes the result
+// as an Assignment.
 func (c *Compiled) Solve(ctx context.Context) (*Assignment, error) {
 	itemBin := make([]int32, c.NumItems)
-	profit, err := c.SolveInto(ctx, nil, itemBin)
-	if err != nil {
+	if err := c.SolveInto(ctx, new(Scratch), itemBin); err != nil {
 		return nil, err
 	}
-	return assignmentOf(itemBin, profit), nil
+	return assignmentOf(itemBin, c.profitOf(itemBin)), nil
 }
 
-// greedy runs Compiled.Greedy with pooled scratch as an Assignment.
+// greedy runs Compiled.Greedy with a fresh Scratch as an Assignment.
 func (c *Compiled) greedy() *Assignment {
 	itemBin := make([]int32, c.NumItems)
-	profit, err := c.Greedy(nil, itemBin)
-	if err != nil {
+	if err := c.Greedy(new(Scratch), itemBin); err != nil {
 		panic(err)
 	}
-	return assignmentOf(itemBin, profit)
+	return assignmentOf(itemBin, c.profitOf(itemBin))
+}
+
+// profitOf is a pass's profit: each item's entry in the bin that owns
+// it, summed in bin-major entry order, the order the pointer reference
+// sweep sums in, so the two totals agree bit for bit.
+func (c *Compiled) profitOf(itemBin []int32) float64 {
+	total := 0.0
+	for b := range c.Cap {
+		for k := c.Off[b]; k < c.Off[b+1]; k++ {
+			if itemBin[c.Item[k]] == int32(b) {
+				total += c.Profit[k]
+			}
+		}
+	}
+	return total
 }
 
 func assignmentOf(itemBin []int32, profit float64) *Assignment {
@@ -376,14 +389,23 @@ func LocalRatioCtx(ctx context.Context, inst *Instance, solve Oracle) (*Assignme
 		}
 	}
 	// Each item belongs to the last bin that selected it.
+	a.Profit = binMajorProfit(inst, a.ItemBin)
+	return a, nil
+}
+
+// binMajorProfit sums each assigned item's profit in its bin, bin by bin
+// in entry order: the order Compiled.profitOf sums in, so a reference
+// and a compiled pass that assign alike report bit-equal profits.
+func binMajorProfit(inst *Instance, itemBin []int) float64 {
+	total := 0.0
 	for b := range inst.Bins {
 		for _, e := range inst.Bins[b].Entries {
-			if a.ItemBin[e.Item] == b {
-				a.Profit += e.Profit
+			if itemBin[e.Item] == b {
+				total += e.Profit
 			}
 		}
 	}
-	return a, nil
+	return total
 }
 
 type cand struct {
@@ -437,7 +459,7 @@ func Greedy(inst *Instance) (*Assignment, error) {
 		}
 		a.ItemBin[c.e.Item] = c.bin
 		residual[c.bin] -= c.e.Weight
-		a.Profit += c.e.Profit
 	}
+	a.Profit = binMajorProfit(inst, a.ItemBin)
 	return a, nil
 }

@@ -31,6 +31,21 @@ import "math"
 // and the validators accept, under this one rule.
 func Fits(weight, capacity float64) bool { return weight <= limit(capacity) }
 
+// FitCount returns how many items of one weight, up to upTo, fit a
+// capacity together: it adds the weight while the running sum Fits, so
+// it counts by the same float sum a validator forms over the packed
+// items. The fixed-power matchings cap each sensor's slots with it.
+func FitCount(weight, capacity float64, upTo int) int {
+	n, sum := 0, 0.0
+	for n < upTo {
+		if sum += weight; !Fits(sum, capacity) {
+			break
+		}
+		n++
+	}
+	return n
+}
+
 // limit is the largest total weight that Fits capacity; a kernel that
 // tracks a residual starts it here.
 func limit(capacity float64) float64 { return capacity + 1e-9 }

@@ -10,7 +10,7 @@ import (
 	"mobisink/internal/radio"
 )
 
-// compilePerSlot is gapScratch.compile as it ran before the run form:
+// compilePerSlot is compile as it ran before the run form:
 // one Builder.Add per usable slot of each claim's clip, its rate and
 // power read by RateAt and PowerAt. It is the reference the run form
 // must match field for field.
@@ -91,7 +91,7 @@ func TestIntervalCompileMatchesPerSlot(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			inst := c.inst
 			quantum, eps := (&Appro{}).Opts.Oracle(inst)
-			var sc gapScratch
+			var b gap.Builder
 			entries := 0
 			for j := 0; j*inst.Gamma < inst.T; j++ {
 				iv := Interval{Index: j, Start: j * inst.Gamma, End: min((j+1)*inst.Gamma, inst.T) - 1}
@@ -115,8 +115,7 @@ func TestIntervalCompileMatchesPerSlot(t *testing.T) {
 						order        []int
 						quantum, eps float64
 					}{{appro, quantum, eps}, {greedy, 0, 0}} {
-						sc.order = append(sc.order[:0], p.order...)
-						got, err := sc.compile(inst, iv, regs, p.quantum, p.eps)
+						got, err := compile(&b, inst, iv, regs, p.order, p.quantum, p.eps)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -24,14 +24,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
 	"mobisink/internal/gap"
+	"mobisink/internal/knapsack"
 	"mobisink/internal/matching"
 )
 
@@ -221,79 +220,64 @@ func (a *Appro) Name() string { return "Online_Appro" }
 
 // Schedule implements Scheduler.
 func (a *Appro) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	sc := gapPool.Get().(*gapScratch)
-	defer gapPool.Put(sc)
+	ws := gap.GetWorkspace()
+	defer ws.Release()
 	// Bins in the offline ordering rule, over the clipped windows.
-	sc.order = claimOrder(regs, sc.order)
+	order := claimOrder(regs, ws.Order(len(regs)))
 	quantum, eps := a.Opts.Oracle(inst)
-	c, err := sc.compile(inst, iv, regs, quantum, eps)
+	c, err := compile(ws.Builder(), inst, iv, regs, order, quantum, eps)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.SolveInto(ctx, &sc.s, sc.itemBin); err != nil {
+	itemBin := ws.ItemBin(c.NumItems)
+	if err := c.SolveInto(ctx, ws.Scratch(), itemBin); err != nil {
 		return nil, err
 	}
-	return sc.plan(iv, regs), nil
+	return plan(iv, regs, order, itemBin), nil
 }
 
-// gapScratch is one per-interval GAP solve's reusable state: the builder
-// and the pass scratch, the claims' bin order, Sequential's per-bin data
-// caps and the item → bin result.
-type gapScratch struct {
-	b       gap.Builder
-	s       gap.Scratch
-	order   []int
-	caps    []float64
-	itemBin []int32
-}
-
-// gapPool shares gapScratch across the tours running at once.
-var gapPool = sync.Pool{New: func() any { return new(gapScratch) }}
-
-// compile writes the interval's GAP into the builder: one bin per claim,
-// in sc.order, with the claimed budget as its capacity; one item per
-// slot of the interval, each usable slot of the clipped window an entry,
-// listed by one Builder.Run per window the clip meets.
-func (sc *gapScratch) compile(inst *core.Instance, iv Interval, regs []Registration, quantum, eps float64) (*gap.Compiled, error) {
-	width := iv.End - iv.Start + 1
-	sc.b.Reset(width, nil, quantum, eps)
-	for _, k := range sc.order {
+// compile writes the interval's GAP into b: one bin per claim, in order,
+// with the claimed budget as its capacity; one item per slot of the
+// interval, each usable slot of the clipped window an entry, listed by
+// one Builder.Run per window the clip meets.
+func compile(b *gap.Builder, inst *core.Instance, iv Interval, regs []Registration, order []int, quantum, eps float64) (*gap.Compiled, error) {
+	b.Reset(iv.End-iv.Start+1, nil, quantum, eps)
+	for _, k := range order {
 		r := &regs[k]
 		s := &inst.Sensors[r.Sensor]
-		sc.b.Bin(r.Budget)
+		b.Bin(r.Budget)
 		if s.Start >= 0 {
-			sc.clip(r, iv, s.Start, s.Rates, s.Powers, inst.Tau)
+			clip(b, r, iv, s.Start, s.Rates, s.Powers, inst.Tau)
 		}
 		for wi := range s.More {
-			sc.clip(r, iv, s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
+			clip(b, r, iv, s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
 		}
 	}
-	sc.itemBin = slices.Grow(sc.itemBin[:0], width)[:width]
-	return sc.b.Compiled()
+	return b.Compiled()
 }
 
-// clip lists in the open bin the slots of one window, starting at global
+// clip lists in b's open bin the slots of one window, starting at global
 // slot start, that the claim's clip covers.
-func (sc *gapScratch) clip(r *Registration, iv Interval, start int, rates, powers []float64, tau float64) {
+func clip(b *gap.Builder, r *Registration, iv Interval, start int, rates, powers []float64, tau float64) {
 	lo, hi := max(r.ClipStart, start), min(r.ClipEnd, start+len(rates)-1)
 	if lo <= hi {
-		sc.b.Run(lo-iv.Start, rates[lo-start:hi-start+1], powers[lo-start:hi-start+1], tau)
+		b.Run(lo-iv.Start, rates[lo-start:hi-start+1], powers[lo-start:hi-start+1], tau)
 	}
 }
 
-// plan maps the solve's item → bin result to the interval's slot →
-// sensor plan, sized to the assigned slots.
-func (sc *gapScratch) plan(iv Interval, regs []Registration) map[int]int {
+// plan maps a pass's item → bin result, bin b being claim order[b], to
+// the interval's slot → sensor plan, sized to the assigned slots.
+func plan(iv Interval, regs []Registration, order []int, itemBin []int32) map[int]int {
 	n := 0
-	for _, b := range sc.itemBin {
+	for _, b := range itemBin {
 		if b >= 0 {
 			n++
 		}
 	}
 	assign := make(map[int]int, n)
-	for item, b := range sc.itemBin {
+	for item, b := range itemBin {
 		if b >= 0 {
-			assign[item+iv.Start] = regs[sc.order[b]].Sensor
+			assign[item+iv.Start] = regs[order[b]].Sensor
 		}
 	}
 	return assign
@@ -317,7 +301,8 @@ func claimOrder(regs []Registration, order []int) []int {
 // MaxMatch is the matching-based scheduler for the fixed-power special case
 // (Online_MaxMatch): per interval, a maximum-weight matching between
 // registered sensors (with capacity n'_i = min(Γ, |[i'_s, i'_e]|,
-// ⌊P(v_i)/(P'·τ)⌋)) and the interval's slots, solved as a capacity-aware
+// ⌊P(v_i)/(P'·τ)⌋), the quotient counted by knapsack.FitCount as the
+// ledger sums spend) and the interval's slots, solved as a capacity-aware
 // min-cost flow rather than over the paper's n'_i sensor copies.
 type MaxMatch struct{}
 
@@ -337,16 +322,7 @@ func (m *MaxMatch) Schedule(ctx context.Context, inst *core.Instance, iv Interva
 	}
 	for k, r := range regs {
 		s := &inst.Sensors[r.Sensor]
-		nCopies := int(math.Floor(r.Budget/perSlot + 1e-9))
-		if w := r.ClipEnd - r.ClipStart + 1; nCopies > w {
-			nCopies = w
-		}
-		if nCopies > inst.Gamma {
-			nCopies = inst.Gamma
-		}
-		if nCopies < 0 {
-			nCopies = 0
-		}
+		nCopies := knapsack.FitCount(perSlot, r.Budget, min(r.ClipEnd-r.ClipStart+1, inst.Gamma))
 		if err := g.SetLeftCap(k, nCopies); err != nil {
 			return nil, err
 		}
@@ -382,19 +358,20 @@ func (g *Greedy) Schedule(ctx context.Context, inst *core.Instance, iv Interval,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sc := gapPool.Get().(*gapScratch)
-	defer gapPool.Put(sc)
+	ws := gap.GetWorkspace()
+	defer ws.Release()
 	// One bin per claim, in the claims' own order.
-	sc.order = sc.order[:0]
-	for k := range regs {
-		sc.order = append(sc.order, k)
+	order := ws.Order(len(regs))
+	for k := range order {
+		order[k] = k
 	}
-	c, err := sc.compile(inst, iv, regs, 0, 0)
+	c, err := compile(ws.Builder(), inst, iv, regs, order, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.Greedy(&sc.s, sc.itemBin); err != nil {
+	itemBin := ws.ItemBin(c.NumItems)
+	if err := c.Greedy(ws.Scratch(), itemBin); err != nil {
 		return nil, err
 	}
-	return sc.plan(iv, regs), nil
+	return plan(iv, regs, order, itemBin), nil
 }

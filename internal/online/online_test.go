@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,65 @@ func TestMaxMatchTour(t *testing.T) {
 	}
 	if err := mm.CheckLemma1(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMaxMatchCountsSlotsByFits: both MaxMatch solvers cap a sensor's
+// slots by adding P'·τ while knapsack.Fits holds, the sum Validate and
+// the ledger form. A budget 2e-9 J short of three 2.4 J slots buys two
+// (a floor of budget/(P'·τ) + 1e-9 granted three, which Validate refuses
+// and which ended the online tour), and one 5e-10 J short of three 0.3 J
+// slots buys three (the floor granted two).
+func TestMaxMatchCountsSlotsByFits(t *testing.T) {
+	fp, err := radio.NewFixedPower(radio.Paper2013(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		tau, short float64
+		want       int // the most slots a sensor's budget buys
+	}{
+		{"2.4J-slots", 8, 2e-9, 2},
+		{"0.3J-slots", 1, 5e-10, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inst := paperInstance(t, 30, 1, fp, 5, c.tau)
+			for i := range inst.Sensors {
+				inst.Sensors[i].Budget = 3*0.3*c.tau - c.short
+			}
+			for _, solver := range []struct {
+				name  string
+				solve func() (*core.Allocation, error)
+			}{
+				{"Offline_MaxMatch", func() (*core.Allocation, error) { return core.OfflineMaxMatch(inst) }},
+				{"Online_MaxMatch", func() (*core.Allocation, error) {
+					res, err := Run(inst, &MaxMatch{})
+					if err != nil {
+						return nil, err
+					}
+					return res.Alloc, nil
+				}},
+			} {
+				alloc, err := solver.solve()
+				if err == nil {
+					_, err = inst.Validate(alloc)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", solver.name, err)
+					continue
+				}
+				slots := make([]int, len(inst.Sensors))
+				for _, i := range alloc.SlotOwner {
+					if i >= 0 {
+						slots[i]++
+					}
+				}
+				if most := slices.Max(slots); most != c.want {
+					t.Errorf("%s: a sensor takes up to %d slots, want %d", solver.name, most, c.want)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mobisink/internal/core"
+	"mobisink/internal/gap"
 )
 
 // Sequential is the per-interval scheduler for instances with finite data
@@ -26,20 +27,21 @@ func (s *Sequential) CapAware() bool { return true }
 // interval's GAP, one bin per claim in claim order, each capped at the
 // claim's DataLeft.
 func (s *Sequential) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
-	sc := gapPool.Get().(*gapScratch)
-	defer gapPool.Put(sc)
-	sc.order = claimOrder(regs, sc.order)
+	ws := gap.GetWorkspace()
+	defer ws.Release()
+	order := claimOrder(regs, ws.Order(len(regs)))
 	quantum, eps := s.Opts.Oracle(inst)
-	c, err := sc.compile(inst, iv, regs, quantum, eps)
+	c, err := compile(ws.Builder(), inst, iv, regs, order, quantum, eps)
 	if err != nil {
 		return nil, err
 	}
-	sc.caps = sc.caps[:0]
-	for _, k := range sc.order {
-		sc.caps = append(sc.caps, regs[k].DataLeft)
+	caps := ws.Caps(len(order))
+	for b, k := range order {
+		caps[b] = regs[k].DataLeft
 	}
-	if _, err := c.Sequential(ctx, &sc.s, nil, sc.caps, inst.RateQuantumBits(), sc.itemBin); err != nil {
+	itemBin := ws.ItemBin(c.NumItems)
+	if err := c.Sequential(ctx, ws.Scratch(), nil, caps, inst.RateQuantumBits(), itemBin); err != nil {
 		return nil, err
 	}
-	return sc.plan(iv, regs), nil
+	return plan(iv, regs, order, itemBin), nil
 }

@@ -16,9 +16,9 @@ import (
 // the same time on one fresh instance must agree bit for bit with the same
 // solvers run one after another on an identical instance.
 func TestOracleMemoConcurrentFirstRead(t *testing.T) {
-	// The online schedulers share one pooled gap builder across
-	// concurrent solves, and so do the Offline_Sequential solves;
-	// Offline_Greedy runs the compiled greedy pass.
+	// Every GAP solver here, offline or one interval of an online tour,
+	// draws its builder, scratch and item → bin array from the one pool
+	// of gap workspaces, across concurrent solves.
 	names := []string{"Offline_Appro", "Online_Appro", "Offline_Sequential", "Online_Sequential", "Online_Greedy", "Offline_Greedy"}
 	// Slot owners and data per solver, then the Lagrangian bound.
 	type outcome struct {

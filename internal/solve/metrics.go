@@ -2,20 +2,16 @@ package solve
 
 import "mobisink/internal/metrics"
 
-// Fast-path instrumentation on the process-wide registry: an allocserver
-// sharing metrics.Default exposes these on /metrics, so operators can see
-// whether the batched flat engine is actually being hit in serving.
+// Batch instrumentation on the process-wide registry: an allocserver
+// sharing metrics.Default exposes these on /metrics.
 var (
 	batchSize = metrics.Default().Histogram("solve_batch_size",
 		"Instances per Batch call.", metrics.ExpBuckets(1, 2, 12))
-	compileNs = metrics.Default().Histogram("solve_compile_ns",
-		"Nanoseconds spent compiling an instance into its flat solving form.",
-		metrics.ExpBuckets(1e3, 4, 10))
 	stealTotal = metrics.Default().Counter("solve_steal_total",
 		"Batch tasks a work-stealing worker claimed from another worker's chunk.")
 )
 
 // ObserveBatchSize records the size of an externally assembled batch
 // (the HTTP batch endpoint fans requests through its job queue rather
-// than Batch, but it is the same fast path underneath).
+// than Batch).
 func ObserveBatchSize(n int) { batchSize.Observe(float64(n)) }

@@ -121,7 +121,9 @@ func runOnline(ctx context.Context, inst *core.Instance, sched online.Scheduler,
 
 func init() {
 	Register("Offline_Appro", func(o Options) Solver {
-		return &approSolver{opts: o.Core}
+		return &funcSolver{"Offline_Appro", func(ctx context.Context, inst *core.Instance) (*core.Allocation, error) {
+			return core.OfflineApproCtx(ctx, inst, o.Core)
+		}}
 	})
 	Register("Offline_MaxMatch", func(o Options) Solver {
 		return &funcSolver{"Offline_MaxMatch", func(ctx context.Context, inst *core.Instance) (*core.Allocation, error) {
