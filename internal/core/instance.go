@@ -144,7 +144,8 @@ type Instance struct {
 	// Set via SetDataCaps.
 	DataCaps []float64
 
-	quanta oracleQuanta // knapsack-oracle quanta, derived on first use
+	quanta oracleQuanta   // knapsack-oracle quanta, derived on first use
+	groups slotGroupsOnce // fleet conflict groups, derived on first use
 }
 
 // NumSinks returns the fleet size (1 for legacy instances).

@@ -49,6 +49,12 @@ type oracleQuanta struct {
 	rate   float64 // capped-DP data quantum, bits
 }
 
+// slotGroupsOnce holds a fleet instance's conflict groups (slotGroups).
+type slotGroupsOnce struct {
+	once  sync.Once
+	group []int
+}
+
 func (inst *Instance) oracle() *oracleQuanta {
 	q := &inst.quanta
 	q.once.Do(func() {
@@ -179,16 +185,21 @@ func (inst *Instance) compileGAP(b *gap.Builder, order []int, group []int, quant
 
 // slotGroups returns a fleet's cross-sink constraint as conflict groups,
 // group[global slot] = absolute slot: a sensor (bin) may use at most one
-// item per absolute slot. It is nil on a single-sink instance.
+// item per absolute slot. It is nil on a single-sink instance. A fleet
+// instance derives it on first use and shares it, read-only, with every
+// solve after.
 func (inst *Instance) slotGroups() []int {
 	if inst.NumSinks() == 1 {
 		return nil
 	}
-	group := make([]int, inst.T)
-	for j := range group {
-		group[j] = inst.AbsSlot(j)
-	}
-	return group
+	g := &inst.groups
+	g.once.Do(func() {
+		g.group = make([]int, inst.T)
+		for j := range g.group {
+			g.group[j] = inst.AbsSlot(j)
+		}
+	})
+	return g.group
 }
 
 // allocation maps a pass's item → bin result, bin b being sensor

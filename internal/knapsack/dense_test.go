@@ -17,13 +17,16 @@ import (
 )
 
 // matchDense runs DPFlat on a and the dense reference on one knapsack,
-// fails unless their picks and totals agree bit for bit, and returns the
-// picks.
+// fails unless their picks and totals agree bit for bit and the rows
+// DPFlat kept hold their invariants, and returns the picks.
 func matchDense(t *testing.T, a *knapsack.Arena, profit []float64, wq []int32, capU int) []int32 {
 	t.Helper()
 	picks, total, err := a.DPFlat(context.Background(), profit, wq, capU)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := a.RowsError(capU); err != nil {
+		t.Fatalf("%v (profit=%v wq=%v capU=%d)", err, profit, wq, capU)
 	}
 	want, wantTotal := knapsack.DenseDP(profit, wq, capU)
 	if !slices.Equal(picks, want) || math.Float64bits(total) != math.Float64bits(wantTotal) {
@@ -100,9 +103,76 @@ func allFitKnapsack(rng *rand.Rand) (profit []float64, wq []int32, capU int) {
 	return profit, wq, capU + rng.Intn(3)
 }
 
+// runKnapsack draws a knapsack made of runs: one to four classes (a
+// profit and a weight of 1–12 quanta), and one to six runs, each a class
+// listed 1–40 times in a row (neighbouring runs of one class make one
+// longer run). Zero-weight, non-positive and oversized candidates fall
+// inside runs; DPFlat skips them, so they do not end a run. Profits are
+// small integers, integers of 2^52 and above (whose sums round), or
+// binary or decimal fractions, and in a quarter of the draws a leading
+// profit of 2^53 or more absorbs later ones. The capacity is the weight
+// of the runs up to a run boundary, give or take one quantum, or any
+// weight up to the total.
+func runKnapsack(rng *rand.Rand) (profit []float64, wq []int32, capU int) {
+	type class struct {
+		p float64
+		w int32
+	}
+	classes := make([]class, 1+rng.Intn(4))
+	form := rng.Intn(4)
+	for c := range classes {
+		v := float64(1 + rng.Intn(1000))
+		switch form {
+		case 0:
+			v = float64(1 + rng.Intn(20))
+		case 1:
+			v = math.Ldexp(float64(1+rng.Intn(16)), 52+rng.Intn(3))
+		case 2:
+			v /= 256
+		default:
+			v /= 100
+		}
+		classes[c] = class{v, int32(1 + rng.Intn(12))}
+	}
+	sumW := 0
+	var bounds []int
+	if rng.Intn(4) == 0 {
+		w := int32(1 + rng.Intn(12))
+		profit, wq = append(profit, math.Ldexp(1, 53+rng.Intn(8))), append(wq, w)
+		sumW += int(w)
+		bounds = append(bounds, sumW)
+	}
+	for range 1 + rng.Intn(6) {
+		c := classes[rng.Intn(len(classes))]
+		r := 1 + rng.Intn(40)
+		if rng.Intn(3) == 0 {
+			r = 1 + rng.Intn(3)
+		}
+		for range r {
+			switch rng.Intn(16) {
+			case 0:
+				profit, wq = append(profit, c.p), append(wq, 0)
+			case 1:
+				profit, wq = append(profit, -c.p), append(wq, c.w)
+			case 2:
+				profit, wq = append(profit, 0), append(wq, c.w)
+			case 3:
+				profit, wq = append(profit, c.p), append(wq, 1<<20)
+			}
+			profit, wq = append(profit, c.p), append(wq, c.w)
+			sumW += int(c.w)
+		}
+		bounds = append(bounds, sumW)
+	}
+	if rng.Intn(2) == 0 {
+		return profit, wq, bounds[rng.Intn(len(bounds))] + rng.Intn(3) - 1
+	}
+	return profit, wq, rng.Intn(sumW + 2)
+}
+
 // fig2Instance builds a Figure 2 tour instance: the paper's deployment
 // and radio, budgets as the experiments calibrate them.
-func fig2Instance(t *testing.T, n int, seed int64, speed, tau float64) *core.Instance {
+func fig2Instance(t testing.TB, n int, seed int64, speed, tau float64) *core.Instance {
 	t.Helper()
 	dep, err := network.Generate(network.PaperParams(n, seed))
 	if err != nil {
@@ -119,12 +189,25 @@ func fig2Instance(t *testing.T, n int, seed int64, speed, tau float64) *core.Ins
 }
 
 // fig2Knapsacks holds DPFlat to the dense reference on the knapsacks the
-// exact oracle meets on inst: Offline_Appro's local-ratio sweep (sensors
-// by start then end slot, profits the rate-table volumes less the claims
-// of earlier sensors), and each sensor's knapsack at λ = 0 and at random
-// multipliers λ_j (volumes shifted by λ, as the Lagrangian bound solves
-// them). It returns the number of knapsacks checked.
+// exact oracle meets on inst (walkFig2) and returns how many it checked.
 func fig2Knapsacks(t *testing.T, a *knapsack.Arena, inst *core.Instance, rng *rand.Rand) int {
+	t.Helper()
+	calls := 0
+	walkFig2(t, inst, rng, func(_ int, profit []float64, wq []int32, capU int) []int32 {
+		calls++
+		return matchDense(t, a, profit, wq, capU)
+	})
+	return calls
+}
+
+// walkFig2 hands solve the knapsacks the exact oracle meets on inst:
+// Offline_Appro's local-ratio sweep (pass 0: sensors by start then end
+// slot, profits the rate-table volumes less the claims of earlier
+// sensors, and the picked slots claimed), and each sensor's knapsack at
+// random multipliers λ_j (pass 1: volumes shifted by λ, as the
+// Lagrangian bound solves them) and at λ = 0 (pass 2). solve returns its
+// picks; the arrays it gets are reused after it returns.
+func walkFig2(t testing.TB, inst *core.Instance, rng *rand.Rand, solve func(pass int, profit []float64, wq []int32, capU int) []int32) {
 	t.Helper()
 	q, ok := inst.WeightQuantum()
 	if !ok {
@@ -147,7 +230,6 @@ func fig2Knapsacks(t *testing.T, a *knapsack.Arena, inst *core.Instance, rng *ra
 			lambda[j] = rng.Float64() * 250e3 * inst.Tau
 		}
 	}
-	calls := 0
 	var slot []int
 	var volume, profit []float64
 	var wq, pwq []int32
@@ -173,8 +255,7 @@ func fig2Knapsacks(t *testing.T, a *knapsack.Arena, inst *core.Instance, rng *ra
 					profit, pwq, pos = append(profit, v), append(pwq, wq[e]), append(pos, e)
 				}
 			}
-			picks := matchDense(t, a, profit, pwq, capU)
-			calls++
+			picks := solve(pass, profit, pwq, capU)
 			if pass == 0 { // the sweep: the picked slots are claimed
 				for _, p := range picks {
 					claim[slot[pos[p]]] = volume[pos[p]]
@@ -182,7 +263,22 @@ func fig2Knapsacks(t *testing.T, a *knapsack.Arena, inst *core.Instance, rng *ra
 			}
 		}
 	}
-	return calls
+}
+
+// runsOf counts the runs DPFlat cuts a knapsack into: maximal sequences
+// of consecutive active candidates (positive profit, weight 1..capU)
+// with equal profit and weight.
+func runsOf(profit []float64, wq []int32, capU int) int {
+	runs, lastP, lastW := 0, 0.0, int32(0)
+	for i, p := range profit {
+		if w := wq[i]; p > 0 && w > 0 && int(w) <= capU {
+			if p != lastP || w != lastW {
+				runs++
+			}
+			lastP, lastW = p, w
+		}
+	}
+	return runs
 }
 
 // TestDPFlatMatchesDense holds DPFlat's picks and total bit for bit to
@@ -248,6 +344,26 @@ func TestDPFlatMatchesDense(t *testing.T) {
 			t.Fatalf("picks %v, want [0]", picks)
 		}
 	})
+	// Runs of equal candidates: DPFlat writes the first run's row in
+	// closed form, builds none for the last, and takes each run's first c
+	// items; every path must agree with the dense DP, at capacities on
+	// and beside run boundaries, with ties among the run's choices and
+	// with profits that round or are absorbed. The draws must reach
+	// knapsacks of three runs or more, where rows are merged run by run.
+	t.Run("runs", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		merged := 0
+		for trial := 0; trial < 20000; trial++ {
+			profit, wq, capU := runKnapsack(rng)
+			matchDense(t, a, profit, wq, capU)
+			if runsOf(profit, wq, capU) >= 3 {
+				merged++
+			}
+		}
+		if merged < 1000 {
+			t.Fatalf("%d of 20000 draws had three runs or more", merged)
+		}
+	})
 	for _, c := range []struct {
 		n          int
 		speed, tau float64
@@ -269,36 +385,82 @@ func TestDPFlatMatchesDense(t *testing.T) {
 // profit's form in its top two (integral, binary fraction, decimal
 // fraction, or signed), the next two the profit's digits. A byte past
 // the last item marks, bit i%8 for item i, the profits scaled by 2^44,
-// beside which a later integral profit is absorbed by the float sum.
+// beside which a later integral profit is absorbed by the float sum. A
+// second byte past it, R, repeats items into runs of equal candidates:
+// item i is listed 1 + R·(i+1) mod 40 times in a row, up to 256
+// candidates in all. Inputs without it decode as they did before runs.
 func FuzzDPFlatMatchesDense(f *testing.F) {
 	f.Add(int16(3), []byte{1, 0, 1, 1, 0, 1, 1, 0, 1})
 	f.Add(int16(-1), []byte{5, 0, 9})
 	f.Add(int16(40), []byte{0x4c, 3, 0, 0x91, 200, 1, 0xff, 128, 7, 0x0c, 3, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, capU int16, data []byte) {
 		n := min(len(data)/3, 64)
-		var large byte
+		var large, repeat byte
 		if len(data) > 3*n {
 			large = data[3*n]
 		}
-		profit, wq := make([]float64, n), make([]int32, n)
-		for i := range profit {
+		if len(data) > 3*n+1 {
+			repeat = data[3*n+1]
+		}
+		var profit []float64
+		var wq []int32
+		for i := 0; i < n; i++ {
 			b := data[3*i : 3*i+3]
-			wq[i] = int32(b[0] % 64)
+			w := int32(b[0] % 64)
 			v := float64(int(b[1])<<8 | int(b[2]))
+			var p float64
 			switch b[0] >> 6 {
 			case 0:
-				profit[i] = v
+				p = v
 			case 1:
-				profit[i] = v / 256
+				p = v / 256
 			case 2:
-				profit[i] = v / 100
+				p = v / 100
 			default:
-				profit[i] = v - 32768
+				p = v - 32768
 			}
 			if large>>(i%8)&1 == 1 {
-				profit[i] = math.Ldexp(profit[i], 44)
+				p = math.Ldexp(p, 44)
+			}
+			for k := 1 + int(repeat)*(i+1)%40; k > 0 && len(profit) < 256; k-- {
+				profit, wq = append(profit, p), append(wq, w)
 			}
 		}
 		matchDense(t, knapsack.NewArena(), profit, wq, int(capU)%1000)
 	})
+}
+
+// BenchmarkDPFlatFig2 replays the knapsacks of one Offline_Appro sweep on
+// a Figure 2 instance (n = 300, 5 m/s, τ = 1 s), as walkFig2 walks them:
+// its pass 0, the local-ratio sweep's knapsacks with residual profits,
+// whose windows make runs of equal candidates. One op solves them all in
+// order on one arena.
+func BenchmarkDPFlatFig2(b *testing.B) {
+	type input struct {
+		profit []float64
+		wq     []int32
+		capU   int
+	}
+	var sweep []input
+	rec := knapsack.NewArena()
+	walkFig2(b, fig2Instance(b, 300, 1, 5, 1), rand.New(rand.NewSource(1)), func(pass int, profit []float64, wq []int32, capU int) []int32 {
+		picks, _, err := rec.DPFlat(context.Background(), profit, wq, capU)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pass == 0 {
+			sweep = append(sweep, input{slices.Clone(profit), slices.Clone(wq), capU})
+		}
+		return picks
+	})
+	a := knapsack.NewArena()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range sweep {
+			if _, _, err := a.DPFlat(ctx, k.profit, k.wq, k.capU); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

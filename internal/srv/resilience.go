@@ -18,9 +18,9 @@ import (
 //   - recoverMW: a handler panic becomes a 500 and a metric, never a
 //     dropped connection or a dead worker;
 //   - load shedding: when the job queue saturates, new allocations are
-//     transparently degraded to the cheap greedy solver (cached under the
-//     degraded algorithm's own key, so primary results are never
-//     poisoned);
+//     transparently degraded to the cheap greedy solver as they are
+//     admitted (cached under the degraded algorithm's own key, so
+//     primary results are never poisoned);
 //   - circuit breaker: consecutive server-side solver failures open the
 //     circuit and fail fast with 503 until a cooldown probe succeeds;
 //   - retry with backoff: transient server-side failures (including
@@ -175,6 +175,25 @@ func (s *Server) shouldShed() bool {
 		return false
 	}
 	return float64(s.queue.Stats().Queued) >= s.cfg.ShedFraction*float64(s.queue.Depth())
+}
+
+// admit makes the load-shedding decision for a request the handler is
+// about to serve or enqueue, and reports whether it degraded it: under
+// queue saturation, as the queue stands before the request joins it, the
+// request's algorithm becomes its cheap fallback. The decision is made
+// once, here: a job runs with the algorithm it was admitted with,
+// however the queue behind it fills by the time a worker starts it. The
+// caller counts the shed once the request is admitted.
+func (s *Server) admit(req *Request) bool {
+	if !s.shouldShed() {
+		return false
+	}
+	cheap := degradedAlgorithm(req.Algorithm, req.DataCaps != nil)
+	if cheap == "" {
+		return false
+	}
+	req.Algorithm = cheap
+	return true
 }
 
 // degradedAlgorithm maps an algorithm to its cheap fallback under load:

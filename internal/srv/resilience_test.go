@@ -282,9 +282,11 @@ func TestBreakerOpensAndHealthzReports(t *testing.T) {
 // TestLoadSheddingDegradesToGreedy saturates the queue with slow jobs
 // and checks a new allocation is transparently downgraded to the greedy
 // solver — and that healthz reports saturation once the queue is full.
+// Shedding starts at 0.75 × depth 2, so only a full queue sheds: each
+// slow job is admitted with at most one job waiting ahead of it.
 func TestLoadSheddingDegradesToGreedy(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ShedFraction: 0.5},
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ShedFraction: 0.75},
 		func(req *Request) (*Response, error) {
 			if req.Algorithm == "slow" {
 				<-release
@@ -294,21 +296,14 @@ func TestLoadSheddingDegradesToGreedy(t *testing.T) {
 	// One job occupies the worker, two more fill the queue to capacity.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", &JobRequest{
-			Request: *stubReq(t, "slow", float64(i+1)),
-		})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		ids = append(ids, submitJob(t, ts.URL, stubReq(t, "slow", float64(i+1))))
+		if i == 0 {
+			waitFor(t, func() bool { return s.queue.Stats().Running == 1 })
 		}
-		var acc JobAccepted
-		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, acc.ID)
 	}
 	waitFor(t, func() bool { return s.queue.Stats().Queued == 2 })
 
-	// Queued 2 ≥ 0.5 × depth 2: shedding active, queue full.
+	// Queued 2 ≥ 0.75 × depth 2: shedding active, queue full.
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/allocate",
 		stubReq(t, "offline_appro", 0))
 	if resp.StatusCode != http.StatusOK {
@@ -416,6 +411,53 @@ func TestChaosServingE2E(t *testing.T) {
 	}
 	if got := snap.Get("srv_panics_recovered_total"); got != 0 {
 		t.Errorf("handler-level panics = %v, want 0 (runSafe must capture first)", got)
+	}
+}
+
+// submitJob posts req to /v1/jobs and returns the accepted job's id.
+func submitJob(t *testing.T, url string, req *Request) string {
+	t.Helper()
+	resp := doJSON(t, http.MethodPost, url+"/v1/jobs", &JobRequest{Request: *req})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d", req.Algorithm, resp.StatusCode)
+	}
+	var acc JobAccepted
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		t.Fatal(err)
+	}
+	return acc.ID
+}
+
+// TestShedDecidedAtAdmission holds the worker busy, admits job A into an
+// empty queue and job B behind it (one waiting ≥ 0.5 × depth 2), then
+// frees the worker: A must run with its own algorithm and B degraded.
+// Deciding when a job starts, as the server once did, degraded A too,
+// since B waited behind it by then.
+func TestShedDecidedAtAdmission(t *testing.T) {
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ShedFraction: 0.5},
+		func(req *Request) (*Response, error) {
+			if req.Algorithm == "slow" {
+				<-release
+			}
+			return fakeResponse(req), nil
+		})
+	submitJob(t, ts.URL, stubReq(t, "slow", 1))
+	waitFor(t, func() bool { return s.queue.Stats().Running == 1 })
+	a := submitJob(t, ts.URL, stubReq(t, "slow", 2))
+	b := submitJob(t, ts.URL, stubReq(t, "slow", 3))
+	close(release)
+	for id, want := range map[string]string{a: "slow", b: "offline_greedy"} {
+		st := waitJob(t, ts.URL, id)
+		if st.State != jobs.StateDone {
+			t.Fatalf("job %s ended %s: %s", id, st.State, st.Err)
+		}
+		if got := st.Result.(map[string]any)["algorithm"]; got != want {
+			t.Errorf("job %s solved %v, want %s", id, got, want)
+		}
+	}
+	if got := s.Metrics().Snapshot().Get("srv_load_shed_total"); got != 1 {
+		t.Errorf("srv_load_shed_total = %v, want 1", got)
 	}
 }
 

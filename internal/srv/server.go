@@ -189,20 +189,12 @@ func cacheKey(req *Request) (string, error) {
 // single-flight may therefore observe the initiator's cancellation error,
 // which is not cached and clears on retry.
 //
-// Under queue saturation the request is degraded to the cheap greedy
-// solver before the cache key is computed, so degraded results live under
-// the degraded algorithm's own entry and never shadow primary results.
-// The solver invocation itself goes through the hardened path (breaker,
-// retry, panic capture) in resilience.go.
+// The request arrives as admitted (see admit): a degraded request is
+// keyed by its degraded algorithm, so degraded results live under that
+// algorithm's own entry and never shadow primary results. The solver
+// invocation itself goes through the hardened path (breaker, retry,
+// panic capture) in resilience.go.
 func (s *Server) compute(ctx context.Context, req *Request) (resp *Response, cached bool, err error) {
-	if s.shouldShed() {
-		if cheap := degradedAlgorithm(req.Algorithm, req.DataCaps != nil); cheap != "" {
-			c := *req
-			c.Algorithm = cheap
-			req = &c
-			s.rm.shed.Inc()
-		}
-	}
 	key, err := cacheKey(req)
 	if err != nil {
 		return nil, false, err
@@ -315,6 +307,9 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	if s.admit(&req) {
+		s.rm.shed.Inc()
+	}
 	resp, cached, err := s.compute(r.Context(), &req)
 	if err != nil {
 		writeError(w, err)
@@ -357,6 +352,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, jobs.WithTimeout(s.cfg.JobTimeout))
 	}
 	req := jr.Request
+	shed := s.admit(&req)
 	id, err := s.queue.Submit(func(ctx context.Context) (any, error) {
 		// ctx is the job's context: canceling the job (timeout or
 		// DELETE /v1/jobs/{id}) aborts the solver mid-search and frees
@@ -370,6 +366,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, err)
 		return
+	}
+	if shed {
+		s.rm.shed.Inc()
 	}
 	writeJSON(w, http.StatusAccepted, JobAccepted{ID: id, State: jobs.StateQueued})
 }
@@ -426,8 +425,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// hold the whole batch, roll back and reject with 429 rather than
 	// block the handler.
 	ids := make([]string, len(br.Requests))
+	shed := 0
 	for i := range br.Requests {
 		req := br.Requests[i]
+		if s.admit(&req) {
+			shed++
+		}
 		id, err := s.queue.Submit(func(ctx context.Context) (any, error) {
 			resp, _, err := s.compute(ctx, &req)
 			if err != nil {
@@ -444,6 +447,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ids[i] = id
 	}
+	s.rm.shed.Add(float64(shed))
 	out := BatchResponse{Results: make([]BatchItem, len(ids))}
 	for i, id := range ids {
 		st, err := s.queue.Wait(r.Context(), id)
