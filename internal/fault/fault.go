@@ -218,15 +218,17 @@ type Stats struct {
 	// (contention collisions are channel physics, tallied by the engine's
 	// ack-lost counter instead).
 	AcksLost int
-	// SchedulesMissed counts registered sensors that missed a Schedule
-	// broadcast that had assigned them at least one slot.
+	// SchedulesMissed counts registered sensors whose Confirm of a
+	// Schedule that assigned them at least one slot never came: they
+	// missed the broadcast, or are down at one of their slots.
 	SchedulesMissed int
 	// FinishesJammed counts intervals whose Finish broadcast was dropped.
 	FinishesJammed int
 	// ProbeRetransmissions counts extra registration rounds beyond the
 	// paper's single exchange.
 	ProbeRetransmissions int
-	// CrashSilences counts in-range sensors that were down at probe time.
+	// CrashSilences counts the Probes that sensors heard while down and
+	// left unanswered.
 	CrashSilences int
 	// RepairedSlots counts slots reassigned from a silent sensor to the
 	// next-best registered one.
@@ -241,7 +243,8 @@ type Stats struct {
 	// BudgetClamps counts registrations whose stale reported budget was
 	// clamped down to the sink-tracked residual (feasibility guard).
 	BudgetClamps int
-	// ShortfallJoules is the total harvest deficit applied.
+	// ShortfallJoules is the total harvest deficit the sensors wrote off
+	// at the Probes they answered.
 	ShortfallJoules float64
 }
 
@@ -352,7 +355,7 @@ func (in *Injector) RepairLost(interval, sensor, slot int) bool {
 
 // FinishJammed reports whether the interval's Finish broadcast is
 // dropped. The in-process transport (which then neither counts the
-// Finish nor syncs the sensors' reported budgets) and the chaos proxy
+// Finish nor hands it to the sensors' endpoints) and the chaos proxy
 // (which drops the frame) both consult this; purity keeps them agreeing.
 func (in *Injector) FinishJammed(interval int) bool {
 	return in.roll(in.plan.DropFinish, KindFinish, interval, 0, 0)

@@ -55,8 +55,10 @@ func tourDigest(res *Result) uint64 {
 // TestFaultPathDigests pins the fault path's complete output over a grid
 // of schedulers, drop rates and contention windows, so a change to the
 // order of repairs, debits, clamps or message counts under faults shows
-// up here, not only in invariant checks. The digests were recorded
-// before the fault path's commit moved into the shared Ledger.
+// up here, not only in invariant checks. The digests were re-recorded
+// when the in-process sensors became Endpoints: a sensor writes off its
+// own harvest shortfall at a Probe, stays silent itself when down, and
+// withholds its Confirm when down at an assigned slot.
 func TestFaultPathDigests(t *testing.T) {
 	inst := paperInstance(t, 100, 31, radio.Paper2013(), 5, 1)
 	capped := paperInstance(t, 100, 31, radio.Paper2013(), 5, 1)
@@ -68,24 +70,24 @@ func TestFaultPathDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]uint64{
-		"appro/drop=0.05/window=0":             0x01077f752ec8bb29,
-		"appro/drop=0.05/window=8":             0x50344402baa4da21,
-		"appro/drop=0.2/window=0":              0x13c5dc2801eece11,
-		"appro/drop=0.2/window=8":              0xc49e17365cb541c6,
-		"appro/drop=0.5/window=0":              0x1f6378f01275c487,
-		"appro/drop=0.5/window=8":              0x09ba0b3db371c24a,
-		"greedy/drop=0.05/window=0":            0xe1c45e793733ef88,
-		"greedy/drop=0.05/window=8":            0xb34c0dc7a2c37a71,
-		"greedy/drop=0.2/window=0":             0xdeed31c15e975497,
-		"greedy/drop=0.2/window=8":             0xad4b368d4d9a258d,
-		"greedy/drop=0.5/window=0":             0xad33555e766b64ec,
-		"greedy/drop=0.5/window=8":             0x134119ae6da79cc6,
-		"sequential-capped/drop=0.05/window=0": 0xe77fd8b2c2cbad86,
-		"sequential-capped/drop=0.05/window=8": 0x6506126d65073308,
-		"sequential-capped/drop=0.2/window=0":  0x79bceb4d2354a399,
-		"sequential-capped/drop=0.2/window=8":  0x733500adb81ec37e,
-		"sequential-capped/drop=0.5/window=0":  0x545e123ad0ed3c2f,
-		"sequential-capped/drop=0.5/window=8":  0xec30d89fd9b4f323,
+		"appro/drop=0.05/window=0":             0xef227fec662a5ef5,
+		"appro/drop=0.05/window=8":             0xd313be0ce54d4439,
+		"appro/drop=0.2/window=0":              0x2a30c79536a86745,
+		"appro/drop=0.2/window=8":              0xde3738d9e1e44cde,
+		"appro/drop=0.5/window=0":              0x8ca17a5249f8e9c5,
+		"appro/drop=0.5/window=8":              0x04f2e47782e01623,
+		"greedy/drop=0.05/window=0":            0xe9b4b95eae41acc4,
+		"greedy/drop=0.05/window=8":            0x96fcdd51cef1591d,
+		"greedy/drop=0.2/window=0":             0xc33e1a58310db463,
+		"greedy/drop=0.2/window=8":             0x639a2e0160be885d,
+		"greedy/drop=0.5/window=0":             0x95c45a37f54ce042,
+		"greedy/drop=0.5/window=8":             0xa9451dc2c8b15ba5,
+		"sequential-capped/drop=0.05/window=0": 0xdc60a6f7c8747466,
+		"sequential-capped/drop=0.05/window=8": 0xfcbb92eddc204c64,
+		"sequential-capped/drop=0.2/window=0":  0x0faefdccc1e1aab5,
+		"sequential-capped/drop=0.2/window=8":  0x0a468c01d3ce6576,
+		"sequential-capped/drop=0.5/window=0":  0xa425029eac036ced,
+		"sequential-capped/drop=0.5/window=8":  0x355818ab2df23f91,
 	}
 	var seen fault.Stats
 	for _, tc := range []struct {

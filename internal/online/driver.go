@@ -9,13 +9,15 @@ import (
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
+	"mobisink/internal/geom"
 	"mobisink/internal/wal"
 )
 
 // Transport carries one sink's interval frames, one method per protocol
-// phase. A Driver calls it from one goroutine, in protocol order: Reach
-// and Probe once per registration round, Schedule when the interval has
-// claims, and Finish once the interval is committed and journaled.
+// phase, between the driver and the sensors' Endpoints. A Driver calls
+// it from one goroutine, in protocol order: Reach and Probe once per
+// registration round, Schedule when the interval has claims, and Finish
+// once the interval is committed and journaled.
 type Transport interface {
 	// Reach returns the sensors of silent (probed this interval, no
 	// claim heard yet) that round attempt's Probe can reach. Attempt 0
@@ -24,9 +26,10 @@ type Transport interface {
 	// Probe sends round attempt's Probe to pending and returns the claims
 	// heard before the round closes, in any order, at most one per sensor.
 	Probe(ctx context.Context, iv Interval, attempt int, pending []int) ([]Registration, error)
-	// Schedule delivers the plan to the admitted claimants and returns
-	// what the delivery lost, as the commit asks about it; nil is no loss.
-	Schedule(ctx context.Context, iv Interval, regs []Registration, plan map[int]int) (Loss, error)
+	// Schedule delivers the plan's pairs, ascending by slot and reused by
+	// the next interval, to the admitted claimants and returns what the
+	// delivery lost, as the commit asks about it; nil is no loss.
+	Schedule(ctx context.Context, iv Interval, regs []Registration, pairs []Pair) (Loss, error)
 	// Finish broadcasts the committed interval's Finish to the claimants,
 	// if there are any.
 	Finish(ctx context.Context, iv Interval, regs []Registration) error
@@ -39,17 +42,24 @@ type Transport interface {
 func InRange(inst *core.Instance, iv Interval, dst []int) []int {
 	sinkPos := inst.Traj.PosAtSlotStart(iv.Start)
 	for i := range inst.Sensors {
-		s := &inst.Sensors[i]
-		// A distance is never below either leg, so a sensor beyond the
-		// range along one axis is out of reach without computing it.
-		if s.Start < 0 || math.Abs(s.Pos.X-sinkPos.X) > inst.Range || math.Abs(s.Pos.Y-sinkPos.Y) > inst.Range {
-			continue
-		}
-		if sinkPos.Dist(s.Pos) <= inst.Range {
+		// The x test alone skips most sensors, without a call.
+		if s := &inst.Sensors[i]; math.Abs(s.Pos.X-sinkPos.X) <= inst.Range && reaches(s, sinkPos, inst.Range) {
 			dst = append(dst, i)
 		}
 	}
 	return dst
+}
+
+// reaches reports whether a sink at pos reaches the sensor: it has a
+// window and lies within radio range r. InRange and a sensor's own Probe
+// answer apply this one test.
+func reaches(s *core.SensorSlots, pos geom.Point, r float64) bool {
+	// A distance is never below either leg, so a sensor beyond the range
+	// along one axis is out of reach without computing it.
+	if s.Start < 0 || math.Abs(s.Pos.X-pos.X) > r || math.Abs(s.Pos.Y-pos.Y) > r {
+		return false
+	}
+	return pos.Dist(s.Pos) <= r
 }
 
 // Driver runs a tour's intervals over a Transport. It makes every
@@ -84,9 +94,9 @@ func NewDriver(led *Ledger, t Transport, maxRetries int) *Driver {
 	return &Driver{led: led, t: t, maxRetries: maxRetries, claimed: make([]bool, len(inst.Sensors))}
 }
 
-// Interval runs interval j: probe → ack rounds → schedule → commit →
-// journal → finish. A context canceled before the commit ends the
-// interval with nothing committed, journaled or finished.
+// Interval runs interval j: probe → ack rounds → plan → schedule →
+// commit → journal → finish. A context canceled before the commit ends
+// the interval with nothing committed, journaled or finished.
 func (d *Driver) Interval(ctx context.Context, j int) error {
 	led, res := d.led, d.led.res
 	start := j * led.inst.Gamma
@@ -123,28 +133,24 @@ func (d *Driver) Interval(ctx context.Context, j int) error {
 	d.regs = regs
 
 	led.Admit(iv, regs)
-	var plan map[int]int
-	var loss Loss
-	if len(regs) > 0 {
-		var err error
-		if plan, err = led.Plan(ctx, iv, regs); err != nil {
-			return err
-		}
-		res.Messages.Schedules++
-		if loss, err = d.t.Schedule(ctx, iv, regs, plan); err != nil {
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	var pairs []Pair
 	var debits []Debit
 	if len(regs) > 0 {
-		var err error
-		if pairs, debits, err = led.Commit(iv, regs, plan, loss); err != nil {
+		plan, err := led.Plan(ctx, iv, regs)
+		if err != nil {
 			return err
 		}
+		res.Messages.Schedules++
+		loss, err := d.t.Schedule(ctx, iv, regs, plan)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		pairs, debits = led.Commit(iv, regs, loss)
+	} else if err := ctx.Err(); err != nil {
+		return err
 	}
 	// Journal before the Finish, so a crash between the two cannot lose a
 	// debit the sensors performed; an idle interval journals too.

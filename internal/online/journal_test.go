@@ -123,9 +123,7 @@ func sameBooks(got, want *Result) error {
 // crashTours builds the crash tests' tours on three seeds: lossless
 // tours of every scheduler with AckWindow 0, and tours under Ack
 // contention and a fault plan that drops every message class, crashes
-// sensors and stalls the scheduler. The plan has no harvest shortfall:
-// the memory transport writes shortfalls into the residuals outside any
-// commit, which the journal does not record.
+// sensors, cuts their harvest short and stalls the scheduler.
 func crashTours(t *testing.T) (lossless, faulty []crashTour) {
 	fp, err := radio.NewFixedPower(radio.Paper2013(), 0.3)
 	if err != nil {
@@ -156,6 +154,11 @@ func crashTours(t *testing.T) (lossless, faulty []crashTour) {
 				{Sensor: 3, From: 100, To: 400},
 				{Sensor: 17, From: 0, To: inst.T - 1},
 				{Sensor: 32, From: 900, To: 1100},
+			},
+			Shortfalls: []fault.Shortfall{
+				{Sensor: 5, Slot: 0, Joules: inst.Sensors[5].Budget / 2},
+				{Sensor: 20, Slot: inst.T / 3, Joules: 1e6},
+				{Sensor: 33, Slot: inst.T / 2, Joules: 0.5},
 			},
 		}
 		opts := Options{AckWindow: 8, Seed: seed, Faults: plan}
@@ -196,6 +199,9 @@ func TestCrashAtEveryCommit(t *testing.T) {
 		}
 		if want.Intervals < 3 {
 			t.Fatalf("%s: %d intervals, too short to crash mid-tour", c.name, want.Intervals)
+		}
+		if !exact && want.Fault.ShortfallJoules == 0 {
+			t.Fatalf("%s: no sensor wrote off a shortfall", c.name)
 		}
 		for k := 1; k < want.Intervals; k++ {
 			m = nil

@@ -20,37 +20,48 @@ import (
 // loss. The Driver (driver.go) runs the protocol over a Transport; a
 // Ledger makes every decision that touches the tour's books (Admit, Plan,
 // Commit), and loss reaches it only through the Loss hook the transport's
-// Schedule phase returns.
+// Schedule phase returns. Commit and the journal replay are the only
+// writers of the books' residuals.
 
-// Pair is one committed transmission: a slot and the sensor that owns
-// it, as the interval's journal record holds it.
+// Pair is one (slot, sensor) assignment: of the Schedule every
+// transport delivers, and of the interval's journal record.
 type Pair = wal.Assign
 
 // Debit is one sensor's charge for an interval: the energy and data of
 // its committed slots, summed in ascending slot order. That order pins
-// the floating-point sums, so the sink's ledger, the sensor's own
-// bookkeeping and a journal replay all reach bit-identical residuals.
+// the floating-point sums, so the sink's ledger, the sensor's Endpoint
+// and a journal replay all reach bit-identical residuals.
 type Debit = wal.Debit
 
 // Debit charges one sensor's interval to the ledger with one clamped
 // subtraction per budget. The live commit and the journal replay both
 // apply debits through it.
 func (r *Result) Debit(d Debit) {
-	r.Residual[d.Sensor] = math.Max(0, r.Residual[d.Sensor]-d.Energy)
-	if !math.IsInf(r.ResidualData[d.Sensor], 1) {
-		r.ResidualData[d.Sensor] = math.Max(0, r.ResidualData[d.Sensor]-d.Data)
+	debit(&r.Residual[d.Sensor], &r.ResidualData[d.Sensor], d.Energy, d.Data)
+}
+
+// debit applies one clamped subtraction per residual budget; an
+// unbounded data queue stays unbounded. The books and an Endpoint both
+// debit through it.
+func debit(energy, data *float64, spend, drain float64) {
+	*energy = math.Max(0, *energy-spend)
+	if !math.IsInf(*data, 1) {
+		*data = math.Max(0, *data-drain)
 	}
 }
 
 // Loss is what an unreliable transport lost in one interval's Schedule
-// phase, as the commit asks about it. The in-process fault path answers
-// from its keyed fault rolls and crash trace; the wire sink from the
-// Confirms it did not receive.
+// phase, as the commit asks about it. Both transports answer Deaf from
+// the Confirms that did not arrive; the in-process one answers Alive
+// from its crash trace, and the wire sink, which cannot see a crash,
+// calls everyone alive.
 type Loss interface {
-	// Deaf reports whether the registered sensor missed the Schedule: it
-	// will not transmit, and it cannot take a repair.
+	// Deaf reports whether the registered sensor was assigned slots and
+	// never confirmed them: it missed the Schedule, or is down at one of
+	// its slots. It will not transmit, and it cannot take a repair; a
+	// sensor that confirmed transmits in all its slots.
 	Deaf(sensor int) bool
-	// Alive reports whether the sensor is up at the slot.
+	// Alive reports whether a repair candidate is up at the slot.
 	Alive(sensor, slot int) bool
 	// Repair sends the unicast that hands the slot to the sensor, counts
 	// it, and reports whether it landed.
@@ -69,8 +80,8 @@ type Fallback struct {
 
 // Claim flags, per registration of the interval being committed.
 const (
-	claimDeaf      uint8 = 1 << iota // missed the Schedule
-	claimDetected                    // caught silent; trusted no more this interval
+	claimDeaf      uint8 = 1 << iota // never confirmed its slots
+	claimDetected                    // its silence was detected
 	claimCommitted                   // owns at least one committed slot
 )
 
@@ -92,10 +103,12 @@ type Ledger struct {
 
 	// Scratch reused across intervals. regOf maps a sensor to 1 + its
 	// index among the interval's claims (0: not registered); owner holds
-	// the plan by slot offset (-1: idle); spend, drain and flags are per
-	// claim; pairs and debits are what Commit returns.
+	// the plan's claim index by slot offset (-1: idle); plan is what Plan
+	// returns; spend, drain and flags are per claim; pairs and debits are
+	// what Commit returns.
 	regOf  []int32
 	owner  []int
+	plan   []Pair
 	spend  []float64
 	drain  []float64
 	flags  []uint8
@@ -137,7 +150,7 @@ func capAware(s Scheduler) bool {
 // registers in the interval (the record Lemma 1 is checked on), its
 // claimed Budget and DataLeft are clamped to the ledger's residuals, and
 // its claimed clip range is cut to its window within the interval, the
-// range an honest sensor claims.
+// range an honest sensor claims. Plan and Commit take the same claims.
 func (l *Ledger) Admit(iv Interval, regs []Registration) {
 	res := l.res
 	for k := range regs {
@@ -158,68 +171,64 @@ func (l *Ledger) Admit(iv Interval, regs []Registration) {
 	}
 }
 
-// Plan runs the interval's scheduler over the admitted claims. On a
-// recovering ledger an injected stall skips the primary scheduler
-// outright and a compute-deadline overrun aborts it mid-search; either
-// way the degraded scheduler plans the interval instead of idling it.
-func (l *Ledger) Plan(ctx context.Context, iv Interval, regs []Registration) (map[int]int, error) {
-	if l.st != nil {
-		if l.fb.Stalls != nil && l.fb.Stalls.Stalled(iv.Index) {
+// Plan runs the interval's scheduler over the admitted claims, checks
+// its plan against the protocol rules and lays it out as pairs ascending
+// by slot, reused by the next Plan: the Schedule every transport
+// delivers, and what Commit commits. On a recovering ledger an injected
+// stall skips the primary scheduler outright and a compute-deadline
+// overrun aborts it mid-search; either way the degraded scheduler plans
+// the interval instead of idling it.
+func (l *Ledger) Plan(ctx context.Context, iv Interval, regs []Registration) ([]Pair, error) {
+	var plan map[int]int
+	var err error
+	switch {
+	case l.st != nil && l.fb.Stalls != nil && l.fb.Stalls.Stalled(iv.Index):
+		l.st.DegradedIntervals++
+		plan, err = l.degraded().Schedule(ctx, l.inst, iv, regs)
+	case l.st != nil && l.fb.Deadline > 0:
+		cctx, cancel := context.WithTimeout(ctx, l.fb.Deadline)
+		plan, err = l.sched.Schedule(cctx, l.inst, iv, regs)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			l.st.DegradedIntervals++
-			return l.degraded().Schedule(ctx, l.inst, iv, regs)
+			plan, err = l.degraded().Schedule(ctx, l.inst, iv, regs)
 		}
-		if l.fb.Deadline > 0 {
-			cctx, cancel := context.WithTimeout(ctx, l.fb.Deadline)
-			plan, err := l.sched.Schedule(cctx, l.inst, iv, regs)
-			cancel()
-			if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				l.st.DegradedIntervals++
-				return l.degraded().Schedule(ctx, l.inst, iv, regs)
-			}
-			return plan, err
-		}
+	default:
+		plan, err = l.sched.Schedule(ctx, l.inst, iv, regs)
 	}
-	return l.sched.Schedule(ctx, l.inst, iv, regs)
+	if err == nil {
+		err = l.lay(iv, regs, plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l.plan, nil
 }
 
-// Commit validates an interval's plan (slot → sensor) against the
-// admitted claims, commits it to the allocation and debits each sensor
-// once. It returns the committed pairs in ascending slot order and the
-// debits in ascending sensor order, the content of the interval's journal
-// record; both slices are reused by the next Commit.
+// Commit commits the interval's plan, as the last Plan laid it out for
+// the same claims, to the allocation and debits each sensor once. It
+// returns the committed pairs in ascending slot order and the debits in
+// ascending sensor order, the content of the interval's journal record;
+// both slices are reused by the next Commit.
 //
 // A nil loss is the lossless protocol: every planned slot commits. A
-// recovering ledger may be given a Loss instead. Then a sensor that is
-// deaf, or down at its slot, costs the sink that slot to detect its
-// silence, and each of its later slots is repaired to the registered
-// sensor with the best rate there that heard the Schedule, is alive, and
-// can still afford it. A slot nobody can take, or whose repair is lost,
-// idles.
-func (l *Ledger) Commit(iv Interval, regs []Registration, plan map[int]int, loss Loss) ([]Pair, []Debit, error) {
-	for k, r := range regs {
-		l.regOf[r.Sensor] = int32(k + 1)
-	}
-	defer func() {
-		for _, r := range regs {
-			l.regOf[r.Sensor] = 0
-		}
-	}()
-	owner := l.owner[:iv.End-iv.Start+1]
-	if err := l.validate(iv, regs, plan, owner); err != nil {
-		return nil, nil, err
-	}
+// recovering ledger may be given a Loss instead. Then a deaf sensor
+// costs the sink its first slot to detect its silence, and each of its
+// later slots is repaired to the registered sensor with the best rate
+// there that is not deaf, is alive, and can still afford it. A slot
+// nobody can take, or whose repair is lost, idles.
+func (l *Ledger) Commit(iv Interval, regs []Registration, loss Loss) ([]Pair, []Debit) {
 	l.pairs, l.debits = l.pairs[:0], l.debits[:0]
 	clear(l.spend)
 	clear(l.drain)
+	clear(l.flags)
 	for k, r := range regs {
 		if loss != nil && loss.Deaf(r.Sensor) {
 			l.flags[k] |= claimDeaf
 		}
 	}
-	for j, sensor := range owner {
-		if sensor >= 0 {
-			l.commitSlot(regs, iv.Start+j, sensor, loss)
-		}
+	for _, p := range l.plan {
+		l.commitSlot(regs, p.Slot, l.owner[p.Slot-iv.Start], loss)
 	}
 	l.mu.Lock()
 	for k, r := range regs {
@@ -231,7 +240,7 @@ func (l *Ledger) Commit(iv Interval, regs []Registration, plan map[int]int, loss
 	}
 	l.mu.Unlock()
 	slices.SortFunc(l.debits, func(a, b Debit) int { return a.Sensor - b.Sensor })
-	return l.pairs, l.debits, nil
+	return l.pairs, l.debits
 }
 
 // Residual returns the sensor's residual energy and data. It may run
@@ -251,16 +260,28 @@ func (l *Ledger) Committed() int {
 	return l.committed
 }
 
-// validate checks the plan against the protocol rules, lays it out by
-// slot offset in owner, and sums each claim's planned spend in ascending
-// slot order into the per-claim scratch. Misbehaviour is an error in
-// every mode, never a fault to heal.
-func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, owner []int) error {
+// lay checks the plan (slot → sensor) against the protocol rules and
+// lays it out in l.plan, ascending by slot. It sums each claim's planned
+// spend in ascending slot order to check it against the claim.
+// Misbehaviour is an error in every mode, never a fault to heal.
+func (l *Ledger) lay(iv Interval, regs []Registration, plan map[int]int) error {
+	for k, r := range regs {
+		l.regOf[r.Sensor] = int32(k + 1)
+	}
+	defer func() {
+		for _, r := range regs {
+			l.regOf[r.Sensor] = 0
+		}
+	}()
+	owner := l.owner[:iv.End-iv.Start+1]
 	for j := range owner {
 		owner[j] = -1
 	}
 	for slot, sensor := range plan {
-		k := l.claim(sensor)
+		k := -1
+		if sensor >= 0 && sensor < len(l.regOf) {
+			k = int(l.regOf[sensor]) - 1
+		}
 		if k < 0 {
 			return fmt.Errorf("scheduler assigned slot %d to unregistered sensor %d", slot, sensor)
 		}
@@ -271,7 +292,7 @@ func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, ow
 		if l.res.Alloc.SlotOwner[slot] != -1 {
 			return fmt.Errorf("slot %d double-booked", slot)
 		}
-		owner[slot-iv.Start] = sensor
+		owner[slot-iv.Start] = k
 	}
 	n := len(regs)
 	if cap(l.spend) < n {
@@ -280,10 +301,11 @@ func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, ow
 	l.spend, l.drain, l.flags = l.spend[:n], l.drain[:n], l.flags[:n]
 	clear(l.spend)
 	clear(l.drain)
-	clear(l.flags)
-	for j, sensor := range owner {
-		if sensor >= 0 {
-			l.charge(l.claim(sensor), sensor, iv.Start+j)
+	l.plan = l.plan[:0]
+	for j, k := range owner {
+		if k >= 0 {
+			l.plan = append(l.plan, Pair{Slot: iv.Start + j, Sensor: regs[k].Sensor})
+			l.charge(k, regs[k].Sensor, iv.Start+j)
 		}
 	}
 	for k, r := range regs {
@@ -297,43 +319,37 @@ func (l *Ledger) validate(iv Interval, regs []Registration, plan map[int]int, ow
 	return nil
 }
 
-// commitSlot commits one planned slot of a validated plan, ascending.
-func (l *Ledger) commitSlot(regs []Registration, slot, sensor int, loss Loss) {
-	k := l.claim(sensor)
+// commitSlot commits one planned slot of claim k, ascending.
+func (l *Ledger) commitSlot(regs []Registration, slot, k int, loss Loss) {
+	sensor := regs[k].Sensor
 	f := &l.flags[k]
 	switch {
 	case loss == nil:
 		l.take(k, sensor, slot)
-	case *f&claimDeaf != 0 || !loss.Alive(sensor, slot):
-		if *f&claimDetected == 0 {
-			// The sink spends this slot discovering the silence.
-			*f |= claimDetected
-			if *f&claimDeaf != 0 {
-				l.st.SchedulesMissed++
-			}
-			l.st.LostSlots++
-			return
-		}
-		l.repair(regs, slot, sensor, loss)
-	case *f&claimDetected != 0 || !l.fits(k, &regs[k], slot):
-		// Once caught silent, a sensor is not trusted again this interval
-		// even if it comes back. A sensor that cannot afford its own slot
-		// lost its budget to an earlier repair the sink made, so the sink
-		// reassigns without a detection slot.
+	case *f&claimDeaf != 0 && *f&claimDetected == 0:
+		// The sink spends the deaf sensor's first slot discovering its
+		// silence.
+		*f |= claimDetected
+		l.st.SchedulesMissed++
+		l.st.LostSlots++
+	case *f&claimDeaf != 0 || !l.fits(k, &regs[k], slot):
+		// A sensor that cannot afford its own slot lost its budget to an
+		// earlier repair the sink made, so the sink reassigns without a
+		// detection slot.
 		l.repair(regs, slot, sensor, loss)
 	default:
 		l.take(k, sensor, slot)
 	}
 }
 
-// repair hands a silent sensor's slot to the best replacement: the
-// registered sensor with the highest rate at the slot that heard the
-// Schedule, was never caught silent, is alive, and can afford it.
+// repair hands a slot to the best replacement: the registered sensor
+// with the highest rate at the slot that is not deaf, is alive at the
+// slot, and can afford it.
 func (l *Ledger) repair(regs []Registration, slot, exclude int, loss Loss) {
 	best, bestRate := -1, 0.0
 	for k := range regs {
 		r := &regs[k]
-		if r.Sensor == exclude || l.flags[k]&(claimDeaf|claimDetected) != 0 || !loss.Alive(r.Sensor, slot) {
+		if r.Sensor == exclude || l.flags[k]&claimDeaf != 0 || !loss.Alive(r.Sensor, slot) {
 			continue
 		}
 		if slot < r.ClipStart || slot > r.ClipEnd {
@@ -379,12 +395,4 @@ func (l *Ledger) charge(k, sensor, slot int) {
 	s := &l.inst.Sensors[sensor]
 	l.spend[k] += s.PowerAt(slot) * l.inst.Tau
 	l.drain[k] += s.RateAt(slot) * l.inst.Tau
-}
-
-// claim returns the sensor's index among the interval's claims, or -1.
-func (l *Ledger) claim(sensor int) int {
-	if sensor < 0 || sensor >= len(l.regOf) {
-		return -1
-	}
-	return int(l.regOf[sensor]) - 1
 }

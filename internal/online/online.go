@@ -94,10 +94,14 @@ type Result struct {
 	// RegisteredIn[i] lists the interval indices in which sensor i
 	// registered (for the Lemma 1 check).
 	RegisteredIn [][]int
-	// Residual[i] is sensor i's remaining budget after the tour.
+	// Residual[i] is sensor i's remaining budget after the tour in the
+	// sink's books, which only Ledger.Commit and the journal replay
+	// write. A sensor writes off its own harvest shortfall, so the books
+	// stay above its own residual by that shortfall: a lower claim bounds
+	// the interval's plan but never reaches the books.
 	Residual []float64
-	// ResidualData[i] is sensor i's remaining queued data after the tour,
-	// bits (+Inf entries on uncapped instances).
+	// ResidualData[i] is sensor i's remaining queued data after the tour
+	// in the sink's books, bits (+Inf entries on uncapped instances).
 	ResidualData []float64
 	// Fault tallies the injected faults and performed recoveries when the
 	// run used a fault plan (Options.Faults or ComputeDeadline); nil on

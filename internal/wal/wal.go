@@ -12,11 +12,12 @@
 // and the payload starts with a one-byte record kind. Replay is tolerant
 // of a torn tail: a crash mid-append leaves a truncated or corrupt last
 // record, Scan stops before it, and Open truncates the file there so the
-// next append starts from a clean prefix. Scan cannot tell a torn tail
-// from damage earlier in the file: it stops silently at the first
-// record that fails to decode (short, bad checksum, unknown kind,
-// trailing bytes inside a payload), wherever it lies, and Open's
-// truncation then drops every later record, valid or not.
+// next append starts from a clean prefix. Damage before the tail is not
+// a torn tail: when a record whose checksum holds follows the first one
+// that fails to decode, Scan reports ErrDamaged and Open refuses the
+// journal, leaving its bytes as they were. Truncating there would drop
+// every later record, and a restarted tour would rerun intervals whose
+// Finish the sensors already applied.
 package wal
 
 import (
@@ -43,6 +44,9 @@ var (
 	ErrTrailing       = errors.New("wal: trailing bytes after payload fields")
 	ErrUnknownKind    = errors.New("wal: unknown record kind")
 	ErrBadField       = errors.New("wal: field out of range")
+	// ErrDamaged reports a journal damaged before its tail: a record
+	// that fails to decode is followed by one whose checksum holds.
+	ErrDamaged = errors.New("wal: damaged record before the journal's tail")
 )
 
 // Kind tags a journal record's payload shape.
@@ -301,12 +305,12 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	return r, 8 + n, nil
 }
 
-// Scan replays every record from r, stopping cleanly before the first
-// one DecodeRecord refuses, wherever it lies. It returns the decoded
-// records, the byte length of the valid prefix, and a nil error for a
-// clean EOF, a torn tail and mid-file damage alike (the bytes after the
-// prefix are simply not part of it). Only a read error from r is
-// returned, with no records.
+// Scan replays every record from r, stopping before the first one
+// DecodeRecord refuses. It returns the decoded records and the byte
+// length of their prefix. The error is nil for a clean EOF and for a
+// torn tail, where no record whose checksum holds follows the break. It
+// wraps ErrDamaged, naming both offsets, when one does: the break is
+// damage, not a tail. A read error from r is returned with no records.
 func Scan(r io.Reader) ([]Record, int64, error) {
 	var b bytes.Buffer
 	if _, err := io.Copy(&b, r); err != nil {
@@ -317,6 +321,13 @@ func Scan(r io.Reader) ([]Record, int64, error) {
 	for {
 		rec, n, err := DecodeRecord(b.Bytes()[valid:])
 		if err != nil {
+			rest := b.Bytes()[valid:]
+			for off := 1; off+8 <= len(rest); off++ {
+				if sealed(rest[off:]) {
+					return recs, valid, fmt.Errorf("%w: record at offset %d fails to decode (%v), a sealed record follows at offset %d",
+						ErrDamaged, valid, err, valid+int64(off))
+				}
+			}
 			return recs, valid, nil
 		}
 		recs = append(recs, rec)
@@ -325,16 +336,24 @@ func Scan(r io.Reader) ([]Record, int64, error) {
 	}
 }
 
+// sealed reports whether buf starts with a non-empty record whose
+// checksum holds.
+func sealed(buf []byte) bool {
+	n := int(binary.BigEndian.Uint32(buf))
+	return n >= 1 && n <= MaxRecord && len(buf) >= 8+n &&
+		crc32.ChecksumIEEE(buf[8:8+n]) == binary.BigEndian.Uint32(buf[4:])
+}
+
 // Log is an open journal positioned for appending.
 type Log struct {
 	f   *os.File
 	buf []byte
 }
 
-// Open opens (creating if absent) the journal at path, replays its
-// valid prefix, truncates the file there (a torn tail, or everything
-// from the first damaged record on), and returns the log positioned for
-// appending plus the replayed records.
+// Open opens (creating if absent) the journal at path, replays it,
+// truncates a torn tail, and returns the log positioned for appending
+// plus the replayed records. A journal damaged before its tail
+// (ErrDamaged) is refused, its bytes untouched.
 func Open(path string) (*Log, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {

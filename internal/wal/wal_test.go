@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -187,12 +189,55 @@ func TestScanStopsAtTornTail(t *testing.T) {
 		}
 	}
 
-	// Corrupt byte mid-tail: replay stops at the last valid record.
+	// A corrupt last record is a torn tail: replay stops before it.
 	bad := append([]byte(nil), buf...)
-	bad[bounds[1]+4] ^= 0x01 // flip a bit inside record 2
+	bad[bounds[2]+4] ^= 0x01 // flip a checksum bit of the End
 	got, valid, err = Scan(bytes.NewReader(bad))
-	if err != nil || len(got) != 2 || int(valid) != bounds[1] {
-		t.Fatalf("corrupt scan: %d recs, valid=%d, err=%v", len(got), valid, err)
+	if err != nil || len(got) != 3 || int(valid) != bounds[2] {
+		t.Fatalf("corrupt tail scan: %d recs, valid=%d, err=%v", len(got), valid, err)
+	}
+
+	// A corrupt byte mid-file, with a sealed record after it, is damage:
+	// Scan reports it with the records before it.
+	bad = append([]byte(nil), buf...)
+	bad[bounds[1]+4] ^= 0x01 // flip a checksum bit of the third record
+	got, valid, err = Scan(bytes.NewReader(bad))
+	if !errors.Is(err, ErrDamaged) || len(got) != 2 || int(valid) != bounds[1] {
+		t.Fatalf("corrupt mid-file scan: %d recs, valid=%d, err=%v", len(got), valid, err)
+	}
+}
+
+// TestOpenRefusesDamageBeforeTail flips one byte inside record 3 of a
+// 50-record journal. Open must refuse the journal, name the damaged
+// record's offset, and leave every byte of the file as it was.
+func TestOpenRefusesDamageBeforeTail(t *testing.T) {
+	recs := []Record{Begin{Sensors: 3, T: 96, Gamma: 2, Fingerprint: 7}}
+	for j := 0; len(recs) < 49; j++ {
+		recs = append(recs, Commit{Interval: j, Registered: []int{j % 3},
+			Pairs:  []Assign{{Slot: 2 * j, Sensor: j % 3}},
+			Debits: []Debit{{Sensor: j % 3, Energy: 0.25, Data: 8}}})
+	}
+	recs = append(recs, End{})
+	buf := encodeAll(t, recs)
+	third := lenOf(t, recs[0]) + lenOf(t, recs[1])
+	buf[third+8+3] ^= 0x40 // a payload byte of record 3
+	path := filepath.Join(t.TempDir(), "tour.wal")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(path)
+	if !errors.Is(err, ErrDamaged) {
+		t.Fatalf("Open of a journal damaged in record 3 of 50: %v, want ErrDamaged", err)
+	}
+	if want := fmt.Sprintf("offset %d", third); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, buf) {
+		t.Fatalf("refused journal changed: %d bytes, was %d", len(after), len(buf))
 	}
 }
 

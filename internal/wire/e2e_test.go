@@ -198,6 +198,83 @@ func TestLoopbackParity(t *testing.T) {
 	}
 }
 
+// TestShortfallTourParity runs a harvest-shortfall tour over loopback
+// TCP with the idealized sink. Every client carries a shortfall-only
+// plan's injector, so the sensors it cuts short write the shortfall off
+// themselves at a Probe and claim less. The sink's books must be
+// bit-equal to online.RunOpts under the same plan, message counts
+// included. Every sensor without a shortfall must end with its own
+// residuals bit-equal to the books; one with a shortfall ends below
+// them, because the books never hold a shortfall.
+func TestShortfallTourParity(t *testing.T) {
+	inst := shortInstance(t, 40, 2000, 7)
+	// Cut half the budget of the first sensor of three probe sets from
+	// the second interval on, at that interval's first slot.
+	reach := reachOf(inst)
+	short := make(map[int]bool)
+	var plan fault.Plan
+	for j := 1; j < len(reach) && len(plan.Shortfalls) < 3; j++ {
+		for _, id := range reach[j] {
+			if !short[id] {
+				short[id] = true
+				plan.Shortfalls = append(plan.Shortfalls, fault.Shortfall{Sensor: id, Slot: j * inst.Gamma, Joules: inst.Sensors[id].Budget / 2})
+				break
+			}
+		}
+	}
+	if len(plan.Shortfalls) < 3 {
+		t.Fatalf("only %d probe sets to cut short", len(plan.Shortfalls))
+	}
+	want, err := online.RunOpts(inst, &online.Appro{}, online.Options{Faults: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Fault.ShortfallJoules == 0 {
+		t.Fatal("no sensor wrote off its shortfall in process")
+	}
+	inj, err := fault.NewInjector(plan, len(inst.Sensors), inst.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewSink(SinkConfig{Inst: inst, Scheduler: &online.Appro{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	fl := launchFleet(t, sink.Addr(), inst, inj)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sink.WaitSensors(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sink.RunTour(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Close()
+	fl.join(t)
+
+	if math.Float64bits(got.Data) != math.Float64bits(want.Data) || !reflect.DeepEqual(got.Alloc.SlotOwner, want.Alloc.SlotOwner) {
+		t.Errorf("wire tour collected %v bits, in process %v, or their slot owners differ", got.Data, want.Data)
+	}
+	if got.Messages != want.Messages || !reflect.DeepEqual(got.RegisteredIn, want.RegisteredIn) {
+		t.Errorf("messages or registrations differ: wire %+v, in process %+v", got.Messages, want.Messages)
+	}
+	for i, c := range fl.clients {
+		books := [2]float64{got.Residual[i], got.ResidualData[i]}
+		if ref := [2]float64{want.Residual[i], want.ResidualData[i]}; math.Float64bits(books[0]) != math.Float64bits(ref[0]) || math.Float64bits(books[1]) != math.Float64bits(ref[1]) {
+			t.Fatalf("sensor %d: wire books %v, in process %v", i, books, ref)
+		}
+		own := [2]float64{c.Residual(), c.ResidualData()}
+		switch {
+		case short[i] && own[0] >= books[0]:
+			t.Errorf("sensor %d wrote off no shortfall: own residual %v, books %v", i, own[0], books[0])
+		case !short[i] && (math.Float64bits(own[0]) != math.Float64bits(books[0]) || math.Float64bits(own[1]) != math.Float64bits(books[1])):
+			t.Errorf("sensor %d: own residuals %v, books %v", i, own, books)
+		}
+	}
+}
+
 // TestIntervalHistograms pins where the sink observes its interval
 // histograms on a lossless loopback tour, in both modes: the
 // registration roundtrip and the commit latency once per interval, the

@@ -10,8 +10,9 @@
 //     scheduler → schedule/finish broadcast) with online.RunCtx's own
 //     driver, so it probes the same sensors and debits budgets exactly
 //     as the in-process run;
-//   - SensorClient, a sensor endpoint that answers probes according to
-//     its visibility window, residual budget, and data queue;
+//   - SensorClient, the socket, handshake, heartbeat and redial around
+//     one online.Endpoint, which answers probes according to the
+//     sensor's visibility window, residual budget, and data queue;
 //   - ChaosProxy, which translates internal/fault plans into real
 //     network-level frame drops, delays, and reorders, so the recovery
 //     machinery (retransmission, stale-budget clamps, schedule repair,
@@ -130,8 +131,7 @@ func (*Hello) Type() Type { return TypeHello }
 // is the last interval the sink committed for this sensor; Missed
 // counts the intervals the sensor was disconnected for (accounted as
 // declines); Budget and DataLeft are the sink's ledger residuals, which
-// the client adopts (taking the minimum against its local view, so a
-// sensor can never talk itself into budget it no longer has).
+// the sensor's endpoint adopts where lower (online.Endpoint.Sync).
 type Sync struct {
 	Resumed  bool
 	Token    uint64
@@ -229,11 +229,9 @@ func (a *Ack) Registration() online.Registration {
 	}
 }
 
-// Assign is one slot → sensor pair of a Schedule.
-type Assign struct {
-	Slot   int
-	Sensor int
-}
+// Assign is one slot → sensor pair of a Schedule: the ledger's
+// online.Pair, which is also the journal's (slot, sensor) record.
+type Assign = online.Pair
 
 // Schedule carries one interval's slot assignment: the broadcast result
 // of the scheduler (Repair false, pairs sorted by slot), or a unicast

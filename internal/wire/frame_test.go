@@ -39,8 +39,8 @@ func TestRoundTrip(t *testing.T) {
 			Budget: 0.03125, DataLeft: math.Inf(1), ClipStart: 50, ClipEnd: 60},
 		&Ack{Kind: AckRegister, Interval: 0, Sensor: 0,
 			Budget: 1e-9, DataLeft: 65536.5, ClipStart: 0, ClipEnd: 0},
-		&Schedule{Interval: 3, Pairs: []Assign{{48, 9}, {49, 11}, {55, 9}}},
-		&Schedule{Interval: 4, Repair: true, Pairs: []Assign{{61, 2}}},
+		&Schedule{Interval: 3, Pairs: []Assign{{Slot: 48, Sensor: 9}, {Slot: 49, Sensor: 11}, {Slot: 55, Sensor: 9}}},
+		&Schedule{Interval: 4, Repair: true, Pairs: []Assign{{Slot: 61, Sensor: 2}}},
 		&Schedule{Interval: 5},
 		&Finish{Interval: 3},
 		&Hello{Version: Version, Sensor: 7,
@@ -85,7 +85,7 @@ func TestDecodeStrict(t *testing.T) {
 	if len(hello) != 20 {
 		t.Fatalf("hello payload is %d bytes, want 20", len(hello))
 	}
-	sched := valid(&Schedule{Interval: 1, Pairs: []Assign{{16, 2}}})
+	sched := valid(&Schedule{Interval: 1, Pairs: []Assign{{Slot: 16, Sensor: 2}}})
 
 	cases := []struct {
 		name    string
@@ -173,7 +173,7 @@ func TestEncodeRejectsBadFields(t *testing.T) {
 		&Ack{Kind: AckRegister, Interval: 0, Sensor: 1, Budget: math.Inf(1)},
 		&Ack{Kind: AckRegister, Interval: 0, Sensor: 1, DataLeft: math.NaN()},
 		&Ack{Kind: AckDecline, Interval: 0, Sensor: -1},
-		&Schedule{Interval: 0, Pairs: []Assign{{-1, 0}}},
+		&Schedule{Interval: 0, Pairs: []Assign{{Slot: -1, Sensor: 0}}},
 		&Schedule{Interval: 0, Pairs: make([]Assign, MaxSchedulePairs+1)},
 		&Finish{Interval: -2},
 		&Hello{Version: Version, Sensor: -1},

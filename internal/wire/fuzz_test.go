@@ -25,8 +25,8 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(&Ack{Kind: AckConfirm, Interval: 2, Sensor: 5})
 	seed(&Ack{Kind: AckRegister, Interval: 2, Attempt: 1, Sensor: 5,
 		Budget: 0.125, DataLeft: math.Inf(1), ClipStart: 32, ClipEnd: 40})
-	seed(&Schedule{Interval: 2, Pairs: []Assign{{32, 5}, {33, 6}}})
-	seed(&Schedule{Interval: 2, Repair: true, Pairs: []Assign{{40, 1}}})
+	seed(&Schedule{Interval: 2, Pairs: []Assign{{Slot: 32, Sensor: 5}, {Slot: 33, Sensor: 6}}})
+	seed(&Schedule{Interval: 2, Repair: true, Pairs: []Assign{{Slot: 40, Sensor: 1}}})
 	seed(&Finish{Interval: 2})
 	seed(&Hello{Version: Version, Sensor: 17,
 		Token: 0xABCDEF0123456789, LastInterval: 3})

@@ -377,17 +377,16 @@ func TestCloseEndsTour(t *testing.T) {
 	}
 }
 
-// liveClaim answers a Probe the way SensorClient does for a sensor with
-// its full budget: a registration when in range, a decline otherwise.
+// liveClaim answers a Probe through the sensor's endpoint with its full
+// budget, as a SensorClient that never spent anything does: a
+// registration when in range, a decline otherwise.
 func liveClaim(inst *core.Instance, p *Probe, id int) *Ack {
-	s := inst.Sensors[id]
-	if s.Start < 0 || (geom.Point{X: p.SinkX, Y: p.SinkY}).Dist(s.Pos) > inst.Range {
+	ep := online.NewEndpoint(&inst.Sensors[id], inst.Tau, inst.Range, inst.DataCapOf(id), nil)
+	ans, reg := ep.Probe(online.Interval{Index: p.Interval, Start: p.Start, End: p.End}, geom.Point{X: p.SinkX, Y: p.SinkY})
+	if ans != online.AnswerRegister {
 		return decline(p, id)
 	}
-	return RegisterAck(p.Interval, p.Attempt, online.Registration{
-		Sensor: id, Budget: s.Budget, DataLeft: inst.DataCapOf(id),
-		ClipStart: max(s.Start, p.Start), ClipEnd: min(s.End, p.End),
-	})
+	return RegisterAck(p.Interval, p.Attempt, reg)
 }
 
 // TestProbeSetIsRadioReach: the sink probes exactly the connected

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,8 +49,9 @@ type SensorConfig struct {
 	DataCap float64
 	// Faults, when non-nil, drives the sensor-side failure model: a
 	// sensor that is crashed at a probed or assigned slot goes silent
-	// (internal/fault Alive rolls). Message-level drops belong to the
-	// network, i.e. ChaosProxy.
+	// (internal/fault Alive rolls), and one the plan cuts short writes
+	// its harvest shortfall off at its Probes. Message-level drops belong
+	// to the network, i.e. ChaosProxy.
 	Faults *fault.Injector
 	// Conn sets per-operation I/O deadlines; zero keeps blocking reads.
 	Conn ConnOptions
@@ -75,45 +74,35 @@ func SensorConfigFor(inst *core.Instance, i int) SensorConfig {
 	}
 }
 
-// SensorClient speaks the sensor side of the protocol over one
-// connection at a time: it answers probes according to its visibility
-// window and residual budgets, confirms and stores schedules, and debits
-// itself on Finish receipt — the exact floating-point debit the
-// in-process runner performs, which is what makes wire and in-process
-// residuals bit-identical on lossless networks. After a disconnect it
-// can redial and resume its session: the sink's Sync reports the
-// authoritative committed interval and the client adopts the minimum of
-// the two residual views, so a sensor can never talk itself into budget
-// it no longer has.
+// SensorClient carries one sensor's online.Endpoint over one connection
+// at a time: it keeps the socket, the session handshake, the heartbeat
+// and the redial, and hands every Probe, Schedule, Finish and Sync to
+// the endpoint under its mutex. The endpoint decides the answers and
+// debits itself on Finish with the sink ledger's own arithmetic, which
+// is what makes wire and in-process residuals bit-identical on lossless
+// networks. After a disconnect the client can redial and resume its
+// session: the endpoint adopts the Sync's committed interval and the
+// lower of the two residual views, so a sensor can never talk itself
+// into budget it no longer has.
 type SensorClient struct {
 	cfg  SensorConfig
 	addr string
 	rng  *rand.Rand
 
-	mu           sync.Mutex
-	id           int
-	conn         *Conn
-	token        uint64
-	lastFinished int // last interval whose Finish this sensor applied
-	residual     float64
-	residualData float64
-	assigned     []int // slots of the current interval, ascending
-	userClosed   bool
+	mu         sync.Mutex
+	ep         *online.Endpoint
+	conn       *Conn
+	token      uint64
+	userClosed bool
 }
 
 // DialSensor connects and handshakes a sensor endpoint. Callers then run
 // its protocol loop via Run.
 func DialSensor(addr string, cfg SensorConfig) (*SensorClient, error) {
-	c := &SensorClient{
-		cfg:          cfg,
-		addr:         addr,
-		id:           cfg.Sensor.ID,
-		lastFinished: -1,
-		residual:     cfg.Sensor.Budget,
-		residualData: cfg.DataCap,
-	}
+	c := &SensorClient{cfg: cfg, addr: addr}
+	c.ep = online.NewEndpoint(&c.cfg.Sensor, cfg.Tau, cfg.Range, cfg.DataCap, cfg.Faults)
 	if rd := cfg.Redial; rd != nil {
-		c.rng = rand.New(rand.NewSource(rd.Seed ^ int64(uint64(c.id)*0x9e3779b97f4a7c15)))
+		c.rng = rand.New(rand.NewSource(rd.Seed ^ int64(uint64(c.cfg.Sensor.ID)*0x9e3779b97f4a7c15)))
 	}
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -123,9 +112,8 @@ func DialSensor(addr string, cfg SensorConfig) (*SensorClient, error) {
 
 // connect dials the sink and runs the handshake: a Hello carrying the
 // session token and last committed interval, answered by the sink's
-// Sync. On success the client adopts the sink's session token, the
-// committed-interval watermark, and the minimum of the two residual
-// views, and drops any half-built interval state.
+// Sync. On success the client adopts the sink's session token and the
+// endpoint syncs to the Sync.
 func (c *SensorClient) connect() error {
 	raw, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -133,41 +121,21 @@ func (c *SensorClient) connect() error {
 	}
 	conn := NewConnOpts(raw, c.cfg.Conn)
 	c.mu.Lock()
-	token := c.token
-	last := c.lastFinished
+	token, last := c.token, c.ep.Finished()
 	c.mu.Unlock()
-	sync, err := conn.ClientHandshake(c.id, token, last)
+	sync, err := conn.ClientHandshake(c.cfg.Sensor.ID, token, last)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	c.mu.Lock()
-	c.token = sync.Token
-	if sync.Interval > c.lastFinished {
-		// Intervals committed while we were gone: we never transmitted in
-		// them (missed probes read as declines), so no debit to reconcile.
-		c.lastFinished = sync.Interval
-	}
-	if sync.Budget < c.residual {
-		c.residual = sync.Budget
-	}
-	if sync.DataLeft < c.residualData {
-		c.residualData = sync.DataLeft
-	}
-	c.assigned = nil
-	c.conn = conn
+	c.token, c.conn = sync.Token, conn
+	c.ep.Sync(sync.Interval, sync.Budget, sync.DataLeft)
 	c.mu.Unlock()
 	if c.cfg.Heartbeat > 0 {
 		conn.StartHeartbeat(c.cfg.Heartbeat)
 	}
 	return nil
-}
-
-// current returns the live connection.
-func (c *SensorClient) current() *Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn
 }
 
 // Token returns the current session token (0 before the first Sync).
@@ -181,14 +149,16 @@ func (c *SensorClient) Token() uint64 {
 func (c *SensorClient) Residual() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.residual
+	energy, _ := c.ep.Residual()
+	return energy
 }
 
 // ResidualData returns the sensor's remaining queued data, bits.
 func (c *SensorClient) ResidualData() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.residualData
+	_, data := c.ep.Residual()
+	return data
 }
 
 // Close tears down the connection (Run returns nil after a local Close,
@@ -245,7 +215,9 @@ func (c *SensorClient) Run(ctx context.Context) error {
 // serve pumps one connection until it errors; the error is always
 // non-nil and Run classifies it.
 func (c *SensorClient) serve(ctx context.Context) error {
-	conn := c.current()
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
 	stopped := make(chan struct{})
 	defer close(stopped)
 	go func() {
@@ -261,19 +233,11 @@ func (c *SensorClient) serve(ctx context.Context) error {
 			conn.Close() // stops the heartbeat loop before any redial
 			return err
 		}
-		switch m := m.(type) {
-		case *Probe:
-			err = c.onProbe(m)
-		case *Schedule:
-			err = c.onSchedule(m)
-		case *Finish:
-			c.onFinish(m.Interval)
-		default:
-			// Heartbeats and unexpected-but-harmless frames; ignore.
-		}
-		if err != nil {
-			conn.Close()
-			return err
+		if reply := c.answer(m); reply != nil {
+			if err := conn.WriteMsg(reply); err != nil {
+				conn.Close()
+				return err
+			}
 		}
 	}
 }
@@ -321,107 +285,27 @@ func (c *SensorClient) redial(ctx context.Context) bool {
 	return false
 }
 
-// onProbe answers a registration solicitation: silence when crashed,
-// a decline when out of range, otherwise a registration carrying the
-// sensor's residual budgets and clipped window.
-func (c *SensorClient) onProbe(p *Probe) error {
-	if c.cfg.Faults != nil && !c.cfg.Faults.Alive(c.id, p.Start) {
-		return nil // crashed sensors are silent, not polite
-	}
-	s := &c.cfg.Sensor
-	sinkPos := geom.Point{X: p.SinkX, Y: p.SinkY}
-	if s.Start < 0 || sinkPos.Dist(s.Pos) > c.cfg.Range {
-		return c.current().WriteMsg(&Ack{Kind: AckDecline, Interval: p.Interval, Attempt: p.Attempt, Sensor: c.id})
-	}
-	cs, ce := s.Start, s.End
-	if cs < p.Start {
-		cs = p.Start
-	}
-	if ce > p.End {
-		ce = p.End
-	}
-	c.mu.Lock()
-	reg := online.Registration{
-		Sensor: c.id, Budget: c.residual, DataLeft: c.residualData,
-		ClipStart: cs, ClipEnd: ce,
-	}
-	conn := c.conn
-	c.mu.Unlock()
-	return conn.WriteMsg(RegisterAck(p.Interval, p.Attempt, reg))
-}
-
-// onSchedule stores the sensor's share of a Schedule. A broadcast with
-// at least one own slot is confirmed — unless the sensor will be crashed
-// at any assigned slot, in which case it stays silent and lets the sink
-// detect and repair. Repair unicasts merge without confirmation,
-// mirroring the in-process recovery's optimistic repair commit.
-func (c *SensorClient) onSchedule(m *Schedule) error {
-	var mine []int
-	for _, p := range m.Pairs {
-		if p.Sensor == c.id {
-			mine = append(mine, p.Slot)
-		}
-	}
-	if m.Repair {
-		for _, slot := range mine {
-			if c.cfg.Faults != nil && !c.cfg.Faults.Alive(c.id, slot) {
-				continue
-			}
-			c.mu.Lock()
-			c.assigned = append(c.assigned, slot)
-			sort.Ints(c.assigned)
-			c.mu.Unlock()
-		}
-		return nil
-	}
-	if len(mine) == 0 {
-		c.mu.Lock()
-		c.assigned = nil
-		c.mu.Unlock()
-		return nil
-	}
-	if c.cfg.Faults != nil {
-		for _, slot := range mine {
-			if !c.cfg.Faults.Alive(c.id, slot) {
-				// Dying mid-interval: discard the whole assignment and stay
-				// silent so the sink's confirm window catches it.
-				c.mu.Lock()
-				c.assigned = nil
-				c.mu.Unlock()
-				return nil
-			}
-		}
-	}
-	sort.Ints(mine)
-	c.mu.Lock()
-	c.assigned = mine
-	conn := c.conn
-	c.mu.Unlock()
-	return conn.WriteMsg(&Ack{Kind: AckConfirm, Interval: m.Interval, Sensor: c.id})
-}
-
-// onFinish debits the interval's committed transmissions, replicating
-// the in-process commit's floating-point order exactly: spends
-// accumulate per slot in ascending order, then a single clamped
-// subtraction per budget. The interval index becomes the client's
-// committed watermark, carried in the next session handshake.
-func (c *SensorClient) onFinish(interval int) {
+// answer hands one frame to the endpoint and returns the reply it
+// decides on, if any: a decline or a claim to a Probe, a Confirm to a
+// Schedule broadcast. Heartbeats and other frames get none.
+func (c *SensorClient) answer(m Msg) Msg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var e, d float64
-	for _, slot := range c.assigned {
-		e += c.cfg.Sensor.PowerAt(slot) * c.cfg.Tau
-		d += c.cfg.Sensor.RateAt(slot) * c.cfg.Tau
+	switch m := m.(type) {
+	case *Probe:
+		iv := online.Interval{Index: m.Interval, Start: m.Start, End: m.End}
+		switch ans, reg := c.ep.Probe(iv, geom.Point{X: m.SinkX, Y: m.SinkY}); ans {
+		case online.AnswerDecline:
+			return &Ack{Kind: AckDecline, Interval: m.Interval, Attempt: m.Attempt, Sensor: c.cfg.Sensor.ID}
+		case online.AnswerRegister:
+			return RegisterAck(m.Interval, m.Attempt, reg)
+		}
+	case *Schedule:
+		if c.ep.Schedule(m.Interval, m.Pairs, m.Repair) {
+			return &Ack{Kind: AckConfirm, Interval: m.Interval, Sensor: c.cfg.Sensor.ID}
+		}
+	case *Finish:
+		c.ep.Finish(m.Interval)
 	}
-	c.assigned = nil
-	if interval > c.lastFinished {
-		c.lastFinished = interval
-	}
-	if e == 0 && d == 0 {
-		return
-	}
-	c.residual = math.Max(0, c.residual-e)
-	if !math.IsInf(c.residualData, 1) {
-		c.residualData = math.Max(0, c.residualData-d)
-	}
+	return nil
 }

@@ -172,7 +172,7 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		}
 	}
 	drv, err := online.NewTour(cfg.Inst, cfg.Scheduler, fb, retries, log, recs, func(res *online.Result) online.Transport {
-		return &sinkTransport{s: s, res: res, ans: make([]uint8, len(cfg.Inst.Sensors))}
+		return &sinkTransport{s: s, res: res, ans: make([]uint8, len(cfg.Inst.Sensors)), silent: make(map[int]bool)}
 	})
 	if err != nil {
 		if log != nil {
@@ -481,32 +481,6 @@ func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 		s.recoverStart = time.Time{}
 	}
 	return s.drv.Run(ctx, s.cfg.HaltAfter)
-}
-
-// confirmLoss is the commit's view of a recovery-mode interval: the
-// assignees whose Confirm never arrived are deaf, everyone is alive as
-// far as the sink can tell, and a repair is a unicast on the broadcast
-// plane. Repairs commit optimistically: the sink cannot observe a
-// dropped repair frame, and any resulting ledger divergence is healed by
-// the budget clamp at the sensor's next registration.
-type confirmLoss struct {
-	t      *sinkTransport
-	iv     int
-	silent map[int]bool
-}
-
-func (c *confirmLoss) Deaf(sensor int) bool { return c.silent[sensor] }
-func (c *confirmLoss) Alive(int, int) bool  { return true }
-
-// Repair routes the unicast through the sensor's shard: FIFO behind the
-// interval's Schedule broadcast, so the repair cannot overtake it.
-func (c *confirmLoss) Repair(slot, sensor int) bool {
-	fix := &Schedule{Interval: c.iv, Repair: true, Pairs: []Assign{{Slot: slot, Sensor: sensor}}}
-	if !c.t.s.bc.Unicast(sensor, fix) {
-		return false
-	}
-	c.t.res.Messages.RepairUnicasts++
-	return true
 }
 
 // broadcast fans one frame out to the listed sensors: the frame is

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mobisink/internal/online"
@@ -38,6 +37,9 @@ type sinkTransport struct {
 	// registration round; regOpen holds until the roundtrip is observed.
 	probeAt, regDone time.Time
 	regOpen          bool
+	// silent: Recovery interval iv's assignees with no Confirm yet.
+	silent map[int]bool
+	iv     int
 }
 
 // Reach keeps the silent sensors that have not declined and that the
@@ -154,56 +156,70 @@ func (t *sinkTransport) settle(in inbound, interval int) bool {
 // Schedule broadcasts the plan's pairs, ascending by slot, to the
 // claimants. Recovery mode then waits out the confirm window: an assignee
 // that never confirmed is crashed, deaf, or unreachable.
-func (t *sinkTransport) Schedule(ctx context.Context, iv online.Interval, regs []online.Registration, plan map[int]int) (online.Loss, error) {
+func (t *sinkTransport) Schedule(ctx context.Context, iv online.Interval, regs []online.Registration, pairs []online.Pair) (online.Loss, error) {
 	s := t.s
 	t.observeRegistration()
 	intervalCompute.Observe(time.Since(t.regDone).Seconds())
-	pairs := make([]Assign, 0, len(plan))
-	for slot, sensor := range plan {
-		pairs = append(pairs, Assign{Slot: slot, Sensor: sensor})
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].Slot < pairs[b].Slot })
 	s.broadcast(&Schedule{Interval: iv.Index, Pairs: pairs}, t.claimants(regs))
 	if s.rec == nil {
 		return nil, nil
 	}
-	silent, err := t.collectConfirms(ctx, iv, plan)
-	if err != nil {
+	if err := t.collectConfirms(ctx, iv, pairs); err != nil {
 		return nil, err
 	}
-	return &confirmLoss{t: t, iv: iv.Index, silent: silent}, nil
+	return t, nil
 }
 
-// collectConfirms waits out the confirm window and returns the
-// assignees of the plan that never confirmed the Schedule broadcast. A
-// canceled context ends the interval instead: its silence is the sink's,
-// not the sensors'.
-func (t *sinkTransport) collectConfirms(ctx context.Context, iv online.Interval, plan map[int]int) (map[int]bool, error) {
-	silent := make(map[int]bool)
-	for _, sensor := range plan {
-		silent[sensor] = true
+// collectConfirms waits out the confirm window and leaves in t.silent
+// the assignees of the pairs that never confirmed the Schedule
+// broadcast. A canceled context ends the interval instead: its silence
+// is the sink's, not the sensors'.
+func (t *sinkTransport) collectConfirms(ctx context.Context, iv online.Interval, pairs []online.Pair) error {
+	t.iv = iv.Index
+	clear(t.silent)
+	for _, p := range pairs {
+		t.silent[p.Sensor] = true
 	}
 	timer := time.NewTimer(t.s.rec.ConfirmWindow)
 	defer timer.Stop()
-	for len(silent) > 0 {
+	for len(t.silent) > 0 {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-t.s.done:
-			return nil, errClosed
+			return errClosed
 		case <-timer.C:
-			return silent, nil
+			return nil
 		case in := <-t.s.inbox:
 			if in.msg == nil {
 				continue
 			}
 			ack, ok := in.msg.(*Ack)
 			if ok && ack.Kind == AckConfirm && ack.Interval == iv.Index {
-				delete(silent, in.sensor)
+				delete(t.silent, in.sensor)
 			}
 		}
 	}
-	return silent, nil
+	return nil
+}
+
+// Deaf, Alive and Repair are the commit's view of a Recovery interval:
+// the assignees whose Confirm never arrived are deaf, and everyone is
+// alive as far as the sink can tell. Repairs commit optimistically: the
+// sink cannot observe a dropped repair frame, and the budget clamp at
+// the sensor's next registration heals the divergence.
+func (t *sinkTransport) Deaf(sensor int) bool { return t.silent[sensor] }
+func (t *sinkTransport) Alive(int, int) bool  { return true }
+
+// Repair routes the unicast through the sensor's shard: FIFO behind the
+// interval's Schedule broadcast, so the repair cannot overtake it.
+func (t *sinkTransport) Repair(slot, sensor int) bool {
+	fix := &Schedule{Interval: t.iv, Repair: true, Pairs: []Assign{{Slot: slot, Sensor: sensor}}}
+	if !t.s.bc.Unicast(sensor, fix) {
+		return false
+	}
+	t.res.Messages.RepairUnicasts++
+	return true
 }
 
 // Finish broadcasts the Finish of a committed, journaled interval; TCP
