@@ -21,20 +21,20 @@ func (inst *Instance) UpperBound() float64 {
 
 func (inst *Instance) slotBound() float64 {
 	best := make([]float64, inst.T)
-	for i := range inst.Sensors {
-		s := &inst.Sensors[i]
-		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
-			if r := s.Rates[j-s.Start]; r > best[j] {
-				best[j] = r
-			}
-		}
-		for wi := range s.More {
-			w := &s.More[wi]
-			for j := w.Start; j <= w.End; j++ {
-				if r := w.Rates[j-w.Start]; r > best[j] {
-					best[j] = r
+	fill := func(runs []LinkRun) {
+		for _, run := range runs {
+			for j := run.Start; j <= run.End; j++ {
+				if run.Rate > best[j] {
+					best[j] = run.Rate
 				}
 			}
+		}
+	}
+	for i := range inst.Sensors {
+		s := &inst.Sensors[i]
+		fill(s.Runs)
+		for wi := range s.More {
+			fill(s.More[wi].Runs)
 		}
 	}
 	total := 0.0
@@ -55,9 +55,9 @@ func (inst *Instance) energyBound() float64 {
 	return total
 }
 
-// slotRun is a run of consecutive usable window slots of a sensor with
-// one link: the data each would upload, the energy that costs, and how
-// many slots the run holds.
+// slotRun is a run of usable window slots of a sensor with one link:
+// the data each would upload, the energy that costs, and how many slots
+// the run holds.
 type slotRun struct {
 	profit, weight float64
 	count          int
@@ -65,9 +65,10 @@ type slotRun struct {
 
 // fractionalKnapsack returns the LP-relaxed best data volume sensor i could
 // upload alone: fill slots in decreasing rate/power density until the
-// budget is exhausted, taking a fractional final slot. It folds the
-// window's slots into runs of one link in runs, sorts the runs, and
-// fills slot by slot; it returns runs' grown backing for the next sensor.
+// budget is exhausted, taking a fractional final slot. It lists the
+// windows' usable link runs in runs, merging two of one link that only
+// dead slots or a window boundary part, sorts them, and fills slot by
+// slot; it returns runs' grown backing for the next sensor.
 //
 // The fill adds the slots' profits in the order a sort of the slots
 // themselves visits them whenever no two different links share a
@@ -80,23 +81,22 @@ func (inst *Instance) fractionalKnapsack(i int, runs []slotRun) (float64, []slot
 	if s.Start < 0 {
 		return 0, runs
 	}
-	add := func(rates, powers []float64) {
-		for k, r := range rates {
-			p := powers[k]
-			if r <= 0 || p <= 0 {
+	add := func(links []LinkRun) {
+		for _, l := range links {
+			if l.Rate <= 0 || l.Power <= 0 {
 				continue
 			}
-			pr, w := r*inst.Tau, p*inst.Tau
+			pr, w, count := l.Rate*inst.Tau, l.Power*inst.Tau, l.End-l.Start+1
 			if n := len(runs) - 1; n >= 0 && runs[n].profit == pr && runs[n].weight == w {
-				runs[n].count++
+				runs[n].count += count
 				continue
 			}
-			runs = append(runs, slotRun{pr, w, 1})
+			runs = append(runs, slotRun{pr, w, count})
 		}
 	}
-	add(s.Rates, s.Powers)
+	add(s.Runs)
 	for wi := range s.More {
-		add(s.More[wi].Rates, s.More[wi].Powers)
+		add(s.More[wi].Runs)
 	}
 	slices.SortFunc(runs, func(a, b slotRun) int {
 		switch {

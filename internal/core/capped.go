@@ -51,12 +51,12 @@ func (inst *Instance) RateQuantumBits() float64 { return inst.oracle().rate }
 func (inst *Instance) scanRateQuantum() float64 {
 	g := int64(0)
 	fine := false
-	accum := func(rates []float64) {
-		for _, r := range rates {
-			if r <= 0 || fine {
+	accum := func(runs []LinkRun) {
+		for _, run := range runs {
+			if run.Rate <= 0 || fine {
 				continue
 			}
-			v := int64(math.Round(r * inst.Tau))
+			v := int64(math.Round(run.Rate * inst.Tau))
 			if v <= 0 {
 				fine = true
 				return
@@ -66,9 +66,9 @@ func (inst *Instance) scanRateQuantum() float64 {
 	}
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		accum(s.Rates)
+		accum(s.Runs)
 		for wi := range s.More {
-			accum(s.More[wi].Rates)
+			accum(s.More[wi].Runs)
 		}
 	}
 	if fine || g <= 0 {

@@ -46,7 +46,9 @@ func TestRateQuantumBits(t *testing.T) {
 		t.Fatalf("quantum = %v", q)
 	}
 	for i := range inst.Sensors {
-		for _, r := range inst.Sensors[i].Rates {
+		s := &inst.Sensors[i]
+		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
+			r := s.RateAt(j)
 			if r <= 0 {
 				continue
 			}

@@ -490,9 +490,8 @@ func energyBoundSortSlice(inst *Instance) float64 {
 				}
 			}
 		}
-		add(s.Rates, s.Powers)
-		for wi := range s.More {
-			add(s.More[wi].Rates, s.More[wi].Powers)
+		for _, w := range slotLinks(s) {
+			add(w.rates, w.powers)
 		}
 		sort.Slice(slots, func(a, b int) bool {
 			return slots[a].profit*slots[b].weight > slots[b].profit*slots[a].weight

@@ -39,11 +39,8 @@ func buildGAP(inst *Instance, order []int) (bins []refBin, itemGroup []int) {
 	for b, si := range order {
 		s := &inst.Sensors[si]
 		bins[b].capacity = s.Budget
-		if s.Start >= 0 {
-			add(&bins[b], s.Start, s.Rates, s.Powers)
-		}
-		for _, w := range s.More {
-			add(&bins[b], w.Start, w.Rates, w.Powers)
+		for _, w := range slotLinks(s) {
+			add(&bins[b], w.start, w.rates, w.powers)
 		}
 	}
 	if inst.NumSinks() > 1 {
@@ -226,15 +223,15 @@ func compiledDiff(got, want *gap.Compiled) string {
 func zeroSlotInstance() *Instance {
 	return &Instance{T: 12, Tau: 2, Gamma: 4, Range: 200, Sensors: []SensorSlots{
 		{ID: 0, Budget: 3, Start: 0, End: 5,
-			Rates:  []float64{250e3, 250e3, 0, 19.2e3, 19.2e3, 9.6e3},
-			Powers: []float64{0.33, 0.33, 0.33, 0, 0.22, 0.22}},
+			Runs: runsOf(0, []float64{250e3, 250e3, 0, 19.2e3, 19.2e3, 9.6e3},
+				[]float64{0.33, 0.33, 0.33, 0, 0.22, 0.22})},
 		{ID: 1, Budget: 0.9, Start: 3, End: 9,
-			Rates:  []float64{0, 9.6e3, 9.6e3, 250e3, 0, 19.2e3, 4.8e3},
-			Powers: []float64{0, 0.17, 0.17, 0.33, 0, 0.22, 0}},
+			Runs: runsOf(3, []float64{0, 9.6e3, 9.6e3, 250e3, 0, 19.2e3, 4.8e3},
+				[]float64{0, 0.17, 0.17, 0.33, 0, 0.22, 0})},
 		{ID: 2, Start: -1, End: -1},
 		{ID: 3, Budget: 1.5, Start: 6, End: 11,
-			Rates:  []float64{4.8e3, 9.6e3, 19.2e3, 19.2e3, 9.6e3, 4.8e3},
-			Powers: []float64{0.17, 0.17, 0.22, 0.30, 0.17, 0.17}},
+			Runs: runsOf(6, []float64{4.8e3, 9.6e3, 19.2e3, 19.2e3, 9.6e3, 4.8e3},
+				[]float64{0.17, 0.17, 0.22, 0.30, 0.17, 0.17})},
 	}}
 }
 

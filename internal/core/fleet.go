@@ -62,43 +62,6 @@ func BuildFleetInstance(dep *network.Deployment, model radio.Model, defaultSpeed
 		Traj:  trajs[0],
 		Sinks: sinks,
 	}
-	inst.Sensors = make([]SensorSlots, len(dep.Sensors))
-	for i, s := range dep.Sensors {
-		ss := SensorSlots{ID: i, Pos: s.Pos, Budget: s.Budget, Start: -1, End: -1}
-		for k, tr := range trajs {
-			j0, j1, ok := tr.SlotWindow(s.Pos, r)
-			if !ok {
-				continue
-			}
-			rates := make([]float64, j1-j0+1)
-			powers := make([]float64, j1-j0+1)
-			for j := j0; j <= j1; j++ {
-				d := tr.PosAtSlotMid(j).Dist(s.Pos)
-				l, lok := model.LinkAt(d)
-				if !lok {
-					// Midpoint drifted out of range despite the window —
-					// treat as a dead slot (same rule as BuildInstance).
-					continue
-				}
-				rates[j-j0] = l.Rate
-				powers[j-j0] = l.Power
-			}
-			off := sinks[k].Offset
-			if ss.Start < 0 {
-				ss.Sink = k
-				ss.Start, ss.End = off+j0, off+j1
-				ss.Rates, ss.Powers = rates, powers
-			} else {
-				ss.More = append(ss.More, Window{
-					Sink:   k,
-					Start:  off + j0,
-					End:    off + j1,
-					Rates:  rates,
-					Powers: powers,
-				})
-			}
-		}
-		inst.Sensors[i] = ss
-	}
+	inst.Sensors = sensorSlots(dep, model, sinks)
 	return inst, nil
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobisink/internal/energy"
@@ -109,8 +111,7 @@ func TestFleetK1BitParity(t *testing.T) {
 						t.Fatalf("seed %d sensor %d: K=1 build has extra windows", seed, i)
 					}
 					if ls.Start != fs.Start || ls.End != fs.End ||
-						!reflect.DeepEqual(ls.Rates, fs.Rates) ||
-						!reflect.DeepEqual(ls.Powers, fs.Powers) {
+						!reflect.DeepEqual(ls.Runs, fs.Runs) {
 						t.Fatalf("seed %d sensor %d: fleet window differs from legacy", seed, i)
 					}
 				}
@@ -272,9 +273,9 @@ func TestFleetMaxMatchBeatsSingleSink(t *testing.T) {
 }
 
 // FuzzFleetBuild checks build invariants over fuzzed topology/fleet
-// parameters: every window sits inside its sink's slot segment, slices
-// are consistent, budgets stay non-negative, and the per-slot lookups
-// agree with the window arrays.
+// parameters: every window sits inside its sink's slot segment, its runs
+// tile it one link a run, budgets stay non-negative, and the per-slot
+// lookups read, bit for bit, what the per-slot link loop wrote.
 func FuzzFleetBuild(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(2), 5.0, 1.0)
 	f.Add(int64(2), uint8(30), uint8(1), 8.0, 2.0)
@@ -320,20 +321,18 @@ func FuzzFleetBuild(f *testing.F) {
 		if total != inst.T {
 			t.Fatalf("sink segments sum to %d slots, instance has %d", total, inst.T)
 		}
-		checkWindow := func(i, sink, start, end int, rates, powers []float64) {
+		checkWindow := func(i, sink, start, end int, runs []LinkRun) {
 			seg := inst.Sinks[sink]
 			if start < seg.Offset || end >= seg.Offset+seg.T || start > end {
 				t.Fatalf("sensor %d window [%d,%d] outside sink %d segment [%d,%d)",
 					i, start, end, sink, seg.Offset, seg.Offset+seg.T)
 			}
-			if len(rates) != end-start+1 || len(powers) != end-start+1 {
-				t.Fatalf("sensor %d window [%d,%d]: %d rates / %d powers",
-					i, start, end, len(rates), len(powers))
+			for _, run := range runs {
+				if run.Rate < 0 || run.Power < 0 {
+					t.Fatalf("sensor %d slots %d..%d: negative rate or power", i, run.Start, run.End)
+				}
 			}
 			for j := start; j <= end; j++ {
-				if rates[j-start] < 0 || powers[j-start] < 0 {
-					t.Fatalf("sensor %d slot %d: negative rate or power", i, j)
-				}
 				if inst.SinkOfSlot(j) != sink {
 					t.Fatalf("slot %d attributed to sink %d, window says %d", j, inst.SinkOfSlot(j), sink)
 				}
@@ -354,7 +353,7 @@ func FuzzFleetBuild(f *testing.F) {
 				}
 				continue
 			}
-			checkWindow(i, s.Sink, s.Start, s.End, s.Rates, s.Powers)
+			checkWindow(i, s.Sink, s.Start, s.End, s.Runs)
 			prevSink := s.Sink
 			for wi := range s.More {
 				w := &s.More[wi]
@@ -362,8 +361,75 @@ func FuzzFleetBuild(f *testing.F) {
 					t.Fatalf("sensor %d windows out of sink order", i)
 				}
 				prevSink = w.Sink
-				checkWindow(i, w.Sink, w.Start, w.End, w.Rates, w.Powers)
+				checkWindow(i, w.Sink, w.Start, w.End, w.Runs)
 			}
 		}
+		checkPerSlot(t, inst, perSlotWindows(d, radio.Paper2013(), inst.Sinks))
 	})
+}
+
+// crossSinkMapRef is Validate's cross-sink check as it ran before it
+// read SlotOwner: a map of the claimed (sensor, absolute slot) pairs,
+// scanned in slot order, naming the first slot whose sensor already
+// claimed its absolute slot, and the claim's slot; "" when none did.
+func crossSinkMapRef(inst *Instance, a *Allocation) string {
+	claimed := map[[2]int]int{}
+	for j, i := range a.SlotOwner {
+		if i < 0 {
+			continue
+		}
+		key := [2]int{i, inst.AbsSlot(j)}
+		if prev, dup := claimed[key]; dup {
+			return fmt.Sprintf("core: sensor %d transmits to two sinks in absolute slot %d (global slots %d and %d)", i, key[1], prev, j)
+		}
+		claimed[key] = j
+	}
+	return ""
+}
+
+// TestValidateCrossSinkMatchesMap: Validate finds a sensor on two sinks
+// in one absolute slot by reading SlotOwner at the sink segments'
+// offsets, and must report the first such slot, with the same message,
+// as the map of claimed pairs did — on random allocations over fleets
+// whose sinks cross, run at two speeds and split the road eight ways,
+// each slot given, at a random density, to a random sensor that can use
+// it.
+func TestValidateCrossSinkMatchesMap(t *testing.T) {
+	conflicts, clean := 0, 0
+	for shape := 1; shape < len(seqShapes); shape++ {
+		inst := seqInstance(t, 60, 3, shape, radio.Paper2013(), false)
+		users := make([][]int, inst.T)
+		for i := range inst.Sensors {
+			for j := 0; j < inst.T; j++ {
+				if inst.Sensors[i].RateAt(j) > 0 {
+					users[j] = append(users[j], i)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(shape)))
+		for trial := 0; trial < 40; trial++ {
+			density := float64(trial+1) / 40
+			a := inst.NewAllocation()
+			for j, us := range users {
+				if len(us) > 0 && rng.Float64() < density {
+					a.SlotOwner[j] = us[rng.Intn(len(us))]
+				}
+			}
+			_, err := inst.Validate(a)
+			want := crossSinkMapRef(inst, a)
+			switch {
+			case want != "" && (err == nil || err.Error() != want):
+				t.Fatalf("%s trial %d: Validate said %v, the map check %q", seqShapes[shape].name, trial, err, want)
+			case want == "" && err != nil && strings.Contains(err.Error(), "two sinks"):
+				t.Fatalf("%s trial %d: Validate said %v, the map check found no conflict", seqShapes[shape].name, trial, err)
+			case want != "":
+				conflicts++
+			default:
+				clean++
+			}
+		}
+	}
+	if conflicts == 0 || clean == 0 {
+		t.Fatalf("%d allocations with a conflict and %d without: both cases must occur", conflicts, clean)
+	}
 }

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mobisink/internal/geom"
 	"mobisink/internal/knapsack"
@@ -21,15 +22,52 @@ import (
 	"mobisink/internal/radio"
 )
 
+// LinkRun is a run of consecutive window slots that share one link:
+// global slots Start through End, each with the rate r_{i,j} (bit/s) and
+// power P_{i,j} (W) of Link. A dead slot, whose midpoint lies beyond the
+// radio's range, has the zero Link.
+type LinkRun struct {
+	Start, End int
+	radio.Link
+}
+
+// AppendLink appends a window's next slot, global slot j with link l, to
+// the window's runs so far: the slot extends the last run when that run
+// has link l, and starts a run otherwise. A window's slots are appended
+// in ascending order with no gap, a dead slot with the zero Link. On the
+// paper's tier table a straight pass past a sensor changes link at most
+// 2·tiers − 2 times, so a window is a handful of runs, not a slot each.
+func AppendLink(runs []LinkRun, j int, l radio.Link) []LinkRun {
+	if n := len(runs) - 1; n >= 0 && runs[n].Link == l {
+		runs[n].End = j
+		return runs
+	}
+	return append(runs, LinkRun{Start: j, End: j, Link: l})
+}
+
+// linkOf returns the link of global slot j, which must lie in the window
+// that runs tile.
+func linkOf(runs []LinkRun, j int) radio.Link {
+	lo, hi := 0, len(runs)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if runs[m].End < j {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return runs[lo].Link
+}
+
 // Window is one contiguous visibility window of a sensor against one sink
 // of a fleet, in the instance's joint (sink-major) slot space.
 type Window struct {
 	Sink       int // fleet index of the sink this window listens to
 	Start, End int // inclusive global slot range
-	// Rates[k] and Powers[k] are r_{i,j} (bit/s) and P_{i,j} (W) for
-	// global slot j = Start+k.
-	Rates  []float64
-	Powers []float64
+	// Runs tile [Start, End] in ascending order, one run per link
+	// (AppendLink): global slot j has the link of the run holding it.
+	Runs []LinkRun
 }
 
 // SensorSlots is a sensor together with its visibility window A(v) and
@@ -43,10 +81,9 @@ type SensorSlots struct {
 	// Start and End delimit the primary window as an inclusive 0-based
 	// global slot range; Start == -1 means the sensor never hears any sink.
 	Start, End int
-	// Rates[k] and Powers[k] are r_{i,j} (bit/s) and P_{i,j} (W) for slot
-	// j = Start+k.
-	Rates  []float64
-	Powers []float64
+	// Runs are the primary window's links, as Window.Runs; nil when
+	// Start == -1.
+	Runs []LinkRun
 	// Sink is the fleet index of the primary window's sink (0 for
 	// single-sink instances).
 	Sink int
@@ -74,31 +111,25 @@ func (s *SensorSlots) TotalWindowSize() int {
 	return n
 }
 
-// RateAt returns r_{i,j} for global slot j, or 0 if j is in no window.
-func (s *SensorSlots) RateAt(j int) float64 {
+// LinkAt returns the link of global slot j, r_{i,j} and P_{i,j} in one
+// search of the runs, or the zero Link if j is in no window.
+func (s *SensorSlots) LinkAt(j int) radio.Link {
 	if s.Start >= 0 && j >= s.Start && j <= s.End {
-		return s.Rates[j-s.Start]
+		return linkOf(s.Runs, j)
 	}
 	for i := range s.More {
 		if w := &s.More[i]; j >= w.Start && j <= w.End {
-			return w.Rates[j-w.Start]
+			return linkOf(w.Runs, j)
 		}
 	}
-	return 0
+	return radio.Link{}
 }
 
+// RateAt returns r_{i,j} for global slot j, or 0 if j is in no window.
+func (s *SensorSlots) RateAt(j int) float64 { return s.LinkAt(j).Rate }
+
 // PowerAt returns P_{i,j} for global slot j, or 0 if j is in no window.
-func (s *SensorSlots) PowerAt(j int) float64 {
-	if s.Start >= 0 && j >= s.Start && j <= s.End {
-		return s.Powers[j-s.Start]
-	}
-	for i := range s.More {
-		if w := &s.More[i]; j >= w.Start && j <= w.End {
-			return w.Powers[j-w.Start]
-		}
-	}
-	return 0
-}
+func (s *SensorSlots) PowerAt(j int) float64 { return s.LinkAt(j).Power }
 
 // Contains reports whether global slot j lies inside any of the sensor's
 // windows (independently of the slot's rate being usable).
@@ -200,29 +231,47 @@ func BuildInstance(dep *network.Deployment, model radio.Model, sinkSpeed, slotLe
 		Range: r,
 		Traj:  tr,
 	}
-	inst.Sensors = make([]SensorSlots, len(dep.Sensors))
+	inst.Sensors = sensorSlots(dep, model, []SinkInfo{{T: tr.SlotCount, Traj: tr}})
+	return inst, nil
+}
+
+// sensorSlots derives every sensor's windows against the sinks, whose
+// segments of the joint slot space sinks lays out: one Window per sink
+// whose trajectory passes within the model's range, the lowest sink's the
+// primary. It evaluates the link at each slot's midpoint and folds the
+// slots into runs with AppendLink; each window keeps its runs in an array
+// of their own size.
+func sensorSlots(dep *network.Deployment, model radio.Model, sinks []SinkInfo) []SensorSlots {
+	r := model.Range()
+	out := make([]SensorSlots, len(dep.Sensors))
+	var runs []LinkRun // one buffer, reused window after window
 	for i, s := range dep.Sensors {
 		ss := SensorSlots{ID: i, Pos: s.Pos, Budget: s.Budget, Start: -1, End: -1}
-		j0, j1, ok := tr.SlotWindow(s.Pos, r)
-		if ok {
-			ss.Start, ss.End = j0, j1
-			ss.Rates = make([]float64, j1-j0+1)
-			ss.Powers = make([]float64, j1-j0+1)
+		for k, sk := range sinks {
+			j0, j1, ok := sk.Traj.SlotWindow(s.Pos, r)
+			if !ok {
+				continue
+			}
+			runs = runs[:0]
 			for j := j0; j <= j1; j++ {
-				d := tr.PosAtSlotMid(j).Dist(s.Pos)
-				l, lok := model.LinkAt(d)
-				if !lok {
+				l, ok := model.LinkAt(sk.Traj.PosAtSlotMid(j).Dist(s.Pos))
+				if !ok {
 					// Midpoint drifted out of range despite the window —
 					// treat as a dead slot.
-					continue
+					l = radio.Link{}
 				}
-				ss.Rates[j-j0] = l.Rate
-				ss.Powers[j-j0] = l.Power
+				runs = AppendLink(runs, sk.Offset+j, l)
+			}
+			w := Window{Sink: k, Start: sk.Offset + j0, End: sk.Offset + j1, Runs: slices.Clone(runs)}
+			if ss.Start < 0 {
+				ss.Sink, ss.Start, ss.End, ss.Runs = w.Sink, w.Start, w.End, w.Runs
+			} else {
+				ss.More = append(ss.More, w)
 			}
 		}
-		inst.Sensors[i] = ss
+		out[i] = ss
 	}
-	return inst, nil
+	return out
 }
 
 // Allocation assigns each slot to at most one sensor.
@@ -252,13 +301,6 @@ func (inst *Instance) Validate(a *Allocation) (float64, error) {
 		return 0, fmt.Errorf("core: allocation covers %d slots, instance has %d", len(a.SlotOwner), inst.T)
 	}
 	energyUsed := make([]float64, len(inst.Sensors))
-	// Fleet instances: absSlotOf[i] tracks sensor i's claimed absolute
-	// slots so the cross-sink constraint (≤ 1 sink per absolute slot per
-	// sensor) is enforced.
-	var absSlotOf map[[2]int]int
-	if inst.NumSinks() > 1 {
-		absSlotOf = make(map[[2]int]int)
-	}
 	data := 0.0
 	for j, i := range a.SlotOwner {
 		if i == -1 {
@@ -271,18 +313,15 @@ func (inst *Instance) Validate(a *Allocation) (float64, error) {
 		if !s.Contains(j) {
 			return 0, fmt.Errorf("core: slot %d outside every window of sensor %d", j, i)
 		}
-		if s.RateAt(j) <= 0 {
+		l := s.LinkAt(j)
+		if l.Rate <= 0 {
 			return 0, fmt.Errorf("core: slot %d allocated to sensor %d with zero rate", j, i)
 		}
-		if absSlotOf != nil {
-			key := [2]int{i, inst.AbsSlot(j)}
-			if prev, dup := absSlotOf[key]; dup {
-				return 0, fmt.Errorf("core: sensor %d transmits to two sinks in absolute slot %d (global slots %d and %d)", i, key[1], prev, j)
-			}
-			absSlotOf[key] = j
+		if prev := inst.heldBefore(a.SlotOwner, i, j); prev >= 0 {
+			return 0, fmt.Errorf("core: sensor %d transmits to two sinks in absolute slot %d (global slots %d and %d)", i, inst.AbsSlot(j), prev, j)
 		}
-		energyUsed[i] += s.PowerAt(j) * inst.Tau
-		data += s.RateAt(j) * inst.Tau
+		energyUsed[i] += l.Power * inst.Tau
+		data += l.Rate * inst.Tau
 	}
 	for i, e := range energyUsed {
 		if !knapsack.Fits(e, inst.Sensors[i].Budget) {
@@ -293,6 +332,26 @@ func (inst *Instance) Validate(a *Allocation) (float64, error) {
 		return 0, err
 	}
 	return data, nil
+}
+
+// heldBefore enforces the cross-sink constraint (≤ 1 sink per absolute
+// slot per sensor) on an allocation's slot → sensor array: it returns
+// the lowest global slot before j in which sensor i holds j's absolute
+// slot, or -1. Only a lower sink's segment holds such a slot, at the
+// same offset into the segment, so owner is itself the dense stamp of
+// who holds each (sink, absolute slot) and nothing else is kept.
+func (inst *Instance) heldBefore(owner []int, i, j int) int {
+	a := inst.AbsSlot(j)
+	for _, sk := range inst.Sinks {
+		g := sk.Offset + a
+		if g >= j {
+			break
+		}
+		if a < sk.T && owner[g] == i {
+			return g
+		}
+	}
+	return -1
 }
 
 // EnergyUsed returns the per-sensor energy consumption of an allocation in

@@ -97,12 +97,12 @@ func (inst *Instance) scanWeightQuantum() (float64, bool) {
 	}
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		for _, p := range s.Powers {
-			accum(p)
+		for _, run := range s.Runs {
+			accum(run.Power)
 		}
 		for wi := range s.More {
-			for _, p := range s.More[wi].Powers {
-				accum(p)
+			for _, run := range s.More[wi].Runs {
+				accum(run.Power)
 			}
 		}
 	}
@@ -162,7 +162,7 @@ func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Alloca
 // compileGAP writes the paper's GAP reduction (Thm 1) into b, one bin per
 // sensor of order (capacity = per-tour energy budget), one entry per
 // usable window slot (profit = r·τ bits, weight = P·τ Joules), listed by
-// one Builder.Run per window, under the conflict groups group (nil:
+// one Builder.Run per link run, under the conflict groups group (nil:
 // none). Shared by OfflineAppro, OfflineGreedy and OfflineSequential,
 // which differ in bin order, groups and the pass they run on the result.
 //
@@ -170,14 +170,17 @@ func OfflineApproCtx(ctx context.Context, inst *Instance, opts Options) (*Alloca
 // sink).
 func (inst *Instance) compileGAP(b *gap.Builder, order []int, group []int, quantum, eps float64) (*gap.Compiled, error) {
 	b.Reset(inst.T, group, quantum, eps)
+	list := func(runs []LinkRun) {
+		for _, run := range runs {
+			b.Run(run.Start, run.End-run.Start+1, run.Rate*inst.Tau, run.Power*inst.Tau)
+		}
+	}
 	for _, si := range order {
 		s := &inst.Sensors[si]
 		b.Bin(s.Budget)
-		if s.Start >= 0 {
-			b.Run(s.Start, s.Rates, s.Powers, inst.Tau)
-		}
+		list(s.Runs)
 		for wi := range s.More {
-			b.Run(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
+			list(s.More[wi].Runs)
 		}
 	}
 	return b.Compiled()
@@ -244,8 +247,9 @@ func sensorOrder(inst *Instance, order []int) []int {
 // paper §VI), else ok=false.
 func (inst *Instance) FixedTxPower() (float64, bool) {
 	p := 0.0
-	same := func(powers []float64) bool {
-		for _, pw := range powers {
+	same := func(runs []LinkRun) bool {
+		for _, run := range runs {
+			pw := run.Power
 			if pw <= 0 {
 				continue
 			}
@@ -259,11 +263,11 @@ func (inst *Instance) FixedTxPower() (float64, bool) {
 	}
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		if !same(s.Powers) {
+		if !same(s.Runs) {
 			return 0, false
 		}
 		for wi := range s.More {
-			if !same(s.More[wi].Powers) {
+			if !same(s.More[wi].Runs) {
 				return 0, false
 			}
 		}
@@ -310,6 +314,19 @@ func OfflineMaxMatchCtx(ctx context.Context, inst *Instance) (*Allocation, error
 		}
 		return g.AddEdge(i, j, r*inst.Tau)
 	}
+	addEdges := func(i int, runs []LinkRun) error {
+		for _, run := range runs {
+			if run.Rate <= 0 {
+				continue
+			}
+			for j := run.Start; j <= run.End; j++ {
+				if err := addEdge(i, j, run.Rate); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
 		if s.Start < 0 {
@@ -322,21 +339,12 @@ func OfflineMaxMatchCtx(ctx context.Context, inst *Instance) (*Allocation, error
 		if err := g.SetLeftCap(i, capSlots); err != nil {
 			return nil, err
 		}
-		for j := s.Start; j <= s.End; j++ {
-			if r := s.Rates[j-s.Start]; r > 0 {
-				if err := addEdge(i, j, r); err != nil {
-					return nil, err
-				}
-			}
+		if err := addEdges(i, s.Runs); err != nil {
+			return nil, err
 		}
 		for wi := range s.More {
-			w := &s.More[wi]
-			for j := w.Start; j <= w.End; j++ {
-				if r := w.Rates[j-w.Start]; r > 0 {
-					if err := addEdge(i, j, r); err != nil {
-						return nil, err
-					}
-				}
+			if err := addEdges(i, s.More[wi].Runs); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -91,11 +91,8 @@ func offlineSequentialRef(inst *Instance, opts Options) (*Allocation, error) {
 				}
 			}
 		}
-		if s.Start >= 0 {
-			collect(s.Start, s.Rates, s.Powers)
-		}
-		for wi := range s.More {
-			collect(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers)
+		for _, w := range slotLinks(s) {
+			collect(w.start, w.rates, w.powers)
 		}
 		if fleet {
 			items, slots = reduceByAbsSlot(inst, items, slots)
@@ -239,11 +236,8 @@ func sharedAbsSlots(inst *Instance) int {
 				}
 			}
 		}
-		if s.Start >= 0 {
-			mark(s.Start, s.Rates)
-		}
-		for wi := range s.More {
-			mark(s.More[wi].Start, s.More[wi].Rates)
+		for _, w := range slotLinks(s) {
+			mark(w.start, w.rates)
 		}
 		for _, c := range seen {
 			if c > 1 {

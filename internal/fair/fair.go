@@ -40,13 +40,6 @@ func WaterFillCtx(ctx context.Context, inst *core.Instance) (*core.Allocation, e
 		budget[i] = inst.Sensors[i].Budget
 		active[i] = inst.Sensors[i].Start >= 0
 	}
-	// absUsed[i] records sensor i's claimed absolute slots on fleet
-	// instances; nil for K=1, where global slots are absolute slots and
-	// SlotOwner already excludes double claims.
-	var absUsed []map[int]bool
-	if inst.NumSinks() > 1 {
-		absUsed = make([]map[int]bool, n)
-	}
 	// Order of consideration among equal-data sensors: by id, for
 	// determinism.
 	remaining := 0
@@ -72,28 +65,22 @@ func WaterFillCtx(ctx context.Context, inst *core.Instance) (*core.Allocation, e
 		s := &inst.Sensors[pick]
 		// Its best affordable unassigned slot across every window.
 		bestSlot, bestRate := -1, 0.0
-		consider := func(start int, rates, powers []float64) {
-			for k, r := range rates {
-				j := start + k
-				if alloc.SlotOwner[j] != -1 {
-					continue
-				}
-				p := powers[k]
+		consider := func(runs []core.LinkRun) {
+			for _, run := range runs {
+				r, p := run.Rate, run.Power
 				if r <= 0 || p <= 0 || p*inst.Tau > budget[pick]+1e-12 {
 					continue
 				}
-				if absUsed != nil && absUsed[pick][inst.AbsSlot(j)] {
-					continue
-				}
-				if r > bestRate {
-					bestRate, bestSlot = r, j
+				for j := run.Start; j <= run.End && r > bestRate; j++ {
+					if alloc.SlotOwner[j] == -1 && !holdsAbsSlot(inst, alloc.SlotOwner, pick, j) {
+						bestRate, bestSlot = r, j
+					}
 				}
 			}
 		}
-		consider(s.Start, s.Rates, s.Powers)
+		consider(s.Runs)
 		for wi := range s.More {
-			w := &s.More[wi]
-			consider(w.Start, w.Rates, w.Powers)
+			consider(s.More[wi].Runs)
 		}
 		if bestSlot == -1 {
 			active[pick] = false
@@ -101,17 +88,25 @@ func WaterFillCtx(ctx context.Context, inst *core.Instance) (*core.Allocation, e
 			continue
 		}
 		alloc.SlotOwner[bestSlot] = pick
-		if absUsed != nil {
-			if absUsed[pick] == nil {
-				absUsed[pick] = make(map[int]bool)
-			}
-			absUsed[pick][inst.AbsSlot(bestSlot)] = true
-		}
 		budget[pick] -= s.PowerAt(bestSlot) * inst.Tau
 		data[pick] += bestRate * inst.Tau
 	}
 	inst.RecomputeData(alloc)
 	return alloc, nil
+}
+
+// holdsAbsSlot reports whether sensor i transmits during global slot j's
+// absolute slot, in any sink's segment of a fleet's slot space (the
+// cross-sink constraint). Each segment holds that absolute slot at the
+// same offset, so the allocation's slot owners answer it.
+func holdsAbsSlot(inst *core.Instance, owner []int, i, j int) bool {
+	a := inst.AbsSlot(j)
+	for _, sk := range inst.Sinks {
+		if a < sk.T && owner[sk.Offset+a] == i {
+			return true
+		}
+	}
+	return false
 }
 
 // PerSensorData returns each sensor's collected data under an allocation,
@@ -187,21 +182,20 @@ func MinData(inst *core.Instance, a *core.Allocation) float64 {
 			continue
 		}
 		affordable := false
-		check := func(rates, powers []float64) {
-			for k, r := range rates {
-				p := powers[k]
-				if p > 0 && p*inst.Tau <= s.Budget+1e-12 && r > 0 {
+		check := func(runs []core.LinkRun) {
+			for _, run := range runs {
+				if p := run.Power; p > 0 && p*inst.Tau <= s.Budget+1e-12 && run.Rate > 0 {
 					affordable = true
 					return
 				}
 			}
 		}
-		check(s.Rates, s.Powers)
+		check(s.Runs)
 		for wi := range s.More {
 			if affordable {
 				break
 			}
-			check(s.More[wi].Rates, s.More[wi].Powers)
+			check(s.More[wi].Runs)
 		}
 		if !affordable {
 			continue

@@ -70,10 +70,10 @@ var (
 
 // Builder writes a Compiled bin by bin: Reset, then Bin for each bin in
 // the local-ratio order, each followed by one Run per run of consecutive
-// eligible items (Add for a single one), then Compiled. It makes every
-// check of a GAP instance as the entries arrive: items in range and
-// listed at most once per bin, no negative capacity or weight. The first
-// error sticks; Compiled returns it.
+// items of one profit and weight (Add for a single one), then Compiled.
+// It makes every check of a GAP instance as the entries arrive: items in
+// range and listed at most once per bin, no negative capacity or weight.
+// The first error sticks; Compiled returns it.
 //
 // With conflict groups, each bin keeps at most one entry per group: the
 // dominant one — max profit, then min weight, then lowest item. So the
@@ -157,18 +157,17 @@ func (b *Builder) Bin(capacity float64) {
 	}
 }
 
-// Run lists a run of consecutive items in the open bin: item first+k,
-// for each k, with profit profit[k]·scale and weight weight[k]·scale
-// there (profit and weight have one length). The GAP reduction lists a
-// sensor's window in one call: rates and powers per slot, scaled by the
-// slot length τ. An entry is kept only if its profit and weight are
-// positive and the weight fits the bin. A zero weight means no entry,
-// not a free one: a slot with no transmit power is no link, so an entry
-// of positive profit and zero weight is listed and dropped. Every item
-// of the run counts as listed, so none may already be listed in the
-// bin. Equal consecutive weights, as a window's slots at one power
-// level have, are quantized once.
-func (b *Builder) Run(first int, profit, weight []float64, scale float64) {
+// Run lists a run of count consecutive items in the open bin, items
+// first through first+count−1, each with the same profit and weight
+// there. The GAP reduction lists a sensor's window one run of one link
+// at a time: the run's rate and power scaled by the slot length τ. The
+// entries are kept only if the profit and weight are positive and the
+// weight fits the bin; a kept run's weight is quantized once. A zero
+// weight means no entry, not a free one: a slot with no transmit power
+// is no link, so a run of positive profit and zero weight is listed and
+// dropped. Every item of the run counts as listed, so none may already
+// be listed in the bin.
+func (b *Builder) Run(first, count int, profit, weight float64) {
 	if b.err != nil {
 		return
 	}
@@ -177,60 +176,43 @@ func (b *Builder) Run(first int, profit, weight []float64, scale float64) {
 	switch {
 	case len(c.Off) > len(c.Cap):
 		b.err = errors.New("gap: entry added with no open bin")
-	case len(weight) != len(profit):
-		b.err = fmt.Errorf("gap: bin %d lists %d profits and %d weights", bin, len(profit), len(weight))
-	case first < 0 || first+len(profit) > c.NumItems:
-		b.err = fmt.Errorf("gap: bin %d references items %d..%d out of range", bin, first, first+len(profit)-1)
+	case count < 0 || first < 0 || first+count > c.NumItems:
+		b.err = fmt.Errorf("gap: bin %d references items %d..%d out of range", bin, first, first+count-1)
+	case count > 0 && weight < 0:
+		b.err = fmt.Errorf("gap: bin %d item %d has negative weight", bin, first)
 	}
 	if b.err != nil {
 		return
 	}
-	// The entries are written at o on arrays grown once for the run.
-	n, o := len(profit), len(c.Item)
-	items, profits, weights := slices.Grow(c.Item, n)[:o+n], slices.Grow(c.Profit, n)[:o+n], slices.Grow(c.Weight, n)[:o+n]
-	wq := c.WQ
-	if c.Quantum > 0 {
-		wq = slices.Grow(wq, n)[:o+n]
-	}
-	mark, capacity, seen := int32(bin+1), c.Cap[bin], b.seen[first:first+n]
-	lastW, lastWQ := -1.0, int32(0) // the last kept weight, in quanta
-	for k, p := range profit {
-		w := weight[k] * scale
-		switch {
-		case w < 0:
-			b.err = fmt.Errorf("gap: bin %d item %d has negative weight", bin, first+k)
-		case seen[k] == mark:
+	mark, seen := int32(bin+1), b.seen[first:first+count]
+	for k := range seen {
+		if seen[k] == mark {
 			b.err = fmt.Errorf("gap: bin %d lists item %d twice", bin, first+k)
-		}
-		if b.err != nil {
 			return
 		}
 		seen[k] = mark
-		p *= scale
-		if !(p > 0 && w > 0 && w <= capacity) {
-			continue // never assignable, or no link
-		}
-		items[o], profits[o], weights[o] = int32(first+k), p, w
-		if c.Quantum > 0 {
-			if w != lastW {
-				lastW, lastWQ = w, knapsack.QuantizeWeight(w, c.Quantum)
-			}
-			wq[o] = lastWQ
-		}
-		o++
 	}
-	c.Item, c.Profit, c.Weight = items[:o], profits[:o], weights[:o]
+	if !(profit > 0 && weight > 0 && weight <= c.Cap[bin]) {
+		return // never assignable, or no link
+	}
+	// The entries are written at o on arrays grown once for the run.
+	o, n := len(c.Item), len(c.Item)+count
+	c.Item, c.Profit, c.Weight = slices.Grow(c.Item, count)[:n], slices.Grow(c.Profit, count)[:n], slices.Grow(c.Weight, count)[:n]
+	for k := o; k < n; k++ {
+		c.Item[k], c.Profit[k], c.Weight[k] = int32(first+k-o), profit, weight
+	}
 	if c.Quantum > 0 {
-		c.WQ = wq[:o]
+		wq := knapsack.QuantizeWeight(weight, c.Quantum)
+		c.WQ = slices.Grow(c.WQ, count)[:n]
+		for k := o; k < n; k++ {
+			c.WQ[k] = wq
+		}
 	}
 }
 
 // Add lists item in the open bin with its profit and weight there: the
 // one-entry case of Run, so a zero weight keeps nothing.
-func (b *Builder) Add(item int, profit, weight float64) {
-	p, w := [1]float64{profit}, [1]float64{weight}
-	b.Run(item, p[:], w[:], 1)
-}
+func (b *Builder) Add(item int, profit, weight float64) { b.Run(item, 1, profit, weight) }
 
 // Compiled closes the open bin and returns the compiled form, or the
 // first error any call since Reset met.

@@ -85,23 +85,26 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestRunChecks: Run checks its run's item range once and each entry
-// for a duplicate and a negative weight, keeps only entries with positive
-// profit and weight that fit, scales both by the run's scale, and
-// quantizes the kept weights as Add would one by one.
+// TestRunChecks: Run checks its run's item range once and each item for
+// a duplicate, and its weight for a sign; keeps the run's entries only
+// with positive profit and weight that fit, and quantizes the kept
+// weight as Add would item by item.
 func TestRunChecks(t *testing.T) {
 	var b Builder
-	b.Reset(6, nil, 0.1, 0)
+	b.Reset(7, nil, 0.1, 0)
 	b.Bin(1)
-	b.Run(0, []float64{1, 0, 2, 3, 4}, []float64{0.1, 0.1, 0, 0.25, 0.3}, 2)
-	b.Run(5, []float64{9}, []float64{0.6}, 2) // 1.2 > capacity 1
+	b.Add(0, 2, 0.2)
+	b.Run(1, 2, 0, 0.2) // no profit
+	b.Run(3, 1, 4, 0)   // no weight
+	b.Run(4, 2, 6, 0.5)
+	b.Run(6, 1, 18, 1.2) // 1.2 > capacity 1
 	c, err := b.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Item 1 has no profit, item 2 no weight, item 5 does not fit.
-	if !reflect.DeepEqual(c.Item, []int32{0, 3, 4}) || !reflect.DeepEqual(c.Profit, []float64{2, 6, 8}) ||
-		!reflect.DeepEqual(c.Weight, []float64{0.2, 0.5, 0.6}) || !reflect.DeepEqual(c.WQ, []int32{2, 5, 6}) {
+	// Items 1 and 2 have no profit, item 3 no weight, item 6 does not fit.
+	if !reflect.DeepEqual(c.Item, []int32{0, 4, 5}) || !reflect.DeepEqual(c.Profit, []float64{2, 6, 6}) ||
+		!reflect.DeepEqual(c.Weight, []float64{0.2, 0.5, 0.5}) || !reflect.DeepEqual(c.WQ, []int32{2, 5, 5}) {
 		t.Fatalf("compiled items %v profits %v weights %v quanta %v", c.Item, c.Profit, c.Weight, c.WQ)
 	}
 	for _, bad := range []struct {
@@ -109,11 +112,11 @@ func TestRunChecks(t *testing.T) {
 		run  func(b *Builder)
 		want string
 	}{
-		{"range", func(b *Builder) { b.Run(4, []float64{1, 1, 1}, []float64{1, 1, 1}, 1) }, "out of range"},
-		{"lengths", func(b *Builder) { b.Run(0, []float64{1, 1}, []float64{1}, 1) }, "weights"},
-		{"twice", func(b *Builder) { b.Add(2, 1, 1); b.Run(1, []float64{1, 1}, []float64{1, 1}, 1) }, "twice"},
-		{"twice in a run of a dead entry", func(b *Builder) { b.Add(3, 0, 1); b.Run(3, []float64{1}, []float64{1}, 1) }, "twice"},
-		{"negative", func(b *Builder) { b.Run(0, []float64{1}, []float64{1}, -1) }, "negative weight"},
+		{"range", func(b *Builder) { b.Run(4, 3, 1, 1) }, "out of range"},
+		{"negative count", func(b *Builder) { b.Run(0, -1, 1, 1) }, "out of range"},
+		{"twice", func(b *Builder) { b.Add(2, 1, 1); b.Run(1, 2, 1, 1) }, "twice"},
+		{"twice in a run of a dead entry", func(b *Builder) { b.Add(3, 0, 1); b.Run(3, 1, 1, 1) }, "twice"},
+		{"negative", func(b *Builder) { b.Run(0, 1, 1, -1) }, "negative weight"},
 	} {
 		b.Reset(6, nil, 0.1, 0)
 		b.Bin(5)
@@ -133,7 +136,7 @@ func TestZeroWeightIsNoEntry(t *testing.T) {
 	b.Bin(1)
 	b.Add(0, 5, 0)
 	b.Bin(1)
-	b.Run(0, []float64{5, 7}, []float64{0, 0}, 1)
+	b.Run(0, 2, 5, 0)
 	c, err := b.Compiled()
 	if err != nil {
 		t.Fatal(err)

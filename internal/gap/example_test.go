@@ -10,16 +10,18 @@ import (
 // Two capacitated bins (sensors) compete for three items (time slots); the
 // local-ratio sweep assigns each item to the last bin that claimed it.
 // Unit weights make the exact DP oracle at quantum 1 exact. The first bin
-// lists its three consecutive items in one Run, the second its two
-// apart with Add. A pooled Workspace holds the builder, the pass scratch
-// and the item → bin array; the profit is read off the assignment.
+// lists its first two items, of one profit and weight, in one Run and
+// its third with Add; the second bin lists its two apart with Add. A
+// pooled Workspace holds the builder, the pass scratch and the item →
+// bin array; the profit is read off the assignment.
 func ExampleBuilder() {
 	ws := gap.GetWorkspace()
 	defer ws.Release()
 	b := ws.Builder()
 	b.Reset(3, nil, 1, 0)
 	b.Bin(2)
-	b.Run(0, []float64{10, 9, 1}, []float64{1, 1, 1}, 1)
+	b.Run(0, 2, 9.5, 1)
+	b.Add(2, 1, 1)
 	b.Bin(1)
 	b.Add(0, 2, 1)
 	b.Add(2, 8, 1)

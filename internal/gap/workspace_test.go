@@ -14,14 +14,10 @@ func TestShedKeepsArraysWhileUsed(t *testing.T) {
 	var w Workspace
 	compile := func(entries int) {
 		t.Helper()
-		ones := make([]float64, entries)
-		for k := range ones {
-			ones[k] = 1
-		}
 		b := w.Builder()
 		b.Reset(entries, nil, 0, 0)
 		b.Bin(float64(entries))
-		b.Run(0, ones, ones, 1)
+		b.Run(0, entries, 1, 1)
 		if _, err := b.Compiled(); err != nil {
 			t.Fatal(err)
 		}

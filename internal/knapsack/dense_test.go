@@ -236,9 +236,9 @@ func walkFig2(t testing.TB, inst *core.Instance, rng *rand.Rand, solve func(pass
 	for _, i := range order {
 		s := &inst.Sensors[i]
 		slot, volume, wq = slot[:0], volume[:0], wq[:0]
-		for k, r := range s.Rates {
-			if p := s.Powers[k]; r > 0 && p > 0 && p*inst.Tau <= s.Budget {
-				slot = append(slot, s.Start+k)
+		for j := s.Start; s.Start >= 0 && j <= s.End; j++ {
+			if r, p := s.RateAt(j), s.PowerAt(j); r > 0 && p > 0 && p*inst.Tau <= s.Budget {
+				slot = append(slot, j)
 				volume = append(volume, r*inst.Tau)
 				wq = append(wq, knapsack.QuantizeWeight(p*inst.Tau, q))
 			}

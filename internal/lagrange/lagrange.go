@@ -73,29 +73,30 @@ func UpperBound(inst *core.Instance, opts Options) (*Result, error) {
 	nProfit := 0
 	for i := range inst.Sensors {
 		s := &inst.Sensors[i]
-		collect := func(start int, rates, powers []float64) {
-			for k, r := range rates {
-				p := powers[k]
+		collect := func(runs []core.LinkRun) {
+			for _, run := range runs {
+				r, p := run.Rate, run.Power
 				if r <= 0 || p <= 0 {
 					continue
 				}
-				meanProfit += r * inst.Tau
-				nProfit++
-				if w := p * inst.Tau; w <= s.Budget {
-					e := entry{slot: start + k, profit: r * inst.Tau, weight: w}
-					if dp {
-						e.wq = knapsack.QuantizeWeight(w, quantum)
+				w := p * inst.Tau
+				e := entry{profit: r * inst.Tau, weight: w}
+				if dp && w <= s.Budget {
+					e.wq = knapsack.QuantizeWeight(w, quantum)
+				}
+				for j := run.Start; j <= run.End; j++ {
+					meanProfit += r * inst.Tau
+					nProfit++
+					if w <= s.Budget {
+						e.slot = j
+						sensors[i] = append(sensors[i], e)
 					}
-					sensors[i] = append(sensors[i], e)
 				}
 			}
 		}
-		if s.Start >= 0 {
-			collect(s.Start, s.Rates, s.Powers)
-		}
+		collect(s.Runs)
 		for wi := range s.More {
-			w := &s.More[wi]
-			collect(w.Start, w.Rates, w.Powers)
+			collect(s.More[wi].Runs)
 		}
 	}
 	if nProfit == 0 {

@@ -43,11 +43,18 @@ func upperBoundRef(inst *core.Instance, opts Options) *Result {
 				}
 			}
 		}
+		window := func(start, end int) {
+			rates, powers := make([]float64, 0, end-start+1), make([]float64, 0, end-start+1)
+			for j := start; j <= end; j++ {
+				rates, powers = append(rates, s.RateAt(j)), append(powers, s.PowerAt(j))
+			}
+			collect(start, rates, powers)
+		}
 		if s.Start >= 0 {
-			collect(s.Start, s.Rates, s.Powers)
+			window(s.Start, s.End)
 		}
 		for wi := range s.More {
-			collect(s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers)
+			window(s.More[wi].Start, s.More[wi].End)
 		}
 	}
 	if nProfit == 0 {

@@ -42,21 +42,31 @@ func sameCompiled(got, want *gap.Compiled) bool {
 		got.Quantum == want.Quantum && got.Eps == want.Eps
 }
 
+// runsOf folds a window's per-slot rates and powers, from global slot
+// start on, into link runs with core.AppendLink, as the builders do.
+func runsOf(start int, rates, powers []float64) []core.LinkRun {
+	var runs []core.LinkRun
+	for k := range rates {
+		runs = core.AppendLink(runs, start+k, radio.Link{Rate: rates[k], Power: powers[k]})
+	}
+	return runs
+}
+
 // zeroSlotTour is a hand-built 12-slot tour whose windows mix runs of
 // equal links with zero-rate, zero-power and dead slots and one rate at
 // two powers.
 func zeroSlotTour() *core.Instance {
 	return &core.Instance{T: 12, Tau: 1, Gamma: 4, Range: 20, Sensors: []core.SensorSlots{
 		{ID: 0, Budget: 3, Start: 0, End: 5,
-			Rates:  []float64{250e3, 250e3, 0, 19.2e3, 19.2e3, 9.6e3},
-			Powers: []float64{0.33, 0.33, 0.33, 0, 0.22, 0.22}},
+			Runs: runsOf(0, []float64{250e3, 250e3, 0, 19.2e3, 19.2e3, 9.6e3},
+				[]float64{0.33, 0.33, 0.33, 0, 0.22, 0.22})},
 		{ID: 1, Budget: 0.9, Start: 3, End: 9,
-			Rates:  []float64{0, 9.6e3, 9.6e3, 250e3, 0, 19.2e3, 4.8e3},
-			Powers: []float64{0, 0.17, 0.17, 0.33, 0, 0.22, 0}},
+			Runs: runsOf(3, []float64{0, 9.6e3, 9.6e3, 250e3, 0, 19.2e3, 4.8e3},
+				[]float64{0, 0.17, 0.17, 0.33, 0, 0.22, 0})},
 		{ID: 2, Start: -1, End: -1},
 		{ID: 3, Budget: 1.5, Start: 6, End: 11,
-			Rates:  []float64{4.8e3, 9.6e3, 19.2e3, 19.2e3, 9.6e3, 4.8e3},
-			Powers: []float64{0.17, 0.17, 0.22, 0.30, 0.17, 0.17}},
+			Runs: runsOf(6, []float64{4.8e3, 9.6e3, 19.2e3, 19.2e3, 9.6e3, 4.8e3},
+				[]float64{0.17, 0.17, 0.22, 0.30, 0.17, 0.17})},
 	}}
 }
 

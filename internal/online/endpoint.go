@@ -107,8 +107,9 @@ func (e *Endpoint) Finish(j int) {
 	if e.iv == j {
 		var spend, drain float64
 		for _, slot := range e.slots {
-			spend += e.s.PowerAt(slot) * e.tau
-			drain += e.s.RateAt(slot) * e.tau
+			l := e.s.LinkAt(slot)
+			spend += l.Power * e.tau
+			drain += l.Rate * e.tau
 		}
 		debit(&e.energy, &e.data, spend, drain)
 		e.slots = e.slots[:0]

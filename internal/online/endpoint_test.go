@@ -190,8 +190,10 @@ func TestEndpointRules(t *testing.T) {
 }
 
 // TestEndpointParityWithLedger runs one lossless tour and checks every
-// sensor's endpoint against the sink's books, bit for bit: a sensor
-// debits its own slots, and the ledger debits the same.
+// endpoint the tour built against the sink's books, bit for bit: a
+// sensor debits its own slots, and the ledger debits the same. A sensor
+// the tour never addressed has no endpoint, and its books still hold
+// its full budget and data cap.
 func TestEndpointParityWithLedger(t *testing.T) {
 	inst := paperInstance(t, 60, 73, radio.Paper2013(), 5, 1)
 	caps := make([]float64, len(inst.Sensors))
@@ -217,8 +219,15 @@ func TestEndpointParityWithLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spent := 0
+	spent, unaddressed := 0, 0
 	for i := range inst.Sensors {
+		if m.eps[i].s == nil {
+			unaddressed++
+			if math.Float64bits(res.Residual[i]) != math.Float64bits(inst.Sensors[i].Budget) || math.Float64bits(res.ResidualData[i]) != math.Float64bits(caps[i]) {
+				t.Fatalf("sensor %d has no endpoint, but books (%v, %v)", i, res.Residual[i], res.ResidualData[i])
+			}
+			continue
+		}
 		energy, data := m.eps[i].Residual()
 		if math.Float64bits(energy) != math.Float64bits(res.Residual[i]) || math.Float64bits(data) != math.Float64bits(res.ResidualData[i]) {
 			t.Fatalf("sensor %d: endpoint (%v, %v), books (%v, %v)", i, energy, data, res.Residual[i], res.ResidualData[i])
@@ -229,5 +238,8 @@ func TestEndpointParityWithLedger(t *testing.T) {
 	}
 	if spent == 0 {
 		t.Fatal("no sensor spent anything")
+	}
+	if unaddressed == 0 {
+		t.Fatal("the tour addressed every sensor, so no unbuilt endpoint was checked")
 	}
 }

@@ -355,13 +355,12 @@ func (l *Ledger) repair(regs []Registration, slot, exclude int, loss Loss) {
 		if slot < r.ClipStart || slot > r.ClipEnd {
 			continue
 		}
-		s := &l.inst.Sensors[r.Sensor]
-		rate, pw := s.RateAt(slot), s.PowerAt(slot)
-		if rate <= 0 || pw <= 0 || !l.fits(k, r, slot) {
+		link := l.inst.Sensors[r.Sensor].LinkAt(slot)
+		if link.Rate <= 0 || link.Power <= 0 || !l.fits(k, r, slot) {
 			continue
 		}
-		if rate > bestRate {
-			best, bestRate = k, rate
+		if link.Rate > bestRate {
+			best, bestRate = k, link.Rate
 		}
 	}
 	if best < 0 || !loss.Repair(slot, regs[best].Sensor) {
@@ -375,11 +374,11 @@ func (l *Ledger) repair(regs []Registration, slot, exclude int, loss Loss) {
 // fits reports whether claim k can afford one more slot on top of what
 // this interval already committed to it.
 func (l *Ledger) fits(k int, r *Registration, slot int) bool {
-	s := &l.inst.Sensors[r.Sensor]
-	if !knapsack.Fits(l.spend[k]+s.PowerAt(slot)*l.inst.Tau, r.Budget) {
+	link := l.inst.Sensors[r.Sensor].LinkAt(slot)
+	if !knapsack.Fits(l.spend[k]+link.Power*l.inst.Tau, r.Budget) {
 		return false
 	}
-	return l.drain[k]+s.RateAt(slot)*l.inst.Tau <= r.DataLeft+1e-6
+	return l.drain[k]+link.Rate*l.inst.Tau <= r.DataLeft+1e-6
 }
 
 // take commits the slot to claim k's sensor.
@@ -392,7 +391,7 @@ func (l *Ledger) take(k, sensor, slot int) {
 
 // charge adds one slot's energy and data to claim k's running spend.
 func (l *Ledger) charge(k, sensor, slot int) {
-	s := &l.inst.Sensors[sensor]
-	l.spend[k] += s.PowerAt(slot) * l.inst.Tau
-	l.drain[k] += s.RateAt(slot) * l.inst.Tau
+	link := l.inst.Sensors[sensor].LinkAt(slot)
+	l.spend[k] += link.Power * l.inst.Tau
+	l.drain[k] += link.Rate * l.inst.Tau
 }

@@ -3,6 +3,7 @@ package online
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
@@ -25,7 +26,17 @@ type memory struct {
 	// the paper's collision-free registration.
 	contention *rand.Rand
 	window     int
-	eps        []Endpoint // one per sensor
+	// eps holds sensor i's endpoint at i, built when the tour first
+	// addresses the sensor (endpoint); faults is the endpoints' injector,
+	// nil on a zero plan, which takes no sensor down.
+	eps    []Endpoint
+	faults *fault.Injector
+	// slots is the tour's one array of assignees' slots: each Schedule
+	// cuts every assignee's buffer from its free part, from used on. A
+	// tour hands each slot in one Schedule, so it runs out only when an
+	// interval runs again after a cancel; an assignee then grows its own.
+	slots []int
+	used  int
 	// handed and deaf mark interval iv's assignees: handed their pairs,
 	// and without a Confirm.
 	handed, deaf []bool
@@ -46,14 +57,20 @@ func newMemory(inst *core.Instance, res *Result, inj *fault.Injector, opts Optio
 	if opts.AckWindow > 0 {
 		m.contention, m.window = rand.New(rand.NewSource(opts.Seed)), opts.AckWindow
 	}
-	var faults *fault.Injector // a zero plan takes no sensor down
 	if !opts.Faults.Zero() {
-		faults = inj
-	}
-	for i := range m.eps {
-		m.eps[i] = *NewEndpoint(&inst.Sensors[i], inst.Tau, inst.Range, inst.DataCapOf(i), faults)
+		m.faults = inj
 	}
 	return m
+}
+
+// endpoint returns sensor i's endpoint, and builds it when the tour
+// first addresses the sensor: with a Probe, a Schedule or a repair.
+func (m *memory) endpoint(i int) *Endpoint {
+	e := &m.eps[i]
+	if e.s == nil {
+		*e = *NewEndpoint(&m.inst.Sensors[i], m.inst.Tau, m.inst.Range, m.inst.DataCapOf(i), m.faults)
+	}
+	return e
 }
 
 // Reach keeps every silent sensor: a Probe reaches whoever the driver
@@ -72,7 +89,7 @@ func (m *memory) Probe(_ context.Context, iv Interval, attempt int, pending []in
 			m.st.ProbesDropped++
 			continue
 		}
-		ep := &m.eps[i]
+		ep := m.endpoint(i)
 		short := ep.Shortfall()
 		ans, r := ep.Probe(iv, pos)
 		m.st.ShortfallJoules += ep.Shortfall() - short
@@ -114,10 +131,23 @@ func (m *memory) Probe(_ context.Context, iv Interval, attempt int, pending []in
 // assignees' endpoints did not confirm.
 func (m *memory) Schedule(_ context.Context, iv Interval, _ []Registration, pairs []Pair) (Loss, error) {
 	clear(m.handed)
+	if m.slots == nil {
+		m.slots = make([]int, m.inst.T)
+	}
 	for _, p := range pairs {
 		if s := p.Sensor; !m.handed[s] {
 			m.handed[s] = true
-			m.deaf[s] = !m.inj.ScheduleHeard(iv.Index, s) || !m.eps[s].Schedule(iv.Index, pairs, false)
+			if m.deaf[s] = !m.inj.ScheduleHeard(iv.Index, s); m.deaf[s] {
+				continue
+			}
+			// The assignee takes its slots into the array's free part
+			// and keeps the part it filled, so a later append of its own
+			// grows a copy rather than another assignee's slots.
+			ep := m.endpoint(s)
+			ep.slots = m.slots[m.used:m.used]
+			m.deaf[s] = !ep.Schedule(iv.Index, pairs, false)
+			ep.slots = slices.Clip(ep.slots)
+			m.used = min(m.used+len(ep.slots), len(m.slots))
 		}
 	}
 	if m.res.Fault == nil {
@@ -140,7 +170,7 @@ func (m *memory) Finish(_ context.Context, iv Interval, regs []Registration) err
 	}
 	m.res.Messages.Finishes++
 	for _, r := range regs {
-		m.eps[r.Sensor].Finish(iv.Index)
+		m.endpoint(r.Sensor).Finish(iv.Index)
 	}
 	return nil
 }
@@ -158,6 +188,6 @@ func (m *memory) Repair(slot, sensor int) bool {
 	if m.inj.RepairLost(m.iv, sensor, slot) {
 		return false
 	}
-	m.eps[sensor].Schedule(m.iv, []Pair{{Slot: slot, Sensor: sensor}}, true)
+	m.endpoint(sensor).Schedule(m.iv, []Pair{{Slot: slot, Sensor: sensor}}, true)
 	return true
 }

@@ -243,29 +243,31 @@ func (a *Appro) Schedule(ctx context.Context, inst *core.Instance, iv Interval, 
 // compile writes the interval's GAP into b: one bin per claim, in order,
 // with the claimed budget as its capacity; one item per slot of the
 // interval, each usable slot of the clipped window an entry, listed by
-// one Builder.Run per window the clip meets.
+// one Builder.Run per part of a link run the clip covers.
 func compile(b *gap.Builder, inst *core.Instance, iv Interval, regs []Registration, order []int, quantum, eps float64) (*gap.Compiled, error) {
 	b.Reset(iv.End-iv.Start+1, nil, quantum, eps)
 	for _, k := range order {
 		r := &regs[k]
 		s := &inst.Sensors[r.Sensor]
 		b.Bin(r.Budget)
-		if s.Start >= 0 {
-			clip(b, r, iv, s.Start, s.Rates, s.Powers, inst.Tau)
-		}
+		clip(b, r, iv, s.Runs, inst.Tau)
 		for wi := range s.More {
-			clip(b, r, iv, s.More[wi].Start, s.More[wi].Rates, s.More[wi].Powers, inst.Tau)
+			clip(b, r, iv, s.More[wi].Runs, inst.Tau)
 		}
 	}
 	return b.Compiled()
 }
 
-// clip lists in b's open bin the slots of one window, starting at global
-// slot start, that the claim's clip covers.
-func clip(b *gap.Builder, r *Registration, iv Interval, start int, rates, powers []float64, tau float64) {
-	lo, hi := max(r.ClipStart, start), min(r.ClipEnd, start+len(rates)-1)
-	if lo <= hi {
-		b.Run(lo-iv.Start, rates[lo-start:hi-start+1], powers[lo-start:hi-start+1], tau)
+// clip lists in b's open bin the slots of one window's link runs that the
+// claim's clip covers.
+func clip(b *gap.Builder, r *Registration, iv Interval, runs []core.LinkRun, tau float64) {
+	for _, run := range runs {
+		if run.Start > r.ClipEnd {
+			return
+		}
+		if lo, hi := max(r.ClipStart, run.Start), min(r.ClipEnd, run.End); lo <= hi {
+			b.Run(lo-iv.Start, hi-lo+1, run.Rate*tau, run.Power*tau)
+		}
 	}
 }
 
