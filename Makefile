@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal fuzz-knapsack
+.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal fuzz-knapsack fuzz-gap
 
 all: build vet test
 
@@ -98,6 +98,15 @@ fuzz-fleet:
 fuzz-knapsack:
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackSolvers -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDPFlatMatchesDense -fuzztime 30s ./internal/knapsack
+
+# Short fuzz pass over the GAP engine's run form: a seeded run-structured
+# draw (claims that cut runs, residual holes, runs heavier than the bin,
+# zero-quantum weights, absorbed profits, merged pieces, Greedy ties),
+# grouped or not, compiled run by run must equal the item-by-item
+# compile, and SolveInto, Greedy and Sequential on it the per-entry
+# references, bit for bit, with the exact DP and with the FPTAS.
+fuzz-gap:
+	$(GO) test -run '^$$' -fuzz FuzzRunsMatchReference -fuzztime 30s ./internal/gap
 
 # Robustness gate: the fault-injection layer, the self-healing online
 # protocol, and the hardened serving path under the race detector

@@ -198,8 +198,10 @@ func compiledDiff(got, want *gap.Compiled) string {
 		return "NumItems"
 	case !slices.Equal(got.Off, want.Off):
 		return "Off"
-	case !slices.Equal(got.Item, want.Item):
-		return "Item"
+	case !slices.Equal(got.First, want.First):
+		return "First"
+	case !slices.Equal(got.Count, want.Count):
+		return "Count"
 	case !bits(got.Profit, want.Profit):
 		return "Profit"
 	case !bits(got.Weight, want.Weight):
@@ -295,8 +297,8 @@ func TestCompileGAPRunsMatchPerSlot(t *testing.T) {
 				if f := compiledDiff(got, want); f != "" {
 					t.Fatalf("%s: the run form's %s differs from the per-slot loop's", p.name, f)
 				}
-				if len(got.Item) == 0 || (p.quantum > 0) != (len(got.WQ) > 0) {
-					t.Fatalf("%s: %d entries, %d quantized weights", p.name, len(got.Item), len(got.WQ))
+				if len(got.First) == 0 || (p.quantum > 0) != (len(got.WQ) > 0) {
+					t.Fatalf("%s: %d runs, %d quantized weights", p.name, len(got.First), len(got.WQ))
 				}
 			}
 		})

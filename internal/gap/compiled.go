@@ -24,11 +24,21 @@ import (
 	"mobisink/internal/knapsack"
 )
 
-// Compiled is the solving form of a GAP instance: entries live in
-// contiguous bin-major CSR arrays and weights are pre-quantized for the
-// exact DP oracle. A Builder writes it bin by bin, validating as it goes;
-// SolveInto, Greedy and Sequential then run on it any number of times,
-// and are safe for concurrent use.
+// Compiled is the solving form of a GAP instance. Its entries, one per
+// (bin, item) pair, are kept as runs: a run is Count[k] entries of one
+// bin for the consecutive items First[k], First[k]+1, …, each of profit
+// Profit[k] and weight Weight[k] there, as the rate table makes a
+// window's slots at one link. Runs live in contiguous bin-major CSR
+// arrays, with weights pre-quantized for the exact DP oracle. A Builder
+// writes it bin by bin, validating as it goes; SolveInto, Greedy and
+// Sequential then run on it any number of times, and are safe for
+// concurrent use.
+//
+// The runs are the entries' canonical form: the Builder folds an entry
+// that continues the bin's last run, same profit and weight on the next
+// item, into that run, so listing a bin slot by slot or run by run
+// compiles alike. Under conflict groups every run is one entry, so the
+// group reduction stays per item.
 //
 // Entries that can never be assigned — non-positive profit, or weight
 // exceeding the bin capacity — are not kept; the local-ratio sweep's
@@ -39,15 +49,16 @@ import (
 type Compiled struct {
 	NumItems int
 
-	Off    []int32   // CSR bin offsets, len(Bins)+1
-	Item   []int32   // item index per entry
-	Profit []float64 // profit per entry
-	Weight []float64 // weight per entry
+	Off    []int32   // CSR bin offsets into the runs, len(Bins)+1
+	First  []int32   // first item per run
+	Count  []int32   // items per run
+	Profit []float64 // profit of each of a run's entries
+	Weight []float64 // weight of each of a run's entries
 	Cap    []float64 // capacity per bin
 
-	// Exact-DP oracle tables, present when Quantum > 0: WQ is the entry
-	// weight in quanta (rounded up, keeping every packing feasible), CapU
-	// the bin capacity in quanta (rounded down).
+	// Exact-DP oracle tables, present when Quantum > 0: WQ is a run's
+	// entry weight in quanta (rounded up, keeping every packing
+	// feasible), CapU the bin capacity in quanta (rounded down).
 	WQ   []int32
 	CapU []int32
 
@@ -104,7 +115,7 @@ func (b *Builder) Reset(numItems int, itemGroup []int, quantum, eps float64) {
 	*c = Compiled{
 		NumItems: numItems,
 		Off:      append(c.Off[:0], 0),
-		Item:     c.Item[:0], Profit: c.Profit[:0], Weight: c.Weight[:0], Cap: c.Cap[:0],
+		First:    c.First[:0], Count: c.Count[:0], Profit: c.Profit[:0], Weight: c.Weight[:0], Cap: c.Cap[:0],
 		WQ: c.WQ[:0], CapU: c.CapU[:0],
 		Quantum: quantum, Eps: eps,
 	}
@@ -166,7 +177,9 @@ func (b *Builder) Bin(capacity float64) {
 // weight means no entry, not a free one: a slot with no transmit power
 // is no link, so a run of positive profit and zero weight is listed and
 // dropped. Every item of the run counts as listed, so none may already
-// be listed in the bin.
+// be listed in the bin. A kept run that continues the bin's last one,
+// same profit and weight from the item after it on, is folded into it;
+// under conflict groups each item is kept as a run of its own.
 func (b *Builder) Run(first, count int, profit, weight float64) {
 	if b.err != nil {
 		return
@@ -192,21 +205,30 @@ func (b *Builder) Run(first, count int, profit, weight float64) {
 		}
 		seen[k] = mark
 	}
-	if !(profit > 0 && weight > 0 && weight <= c.Cap[bin]) {
-		return // never assignable, or no link
+	if count == 0 || !(profit > 0 && weight > 0 && weight <= c.Cap[bin]) {
+		return // nothing listed, never assignable, or no link
 	}
-	// The entries are written at o on arrays grown once for the run.
-	o, n := len(c.Item), len(c.Item)+count
-	c.Item, c.Profit, c.Weight = slices.Grow(c.Item, count)[:n], slices.Grow(c.Profit, count)[:n], slices.Grow(c.Weight, count)[:n]
-	for k := o; k < n; k++ {
-		c.Item[k], c.Profit[k], c.Weight[k] = int32(first+k-o), profit, weight
-	}
-	if c.Quantum > 0 {
-		wq := knapsack.QuantizeWeight(weight, c.Quantum)
-		c.WQ = slices.Grow(c.WQ, count)[:n]
-		for k := o; k < n; k++ {
-			c.WQ[k] = wq
+	if b.group != nil {
+		for j := first; j < first+count; j++ {
+			b.push(j, 1, profit, weight)
 		}
+		return
+	}
+	if k := len(c.First) - 1; k >= int(c.Off[bin]) && int(c.First[k]+c.Count[k]) == first &&
+		c.Profit[k] == profit && c.Weight[k] == weight {
+		c.Count[k] += int32(count)
+		return
+	}
+	b.push(first, count, profit, weight)
+}
+
+// push appends a run to the open bin.
+func (b *Builder) push(first, count int, profit, weight float64) {
+	c := &b.c
+	c.First, c.Count = append(c.First, int32(first)), append(c.Count, int32(count))
+	c.Profit, c.Weight = append(c.Profit, profit), append(c.Weight, weight)
+	if c.Quantum > 0 {
+		c.WQ = append(c.WQ, knapsack.QuantizeWeight(weight, c.Quantum))
 	}
 }
 
@@ -224,7 +246,7 @@ func (b *Builder) Compiled() (*Compiled, error) {
 	return &b.c, nil
 }
 
-// closeBin ends the open bin's entries, after the group reduction.
+// closeBin ends the open bin's runs, after the group reduction.
 func (b *Builder) closeBin() {
 	c := &b.c
 	if len(c.Off) > len(c.Cap) {
@@ -234,43 +256,47 @@ func (b *Builder) closeBin() {
 	if b.group != nil {
 		b.reduceGroups(lo)
 	}
-	c.Off = append(c.Off, int32(len(c.Item)))
-	c.maxBin = max(c.maxBin, len(c.Item)-lo)
+	c.Off = append(c.Off, int32(len(c.First)))
+	entries := 0
+	for _, n := range c.Count[lo:] {
+		entries += int(n)
+	}
+	c.maxBin = max(c.maxBin, entries)
 }
 
-// reduceGroups keeps, among the open bin's entries from lo on whose items
-// share a conflict group, only the dominant one. The reduction is exact
-// when every dropped entry is weakly dominated (profit ≤, weight ≥) by
-// its group's winner, which holds for monotone link models where the
-// closer sink offers both the higher rate and the lower (or equal) energy
-// cost. An inexact reduction still yields feasible assignments; only the
+// reduceGroups keeps, among the open bin's entries from run lo on (each
+// a run of one item) whose items share a conflict group, only the
+// dominant one. The reduction is exact when every dropped entry is
+// weakly dominated (profit ≤, weight ≥) by its group's winner, which
+// holds for monotone link models where the closer sink offers both the
+// higher rate and the lower (or equal) energy cost. An inexact reduction still yields feasible assignments; only the
 // approximation guarantee versus the unreduced optimum may degrade.
 func (b *Builder) reduceGroups(lo int) {
 	c := &b.c
 	bin := int32(len(c.Cap))
-	for k := lo; k < len(c.Item); k++ {
-		g := b.group[c.Item[k]]
+	for k := lo; k < len(c.First); k++ {
+		g := b.group[c.First[k]]
 		if g < 0 {
 			continue
 		}
 		if w := b.win[g]; b.stamp[g] != bin || c.Profit[k] > c.Profit[w] ||
 			(c.Profit[k] == c.Profit[w] && c.Weight[k] < c.Weight[w]) ||
-			(c.Profit[k] == c.Profit[w] && c.Weight[k] == c.Weight[w] && c.Item[k] < c.Item[w]) {
+			(c.Profit[k] == c.Profit[w] && c.Weight[k] == c.Weight[w] && c.First[k] < c.First[w]) {
 			b.win[g], b.stamp[g] = int32(k), bin
 		}
 	}
 	n := lo
-	for k := lo; k < len(c.Item); k++ {
-		if g := b.group[c.Item[k]]; g >= 0 && int(b.win[g]) != k {
+	for k := lo; k < len(c.First); k++ {
+		if g := b.group[c.First[k]]; g >= 0 && int(b.win[g]) != k {
 			continue
 		}
-		c.Item[n], c.Profit[n], c.Weight[n] = c.Item[k], c.Profit[k], c.Weight[k]
+		c.First[n], c.Profit[n], c.Weight[n] = c.First[k], c.Profit[k], c.Weight[k]
 		if c.Quantum > 0 {
 			c.WQ[n] = c.WQ[k]
 		}
 		n++
 	}
-	c.Item, c.Profit, c.Weight = c.Item[:n], c.Profit[:n], c.Weight[:n]
+	c.First, c.Count, c.Profit, c.Weight = c.First[:n], c.Count[:n], c.Profit[:n], c.Weight[:n]
 	if c.Quantum > 0 {
 		c.WQ = c.WQ[:n]
 	}
@@ -283,20 +309,29 @@ func (b *Builder) reduceGroups(lo int) {
 // Scratch must not be used concurrently.
 type Scratch struct {
 	claim []float64
-	prof  []float64
-	w     []float64
-	wq    []int32
-	pos   []int32
-	at    []int32 // Sequential: per conflict group, its candidate or -1
-	ar    knapsack.Arena
+	// A bin's knapsack candidates: profit, weight and quantized weight,
+	// and each one's item and compiled run src. The DP sweep's
+	// candidates are the kernel's runs instead, m of profit prof[m] and
+	// weight wq[m], cnt[m] items from piece head[m] on; piece x is items
+	// item[x] to item[x]+span[x]−1 of compiled run src[x].
+	prof []float64
+	w    []float64
+	wq   []int32
+	item []int32
+	src  []int32
+	span []int32
+	cnt  []int32
+	head []int32
+	at   []int32 // Sequential: per conflict group, its candidate or -1
+	ar   knapsack.Arena
 }
 
 func (s *Scratch) prepare(numItems, maxBin int, dpMode bool) {
 	s.claim = grow(s.claim, numItems)
 	clear(s.claim)
-	s.prof, s.pos = grow(s.prof, maxBin), grow(s.pos, maxBin)
+	s.prof, s.item, s.src = grow(s.prof, maxBin), grow(s.item, maxBin), grow(s.src, maxBin)
 	if dpMode {
-		s.wq = grow(s.wq, maxBin)
+		s.wq, s.span, s.cnt, s.head = grow(s.wq, maxBin), grow(s.span, maxBin), grow(s.cnt, maxBin), grow(s.head, maxBin)
 	} else {
 		s.w = grow(s.w, maxBin)
 	}
@@ -309,50 +344,108 @@ func (s *Scratch) prepare(numItems, maxBin int, dpMode bool) {
 // paper's decomposition D^{(l+1)} / T^{(l+1)} without materializing the
 // n×T matrices.
 func (c *Compiled) sweep(ctx context.Context, s *Scratch, itemBin []int32) error {
-	dpMode := c.Quantum > 0
-	claim := s.claim
 	for b := range c.Cap {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lo, hi := c.Off[b], c.Off[b+1]
-		nc := 0
-		var picks []int32
 		var err error
-		if dpMode {
-			prof, wq, pos := s.prof, s.wq, s.pos
-			for k := lo; k < hi; k++ {
-				j := c.Item[k]
-				res := c.Profit[k] - claim[j]
-				if res <= 0 {
-					continue // the knapsack would never take it
-				}
-				prof[nc], wq[nc], pos[nc] = res, c.WQ[k], k
-				nc++
-			}
-			picks, _, err = s.ar.DPFlat(ctx, prof[:nc], wq[:nc], int(c.CapU[b]))
+		if c.Quantum > 0 {
+			err = c.packRuns(ctx, s, b, itemBin)
 		} else {
-			prof, w, pos := s.prof, s.w, s.pos
-			for k := lo; k < hi; k++ {
-				j := c.Item[k]
-				res := c.Profit[k] - claim[j]
-				if res <= 0 {
-					continue
-				}
-				prof[nc], w[nc], pos[nc] = res, c.Weight[k], k
-				nc++
-			}
-			picks, _, err = s.ar.FPTASFlat(ctx, c.Eps, prof[:nc], w[:nc], c.Cap[b])
+			err = c.packItems(ctx, s, b, itemBin)
 		}
 		if err != nil {
 			return err
 		}
-		for _, p := range picks {
-			k := s.pos[p]
-			j := c.Item[k]
-			claim[j] = c.Profit[k]
-			itemBin[j] = int32(b)
+	}
+	return nil
+}
+
+// packRuns packs bin b's knapsack with the exact DP, run by run, against
+// the residual profits. It cuts each run into pieces where the residual
+// changes, drops the items whose residual is not positive and the runs
+// heavier than the bin, takes the zero-quantum items as free, and merges
+// consecutive pieces of one residual and weight into the kernel's runs.
+// These are the runs DPFlat would cut from the bin's residual
+// candidates, item by item, so DPRuns takes the same items.
+func (c *Compiled) packRuns(ctx context.Context, s *Scratch, b int, itemBin []int32) error {
+	claim, capU := s.claim, c.CapU[b]
+	np, nr := 0, 0 // pieces and kernel runs so far
+	for k := c.Off[b]; k < c.Off[b+1]; k++ {
+		w, p, first := c.WQ[k], c.Profit[k], c.First[k]
+		if w > capU {
+			continue
 		}
+		run := claim[first : first+c.Count[k]]
+		if w == 0 {
+			// Free: DPFlat packs these whatever else it takes.
+			for x, cl := range run {
+				if p-cl > 0 {
+					run[x], itemBin[first+int32(x)] = p, int32(b)
+				}
+			}
+			continue
+		}
+		for x := 0; x < len(run); {
+			res := p - run[x]
+			if res <= 0 {
+				x++ // the knapsack would never take it
+				continue
+			}
+			y := x + 1
+			for y < len(run) && p-run[y] == res {
+				y++
+			}
+			if nr == 0 || res != s.prof[nr-1] || w != s.wq[nr-1] {
+				s.prof[nr], s.wq[nr], s.cnt[nr], s.head[nr] = res, w, 0, int32(np)
+				nr++
+			}
+			s.item[np], s.span[np], s.src[np] = first+int32(x), int32(y-x), k
+			s.cnt[nr-1] += int32(y - x)
+			np++
+			x = y
+		}
+	}
+	if nr == 0 {
+		return nil
+	}
+	take, err := s.ar.DPRuns(ctx, s.prof[:nr], s.wq[:nr], s.cnt[:nr], int(capU))
+	if err != nil {
+		return err
+	}
+	for m, t := range take {
+		for x := s.head[m]; t > 0; x++ {
+			n, p := min(t, s.span[x]), c.Profit[s.src[x]]
+			for j := s.item[x]; j < s.item[x]+n; j++ {
+				claim[j], itemBin[j] = p, int32(b)
+			}
+			t -= n
+		}
+	}
+	return nil
+}
+
+// packItems packs bin b's knapsack with the FPTAS against the residual
+// profits, one candidate per item whose residual is positive.
+func (c *Compiled) packItems(ctx context.Context, s *Scratch, b int, itemBin []int32) error {
+	claim := s.claim
+	nc := 0
+	for k := c.Off[b]; k < c.Off[b+1]; k++ {
+		p, first := c.Profit[k], c.First[k]
+		for j := first; j < first+c.Count[k]; j++ {
+			if res := p - claim[j]; res > 0 {
+				s.prof[nc], s.w[nc], s.item[nc], s.src[nc] = res, c.Weight[k], j, k
+				nc++
+			}
+		}
+	}
+	picks, _, err := s.ar.FPTASFlat(ctx, c.Eps, s.prof[:nc], s.w[:nc], c.Cap[b])
+	if err != nil {
+		return err
+	}
+	for _, x := range picks {
+		j := s.item[x]
+		claim[j], itemBin[j] = c.Profit[s.src[x]], int32(b)
 	}
 	return nil
 }
@@ -394,16 +487,21 @@ func (c *Compiled) SolveInto(ctx context.Context, s *Scratch, itemBin []int32) e
 // still-unassigned item to the entry's bin when the bin has the capacity
 // left. It writes itemBin like SolveInto. Every compiled entry has a
 // positive weight (Builder.Run), so every density is finite.
+//
+// It sorts runs, not entries: a run's entries share density, profit and
+// bin, and one bin's runs cover disjoint items, so runs sorted by the
+// same keys and then by first item, each walked in ascending item order,
+// visit the entries in exactly that order.
 func (c *Compiled) Greedy(s *Scratch, itemBin []int32) error {
 	if err := c.unassign(itemBin); err != nil {
 		return err
 	}
-	// The sweep's per-bin buffers serve as per-entry ones here: pos lists
-	// the entries, wq holds each entry's bin, prof its density and w each
-	// bin's capacity left.
-	n := len(c.Item)
-	s.pos, s.wq, s.prof = grow(s.pos, n), grow(s.wq, n), grow(s.prof, n)
-	order, binOf, dens := s.pos, s.wq, s.prof
+	// The sweep's buffers serve as per-run ones here: item lists the
+	// runs, src holds each run's bin, prof its density and w each bin's
+	// capacity left.
+	n := len(c.First)
+	s.item, s.src, s.prof = grow(s.item, n), grow(s.src, n), grow(s.prof, n)
+	order, binOf, dens := s.item, s.src, s.prof
 	for b := range c.Cap {
 		for k := c.Off[b]; k < c.Off[b+1]; k++ {
 			order[k], binOf[k] = k, int32(b)
@@ -420,17 +518,18 @@ func (c *Compiled) Greedy(s *Scratch, itemBin []int32) error {
 		if binOf[x] != binOf[y] {
 			return cmp.Compare(binOf[x], binOf[y])
 		}
-		return cmp.Compare(c.Item[x], c.Item[y])
+		return cmp.Compare(c.First[x], c.First[y])
 	})
 	s.w = append(s.w[:0], c.Cap...)
 	left := s.w
 	for _, k := range order {
-		j, b := c.Item[k], binOf[k]
-		if itemBin[j] != -1 || c.Weight[k] > left[b] {
-			continue
+		b, w := binOf[k], c.Weight[k]
+		for j := c.First[k]; j < c.First[k]+c.Count[k] && w <= left[b]; j++ {
+			if itemBin[j] == -1 {
+				itemBin[j] = b
+				left[b] -= w
+			}
 		}
-		itemBin[j] = b
-		left[b] -= c.Weight[k]
 	}
 	return nil
 }
@@ -465,7 +564,8 @@ func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, data
 	if dataCap != nil && len(dataCap) != len(c.Cap) {
 		return fmt.Errorf("gap: %d data caps for %d bins", len(dataCap), len(c.Cap))
 	}
-	s.prof, s.w, s.wq, s.pos = grow(s.prof, c.maxBin), grow(s.w, c.maxBin), grow(s.wq, c.maxBin), grow(s.pos, c.maxBin)
+	s.prof, s.w, s.wq = grow(s.prof, c.maxBin), grow(s.w, c.maxBin), grow(s.wq, c.maxBin)
+	s.item, s.src = grow(s.item, c.maxBin), grow(s.src, c.maxBin)
 	if group != nil {
 		groups := 0
 		for _, g := range group {
@@ -496,42 +596,43 @@ func (c *Compiled) Sequential(ctx context.Context, s *Scratch, group []int, data
 			return err
 		}
 		for _, p := range picks {
-			itemBin[c.Item[s.pos[p]]] = int32(b)
+			itemBin[s.item[p]] = int32(b)
 		}
 	}
 	return nil
 }
 
-// freeEntries lays out bin b's candidates for Sequential: its entries
-// whose items are still unassigned, one per conflict group, in s.pos and
-// the oracle arrays. It returns their count.
+// freeEntries lays out bin b's candidates for Sequential, one per entry
+// of its runs: the entries whose items are still unassigned, one per
+// conflict group, in s.item and s.src and the oracle arrays. It returns
+// their count.
 func (c *Compiled) freeEntries(s *Scratch, b int, group []int, itemBin []int32) int {
-	pos := s.pos
 	nc := 0
 	for k := c.Off[b]; k < c.Off[b+1]; k++ {
-		j := c.Item[k]
-		if itemBin[j] >= 0 {
-			continue
-		}
-		if group != nil && group[j] >= 0 {
-			if at := s.at[group[j]]; at >= 0 {
-				if w := pos[at]; c.Profit[k] > c.Profit[w] || (c.Profit[k] == c.Profit[w] && c.Weight[k] < c.Weight[w]) {
-					pos[at] = k
-				}
+		for j := c.First[k]; j < c.First[k]+c.Count[k]; j++ {
+			if itemBin[j] >= 0 {
 				continue
 			}
-			s.at[group[j]] = int32(nc)
+			if group != nil && group[j] >= 0 {
+				if at := s.at[group[j]]; at >= 0 {
+					if w := s.src[at]; c.Profit[k] > c.Profit[w] || (c.Profit[k] == c.Profit[w] && c.Weight[k] < c.Weight[w]) {
+						s.item[at], s.src[at] = j, k
+					}
+					continue
+				}
+				s.at[group[j]] = int32(nc)
+			}
+			s.item[nc], s.src[nc] = j, k
+			nc++
 		}
-		pos[nc] = k
-		nc++
 	}
-	for x, k := range pos[:nc] {
+	for x, k := range s.src[:nc] {
 		s.prof[x], s.w[x] = c.Profit[k], c.Weight[k]
 		if c.Quantum > 0 {
 			s.wq[x] = c.WQ[k]
 		}
-		if group != nil && group[c.Item[k]] >= 0 {
-			s.at[group[c.Item[k]]] = -1
+		if j := s.item[x]; group != nil && group[j] >= 0 {
+			s.at[group[j]] = -1
 		}
 	}
 	return nc

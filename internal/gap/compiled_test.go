@@ -52,10 +52,10 @@ func TestCompileDropsDeadEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c.Off[len(c.Cap)]; got != 2 {
-		t.Fatalf("compiled %d entries, want 2 (dead entries dropped)", got)
+		t.Fatalf("compiled %d runs, want 2 (dead entries dropped)", got)
 	}
-	if c.Item[0] != 0 || c.Item[1] != 2 {
-		t.Fatalf("compiled items %v, want [0 2]", c.Item[:2])
+	if !reflect.DeepEqual(c.First, []int32{0, 2}) || !reflect.DeepEqual(c.Count, []int32{1, 1}) {
+		t.Fatalf("compiled runs from items %v of %v items, want [0 2] of [1 1]", c.First, c.Count)
 	}
 	if c.NumItems != 4 {
 		t.Fatalf("NumItems %d, want 4 (dropping entries must not renumber items)", c.NumItems)
@@ -86,9 +86,9 @@ func TestCompileRejectsInvalid(t *testing.T) {
 }
 
 // TestRunChecks: Run checks its run's item range once and each item for
-// a duplicate, and its weight for a sign; keeps the run's entries only
-// with positive profit and weight that fit, and quantizes the kept
-// weight as Add would item by item.
+// a duplicate, and its weight for a sign; keeps the run only with
+// positive profit and weight that fit, and quantizes the kept weight
+// once.
 func TestRunChecks(t *testing.T) {
 	var b Builder
 	b.Reset(7, nil, 0.1, 0)
@@ -103,9 +103,11 @@ func TestRunChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Items 1 and 2 have no profit, item 3 no weight, item 6 does not fit.
-	if !reflect.DeepEqual(c.Item, []int32{0, 4, 5}) || !reflect.DeepEqual(c.Profit, []float64{2, 6, 6}) ||
-		!reflect.DeepEqual(c.Weight, []float64{0.2, 0.5, 0.5}) || !reflect.DeepEqual(c.WQ, []int32{2, 5, 5}) {
-		t.Fatalf("compiled items %v profits %v weights %v quanta %v", c.Item, c.Profit, c.Weight, c.WQ)
+	if !reflect.DeepEqual(c.First, []int32{0, 4}) || !reflect.DeepEqual(c.Count, []int32{1, 2}) ||
+		!reflect.DeepEqual(c.Profit, []float64{2, 6}) || !reflect.DeepEqual(c.Weight, []float64{0.2, 0.5}) ||
+		!reflect.DeepEqual(c.WQ, []int32{2, 5}) {
+		t.Fatalf("compiled runs from items %v of %v items, profits %v weights %v quanta %v",
+			c.First, c.Count, c.Profit, c.Weight, c.WQ)
 	}
 	for _, bad := range []struct {
 		name string
@@ -141,8 +143,8 @@ func TestZeroWeightIsNoEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Item) != 0 || !reflect.DeepEqual(c.Off, []int32{0, 0, 0}) {
-		t.Fatalf("compiled items %v offsets %v, want no entry", c.Item, c.Off)
+	if len(c.First) != 0 || !reflect.DeepEqual(c.Off, []int32{0, 0, 0}) {
+		t.Fatalf("compiled runs from items %v offsets %v, want no entry", c.First, c.Off)
 	}
 	b.Reset(1, nil, 0.1, 0)
 	b.Bin(1)

@@ -31,8 +31,10 @@ func ExampleBuilder() {
 	profit := 0.0
 	for bin := range c.Cap {
 		for k := c.Off[bin]; k < c.Off[bin+1]; k++ {
-			if itemBin[c.Item[k]] == int32(bin) {
-				profit += c.Profit[k]
+			for j := c.First[k]; j < c.First[k]+c.Count[k]; j++ {
+				if itemBin[j] == int32(bin) {
+					profit += c.Profit[k]
+				}
 			}
 		}
 	}

@@ -57,21 +57,22 @@ func TestReduceGroupsPicksDominant(t *testing.T) {
 		{Item: 3, Profit: 7, Weight: 2}, // winner of group 0 (items 0 and 3)
 		{Item: 1, Profit: 4, Weight: 1},
 	}
+	// Under groups every run is one item, so First lists the kept items.
 	c := compile(entries...)
-	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
-		t.Fatalf("kept items %v, want [3 1]: only the item-0 entry dropped", c.Item)
+	if !reflect.DeepEqual(c.First, []int32{3, 1}) || !reflect.DeepEqual(c.Count, []int32{1, 1}) {
+		t.Fatalf("kept items %v of %v, want [3 1]: only the item-0 entry dropped", c.First, c.Count)
 	}
 
 	// A weakly dominated loser drops the same way.
 	entries[0].Weight = 2
 	c = compile(entries...)
-	if !reflect.DeepEqual(c.Item, []int32{3, 1}) {
-		t.Fatalf("kept items %v, want [3 1]", c.Item)
+	if !reflect.DeepEqual(c.First, []int32{3, 1}) {
+		t.Fatalf("kept items %v, want [3 1]", c.First)
 	}
 
 	// Singleton groups → no reduction at all.
-	if c = compile(entries[0], entries[2]); !reflect.DeepEqual(c.Item, []int32{0, 1}) {
-		t.Fatalf("singleton groups reduced: kept %v", c.Item)
+	if c = compile(entries[0], entries[2]); !reflect.DeepEqual(c.First, []int32{0, 1}) {
+		t.Fatalf("singleton groups reduced: kept %v", c.First)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -287,8 +289,10 @@ func (c *Compiled) profitOf(itemBin []int32) float64 {
 	total := 0.0
 	for b := range c.Cap {
 		for k := c.Off[b]; k < c.Off[b+1]; k++ {
-			if itemBin[c.Item[k]] == int32(b) {
-				total += c.Profit[k]
+			for j := c.First[k]; j < c.First[k]+c.Count[k]; j++ {
+				if itemBin[j] == int32(b) {
+					total += c.Profit[k]
+				}
 			}
 		}
 	}
@@ -349,6 +353,12 @@ func refReduceGroups(entries []Entry, capacity float64, itemGroup []int) []bool 
 // LocalRatioCtx runs the Cohen-Katzir-Raz sweep over the pointer form
 // with the given knapsack oracle, processing bins in index order.
 func LocalRatioCtx(ctx context.Context, inst *Instance, solve Oracle) (*Assignment, error) {
+	return localRatio(ctx, inst, solve, nil)
+}
+
+// localRatio is LocalRatioCtx; observe, when non-nil, sees each bin's
+// index and the claims before its knapsack runs.
+func localRatio(ctx context.Context, inst *Instance, solve Oracle, observe func(b int, claim []float64)) (*Assignment, error) {
 	if solve == nil {
 		return nil, errors.New("gap: nil knapsack solver")
 	}
@@ -362,6 +372,9 @@ func LocalRatioCtx(ctx context.Context, inst *Instance, solve Oracle) (*Assignme
 	for b, bin := range inst.Bins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if observe != nil {
+			observe(b, lastClaim)
 		}
 		var profit, weight []float64
 		var itemIdx []int
@@ -462,4 +475,227 @@ func Greedy(inst *Instance) (*Assignment, error) {
 	}
 	a.Profit = binMajorProfit(inst, a.ItemBin)
 	return a, nil
+}
+
+// SequentialRef is the sequential packer over the pointer form, one
+// candidate per entry: bins in order, each packing the entries it could
+// hold (positive profit and weight, within its capacity) whose items no
+// earlier bin took, one per conflict group of group — max profit, then
+// min weight, then the first, at the place of the group's first such
+// entry — with the doubly constrained knapsack where dataCap is finite,
+// else the DP at quantum, else the FPTAS at eps.
+func SequentialRef(ctx context.Context, inst *Instance, group []int, dataCap []float64, dataQuantum, quantum, eps float64) (*Assignment, error) {
+	a := NewAssignment(inst.NumItems)
+	ar := knapsack.NewArena()
+	for b, bin := range inst.Bins {
+		var cands []Entry
+		at := map[int]int{}
+		for _, e := range bin.Entries {
+			if !(e.Profit > 0 && e.Weight > 0 && e.Weight <= bin.Capacity) || a.ItemBin[e.Item] >= 0 {
+				continue
+			}
+			if group != nil && group[e.Item] >= 0 {
+				if x, ok := at[group[e.Item]]; ok {
+					if w := cands[x]; e.Profit > w.Profit || (e.Profit == w.Profit && e.Weight < w.Weight) {
+						cands[x] = e
+					}
+					continue
+				}
+				at[group[e.Item]] = len(cands)
+			}
+			cands = append(cands, e)
+		}
+		profit, weight, wq := make([]float64, len(cands)), make([]float64, len(cands)), make([]int32, len(cands))
+		for x, e := range cands {
+			profit[x], weight[x] = e.Profit, e.Weight
+			if quantum > 0 {
+				wq[x] = knapsack.QuantizeWeight(e.Weight, quantum)
+			}
+		}
+		var picks []int32
+		var err error
+		switch {
+		case dataCap != nil && !math.IsInf(dataCap[b], 1):
+			picks, _, err = ar.MaxProfitUnderFlat(ctx, profit, weight, bin.Capacity, dataCap[b], dataQuantum)
+		case quantum > 0:
+			picks, _, err = ar.DPFlat(ctx, profit, wq, int(knapsack.QuantizeCapacity(bin.Capacity, quantum)))
+		default:
+			picks, _, err = ar.FPTASFlat(ctx, eps, profit, weight, bin.Capacity)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range picks {
+			a.ItemBin[cands[p].Item] = b
+		}
+	}
+	a.Profit = binMajorProfit(inst, a.ItemBin)
+	return a, nil
+}
+
+// runQuantum is the DP oracle's weight quantum on run-structured draws.
+const runQuantum = 0.1
+
+// runShape is one run a draw lists in a bin: count items from first on,
+// each of one profit and weight there.
+type runShape struct {
+	first, count   int
+	profit, weight float64
+}
+
+// runDraw is a random run-structured instance: its per-entry form, one
+// entry per item of each run, and each bin's runs as listed.
+type runDraw struct {
+	inst *Instance
+	runs [][]runShape
+	huge bool // some profit is 2^53 or more
+}
+
+// drawRuns draws a run-structured instance the way the rate table lays
+// out a tour: each bin a window of items, listed as runs of one profit
+// and weight, the windows of different bins overlapping so that earlier
+// bins' claims cut later bins' runs partway and leave residual holes
+// inside them. Runs repeat the last run's link, adjacent (the Builder
+// folds them) or after a dead stretch (two compiled runs whose pieces
+// merge, and Greedy ties within a bin); some weights round to zero
+// quanta and some to one quantum more than the bin's capacity holds;
+// and one draw in three adds profits of 2^53 and more, beside which the
+// float sums absorb the small ones. groups gives the items conflict
+// groups.
+func drawRuns(rng *rand.Rand, groups bool) runDraw {
+	items := 6 + rng.Intn(30)
+	d := runDraw{inst: &Instance{NumItems: items}}
+	profits := []float64{1, 2, 3, 5, 7}
+	if rng.Intn(3) == 0 {
+		d.huge = true
+		profits = append(profits, 1<<53, 1<<54, 1<<54+4, 1<<55)
+	}
+	for b := 2 + rng.Intn(6); b > 0; b-- {
+		// capU = k quanta; heavy fits the capacity but rounds to k+1.
+		k := 2 + rng.Intn(10)
+		capacity := (float64(k) + 0.5) * runQuantum
+		weights := []float64{0.1, 0.2, 0.3, 0.5, 1e-12, capacity - 0.01}
+		start := rng.Intn(items)
+		end := min(items, start+2+rng.Intn(16))
+		var runs []runShape
+		for j := start; j < end; {
+			n := min(end-j, 1+rng.Intn(5))
+			switch r := rng.Intn(10); {
+			case r == 0: // a dead stretch, not listed
+			case r == 1: // listed, with no profit
+				runs = append(runs, runShape{j, n, 0, weights[rng.Intn(len(weights))]})
+			case r <= 4 && len(runs) > 0:
+				last := runs[len(runs)-1]
+				runs = append(runs, runShape{j, n, last.profit, last.weight})
+			default:
+				runs = append(runs, runShape{j, n, profits[rng.Intn(len(profits))], weights[rng.Intn(len(weights))]})
+			}
+			j += n
+		}
+		bin := Bin{Capacity: capacity}
+		for _, r := range runs {
+			for j := r.first; j < r.first+r.count; j++ {
+				bin.Entries = append(bin.Entries, Entry{Item: j, Profit: r.profit, Weight: r.weight})
+			}
+		}
+		d.inst.Bins, d.runs = append(d.inst.Bins, bin), append(d.runs, runs)
+	}
+	if groups {
+		n := 2 + rng.Intn(4)
+		d.inst.ItemGroup = make([]int, items)
+		for j := range d.inst.ItemGroup {
+			d.inst.ItemGroup[j] = j % n
+			if j%7 == 6 {
+				d.inst.ItemGroup[j] = -1 // unconstrained
+			}
+		}
+	}
+	return d
+}
+
+// compile writes the draw into b, one Run per run, or one Add per item
+// when perItem, under the draw's conflict groups when grouped.
+func (d runDraw) compile(b *Builder, quantum, eps float64, perItem, grouped bool) (*Compiled, error) {
+	var group []int
+	if grouped {
+		group = d.inst.ItemGroup
+	}
+	b.Reset(d.inst.NumItems, group, quantum, eps)
+	for i, runs := range d.runs {
+		b.Bin(d.inst.Bins[i].Capacity)
+		for _, r := range runs {
+			if !perItem {
+				b.Run(r.first, r.count, r.profit, r.weight)
+				continue
+			}
+			for j := r.first; j < r.first+r.count; j++ {
+				b.Add(j, r.profit, r.weight)
+			}
+		}
+	}
+	return b.Compiled()
+}
+
+// runFeatures counts the shapes of a draw's exact-DP sweep that the run
+// engine must cut, merge or skip correctly: runs whose positive
+// residuals take two values (split by a claim), runs with a residual
+// hole between positive ones, runs heavier than the bin, zero-quantum
+// runs with a positive residual, bins whose float sum absorbs a
+// positive residual, consecutive DP candidates of two compiled runs that
+// merge (one residual and weight), and runs of one bin tied on density
+// and profit for Greedy.
+type runFeatures struct {
+	split, hole, heavy, free, absorbed, seam, tie int
+}
+
+// add counts the features of the draw's ungrouped DP sweep, replaying
+// the reference sweep over c, its ungrouped compiled form at runQuantum.
+func (f *runFeatures) add(d runDraw, c *Compiled) error {
+	inst := *d.inst
+	inst.ItemGroup = nil
+	_, err := localRatio(context.Background(), &inst, DPOracle(runQuantum), func(b int, claim []float64) {
+		lastRes, lastW, lastRun := 0.0, int32(-1), -1
+		lo, hi := math.Inf(1), 0.0
+		for k := int(c.Off[b]); k < int(c.Off[b+1]); k++ {
+			if c.WQ[k] > c.CapU[b] {
+				f.heavy++
+				continue
+			}
+			for l := int(c.Off[b]); l < k; l++ {
+				if c.Profit[l]/c.Weight[l] == c.Profit[k]/c.Weight[k] && c.Profit[l] == c.Profit[k] {
+					f.tie++
+				}
+			}
+			var pos []float64
+			gap := false
+			for j := c.First[k]; j < c.First[k]+c.Count[k]; j++ {
+				res := c.Profit[k] - claim[j]
+				if res <= 0 {
+					gap = gap || len(pos) > 0
+					continue
+				}
+				if gap {
+					f.hole++
+					gap = false
+				}
+				if len(pos) > 0 && res != pos[len(pos)-1] {
+					f.split++
+				}
+				pos = append(pos, res)
+				if c.WQ[k] == 0 {
+					f.free++
+					continue
+				}
+				if lastRun >= 0 && lastRun != k && res == lastRes && c.WQ[k] == lastW {
+					f.seam++
+				}
+				lastRes, lastW, lastRun = res, c.WQ[k], k
+				lo, hi = min(lo, res), max(hi, res)
+			}
+		}
+		if hi+lo == hi {
+			f.absorbed++
+		}
+	})
+	return err
 }

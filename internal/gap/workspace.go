@@ -34,27 +34,29 @@ func (w *Workspace) Release() {
 }
 
 const (
-	// keepEntries is the compiled entries' worth of builder arrays a
-	// workspace keeps whatever its solves use; an interval's solve lists
-	// a few thousand at most.
-	keepEntries = 1 << 12
+	// keepRuns is the compiled runs' worth of builder arrays a workspace
+	// keeps whatever its solves use. An interval's solve lists a few
+	// hundred runs at most, and a whole tour of the paper's figures a
+	// few thousand: its sensors' windows fold into a handful of runs
+	// each.
+	keepRuns = 1 << 12
 	// scratchMax is the largest pass buffer a pooled Workspace keeps.
 	scratchMax = 1 << 20
 )
 
 // shed drops what w should not carry back into the pool, now being the
-// collections the process has run. A whole-tour solve grows the
-// builder's arrays ten to forty times past an interval's, and the
-// interval solves draw the same workspaces, so a workspace would keep a
-// tour's arrays alive through every interval after it. So the arrays
-// stay only while solves keep using a quarter of them: once two
-// collections pass with none, the next smaller solve sheds all of w's
-// state, as the pool drops a workspace left idle for two collections.
-// Pass buffers grown past scratchMax entries go at once, and the
-// knapsack arena trims its own.
+// collections the process has run. A whole-tour solve may grow the
+// builder's arrays far past an interval's, and the interval solves draw
+// the same workspaces, so a workspace would keep a tour's arrays alive
+// through every interval after it. So arrays past keepRuns runs stay
+// only while solves keep using a quarter of them: once two collections
+// pass with none, the next smaller solve sheds all of w's state, as the
+// pool drops a workspace left idle for two collections. Pass buffers
+// grown past scratchMax entries go at once, and the knapsack arena trims
+// its own.
 func (w *Workspace) shed(now uint32) {
-	if c := &w.b.c; cap(c.Item) > keepEntries {
-		if 4*len(c.Item) >= cap(c.Item) {
+	if c := &w.b.c; cap(c.First) > keepRuns {
+		if 4*len(c.First) >= cap(c.First) {
 			w.grownAt = now
 		} else if now-w.grownAt >= 2 {
 			*w = Workspace{}

@@ -9,44 +9,52 @@ import (
 // TestShedKeepsArraysWhileUsed: a workspace keeps the builder arrays a
 // large solve grew while solves keep using a quarter of them, and the
 // first smaller solve sheds them once two collections passed without
-// such a use; arrays within keepEntries stay whatever the count.
+// such a use; arrays within keepRuns stay whatever the count. The
+// arrays hold runs, so each compile lists runs items of alternating
+// profit, none of which folds into the one before it.
 func TestShedKeepsArraysWhileUsed(t *testing.T) {
 	var w Workspace
-	compile := func(entries int) {
+	compile := func(runs int) {
 		t.Helper()
 		b := w.Builder()
-		b.Reset(entries, nil, 0, 0)
-		b.Bin(float64(entries))
-		b.Run(0, entries, 1, 1)
-		if _, err := b.Compiled(); err != nil {
+		b.Reset(runs, nil, 0, 0)
+		b.Bin(float64(runs))
+		for j := range runs {
+			b.Add(j, float64(1+j%2), 1)
+		}
+		c, err := b.Compiled()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if len(c.First) != runs {
+			t.Fatalf("%d items compiled into %d runs", runs, len(c.First))
+		}
 	}
-	compile(4 * keepEntries) // a whole tour
+	compile(4 * keepRuns) // a whole tour
 	w.shed(10)
-	grown := cap(w.b.c.Item)
+	grown := cap(w.b.c.First)
 	for _, step := range []struct {
-		entries int
-		now     uint32
-		kept    bool
+		runs int
+		now  uint32
+		kept bool
 	}{
-		{100, 11, true},             // an interval, one collection on
-		{4 * keepEntries, 12, true}, // the tour's size again
+		{100, 11, true},          // an interval, one collection on
+		{4 * keepRuns, 12, true}, // the tour's size again
 		{100, 13, true},
 		{100, 14, false}, // two collections since the last large use
 	} {
-		compile(step.entries)
+		compile(step.runs)
 		w.shed(step.now)
-		if kept := cap(w.b.c.Item) == grown; kept != step.kept {
-			t.Fatalf("%d entries at collection %d: kept %v, want %v", step.entries, step.now, kept, step.kept)
+		if kept := cap(w.b.c.First) == grown; kept != step.kept {
+			t.Fatalf("%d runs at collection %d: kept %v, want %v", step.runs, step.now, kept, step.kept)
 		}
 	}
-	compile(keepEntries)
+	compile(keepRuns)
 	w.shed(20)
 	compile(10)
 	w.shed(40)
-	if cap(w.b.c.Item) < keepEntries {
-		t.Fatalf("a workspace within keepEntries shed its arrays (cap %d)", cap(w.b.c.Item))
+	if cap(w.b.c.First) < keepRuns {
+		t.Fatalf("a workspace within keepRuns shed its arrays (cap %d)", cap(w.b.c.First))
 	}
 }
 

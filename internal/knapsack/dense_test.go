@@ -379,6 +379,51 @@ func TestDPFlatMatchesDense(t *testing.T) {
 	}
 }
 
+// TestDPRunsSplitRuns: DPRuns, called on runs of equal candidates cut at
+// random points, so that consecutive runs may share profit and weight,
+// takes the candidates the dense reference takes: its picks do not rest
+// on DPFlat's maximal runs, only its row count does.
+func TestDPRunsSplitRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := knapsack.NewArena()
+	for trial := 0; trial < 20000; trial++ {
+		profit, wq, capU := runKnapsack(rng)
+		if capU < 0 {
+			continue
+		}
+		// Run q is idx[start[q]:start[q+1]]: kept candidates cut where the
+		// profit or weight changes, or where the draw cuts at random.
+		var idx, start, free []int32
+		var rp []float64
+		var rw, rc []int32
+		for i, p := range profit {
+			switch w := wq[i]; {
+			case p <= 0 || int(w) > capU:
+			case w == 0:
+				free = append(free, int32(i))
+			default:
+				if n := len(rp); n == 0 || rp[n-1] != p || rw[n-1] != w || rng.Intn(4) == 0 {
+					start, rp, rw, rc = append(start, int32(len(idx))), append(rp, p), append(rw, w), append(rc, 0)
+				}
+				idx = append(idx, int32(i))
+				rc[len(rc)-1]++
+			}
+		}
+		take, err := a.DPRuns(context.Background(), rp, rw, rc, capU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		picks := free
+		for q, c := range take {
+			picks = append(picks, idx[start[q]:start[q]+c]...)
+		}
+		slices.Sort(picks)
+		if want, _ := knapsack.DenseDP(profit, wq, capU); !slices.Equal(picks, want) {
+			t.Fatalf("split runs take %v, dense %v (profit=%v wq=%v capU=%d)", picks, want, profit, wq, capU)
+		}
+	}
+}
+
 // FuzzDPFlatMatchesDense decodes a knapsack from the fuzzer's bytes and
 // holds DPFlat to the dense reference on it. Each item takes three bytes:
 // the first gives a weight of 0–63 quanta in its low six bits and the

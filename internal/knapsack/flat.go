@@ -6,23 +6,25 @@ package knapsack
 // after the arena has warmed up, a kernel call performs no heap
 // allocation at all (gated by TestNoAllocs* in flat_test.go).
 //
-// DPFlat keeps each row of its DP as the row's breakpoints, not as a
+// DPRuns keeps each row of its DP as the row's breakpoints, not as a
 // dense array of capacity+1 cells: a row, the best profit within weight
 // x, is a step function of x with far fewer steps than cells on the
-// knapsacks the GAP sweep meets. It also works per run of equal
-// candidates (one profit P, one weight W), which the rate table makes
-// common: rounding is monotone, so fl(max(a,b)+P) = max(fl(a+P),
-// fl(b+P)), and the row after j items of a run is the largest of g(x−yW)
-// plus P added y times, over y ≤ j, for g the row before the run. It
-// writes the first run's row in closed form, keeps only the row before
-// each run, builds none for the last, and takes a run's first c items in
-// one traceback scan. The min-weight DP behind FPTASFlat and
-// MaxProfitUnderFlat fills dense rows, clamped to the prefix sum of the
-// scaled profits so far, and skips the per-call clearing of its choice
-// matrix: rows are written unconditionally inside the reachable range and
-// the traceback re-derives the (provably constant) choice outside it, so
-// it returns bit-identical picks to the classic full-range formulation
-// while touching a fraction of the memory.
+// knapsacks the GAP sweep meets. It works per run of equal candidates
+// (one profit P, one weight W), which the rate table makes common:
+// rounding is monotone, so fl(max(a,b)+P) = max(fl(a+P), fl(b+P)), and
+// the row after j items of a run is the largest of g(x−yW) plus P added
+// y times, over y ≤ j, for g the row before the run. It writes the first
+// run's row in closed form, keeps only the row before each run, builds
+// none for the last, and takes a run's first c items in one traceback
+// scan. DPFlat is its per-candidate adapter: it cuts the candidates into
+// runs and lists the items DPRuns takes. The min-weight DP behind
+// FPTASFlat and MaxProfitUnderFlat fills dense rows, clamped to the
+// prefix sum of the scaled profits so far, and skips the per-call
+// clearing of its choice matrix: rows are written unconditionally inside
+// the reachable range and the traceback re-derives the (provably
+// constant) choice outside it, so it returns bit-identical picks to the
+// classic full-range formulation while touching a fraction of the
+// memory.
 
 import (
 	"context"
@@ -39,6 +41,10 @@ type Arena struct {
 	rows  []bool    // min-weight DP's choice matrix, never cleared
 	pre   []int     // prefix sums of quantized weights / scaled profits
 	rs    []int32   // DPFlat: start of each run of equal candidates in idx
+	rp    []float64 // DPFlat: each run's profit
+	rw    []int32   // DPFlat: each run's weight
+	rc    []int32   // DPFlat: each run's candidate count
+	take  []int32   // DPRuns: how many of each run's candidates it takes
 	bw    []int     // DP breakpoint weights, row after row
 	bv    []float64 // DP breakpoint values, parallel to bw
 	boff  []int     // start of each DP row in bw and bv
@@ -156,20 +162,83 @@ func (a *Arena) mergeFree(profit []float64) float64 {
 // polled once per row it merges.
 //
 // The picks are bit-identical to the textbook full-range DP with strict
-// improvement ('>') and a descending traceback. Each row of that DP, the
-// best profit within weight x over the first k items, is a nondecreasing
-// step function of x; DPFlat keeps only its breakpoints (Nemhauser and
-// Ullmann's list form) and builds row k by one linear merge of row k−1
-// with row k−1 shifted by (w_k, p_k). Every value it keeps is the float
-// the dense table holds at that weight (an earlier value, or one plus
-// p_k).
+// improvement ('>') and a descending traceback. DPFlat is the per-candidate
+// adapter of DPRuns, which does the DP: it cuts the candidates it keeps
+// into runs, maximal sequences of consecutive kept candidates with one
+// profit and one weight (a skipped or free candidate does not end a run),
+// has DPRuns choose how many of each run's first candidates to take, and
+// lists them. The total sums the picks' profits from the last pick down,
+// then adds the free candidates' sum.
+func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU int) ([]int32, float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	a.idx = a.idx[:0]
+	a.free = a.free[:0]
+	a.picks = a.picks[:0]
+	if capU < 0 {
+		return a.picks, 0, nil
+	}
+	// Run q is a.idx[rs[q]:rs[q+1]], of profit rp[q], weight rw[q] and
+	// rc[q] candidates. A profit is positive here, so equal values are
+	// equal bits; a NaN ends a run.
+	rs, rp, rw, rc := a.rs[:0], a.rp[:0], a.rw[:0], a.rc[:0]
+	lastW, lastP := int32(0), 0.0
+	for i := range profit {
+		p, w := profit[i], wq[i]
+		switch {
+		case p <= 0 || int(w) > capU:
+		case w == 0:
+			a.free = append(a.free, int32(i))
+		default:
+			if w != lastW || p != lastP {
+				rs, rp, rw, rc = append(rs, int32(len(a.idx))), append(rp, p), append(rw, w), append(rc, 0)
+				lastW, lastP = w, p
+			}
+			a.idx = append(a.idx, int32(i))
+			rc[len(rc)-1]++
+		}
+	}
+	a.rs, a.rp, a.rw, a.rc = append(rs, int32(len(a.idx))), rp, rw, rc
+	take, err := a.DPRuns(ctx, rp, rw, rc, capU)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := 0.0
+	for q := len(take) - 1; q >= 0; q-- {
+		for k := a.rs[q] + take[q] - 1; k >= a.rs[q]; k-- {
+			a.picks = append(a.picks, a.idx[k])
+			total += rp[q]
+		}
+	}
+	slices.Reverse(a.picks)
+	total += a.mergeFree(profit)
+	return a.picks, total, nil
+}
+
+// DPRuns is the exact knapsack DP over runs of equal candidates: run q is
+// count[q] candidates of profit[q] > 0 and weight wq[q] quanta, with
+// 1 ≤ wq[q] ≤ capU. It returns how many of each run's first candidates
+// the textbook full-range DP over the listed candidates takes, with
+// strict improvement ('>') and a descending traceback (backed by the
+// arena — valid only until its next kernel call). The context is polled
+// once per row it merges. DPFlat, the per-candidate adapter, and the GAP
+// sweep, whose compiled form holds runs, both call it. Two consecutive
+// runs of one profit and weight take the items one merged run would;
+// merging them saves a row.
 //
-// It works run by run. A run is a maximal sequence of consecutive
-// candidates with one profit P and one weight W, as a window's slots at
-// one rate and power are. Float rounding is monotone, so fl(max(a,b)+P)
-// = max(fl(a+P), fl(b+P)), and by induction row j of a run, at weight x,
-// is the largest T_y(g(x−yW)) over y ≤ j: g is the row before the run
-// and T_y adds P y times in sequence. Hence:
+// Each row of the DP, the best profit within weight x over the first k
+// candidates, is a nondecreasing step function of x; DPRuns keeps only
+// its breakpoints (Nemhauser and Ullmann's list form) and builds row k by
+// one linear merge of row k−1 with row k−1 shifted by (w_k, p_k). Every
+// value it keeps is the float the dense table holds at that weight (an
+// earlier value, or one plus p_k).
+//
+// It works run by run, as the rate table makes a window's slots at one
+// rate and power. Float rounding is monotone, so fl(max(a,b)+P) =
+// max(fl(a+P), fl(b+P)), and by induction row j of a run of profit P and
+// weight W, at weight x, is the largest T_y(g(x−yW)) over y ≤ j: g is the
+// row before the run and T_y adds P y times in sequence. Hence:
 //   - through the first run (g is 0) the row is T_y(0) from weight yW
 //     on, written in closed form;
 //   - only the row before each run is kept, and none is built for the
@@ -185,48 +254,21 @@ func (a *Arena) mergeFree(profit []float64) float64 {
 // rate-table profits, but random float profits over small weights make
 // nearly every weight a breakpoint, and then the merge is several times
 // slower than the dense band it replaced (BenchmarkDP80DenseRows).
-func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU int) ([]int32, float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+func (a *Arena) DPRuns(ctx context.Context, profit []float64, wq, count []int32, capU int) ([]int32, error) {
+	nr := len(profit)
+	take := a.int32s(&a.take, nr)
+	// pre[q] is the summed weight of the runs before run q.
+	pre := a.pre[:0]
+	sumQ := 0
+	for q := range nr {
+		pre = append(pre, sumQ)
+		sumQ += int(count[q]) * int(wq[q])
 	}
-	a.idx = a.idx[:0]
-	a.free = a.free[:0]
-	a.picks = a.picks[:0]
-	if capU < 0 {
-		return a.picks, 0, nil
+	a.pre = append(pre, sumQ)
+	pre = a.pre
+	if nr == 0 {
+		return take, nil
 	}
-	// The active candidates, cut into runs: run q is a.idx[rs[q]:rs[q+1]],
-	// and pre[q] is the summed weight of the runs before it. A profit is
-	// positive here, so equal values are equal bits; a NaN ends a run.
-	rs, pre := a.rs[:0], a.pre[:0]
-	sumQ, lastW, lastP := 0, 0, 0.0
-	for i := range profit {
-		p := profit[i]
-		if p <= 0 {
-			continue
-		}
-		w := int(wq[i])
-		if w == 0 {
-			a.free = append(a.free, int32(i))
-			continue
-		}
-		if w > capU {
-			continue
-		}
-		if w != lastW || p != lastP {
-			rs, pre = append(rs, int32(len(a.idx))), append(pre, sumQ)
-			lastW, lastP = w, p
-		}
-		a.idx = append(a.idx, int32(i))
-		sumQ += w
-	}
-	rs, pre = append(rs, int32(len(a.idx))), append(pre, sumQ)
-	a.rs, a.pre = rs, pre
-	if len(a.idx) == 0 {
-		total := a.mergeFree(profit)
-		return a.picks, total, nil
-	}
-	nr := len(rs) - 1
 	capQ := min(capU, sumQ)
 	slack := sumQ - capQ
 	// The row before run q is bw/bv[off[q]:off[q+1]]: weights and values
@@ -241,8 +283,7 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 	off := append(a.boff[:0], 0, 1)
 	if nr > 1 {
 		// The row after run 0 is T_y(0) from weight yW on, y ≤ r.
-		r, i := int(rs[1]), a.idx[0]
-		wk, p := int(wq[i]), profit[i]
+		r, wk, p := int(count[0]), int(wq[0]), profit[0]
 		dead := pre[1] - slack
 		w, v, last := 0, 0.0, math.Inf(-1)
 		for y := 0; y <= r && w <= capQ; y++ {
@@ -261,13 +302,11 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 	for q := 1; q < nr-1; q++ {
 		// The row after run q: r merges, each from the last, then moved
 		// down to follow the row before the run.
-		k0, r := int(rs[q]), int(rs[q+1]-rs[q])
-		i := a.idx[k0]
-		wk, p := int(wq[i]), profit[i]
+		r, wk, p := int(count[q]), int(wq[q]), profit[q]
 		lo, hi := off[q], off[q+1]
 		for j := 1; j <= r; j++ {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			n := hi - lo
 			base := len(bw)
@@ -285,14 +324,10 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 		off = append(off, len(bw))
 	}
 	a.bw, a.bv, a.boff = bw, bv, off
-	// Traceback, run by run, picks emitted in descending k then reversed
-	// to ascending.
+	// Traceback, run by run from the last.
 	w := capQ
-	total := 0.0
 	for q := nr - 1; q >= 0; q-- {
-		k0, r := int(rs[q]), int(rs[q+1]-rs[q])
-		i := a.idx[k0]
-		wk, p := int(wq[i]), profit[i]
+		r, wk, p := int(count[q]), int(wq[q]), profit[q]
 		// Item j of the run (1-based) goes in without a lookup iff
 		// w > pre[q] + j·wk: above the prefix weight sum every item so
 		// far fits, so the DP is in its flat value region where adding
@@ -304,15 +339,10 @@ func (a *Arena) DPFlat(ctx context.Context, profit []float64, wq []int32, capU i
 		if y := min(r, w/wk); c < y {
 			c = runTake(bw[off[q]:off[q+1]], bv[off[q]:off[q+1]], w, wk, p, c, y)
 		}
-		for k := k0 + c - 1; k >= k0; k-- {
-			a.picks = append(a.picks, a.idx[k])
-			total += p
-		}
+		take[q] = int32(c)
 		w -= c * wk
 	}
-	slices.Reverse(a.picks)
-	total += a.mergeFree(profit)
-	return a.picks, total, nil
+	return take, nil
 }
 
 // shiftMerge writes into ow/ov, which hold 2·len(gw) entries, the DP

@@ -367,6 +367,24 @@ func TestNoAllocsDPFlat(t *testing.T) {
 	}
 }
 
+// TestNoAllocsDPRuns: the run kernel, called on runs directly as the GAP
+// sweep calls it, allocates nothing on a warm arena.
+func TestNoAllocsDPRuns(t *testing.T) {
+	a := NewArena()
+	profit := []float64{5, 3, 5, 2, 5}
+	wq := []int32{3, 2, 4, 1, 3}
+	count := []int32{20, 15, 10, 12, 6}
+	run := func() {
+		if _, err := a.DPRuns(context.Background(), profit, wq, count, 60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the arena
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("DPRuns allocates %v per run after warmup", n)
+	}
+}
+
 // TestArenaTrimBreakpoints: Trim keeps the breakpoint and run buffers an
 // ordinary DPFlat call grew, and drops each one grown past arenaMax.
 func TestArenaTrimBreakpoints(t *testing.T) {

@@ -4,12 +4,14 @@
 // maximization problem. Every kernel is a method of an Arena and runs over
 // parallel candidate arrays:
 //
-//   - DPFlat: exact dynamic program over quantized weights, each row kept
-//     as the breakpoints of its step function (Nemhauser–Ullmann lists),
-//     worked per run of equal candidates: monotone rounding makes a
-//     run's rows a closed form in the row before it, so the first run's
-//     row is written directly, no row is built for the last, and the
-//     traceback takes each run's first items in one scan;
+//   - DPRuns: exact dynamic program over quantized weights, on runs of
+//     equal candidates, each row kept as the breakpoints of its step
+//     function (Nemhauser–Ullmann lists): monotone rounding makes a run's
+//     rows a closed form in the row before it, so the first run's row is
+//     written directly, no row is built for the last, and the traceback
+//     takes each run's first items in one scan. It returns how many of
+//     each run's items it takes; DPFlat is its per-candidate adapter,
+//     which cuts candidate arrays into runs and lists the picks;
 //   - FPTASFlat: Lawler-style profit-scaling dynamic program with
 //     profit ≥ (1−ε)·OPT, i.e. β = 1/(1−ε) ≈ 1+ε, matching the paper's
 //     analysis (Thm 2 uses β = 1+ε ⇒ overall ratio 1/(2+ε));

@@ -36,7 +36,8 @@ func sameCompiled(got, want *gap.Compiled) bool {
 	bits := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	return got.NumItems == want.NumItems && slices.Equal(got.Off, want.Off) && slices.Equal(got.Item, want.Item) &&
+	return got.NumItems == want.NumItems && slices.Equal(got.Off, want.Off) &&
+		slices.Equal(got.First, want.First) && slices.Equal(got.Count, want.Count) &&
 		bits(got.Profit, want.Profit) && bits(got.Weight, want.Weight) && bits(got.Cap, want.Cap) &&
 		slices.Equal(got.WQ, want.WQ) && slices.Equal(got.CapU, want.CapU) &&
 		got.Quantum == want.Quantum && got.Eps == want.Eps
@@ -102,7 +103,7 @@ func TestIntervalCompileMatchesPerSlot(t *testing.T) {
 			inst := c.inst
 			quantum, eps := (&Appro{}).Opts.Oracle(inst)
 			var b gap.Builder
-			entries := 0
+			runs := 0
 			for j := 0; j*inst.Gamma < inst.T; j++ {
 				iv := Interval{Index: j, Start: j * inst.Gamma, End: min((j+1)*inst.Gamma, inst.T) - 1}
 				for _, whole := range []bool{false, true} {
@@ -136,15 +137,15 @@ func TestIntervalCompileMatchesPerSlot(t *testing.T) {
 						if !sameCompiled(got, want) {
 							t.Fatalf("interval %d (whole clips %v): the run form's arrays differ from the per-slot loop's", j, whole)
 						}
-						if (p.quantum > 0) != (len(got.WQ) > 0) && len(got.Item) > 0 {
+						if (p.quantum > 0) != (len(got.WQ) > 0) && len(got.First) > 0 {
 							t.Fatalf("interval %d: quantum %v with %d quantized weights", j, p.quantum, len(got.WQ))
 						}
-						entries += len(got.Item)
+						runs += len(got.First)
 					}
 				}
 			}
-			if entries == 0 {
-				t.Fatal("no interval compiled an entry")
+			if runs == 0 {
+				t.Fatal("no interval compiled a run")
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"mobisink/internal/core"
 	"mobisink/internal/fault"
 	"mobisink/internal/geom"
+	"mobisink/internal/radio"
 )
 
 // Answer is a sensor endpoint's reply to a Probe.
@@ -102,12 +103,22 @@ func (e *Endpoint) Schedule(j int, pairs []Pair, repair bool) bool {
 // holds for j, their energy and data summed in ascending slot order,
 // with one clamped subtraction per budget: Result.Debit's arithmetic, so
 // the sensor and the sink's books agree bit for bit. j becomes its
-// committed watermark.
+// committed watermark. The slots ascend, so one cursor walks the primary
+// window's link runs.
 func (e *Endpoint) Finish(j int) {
 	if e.iv == j {
 		var spend, drain float64
+		runs, r := e.s.Runs, 0
 		for _, slot := range e.slots {
-			l := e.s.LinkAt(slot)
+			var l radio.Link
+			if slot >= e.s.Start && slot <= e.s.End {
+				for runs[r].End < slot {
+					r++
+				}
+				l = runs[r].Link
+			} else {
+				l = e.s.LinkAt(slot) // outside the primary window
+			}
 			spend += l.Power * e.tau
 			drain += l.Rate * e.tau
 		}

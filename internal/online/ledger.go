@@ -211,24 +211,34 @@ func (l *Ledger) Plan(ctx context.Context, iv Interval, regs []Registration) ([]
 // ascending sensor order, the content of the interval's journal record;
 // both slices are reused by the next Commit.
 //
-// A nil loss is the lossless protocol: every planned slot commits. A
-// recovering ledger may be given a Loss instead. Then a deaf sensor
-// costs the sink its first slot to detect its silence, and each of its
-// later slots is repaired to the registered sensor with the best rate
-// there that is not deaf, is alive, and can still afford it. A slot
-// nobody can take, or whose repair is lost, idles.
+// A nil loss is the lossless protocol: every planned slot commits, so
+// the spend and drain that Plan summed over the plan, in ascending slot
+// order, are the debits. A recovering ledger may be given a Loss
+// instead. Then a deaf sensor costs the sink its first slot to detect
+// its silence, and each of its later slots is repaired to the
+// registered sensor with the best rate there that is not deaf, is
+// alive, and can still afford it. A slot nobody can take, or whose
+// repair is lost, idles.
 func (l *Ledger) Commit(iv Interval, regs []Registration, loss Loss) ([]Pair, []Debit) {
 	l.pairs, l.debits = l.pairs[:0], l.debits[:0]
-	clear(l.spend)
-	clear(l.drain)
 	clear(l.flags)
-	for k, r := range regs {
-		if loss != nil && loss.Deaf(r.Sensor) {
-			l.flags[k] |= claimDeaf
+	if loss == nil {
+		for _, p := range l.plan {
+			l.flags[l.owner[p.Slot-iv.Start]] |= claimCommitted
+			l.res.Alloc.SlotOwner[p.Slot] = p.Sensor
 		}
-	}
-	for _, p := range l.plan {
-		l.commitSlot(regs, p.Slot, l.owner[p.Slot-iv.Start], loss)
+		l.pairs = append(l.pairs, l.plan...)
+	} else {
+		clear(l.spend)
+		clear(l.drain)
+		for k, r := range regs {
+			if loss.Deaf(r.Sensor) {
+				l.flags[k] |= claimDeaf
+			}
+		}
+		for _, p := range l.plan {
+			l.commitSlot(regs, p.Slot, l.owner[p.Slot-iv.Start], loss)
+		}
 	}
 	l.mu.Lock()
 	for k, r := range regs {
@@ -319,13 +329,11 @@ func (l *Ledger) lay(iv Interval, regs []Registration, plan map[int]int) error {
 	return nil
 }
 
-// commitSlot commits one planned slot of claim k, ascending.
+// commitSlot commits one planned slot of claim k, ascending, under loss.
 func (l *Ledger) commitSlot(regs []Registration, slot, k int, loss Loss) {
 	sensor := regs[k].Sensor
 	f := &l.flags[k]
 	switch {
-	case loss == nil:
-		l.take(k, sensor, slot)
 	case *f&claimDeaf != 0 && *f&claimDetected == 0:
 		// The sink spends the deaf sensor's first slot discovering its
 		// silence.
