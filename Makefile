@@ -62,10 +62,14 @@ test-recovery:
 # answered by one Sync, and the session table is keyed from that Hello
 # alone. The shortfall tour runs beside the parity tour: its clients'
 # residuals are read after the sink closes, as the parity tour's are.
+# The write-plane tests run ten times as well: one fan-out worker serves
+# every connection, so a race between it, the conn writers and a Flush
+# would show only now and then.
 # Part of the default `test` target.
 stress-wire:
 	$(GO) test -count=10 -run 'TestLoopbackParity$$|TestShortfallTourParity$$|TestSinkCrashRestartParity$$|TestConnKillChurnTour$$|TestRetransmitAnswerCountsOnce$$' ./internal/wire
 	$(GO) test -count=10 -run 'TestDialSensorIsOneRoundTrip$$|TestSinkAnswersHelloWithSync$$|TestSinkRefusesBadFirstFrame$$|TestSessionResumeAndTTL$$' ./internal/wire
+	$(GO) test -count=10 -run 'TestBroadcastOrderingPerConn$$|TestQueueOverflowKillsOnlyStalledConn$$|TestSlowPeerDoesNotStallBroadcast$$|TestSlowSensorTourCompletes$$|TestFlushAfterCanceledFlush$$' ./internal/wire
 	$(GO) test -count=10 -run 'TestDemoTour' ./cmd/sinkd
 
 # Short fuzz pass over the strict frame decoder (no input may panic,
@@ -142,10 +146,11 @@ bench: bench-wire
 	$(GO) test -run '^$$' -bench BenchmarkSolvers -benchmem -count 3 ./internal/solve \
 		| $(GO) run ./cmd/benchjson -o BENCH_solvers.json
 
-# Wire fan-out benchmark campaign: sharded broadcast at
-# N ∈ {100,1000,5000} plus the end-to-end tour wall clock, captured as
-# BENCH_wire.json. Fixed iteration counts, not -benchtime durations: the
-# sharded hand-off is microseconds per op, so a time-based budget would
+# Wire fan-out benchmark campaign: the broadcast hand-off to the one
+# fan-out worker at N ∈ {100,1000,5000} (rows still named Sharded/, as
+# in the recorded history) plus the end-to-end tour wall clock, captured
+# as BENCH_wire.json. Fixed iteration counts, not -benchtime durations:
+# the hand-off is microseconds per op, so a time-based budget would
 # explode b.N and drown the run in unmeasured background writes, and
 # -count 10 with benchjson's per-metric minimum tightens the minima
 # enough for the 10% gate to hold on a contended single-core box.

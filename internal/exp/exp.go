@@ -187,13 +187,13 @@ func seedFor(base int64, n, trial int) int64 {
 }
 
 // runCell executes all trials of one cell: every trial topology is built
-// with bounded parallelism, then each algorithm sweeps the whole cell
-// through solve.Batch, whose work-stealing pool keeps workers busy across
-// skewed instance sizes.
+// on the work-stealing pool, then each algorithm sweeps the whole cell
+// through solve.Batch, whose pool of the same kind keeps workers busy
+// across skewed instance sizes.
 func runCell(cfg Config, c cell) ([]Point, error) {
 	insts := make([]*core.Instance, cfg.Trials)
 	ubs := make([]float64, cfg.Trials)
-	if err := parallel.ForEach(cfg.Trials, cfg.Workers, func(t int) error {
+	if _, err := parallel.ForEachStealing(cfg.Trials, cfg.Workers, func(t int) error {
 		inst, err := buildTrial(cfg, c, t)
 		if err != nil {
 			return fmt.Errorf("exp: building n=%d trial %d: %w", c.n, t, err)

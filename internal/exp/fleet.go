@@ -52,7 +52,7 @@ func FleetSweep(cfg Config) (*FleetTable, error) {
 		for _, n := range sizes {
 			insts := make([]*core.Instance, cfg.Trials)
 			ubs := make([]float64, cfg.Trials)
-			if err := parallel.ForEach(cfg.Trials, cfg.Workers, func(t int) error {
+			if _, err := parallel.ForEachStealing(cfg.Trials, cfg.Workers, func(t int) error {
 				inst, err := buildFleetTrial(cfg, k, n, speed, tau, t)
 				if err != nil {
 					return fmt.Errorf("exp: building K=%d n=%d trial %d: %w", k, n, t, err)

@@ -1,10 +1,6 @@
 package gap
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Workspace is the reusable state of one solve: the Builder it compiles
 // into, the passes' Scratch, and the item → bin, bin-order and per-bin
@@ -19,7 +15,6 @@ type Workspace struct {
 	itemBin []int32
 	order   []int
 	caps    []float64
-	grownAt uint32 // collections when a solve last used most of b's arrays
 }
 
 var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
@@ -29,57 +24,33 @@ func GetWorkspace() *Workspace { return workspaces.Get().(*Workspace) }
 
 // Release puts w back in the pool, after shed.
 func (w *Workspace) Release() {
-	w.shed(collections.Load())
+	w.shed()
 	workspaces.Put(w)
 }
 
 const (
-	// keepRuns is the compiled runs' worth of builder arrays a workspace
-	// keeps whatever its solves use. An interval's solve lists a few
-	// hundred runs at most, and a whole tour of the paper's figures a
-	// few thousand: its sensors' windows fold into a handful of runs
-	// each.
-	keepRuns = 1 << 12
+	// keepRuns is the most compiled runs' worth of builder arrays a
+	// pooled Workspace keeps. An interval's solve lists a few hundred
+	// runs, a whole tour of the paper's figures a few thousand, and a
+	// path-loss tour, whose windows fold into no runs, one per slot:
+	// tens of thousands at n = 600.
+	keepRuns = 1 << 16
 	// scratchMax is the largest pass buffer a pooled Workspace keeps.
 	scratchMax = 1 << 20
 )
 
-// shed drops what w should not carry back into the pool, now being the
-// collections the process has run. A whole-tour solve may grow the
-// builder's arrays far past an interval's, and the interval solves draw
-// the same workspaces, so a workspace would keep a tour's arrays alive
-// through every interval after it. So arrays past keepRuns runs stay
-// only while solves keep using a quarter of them: once two collections
-// pass with none, the next smaller solve sheds all of w's state, as the
-// pool drops a workspace left idle for two collections. Pass buffers
-// grown past scratchMax entries go at once, and the knapsack arena trims
-// its own.
-func (w *Workspace) shed(now uint32) {
-	if c := &w.b.c; cap(c.First) > keepRuns {
-		if 4*len(c.First) >= cap(c.First) {
-			w.grownAt = now
-		} else if now-w.grownAt >= 2 {
-			*w = Workspace{}
-		}
+// shed drops what w should not carry back into the pool: all of its
+// state once the builder's arrays grew past keepRuns runs, and pass
+// buffers grown past scratchMax entries. The knapsack arena trims its
+// own.
+func (w *Workspace) shed() {
+	if cap(w.b.c.First) > keepRuns {
+		*w = Workspace{}
 	}
 	if cap(w.s.claim) > scratchMax || cap(w.s.prof) > scratchMax {
 		w.s = Scratch{}
 	}
 	w.s.ar.Trim()
-}
-
-// collections counts the garbage collections the process has run: the
-// finalizer of an unreachable sentinel runs once per cycle and sets
-// itself again.
-var collections atomic.Uint32
-
-type sentinel struct{ _ *byte }
-
-func init() { runtime.SetFinalizer(new(sentinel), countCollection) }
-
-func countCollection(s *sentinel) {
-	collections.Add(1)
-	runtime.SetFinalizer(s, countCollection)
 }
 
 // Builder returns the workspace's Builder.

@@ -1,18 +1,13 @@
 package gap
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestShedKeepsArraysWhileUsed: a workspace keeps the builder arrays a
-// large solve grew while solves keep using a quarter of them, and the
-// first smaller solve sheds them once two collections passed without
-// such a use; arrays within keepRuns stay whatever the count. The
-// arrays hold runs, so each compile lists runs items of alternating
-// profit, none of which folds into the one before it.
-func TestShedKeepsArraysWhileUsed(t *testing.T) {
+// TestShedCapsBuilderArrays: a workspace keeps builder arrays within
+// keepRuns runs whatever its later solves use, and sheds all of its
+// state at the first release past that. The arrays hold runs, so each
+// compile lists runs items of alternating profit, none of which folds
+// into the one before it.
+func TestShedCapsBuilderArrays(t *testing.T) {
 	var w Workspace
 	compile := func(runs int) {
 		t.Helper()
@@ -30,41 +25,20 @@ func TestShedKeepsArraysWhileUsed(t *testing.T) {
 			t.Fatalf("%d items compiled into %d runs", runs, len(c.First))
 		}
 	}
-	compile(4 * keepRuns) // a whole tour
-	w.shed(10)
+	compile(keepRuns / 2) // a path-loss tour
+	w.shed()
 	grown := cap(w.b.c.First)
-	for _, step := range []struct {
-		runs int
-		now  uint32
-		kept bool
-	}{
-		{100, 11, true},          // an interval, one collection on
-		{4 * keepRuns, 12, true}, // the tour's size again
-		{100, 13, true},
-		{100, 14, false}, // two collections since the last large use
-	} {
-		compile(step.runs)
-		w.shed(step.now)
-		if kept := cap(w.b.c.First) == grown; kept != step.kept {
-			t.Fatalf("%d runs at collection %d: kept %v, want %v", step.runs, step.now, kept, step.kept)
-		}
+	if grown < keepRuns/2 || grown > keepRuns {
+		t.Fatalf("%d runs grew arrays of cap %d, want within [%d, %d]", keepRuns/2, grown, keepRuns/2, keepRuns)
 	}
-	compile(keepRuns)
-	w.shed(20)
-	compile(10)
-	w.shed(40)
-	if cap(w.b.c.First) < keepRuns {
-		t.Fatalf("a workspace within keepRuns shed its arrays (cap %d)", cap(w.b.c.First))
+	compile(100) // an interval
+	w.shed()
+	if c := cap(w.b.c.First); c != grown {
+		t.Fatalf("a workspace within keepRuns went from cap %d to %d", grown, c)
 	}
-}
-
-// TestCollectionsCounted: the sentinel's finalizer counts a collection.
-func TestCollectionsCounted(t *testing.T) {
-	before := collections.Load()
-	runtime.GC()
-	for deadline := time.Now().Add(10 * time.Second); collections.Load() == before; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("runtime.GC ran, and no collection was counted")
-		}
+	compile(2 * keepRuns)
+	w.shed()
+	if c := cap(w.b.c.First); c != 0 {
+		t.Fatalf("a workspace past keepRuns kept arrays of cap %d", c)
 	}
 }

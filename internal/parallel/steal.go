@@ -38,14 +38,15 @@ func (c *chunk) claim() int64 {
 }
 
 // ForEachStealing runs fn(i) for every i in [0, n) on a work-stealing pool
-// of `workers` goroutines (GOMAXPROCS when workers ≤ 0): the index range
-// is split into per-worker contiguous chunks, each worker drains its own
-// chunk first, then claims from other workers' chunks. Compared to ForEach
-// this keeps long-running tasks from serializing behind a static
-// partition, at the cost of nondeterministic execution order — results
-// must still go into caller-owned index-addressed storage. All tasks run
-// even if some fail; the returned error joins every task error in index
-// order, and panics are captured as errors like ForEach.
+// of `workers` goroutines (GOMAXPROCS when workers ≤ 0), so at most
+// `workers` tasks run at once: the index range is split into per-worker
+// contiguous chunks, each worker drains its own chunk first, then claims
+// from other workers' chunks. That keeps long-running tasks from
+// serializing behind a static partition, at the cost of nondeterministic
+// execution order — fn must write its result into caller-owned storage
+// at index i. All tasks run even if some fail; the returned error joins
+// every task error in index order, and a panicking task is reported as
+// its error.
 func ForEachStealing(n, workers int, fn func(i int) error) (StealStats, error) {
 	if n < 0 {
 		return StealStats{}, fmt.Errorf("parallel: negative task count %d", n)

@@ -30,7 +30,7 @@ var ioScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b
 
 // Conn frames protocol messages over a net.Conn. Reads are buffered;
 // writes are serialized by a mutex and land as a single Write per frame
-// so concurrent writers (a shard's queue drainer vs. the heartbeat
+// so concurrent writers (a conn's queue drainer vs. the heartbeat
 // loop) never interleave bytes. A Conn tracks the frames-sent/received
 // counters per message type, and — when ConnOptions set timeouts —
 // applies per-operation deadlines so a dead peer is detected in bounded
@@ -105,7 +105,7 @@ func (c *Conn) WriteMsg(m Msg) error {
 // WriteRaw sends one pre-encoded frame under the write lock and deadline
 // policy; buf must hold exactly one complete frame of type t. This is
 // the encode-once fan-out path: the sink serializes a broadcast frame a
-// single time and every shard writer hands the same bytes to its conns.
+// single time and every conn's writer hands the same bytes to its socket.
 func (c *Conn) WriteRaw(t Type, buf []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()

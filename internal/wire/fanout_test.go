@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -75,14 +76,14 @@ func fleetIDs(n int) []int {
 // TestSlowPeerDoesNotStallBroadcast is the head-of-line regression test
 // at the write-plane level: over net.Pipe a write blocks until the peer
 // reads, so under the old serial loop one slow-but-alive peer delayed
-// every peer after it in the id order. On the sharded plane the slow
+// every peer after it in the id order. On the fan-out plane the slow
 // peer's frame waits in its own queue while everyone else is served.
 func TestSlowPeerDoesNotStallBroadcast(t *testing.T) {
 	const n, slow = 8, 0
 	done := make(chan struct{})
 	defer close(done)
 	kills := newKillLog()
-	b := newBroadcaster(4, 16, done, kills.drop)
+	b := newBroadcaster(16, done, kills.drop)
 	peers := pipeFleet(t, b, n)
 
 	type rcpt struct {
@@ -134,7 +135,7 @@ func TestQueueOverflowKillsOnlyStalledConn(t *testing.T) {
 	done := make(chan struct{})
 	defer close(done)
 	kills := newKillLog()
-	b := newBroadcaster(2, 2, done, kills.drop)
+	b := newBroadcaster(2, done, kills.drop)
 	peers := pipeFleet(t, b, n)
 
 	// Fast peers report each receipt; the test paces broadcasts on them
@@ -184,15 +185,16 @@ func TestQueueOverflowKillsOnlyStalledConn(t *testing.T) {
 	}
 }
 
-// TestBroadcastOrderingPerConn interleaves broadcasts with a shard-
-// routed unicast and checks each conn sees its frames in submission
-// order — the property the parity and repair arguments rest on.
+// TestBroadcastOrderingPerConn interleaves broadcasts with a unicast
+// through the same task FIFO and checks each conn sees its frames in
+// submission order — the property the parity and repair arguments rest
+// on.
 func TestBroadcastOrderingPerConn(t *testing.T) {
 	const n = 4
 	done := make(chan struct{})
 	defer close(done)
 	kills := newKillLog()
-	b := newBroadcaster(2, 64, done, kills.drop)
+	b := newBroadcaster(64, done, kills.drop)
 	peers := pipeFleet(t, b, n)
 
 	all := fleetIDs(n)
@@ -253,6 +255,62 @@ func TestBroadcastOrderingPerConn(t *testing.T) {
 	}
 }
 
+// TestFlushAfterCanceledFlush: a Flush cancelled while a stalled peer
+// holds a frame leaves its marker queued behind that frame, and the
+// next Flush on a live context still waits for its own barrier: it
+// returns only once the peer has read the first frame and the one
+// broadcast after the cancelled Flush.
+func TestFlushAfterCanceledFlush(t *testing.T) {
+	done := make(chan struct{})
+	defer close(done)
+	kills := newKillLog()
+	b := newBroadcaster(16, done, kills.drop)
+	peer := pipeFleet(t, b, 1)[0]
+
+	if err := b.Broadcast(&Finish{Interval: 0}, fleetIDs(1)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := b.Flush(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Flush past a stalled peer returned %v, want the context's deadline", err)
+	}
+	if err := b.Broadcast(&Finish{Interval: 1}, fleetIDs(1)); err != nil {
+		t.Fatal(err)
+	}
+	live, cancelLive := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelLive()
+	flushed := make(chan error, 1)
+	go func() { flushed <- b.Flush(live) }()
+
+	for want := 0; want < 2; want++ {
+		time.Sleep(50 * time.Millisecond)
+		select {
+		case err := <-flushed:
+			t.Fatalf("Flush returned %v before the peer read frame %d", err, want)
+		default:
+		}
+		m, err := peer.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := m.(*Finish); !ok || f.Interval != want {
+			t.Fatalf("peer read %v, want Finish %d", m, want)
+		}
+	}
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush never returned after the peer read both frames")
+	}
+	if k := kills.killed(); len(k) != 0 {
+		t.Errorf("killed conns %v, want none", k)
+	}
+}
+
 // nullConn is a sink-free net.Conn for the alloc gate: writes succeed
 // instantly (counted), nothing else does anything.
 type nullConn struct{ writes *atomic.Int64 }
@@ -269,7 +327,8 @@ func (c nullConn) SetWriteDeadline(time.Time) error { return nil }
 // TestNoAllocsBroadcast pins the encode-once fan-out at zero steady-
 // state allocations: frame buffers, id slices, and queue items all come
 // from pools, so a warmed broadcast of any fleet size allocates nothing
-// on the interval loop or the shard writers. Mirrors the gap/knapsack
+// on the interval loop, the fan-out worker or the conn writers. Mirrors
+// the gap/knapsack
 // TestNoAllocs* gates.
 func TestNoAllocsBroadcast(t *testing.T) {
 	if raceEnabled {
@@ -279,7 +338,7 @@ func TestNoAllocsBroadcast(t *testing.T) {
 	done := make(chan struct{})
 	defer close(done)
 	kills := newKillLog()
-	b := newBroadcaster(8, 1024, done, kills.drop)
+	b := newBroadcaster(1024, done, kills.drop)
 	var writes atomic.Int64
 	for i := 0; i < n; i++ {
 		b.add(i, NewConn(nullConn{writes: &writes}))
@@ -301,7 +360,7 @@ func TestNoAllocsBroadcast(t *testing.T) {
 		run() // warm the frame, id-slice, and scratch pools
 	}
 	if a := testing.AllocsPerRun(100, run); a != 0 {
-		t.Fatalf("sharded broadcast allocates %v per run after warmup", a)
+		t.Fatalf("broadcast allocates %v per run after warmup", a)
 	}
 	if k := kills.killed(); len(k) != 0 {
 		t.Fatalf("alloc gate killed conns %v", k)

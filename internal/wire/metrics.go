@@ -40,8 +40,8 @@ var (
 		"wire_recovery_seconds",
 		"Journal replay to first-probe latency on sink restart.", nil)
 	// broadcastFanout measures the interval loop's stall per broadcast:
-	// one encode plus the shard hand-offs. Delivery itself proceeds on
-	// the per-shard writers and never blocks the tour.
+	// one encode plus the hand-off to the fan-out worker. Delivery itself
+	// proceeds on the conn writers and never blocks the tour.
 	broadcastFanout = metrics.Default().Histogram(
 		"wire_broadcast_fanout_ns",
 		"Interval-loop stall per broadcast frame fan-out, nanoseconds.",
@@ -58,7 +58,7 @@ var (
 )
 
 // sentByType / recvByType resolve each message type's counter once at
-// init, so the frame hot paths (per-conn shard writers, the encode-once
+// init, so the frame hot paths (the per-conn writers, the encode-once
 // fan-out) pay a single atomic add per frame instead of rendering the
 // label string on every call.
 var (

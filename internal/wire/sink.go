@@ -113,7 +113,7 @@ type Sink struct {
 	ln    net.Listener
 	inbox chan inbound
 	done  chan struct{}
-	// bc is the sharded write plane.
+	// bc is the write plane.
 	bc *broadcaster
 
 	// drv runs the tour on RunTour's goroutine; the session handshake
@@ -198,7 +198,7 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.bc = newBroadcaster(writeShards, writeQueue, s.done, s.dropConn)
+	s.bc = newBroadcaster(writeQueue, s.done, s.dropConn)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -307,7 +307,7 @@ func (s *Sink) handle(c *Conn) {
 		return
 	}
 	// Join the write plane before the conn set: any broadcast that sees
-	// the conn in s.conns must find its shard queue already live.
+	// the conn in s.conns must find its write queue already live.
 	sc := s.bc.add(id, c)
 	s.mu.Lock()
 	if s.closed {
@@ -484,10 +484,10 @@ func (s *Sink) RunTour(ctx context.Context) (*online.Result, error) {
 }
 
 // broadcast fans one frame out to the listed sensors: the frame is
-// encoded once and handed to the writer shards, so the observed fan-out
+// encoded once and handed to the fan-out worker, so the observed fan-out
 // time is the interval loop's stall — delivery proceeds concurrently on
-// the per-shard writers, and a failed conn is discarded by its shard
-// through dropConn.
+// the per-conn writers, and a failed conn is discarded through
+// dropConn.
 func (s *Sink) broadcast(m Msg, ids []int) {
 	start := time.Now()
 	_ = s.bc.Broadcast(m, ids)

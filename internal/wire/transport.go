@@ -19,7 +19,7 @@ const (
 )
 
 // sinkTransport is the Sink's online.Transport: the driver's frames go
-// out on the sharded write plane and come back through the inbox.
+// out on the fan-out write plane and come back through the inbox.
 // Recovery mode times its registration rounds and its confirm window;
 // idealized mode waits for every answer. It also observes the wire's
 // interval histograms. It belongs to RunTour's goroutine.
@@ -211,8 +211,8 @@ func (t *sinkTransport) collectConfirms(ctx context.Context, iv online.Interval,
 func (t *sinkTransport) Deaf(sensor int) bool { return t.silent[sensor] }
 func (t *sinkTransport) Alive(int, int) bool  { return true }
 
-// Repair routes the unicast through the sensor's shard: FIFO behind the
-// interval's Schedule broadcast, so the repair cannot overtake it.
+// Repair routes the unicast through the write plane's task FIFO, behind
+// the interval's Schedule broadcast, so the repair cannot overtake it.
 func (t *sinkTransport) Repair(slot, sensor int) bool {
 	fix := &Schedule{Interval: t.iv, Repair: true, Pairs: []Assign{{Slot: slot, Sensor: sensor}}}
 	if !t.s.bc.Unicast(sensor, fix) {
