@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to reproduce: 2, 3, 4a, 4b, msgs, gap, accrual, contention, latency, faults, fleet, or all")
+		fig       = flag.String("fig", "all", "figure to reproduce: "+ids()+", or all")
 		trials    = flag.Int("trials", 50, "random topologies per data point")
 		sizesFlag = flag.String("sizes", "", "comma-separated network sizes (default 100..600)")
 		seed      = flag.Int64("seed", 1, "base RNG seed")
@@ -88,49 +88,30 @@ func main() {
 		}
 	}
 
-	ids := []string{*fig}
-	if *fig == "all" {
-		ids = []string{"2", "3", "4a", "4b", "msgs", "gap"}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		start := time.Now()
-		var tbl renderable
-		var err error
-		switch id {
-		case "msgs":
-			tbl, err = exp.Messages(cfg)
-		case "gap":
-			tbl, err = exp.OptimalityGap(cfg)
-		case "accrual":
-			tbl, err = exp.AccrualSensitivity(cfg)
-		case "contention":
-			tbl, err = exp.Contention(cfg)
-		case "latency":
-			tbl, err = exp.Latency(cfg)
-		case "faults":
-			tbl, err = exp.FaultSweep(cfg)
-		case "fleet":
-			tbl, err = exp.FleetSweep(cfg)
-		default:
-			run, ok := exp.Figures[id]
-			if !ok {
-				fatalf("unknown figure %q (want 2, 3, 4a, 4b, msgs, gap, accrual, contention, latency, faults, fleet, all)", id)
-			}
-			tbl, err = run(cfg)
+	var runs []exp.Experiment
+	for _, e := range exp.Experiments {
+		if e.ID == *fig || *fig == "all" && e.All {
+			runs = append(runs, e)
 		}
+	}
+	if len(runs) == 0 {
+		fatalf("unknown figure %q (want %s, all)", *fig, ids())
+	}
+	for _, e := range runs {
+		start := time.Now()
+		tbl, err := e.Run(cfg)
 		if err != nil {
-			fatalf("figure %s: %v", id, err)
+			fatalf("figure %s: %v", e.ID, err)
 		}
 		if err := tbl.Render(os.Stdout); err != nil {
 			fatalf("render: %v", err)
 		}
-		fmt.Printf("\n[fig %s done in %.1fs]\n\n", id, time.Since(start).Seconds())
+		fmt.Printf("\n[fig %s done in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fatalf("mkdir %s: %v", *csvDir, err)
 			}
-			path := filepath.Join(*csvDir, "fig"+id+".csv")
+			path := filepath.Join(*csvDir, "fig"+e.ID+".csv")
 			f, err := os.Create(path)
 			if err != nil {
 				fatalf("create %s: %v", path, err)
@@ -164,10 +145,13 @@ func dumpStats(w io.Writer) {
 	}
 }
 
-// renderable is the common surface of all experiment tables.
-type renderable interface {
-	Render(io.Writer) error
-	WriteCSV(io.Writer) error
+// ids lists the experiment ids in registry order.
+func ids() string {
+	ids := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, ", ")
 }
 
 // flagSet reports whether the named flag was given on the command line.

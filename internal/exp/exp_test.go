@@ -123,10 +123,24 @@ func TestFig4Small(t *testing.T) {
 }
 
 func TestFiguresRegistry(t *testing.T) {
-	for _, id := range []string{"2", "3", "4a", "4b"} {
-		if Figures[id] == nil {
-			t.Errorf("figure %q missing from registry", id)
+	var ids, all []string
+	for _, e := range Experiments {
+		if e.Run == nil {
+			t.Errorf("experiment %q has no runner", e.ID)
 		}
+		ids = append(ids, e.ID)
+		if e.All {
+			all = append(all, e.ID)
+		}
+	}
+	want := "2 3 4a 4b gap msgs accrual contention latency faults fleet"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("registry ids = %q, want %q", got, want)
+	}
+	// `-fig all` runs these, in this order: results/render.txt holds
+	// their output.
+	if got := strings.Join(all, " "); got != "2 3 4a 4b gap msgs" {
+		t.Errorf("ids run by all = %q", got)
 	}
 }
 
@@ -187,7 +201,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestRunAlgorithmUnknown(t *testing.T) {
-	if _, err := runAlgorithm("nope", nil); err == nil {
-		t.Error("expected unknown-algorithm error")
+	cfg := Config{Trials: 1}.withDefaults()
+	_, err := runCell(cfg, cell{setting: Setting{5, 1}, n: 10, algorithms: []string{"nope"}})
+	if err == nil || !strings.Contains(err.Error(), `unknown algorithm "nope"`) {
+		t.Errorf("err = %v, want an unknown-algorithm error", err)
 	}
 }

@@ -1,19 +1,15 @@
 package exp
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"time"
 
 	"mobisink/internal/core"
-	"mobisink/internal/energy"
 	"mobisink/internal/exact"
 	"mobisink/internal/network"
 	"mobisink/internal/online"
-	"mobisink/internal/radio"
 	"mobisink/internal/stats"
 	"mobisink/internal/traffic"
 )
@@ -44,32 +40,12 @@ func Messages(cfg Config) (*MsgTable, error) {
 	cfg = cfg.withDefaults()
 	tbl := &MsgTable{}
 	for _, n := range cfg.Sizes {
+		_, tours, err := approTours(cfg, n)
+		if err != nil {
+			return nil, err
+		}
 		var probes, acks, scheds, fins, totals []float64
-		intervals := 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := seedFor(cfg.Seed, n, trial)
-			dep, err := network.Generate(network.Params{
-				N: n, PathLength: cfg.PathLength, MaxOffset: cfg.MaxOffset, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			h, err := energy.NewSolar(cfg.PanelAreaMM2, cfg.Condition, 1.0)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(seed))
-			if err := dep.AssignSteadyStateBudgets(h, cfg.Accrual*cfg.PathLength/5, cfg.Jitter, rng); err != nil {
-				return nil, err
-			}
-			inst, err := core.BuildInstance(dep, radio.Paper2013(), 5, 1)
-			if err != nil {
-				return nil, err
-			}
-			res, err := online.Run(inst, &online.Appro{})
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range tours {
 			if err := res.CheckLemma1(); err != nil {
 				return nil, fmt.Errorf("exp: lemma 1 violated at n=%d: %w", n, err)
 			}
@@ -78,8 +54,8 @@ func Messages(cfg Config) (*MsgTable, error) {
 			scheds = append(scheds, float64(res.Messages.Schedules))
 			fins = append(fins, float64(res.Messages.Finishes))
 			totals = append(totals, float64(res.Messages.Total()))
-			intervals = res.Intervals
 		}
+		intervals := tours[len(tours)-1].Intervals
 		p := MsgPoint{
 			N:          n,
 			Intervals:  intervals,
@@ -99,26 +75,38 @@ func Messages(cfg Config) (*MsgTable, error) {
 	return tbl, nil
 }
 
+// approTours builds every trial's instance of size n at (5 m/s, τ = 1 s),
+// with budgets of Accrual·PathLength/5 seconds, and runs Online_Appro's
+// ideal tour on it: the baseline that msgs, contention and faults share.
+func approTours(cfg Config, n int) ([]*core.Instance, []*online.Result, error) {
+	insts := make([]*core.Instance, cfg.Trials)
+	tours := make([]*online.Result, cfg.Trials)
+	err := eachTrial(cfg, func(t int) recipe {
+		seed := seedFor(cfg.Seed, n, t)
+		return recipe{
+			n: n, seed: seed, budgetSeed: seed, path: cfg.PathLength,
+			budgetSecs: cfg.Accrual * cfg.PathLength / 5, speed: 5, tau: 1,
+		}
+	}, func(t int, _ *network.Deployment, inst *core.Instance) error {
+		res, err := online.Run(inst, &online.Appro{})
+		insts[t], tours[t] = inst, res
+		return err
+	})
+	return insts, tours, err
+}
+
 // WriteCSV emits the message table.
 func (t *MsgTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"n", "intervals", "probes", "acks", "schedules",
-		"finishes", "total", "acks_bound_2n", "total_bound"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
+	return writeCSV(w, []string{"n", "intervals", "probes", "acks", "schedules",
+		"finishes", "total", "acks_bound_2n", "total_bound"}, t.Points, func(p MsgPoint) []string {
+		return []string{
 			strconv.Itoa(p.N), strconv.Itoa(p.Intervals),
 			fmt.Sprintf("%.1f", p.Probes), fmt.Sprintf("%.1f", p.Acks),
 			fmt.Sprintf("%.1f", p.Schedules), fmt.Sprintf("%.1f", p.Finishes),
 			fmt.Sprintf("%.1f", p.Total),
 			strconv.Itoa(p.AcksBound), strconv.Itoa(p.TotalBound),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // Render prints the message table.
@@ -157,36 +145,29 @@ type GapTable struct {
 // branch-and-bound terminates), and how much slower exactness is — the
 // paper's §I.B argument against exact/ILP scheduling.
 func OptimalityGap(cfg Config) (*GapTable, error) {
+	sizes := cfg.sizesOr(4, 8, 12, 16)
 	cfg = cfg.withDefaults()
-	sizes := cfg.Sizes
-	if len(sizes) == 6 && sizes[0] == 100 {
-		sizes = []int{4, 8, 12, 16} // default downsized sweep
-	}
 	tbl := &GapTable{}
 	for _, n := range sizes {
+		insts := make([]*core.Instance, cfg.Trials)
+		if err := eachTrial(cfg, func(t int) recipe {
+			seed := seedFor(cfg.Seed, n, t)
+			return recipe{
+				n: n, seed: seed, budgetSeed: seed, path: 600,
+				budgetSecs: cfg.Accrual * 600 / 5, speed: 10, tau: 1,
+			}
+		}, func(t int, _ *network.Deployment, inst *core.Instance) error {
+			insts[t] = inst
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		// The solves run one at a time, so the timing columns read an
+		// uncontended solve.
 		var ratios, onRatios []float64
 		var approMs, exactMs, nodes float64
 		solved := 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := seedFor(cfg.Seed, n, trial)
-			dep, err := network.Generate(network.Params{
-				N: n, PathLength: 600, MaxOffset: cfg.MaxOffset, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(seed))
-			h, err := energy.NewSolar(cfg.PanelAreaMM2, cfg.Condition, 1.0)
-			if err != nil {
-				return nil, err
-			}
-			if err := dep.AssignSteadyStateBudgets(h, cfg.Accrual*600/5, cfg.Jitter, rng); err != nil {
-				return nil, err
-			}
-			inst, err := core.BuildInstance(dep, radio.Paper2013(), 10, 1)
-			if err != nil {
-				return nil, err
-			}
+		for _, inst := range insts {
 			t0 := time.Now()
 			ap, err := core.OfflineAppro(inst, core.Options{})
 			if err != nil {
@@ -230,24 +211,16 @@ func OptimalityGap(cfg Config) (*GapTable, error) {
 
 // WriteCSV emits the gap table.
 func (t *GapTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"n", "trials", "solved", "appro_over_opt_mean",
-		"appro_over_opt_min", "online_over_opt_mean", "appro_ms", "exact_ms", "mean_nodes"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
+	return writeCSV(w, []string{"n", "trials", "solved", "appro_over_opt_mean",
+		"appro_over_opt_min", "online_over_opt_mean", "appro_ms", "exact_ms", "mean_nodes"}, t.Points, func(p GapPoint) []string {
+		return []string{
 			strconv.Itoa(p.N), strconv.Itoa(p.Trials), strconv.Itoa(p.Solved),
 			fmt.Sprintf("%.4f", p.ApproRatio.Mean), fmt.Sprintf("%.4f", p.ApproRatio.Min),
 			fmt.Sprintf("%.4f", p.OnlineRatio.Mean),
 			fmt.Sprintf("%.3f", p.ApproTimeMs), fmt.Sprintf("%.3f", p.ExactTimeMs),
 			fmt.Sprintf("%.0f", p.MeanNodes),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // Render prints the gap table.
@@ -285,22 +258,13 @@ func AccrualSensitivity(cfg Config) (*AccrualTable, error) {
 	tbl := &AccrualTable{}
 	for _, accrual := range []float64{1, 2, 3, 5} {
 		for _, s := range []Setting{{5, 1}, {30, 4}} {
-			var mbs []float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				c := cfg
-				c.Accrual = accrual
-				cell := cell{setting: s, n: 300, algorithms: []string{AlgOfflineAppro}}
-				r := runTrial(c, cell, trial)
-				if r.err != nil {
-					return nil, r.err
-				}
-				mbs = append(mbs, core.ThroughputMb(r.bits[AlgOfflineAppro]))
-			}
-			sum, err := stats.Summarize(mbs)
+			c := cfg
+			c.Accrual = accrual
+			pts, err := runCell(c, cell{setting: s, n: 300, algorithms: []string{AlgOfflineAppro}})
 			if err != nil {
 				return nil, err
 			}
-			tbl.Points = append(tbl.Points, AccrualPoint{Accrual: accrual, Setting: s.String(), Mb: sum})
+			tbl.Points = append(tbl.Points, AccrualPoint{Accrual: accrual, Setting: s.String(), Mb: pts[0].Mb})
 		}
 	}
 	return tbl, nil
@@ -308,20 +272,13 @@ func AccrualSensitivity(cfg Config) (*AccrualTable, error) {
 
 // WriteCSV emits the accrual table.
 func (t *AccrualTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"accrual", "setting", "throughput_mb_mean", "throughput_mb_ci95"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
-			fmt.Sprintf("%g", p.Accrual), p.Setting,
-			fmt.Sprintf("%.4f", p.Mb.Mean), fmt.Sprintf("%.4f", p.Mb.CI95),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"accrual", "setting", "throughput_mb_mean", "throughput_mb_ci95"},
+		t.Points, func(p AccrualPoint) []string {
+			return []string{
+				fmt.Sprintf("%g", p.Accrual), p.Setting,
+				fmt.Sprintf("%.4f", p.Mb.Mean), fmt.Sprintf("%.4f", p.Mb.CI95),
+			}
+		})
 }
 
 // Render prints the accrual table.
@@ -352,60 +309,29 @@ type ContentionTable struct {
 // registration phase; this sweeps the CSMA backoff window and reports the
 // recovered fraction of ideal throughput.
 func Contention(cfg Config) (*ContentionTable, error) {
+	sizes := cfg.sizesOr(100, 300, 600)
 	cfg = cfg.withDefaults()
-	sizes := cfg.Sizes
-	if len(sizes) == 6 && sizes[0] == 100 {
-		sizes = []int{100, 300, 600}
-	}
 	tbl := &ContentionTable{}
 	for _, n := range sizes {
-		// Ideal baseline per trial.
-		ideal := make([]float64, cfg.Trials)
-		insts := make([]*core.Instance, cfg.Trials)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := seedFor(cfg.Seed, n, trial)
-			dep, err := network.Generate(network.Params{
-				N: n, PathLength: cfg.PathLength, MaxOffset: cfg.MaxOffset, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			h, err := energy.NewSolar(cfg.PanelAreaMM2, cfg.Condition, 1.0)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(seed))
-			if err := dep.AssignSteadyStateBudgets(h, cfg.Accrual*cfg.PathLength/5, cfg.Jitter, rng); err != nil {
-				return nil, err
-			}
-			inst, err := core.BuildInstance(dep, radio.Paper2013(), 5, 1)
-			if err != nil {
-				return nil, err
-			}
-			insts[trial] = inst
-			res, err := online.Run(inst, &online.Appro{})
-			if err != nil {
-				return nil, err
-			}
-			ideal[trial] = res.Data
+		insts, ideal, err := approTours(cfg, n)
+		if err != nil {
+			return nil, err
 		}
 		for _, w := range []int{0, 4, 8, 16, 64} {
 			var mbs, fracs []float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				var data float64
-				if w == 0 {
-					data = ideal[trial]
-				} else {
-					res, err := online.RunOpts(insts[trial], &online.Appro{},
-						online.Options{AckWindow: w, Seed: seedFor(cfg.Seed, n, trial)})
+			for t, inst := range insts {
+				data := ideal[t].Data
+				if w > 0 {
+					res, err := online.RunOpts(inst, &online.Appro{},
+						online.Options{AckWindow: w, Seed: seedFor(cfg.Seed, n, t)})
 					if err != nil {
 						return nil, err
 					}
 					data = res.Data
 				}
 				mbs = append(mbs, core.ThroughputMb(data))
-				if ideal[trial] > 0 {
-					fracs = append(fracs, data/ideal[trial])
+				if ideal[t].Data > 0 {
+					fracs = append(fracs, data/ideal[t].Data)
 				}
 			}
 			sum, err := stats.Summarize(mbs)
@@ -422,21 +348,14 @@ func Contention(cfg Config) (*ContentionTable, error) {
 
 // WriteCSV emits the contention table.
 func (t *ContentionTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"ack_window", "n", "throughput_mb_mean", "throughput_mb_ci95", "fraction_of_ideal"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
-			strconv.Itoa(p.AckWindow), strconv.Itoa(p.N),
-			fmt.Sprintf("%.4f", p.Mb.Mean), fmt.Sprintf("%.4f", p.Mb.CI95),
-			fmt.Sprintf("%.4f", p.FracIdeal),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"ack_window", "n", "throughput_mb_mean", "throughput_mb_ci95", "fraction_of_ideal"},
+		t.Points, func(p ContentionPoint) []string {
+			return []string{
+				strconv.Itoa(p.AckWindow), strconv.Itoa(p.N),
+				fmt.Sprintf("%.4f", p.Mb.Mean), fmt.Sprintf("%.4f", p.Mb.CI95),
+				fmt.Sprintf("%.4f", p.FracIdeal),
+			}
+		})
 }
 
 // Render prints the contention table.
@@ -478,40 +397,29 @@ func Latency(cfg Config) (*LatencyTable, error) {
 	}
 	tbl := &LatencyTable{}
 	for _, speed := range []float64{2, 5, 10, 20, 30} {
-		var mbs []float64
-		var delaySum, p95Sum, genSum, delSum float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := seedFor(cfg.Seed, int(speed), trial)
-			dep, err := network.Generate(network.Params{
-				N: n, PathLength: cfg.PathLength, MaxOffset: cfg.MaxOffset, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
+		mbs := make([]float64, cfg.Trials)
+		lats := make([]traffic.LatencyStats, cfg.Trials)
+		if err := eachTrial(cfg, func(t int) recipe {
+			seed := seedFor(cfg.Seed, int(speed), t)
+			return recipe{
+				n: n, seed: seed, budgetSeed: seed, path: cfg.PathLength,
+				budgetSecs: cfg.Accrual * (cfg.PathLength / speed), speed: speed, tau: 1,
 			}
-			h, err := energy.NewSolar(cfg.PanelAreaMM2, cfg.Condition, 1.0)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(seed))
-			tourDur := cfg.PathLength / speed
-			if err := dep.AssignSteadyStateBudgets(h, cfg.Accrual*tourDur, cfg.Jitter, rng); err != nil {
-				return nil, err
-			}
-			inst, err := core.BuildInstance(dep, radio.Paper2013(), speed, 1)
-			if err != nil {
-				return nil, err
-			}
+		}, func(t int, dep *network.Deployment, inst *core.Instance) error {
 			res, err := online.Run(inst, &online.Appro{})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tpTrial := tp
-			tpTrial.Seed = seed
-			lat, err := traffic.DeliveryLatency(dep, tpTrial, inst, res.Alloc, -3600, 0)
-			if err != nil {
-				return nil, err
-			}
-			mbs = append(mbs, core.ThroughputMb(res.Data))
+			tpTrial.Seed = seedFor(cfg.Seed, int(speed), t)
+			mbs[t] = core.ThroughputMb(res.Data)
+			lats[t], err = traffic.DeliveryLatency(dep, tpTrial, inst, res.Alloc, -3600, 0)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		var delaySum, p95Sum, genSum, delSum float64
+		for _, lat := range lats {
 			delaySum += lat.MeanDelay
 			p95Sum += lat.P95Delay
 			genSum += float64(lat.Detections)
@@ -538,23 +446,15 @@ func Latency(cfg Config) (*LatencyTable, error) {
 
 // WriteCSV emits the latency table.
 func (t *LatencyTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"speed", "tour_min", "throughput_mb_mean",
-		"mean_delay_min", "p95_delay_min", "delivered_pct"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
+	return writeCSV(w, []string{"speed", "tour_min", "throughput_mb_mean",
+		"mean_delay_min", "p95_delay_min", "delivered_pct"}, t.Points, func(p LatencyPoint) []string {
+		return []string{
 			fmt.Sprintf("%g", p.Speed), fmt.Sprintf("%.1f", p.TourMin),
 			fmt.Sprintf("%.4f", p.Mb.Mean),
 			fmt.Sprintf("%.2f", p.MeanDelayMin), fmt.Sprintf("%.2f", p.P95DelayMin),
 			fmt.Sprintf("%.1f", p.DeliveredPct),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // Render prints the latency table.

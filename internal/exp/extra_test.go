@@ -94,6 +94,26 @@ func TestOptimalityGapDefaultSizes(t *testing.T) {
 	}
 }
 
+// Sizes that are set are run as given, even when they equal the figure
+// defaults: only unset Sizes take an experiment's own downsized sweep.
+func TestExplicitDefaultSizesHonoured(t *testing.T) {
+	cfg := Config{Sizes: []int{100, 200, 300, 400, 500, 600}, Trials: 1, Seed: 2}
+	tbl, err := Contention(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Points) != 30 { // 5 windows × 6 sizes
+		t.Fatalf("contention points = %d, want 30", len(tbl.Points))
+	}
+	fleet, err := FleetSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet.Points) != 36 { // 3 fleet sizes × 6 sizes × 2 algorithms
+		t.Fatalf("fleet points = %d, want 36", len(fleet.Points))
+	}
+}
+
 func TestAccrualSensitivity(t *testing.T) {
 	cfg := Config{Trials: 2, Seed: 4}
 	tbl, err := AccrualSensitivity(cfg)

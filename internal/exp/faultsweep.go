@@ -1,18 +1,13 @@
 package exp
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 
 	"mobisink/internal/core"
-	"mobisink/internal/energy"
 	"mobisink/internal/fault"
-	"mobisink/internal/network"
 	"mobisink/internal/online"
-	"mobisink/internal/radio"
 	"mobisink/internal/stats"
 )
 
@@ -49,48 +44,19 @@ func FaultSweep(cfg Config) (*FaultTable, error) {
 		rates = []float64{0, 0.05, 0.2, 0.5}
 	}
 	const n = 300
-	tbl := &FaultTable{}
-
-	// Fault-free baseline per trial, instance reused across rates.
-	ideal := make([]float64, cfg.Trials)
-	insts := make([]*core.Instance, cfg.Trials)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := seedFor(cfg.Seed, n, trial)
-		dep, err := network.Generate(network.Params{
-			N: n, PathLength: cfg.PathLength, MaxOffset: cfg.MaxOffset, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		h, err := energy.NewSolar(cfg.PanelAreaMM2, cfg.Condition, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		if err := dep.AssignSteadyStateBudgets(h, cfg.Accrual*cfg.PathLength/5, cfg.Jitter, rng); err != nil {
-			return nil, err
-		}
-		inst, err := core.BuildInstance(dep, radio.Paper2013(), 5, 1)
-		if err != nil {
-			return nil, err
-		}
-		insts[trial] = inst
-		res, err := online.Run(inst, &online.Appro{})
-		if err != nil {
-			return nil, err
-		}
-		ideal[trial] = res.Data
+	insts, ideal, err := approTours(cfg, n)
+	if err != nil {
+		return nil, err
 	}
-
+	tbl := &FaultTable{}
 	for _, rate := range rates {
 		var mbs, fracs, bares []float64
 		var repaired, lost, clamps, retx, repairTx float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			inst := insts[trial]
+		for trial, inst := range insts {
 			seed := seedFor(cfg.Seed, n, trial)
 			if rate == 0 {
-				mbs = append(mbs, core.ThroughputMb(ideal[trial]))
-				if ideal[trial] > 0 {
+				mbs = append(mbs, core.ThroughputMb(ideal[trial].Data))
+				if ideal[trial].Data > 0 {
 					fracs = append(fracs, 1)
 					bares = append(bares, 1)
 				}
@@ -113,9 +79,9 @@ func FaultSweep(cfg Config) (*FaultTable, error) {
 				return nil, err
 			}
 			mbs = append(mbs, core.ThroughputMb(res.Data))
-			if ideal[trial] > 0 {
-				fracs = append(fracs, res.Data/ideal[trial])
-				bares = append(bares, bres.Data/ideal[trial])
+			if ideal[trial].Data > 0 {
+				fracs = append(fracs, res.Data/ideal[trial].Data)
+				bares = append(bares, bres.Data/ideal[trial].Data)
 			}
 			repaired += float64(res.Fault.RepairedSlots)
 			lost += float64(res.Fault.LostSlots)
@@ -161,26 +127,18 @@ func faultPlan(rate float64, seed int64, slots, sensors int) fault.Plan {
 
 // WriteCSV emits the fault table.
 func (t *FaultTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rate", "n", "throughput_mb_mean", "throughput_mb_ci95",
+	return writeCSV(w, []string{"rate", "n", "throughput_mb_mean", "throughput_mb_ci95",
 		"fraction_of_ideal", "fraction_no_recovery", "repaired_slots", "lost_slots", "budget_clamps",
-		"probe_retransmits", "repair_unicasts"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := cw.Write([]string{
+		"probe_retransmits", "repair_unicasts"}, t.Points, func(p FaultPoint) []string {
+		return []string{
 			fmt.Sprintf("%g", p.Rate), strconv.Itoa(p.N),
 			fmt.Sprintf("%.4f", p.Mb.Mean), fmt.Sprintf("%.4f", p.Mb.CI95),
 			fmt.Sprintf("%.4f", p.FracIdeal), fmt.Sprintf("%.4f", p.FracBare),
 			fmt.Sprintf("%.1f", p.Repaired), fmt.Sprintf("%.1f", p.Lost),
 			fmt.Sprintf("%.1f", p.Clamps),
 			fmt.Sprintf("%.1f", p.Retx), fmt.Sprintf("%.1f", p.RepairTx),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // Render prints the fault table.

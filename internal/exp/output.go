@@ -11,15 +11,10 @@ import (
 
 // WriteCSV emits the table as CSV with one row per (setting, n, algorithm).
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"figure", "setting", "n", "algorithm",
+	return writeCSV(w, []string{"figure", "setting", "n", "algorithm",
 		"throughput_mb_mean", "throughput_mb_stddev", "throughput_mb_ci95",
-		"trials", "fraction_of_upper_bound"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		row := []string{
+		"trials", "fraction_of_upper_bound"}, t.Points, func(p Point) []string {
+		return []string{
 			t.Name, p.Setting, strconv.Itoa(p.N), p.Algorithm,
 			fmt.Sprintf("%.4f", p.Mb.Mean),
 			fmt.Sprintf("%.4f", p.Mb.StdDev),
@@ -27,12 +22,16 @@ func (t *Table) WriteCSV(w io.Writer) error {
 			strconv.Itoa(p.Mb.N),
 			fmt.Sprintf("%.4f", p.FracUB),
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+	})
+}
+
+// writeCSV writes the header and then one row per point.
+func writeCSV[P any](w io.Writer, header []string, points []P, row func(P) []string) error {
+	rows := [][]string{header}
+	for _, p := range points {
+		rows = append(rows, row(p))
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // settings returns the distinct settings in first-seen order.
