@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test test-metrics test-fault test-wire test-recovery stress-wire test-race vet check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal fuzz-knapsack fuzz-gap
+.PHONY: all build test stress-wire test-race vet results-check bench bench-all bench-compare bench-compare-short bench-wire bench-wire-compare cover cover-all experiments examples clean fuzz-wire fuzz-fleet fuzz-wal fuzz-knapsack fuzz-gap
 
-all: build vet test
+all: build test
 
 build:
 	$(GO) build ./...
@@ -12,50 +12,44 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Hygiene gate: formatting, vet, and the solver engine under the race
-# detector (concurrent solves share the pool of gap workspaces and each
-# instance's lazily derived knapsack-oracle quanta), with core's
-# concurrent Offline_Appro, Greedy and Sequential solves. Part of the
-# default `test` target.
-check:
+# The default gate. After its prerequisites: formatting and vet once over
+# the whole tree, then every package that shares state across goroutines
+# under the race detector, once each:
+#   - solve and gap: concurrent solves share the pool of gap workspaces
+#     and each instance's lazily derived knapsack-oracle quanta;
+#   - metrics and srv: concurrent increments against scrapes, and the
+#     instrumented, hardened HTTP serving path (panics, breaker);
+#   - fault, online and mac: the fault-injection layer and the
+#     self-healing protocol, including the chaos sweep and the crash test
+#     that halts a tour after every interval and resumes it from its
+#     journal;
+#   - wire, wal, cmd/sinkd and cmd/loadgen: framing, the loopback
+#     end-to-end suite (the byte-parity keystone, chaos tours), session
+#     resumption, heartbeats, churn and crash-restart; session state and
+#     the ledger's residuals are touched from handler goroutines and the
+#     tour loop at once.
+# Then core's concurrent Offline_Appro, Greedy and Sequential solves, and
+# the load-shedding tests twenty times over, since a shed decision that
+# races the queue shows only now and then. Last, the plain suite.
+RACE_PKGS = ./internal/solve ./internal/gap ./internal/metrics ./internal/srv \
+	./internal/fault ./internal/online ./internal/mac ./internal/wire ./internal/wal \
+	./cmd/sinkd ./cmd/loadgen
+
+test: stress-wire cover bench-compare-short
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./internal/solve ./internal/gap
+	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run Concurrent ./internal/core
-
-test: check test-metrics test-fault test-wire test-recovery stress-wire cover bench-compare-short
+	$(GO) test -race -count=20 -run Shed ./internal/srv
 	$(GO) test ./...
-
-# Wire-transport gate: formatting and vet on the framing/server/client/
-# chaos-proxy/loadgen layer, then the whole loopback end-to-end suite
-# (including the byte-parity keystone and the chaos tours) under the
-# race detector. Part of the default `test` target.
-test-wire:
-	@out=$$(gofmt -l internal/wire cmd/sinkd cmd/loadgen); if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) vet ./internal/wire ./cmd/sinkd ./cmd/loadgen
-	$(GO) test -race ./internal/wire ./cmd/sinkd ./cmd/loadgen
-
-# Recovery gate: formatting and vet on the session/journal/daemon layer,
-# then the resumption, heartbeat, churn-chaos, and crash-restart suites
-# under the race detector (session state and the ledger's residuals and
-# committed interval are touched from handler goroutines and the tour
-# loop concurrently). The journal and its replay live in internal/online,
-# whose crash test halts a tour after every interval and resumes it.
-# Part of the default `test` target.
-test-recovery:
-	@out=$$(gofmt -l internal/online internal/wire internal/wal cmd/sinkd); if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) vet ./internal/online ./internal/wire ./internal/wal ./cmd/sinkd
-	$(GO) test -race ./internal/online ./internal/wire ./internal/wal ./cmd/sinkd
 
 # Teardown stress gate: the tours that end with the sink closing under a
 # live fleet, ten times each. A sink that fully closes a socket still
 # holding unread input (the last interval's Confirm Acks) resets the
 # peer instead of ending its stream, and a client without Redial then
-# fails its tour; the race shows only now and then, so one pass in
-# test-wire cannot catch it coming back. The churn tour and the
+# fails its tour; the race shows only now and then, so one pass under
+# -race cannot catch it coming back. The churn tour and the
 # retransmit-count tour run ten times too: their schedules follow each
 # sensor's radio reach, the registration windows and redial timing. So
 # do the handshake tests and the session-table test: a join is one Hello
@@ -111,24 +105,6 @@ fuzz-knapsack:
 # references, bit for bit, with the exact DP and with the FPTAS.
 fuzz-gap:
 	$(GO) test -run '^$$' -fuzz FuzzRunsMatchReference -fuzztime 30s ./internal/gap
-
-# Robustness gate: the fault-injection layer, the self-healing online
-# protocol, and the hardened serving path under the race detector
-# (includes the chaos sweep and the end-to-end panic/breaker tests),
-# preceded by vet; then the load-shedding tests twenty times over, since
-# a shed decision that races the queue shows only now and then. Part of
-# the default `test` target.
-test-fault:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/fault ./internal/online ./internal/mac ./internal/srv
-	$(GO) test -race -count=20 -run Shed ./internal/srv
-
-# Observability gate: the metrics registry and the instrumented HTTP
-# server under the race detector (concurrent increments vs. scrapes),
-# preceded by vet. Part of the default `test` target.
-test-metrics:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/metrics ./internal/srv
 
 # Tier-1 gate for the concurrent packages (internal/jobs, internal/cache,
 # internal/parallel, internal/srv): the full suite under the race
@@ -210,6 +186,14 @@ cover-all:
 # Reproduce every figure/table of the paper (≈10-15 min single-core).
 experiments:
 	$(GO) run ./cmd/mobisink -fig all -trials 50 -csv results
+
+# Figure gate (not part of `test`: about 100 s on a 2-vCPU host, most of
+# it Figure 3's Offline_MaxMatch): rewrites every CSV that
+# results/MANIFEST lists, with the flags it gives, into a temporary
+# directory and compares every column but the wall-clock ones with the
+# committed file, and results/render.txt with the runs' stdout.
+results-check:
+	GO="$(GO)" sh results/check.sh
 
 examples:
 	$(GO) run ./examples/quickstart
